@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import errors as err
@@ -71,7 +70,7 @@ EXIT_CODES = (
       err.LengthMismatch, err.DegenerateSample,
       err.RhoNotInvertibleAtValue), 7),
     ((err.ZeroMassGraph, err.BlowupTooLarge, err.EigensolveFailure,
-      err.NoCutFound, err.HeavyAtom, err.EmptyPart), 4),
+      err.HeavyAtom, err.EmptyPart), 4),
     ((err.Delta0TooLarge, err.NoGoodThreshold, err.ThresholdOutOfRange,
       err.ZeroSamples), 3),
     ((err.SpaceValidationError, err.InvalidMetric, err.BadParams), 2),
@@ -190,8 +189,7 @@ def cmd_cliques(args) -> int:
     pg = part_neighbor_graph(partition, args.epsilon)
     family = neighborhood_family(pg, args.epsilon)
     structure = clique_closure(family, pg, args.epsilon)
-    repaired, log = clique_repair(graph, partition, structure, args.epsilon,
-                                  args.m)
+    repaired, log = clique_repair(graph, partition, structure, args.epsilon)
     check = verify_cliques(repaired)
     out = {
         "config": _config(args),
@@ -375,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Average hyperbolicity and approximate tree embeddings "
                     "of weighted similarity spaces",
     )
-    top.add_argument("--threads", type=int, default=1,
-                     help="advisory thread cap for numerical kernels")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, seed=True, fmt=True):
@@ -476,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spinglass", help="pure-state tree of a sampled model")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--exact", action="store_true")
     p.add_argument("--mcmc", type=int, default=0,
                    help="Metropolis steps (0 means exact enumeration)")
     p.add_argument("--burn-in", type=int, default=1000)
@@ -525,10 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     try:
         return args.func(args)
     except err.TreelikeError as exc:

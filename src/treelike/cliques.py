@@ -5,6 +5,10 @@ edge density near one.  Maximal disjoint neighborhoods of linked parts are
 grouped into clusters, nearby leftover parts are attached, and the vertex
 graph is then repaired in five staged edit passes whose pairs and measures
 are all logged.
+
+Every stage works on boolean part-by-part matrices.  At desk scale the parts
+are single points, so the part neighbor relation is the thresholded vertex
+graph itself and q is the vertex count.
 """
 
 from __future__ import annotations
@@ -82,26 +86,20 @@ def part_neighbor_graph(partition: PartitionResult, epsilon: float
                         ) -> PartNeighborGraph:
     """Classify part pairs as neighbor / regular-non-neighbor / irregular."""
     q = partition.q
-    neighbor = np.zeros((q + 1, q + 1), dtype=bool)
-    irregular = np.zeros((q + 1, q + 1), dtype=bool)
-    middle: list[tuple[int, int]] = []
-    for i in range(1, q + 1):
-        for j in range(i + 1, q + 1):
-            regular = bool(partition.regular_flags[i, j])
-            d = float(partition.densities[i, j])
-            if not regular:
-                irregular[i, j] = irregular[j, i] = True
-                continue
-            if d >= 1.0 - 2.0 * epsilon:
-                neighbor[i, j] = neighbor[j, i] = True
-            elif d >= 3.0 * epsilon:
-                middle.append((i, j))
+    upper = np.triu(np.ones((q + 1, q + 1), dtype=bool), 1)
+    upper[0] = False
+    regular = upper & partition.regular_flags
+    d = partition.densities
+    dense = regular & (d >= 1.0 - 2.0 * epsilon)
+    middle = regular & ~dense & (d >= 3.0 * epsilon)
+    irregular = upper & ~partition.regular_flags
     return PartNeighborGraph(
         q=q,
-        neighbor=neighbor,
-        irregular=irregular,
+        neighbor=dense | dense.T,
+        irregular=irregular | irregular.T,
         densities=partition.densities,
-        dichotomy_violations=tuple(middle),
+        dichotomy_violations=tuple(
+            (int(i), int(j)) for i, j in np.argwhere(middle)),
     )
 
 
@@ -116,24 +114,24 @@ def neighborhood_family(pg: PartNeighborGraph, epsilon: float
     """
     q = pg.q
     cutoff = epsilon ** 0.25 * q
-    unused = set(range(1, q + 1))
+    closed = pg.neighbor[1:, 1:] | np.eye(q, dtype=bool)
+    unused = np.ones(q, dtype=bool)
     family: list[tuple[int, ...]] = []
-    while unused:
-        best_i = None
-        best: set[int] = set()
-        for i in sorted(unused):
-            nbhd = {i} | {j for j in unused if pg.neighbor[i, j]}
-            if len(nbhd) > len(best):
-                best = nbhd
-                best_i = i
-        if best_i is None or len(best) < cutoff:
+
+    def sizes() -> np.ndarray:
+        # closed-neighborhood sizes among unused parts; -1 marks used parts
+        return np.where(unused, (closed & unused).sum(axis=1), -1)
+
+    while unused.any():
+        size = sizes()
+        best = int(np.argmax(size))  # first maximum: lowest index on ties
+        if size[best] < cutoff:
             break
-        family.append(tuple(sorted(best)))
-        unused -= best
-    for i in unused:
-        nbhd = {i} | {j for j in unused if pg.neighbor[i, j]}
-        if len(nbhd) >= cutoff:
-            raise PostconditionFailure("greedy neighborhood family not maximal")
+        members = closed[best] & unused
+        family.append(tuple(int(i) + 1 for i in np.nonzero(members)[0]))
+        unused &= ~members
+    if unused.any() and sizes().max() >= cutoff:
+        raise PostconditionFailure("greedy neighborhood family not maximal")
     return tuple(family)
 
 
@@ -149,84 +147,73 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
     """
     q = pg.q
     t = len(family)
-    adj = np.zeros((t, t), dtype=bool)
-    for a in range(t):
-        for b in range(a + 1, t):
-            linked = any(pg.neighbor[i, j] for i in family[a] for j in family[b])
-            adj[a, b] = adj[b, a] = linked
-    comp = [-1] * t
-    comps: list[list[int]] = []
-    for a in range(t):
-        if comp[a] >= 0:
-            continue
-        cid = len(comps)
-        stack = [a]
-        comp[a] = cid
-        members = []
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for v in range(t):
-                if adj[u, v] and comp[v] < 0:
-                    comp[v] = cid
-                    stack.append(v)
-        comps.append(sorted(members))
-    for members in comps:
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                a, b = members[ai], members[bi]
-                if not adj[a, b]:
-                    triple = _shortest_gap_triple(adj, members, a, b)
-                    raise NotAClique(
-                        "neighborhood component is not complete: families "
-                        f"{triple[0]} ~ {triple[1]} ~ {triple[2]} but the "
-                        "ends are not linked; the hyperbolicity "
-                        "preconditions do not hold for these parameters",
-                        witness=triple,
-                    )
+    member = np.zeros((t, q + 1))
+    for a, parts in enumerate(family):
+        member[a, list(parts)] = 1.0
+    adj = np.triu(member @ pg.neighbor @ member.T > 0, 1)
+    adj |= adj.T
+    # transitive closure; each component is labelled by its lowest family
+    reach = adj | np.eye(t, dtype=bool)
+    while True:
+        wider = reach.astype(float) @ reach > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    root = np.where(reach, np.arange(t), t).min(axis=1, initial=t)
+    gaps = np.argwhere(np.triu(reach & ~adj, 1)).tolist()
+    if gaps:
+        # the first gap in component order, as a component-by-component
+        # scan of member pairs would meet it
+        a, b = min(gaps, key=lambda p: (root[p[0]], p))
+        members = np.nonzero(root == root[a])[0].tolist()
+        triple = _shortest_gap_triple(adj, members, a, b)
+        raise NotAClique(
+            "neighborhood component is not complete: families "
+            f"{triple[0]} ~ {triple[1]} ~ {triple[2]} but the "
+            "ends are not linked; the hyperbolicity "
+            "preconditions do not hold for these parameters",
+            witness=triple,
+        )
     groups = [
-        tuple(sorted(p for a in members for p in family[a])) for members in comps
+        tuple(sorted(p for a in np.nonzero(root == r)[0] for p in family[a]))
+        for r in np.unique(root)
     ]
     if len(groups) > epsilon ** -0.25 + 1e-9:
         raise PostconditionFailure("more clusters than the size bound allows")
-    grouped = {p for g in groups for p in g}
-    outside = [i for i in range(1, q + 1) if i not in grouped]
+    in_group = np.zeros((len(groups), q + 1))
+    for gi, g in enumerate(groups):
+        in_group[gi, list(g)] = 1.0
+    grouped = in_group.any(axis=0)
+    grouped[0] = True
+    outside = np.nonzero(~grouped)[0]
     attach_cut = epsilon ** (1.0 / 3.0) * q
+    hits = pg.neighbor[outside] @ in_group.T >= attach_cut
     extended = [list(g) for g in groups]
     leftover: list[int] = []
-    for i in outside:
-        hits = []
-        for gi, g in enumerate(groups):
-            count = sum(1 for j in g if pg.neighbor[i, j])
-            if count >= attach_cut:
-                hits.append(gi)
-        if len(hits) > 1:
+    for i, row in zip(outside.tolist(), hits):
+        gis = np.nonzero(row)[0].tolist()
+        if len(gis) > 1:
             raise NotAClique(
-                f"part {i} attaches to {len(hits)} distinct clusters; "
+                f"part {i} attaches to {len(gis)} distinct clusters; "
                 "cluster uniqueness fails for these parameters",
-                witness=(i, tuple(hits)),
+                witness=(i, tuple(gis)),
             )
-        if hits:
-            extended[hits[0]].append(i)
+        if gis:
+            extended[gis[0]].append(i)
         else:
             leftover.append(i)
     extended_groups = tuple(tuple(sorted(g)) for g in extended)
-    in_group = {}
+    group_id = np.full(q + 1, -1)
     for gi, g in enumerate(extended_groups):
-        for p in g:
-            in_group[p] = gi
-    bad: list[tuple[int, int]] = []
-    for i in range(1, q + 1):
-        for j in range(i + 1, q + 1):
-            if not pg.neighbor[i, j]:
-                continue
-            gi, gj = in_group.get(i), in_group.get(j)
-            if gi is not None and gj is not None and gi != gj:
-                bad.append((i, j))
+        group_id[list(g)] = gi
+    gid = group_id[1:]
+    cross = (gid[:, None] >= 0) & (gid[None, :] >= 0) \
+        & (gid[:, None] != gid[None, :])
+    bad = np.argwhere(np.triu(pg.neighbor[1:, 1:] & cross, 1)) + 1
     if len(bad) > 3.0 * epsilon ** (1.0 / 12.0) * q * q:
         raise PostconditionFailure("bad pair count exceeds its bound")
-    for i in leftover:
-        degree = int(pg.neighbor[i, 1:].sum())
+    degrees = pg.neighbor[leftover, 1:].sum(axis=1)
+    for i, degree in zip(leftover, degrees.tolist()):
         if degree > 2.0 * epsilon ** (1.0 / 12.0) * q:
             raise PostconditionFailure(
                 f"leftover part {i} has too many neighbors ({degree})"
@@ -236,7 +223,7 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
         part_groups=tuple(groups),
         extended_groups=extended_groups,
         leftover_parts=tuple(leftover),
-        bad_pairs=tuple(bad),
+        bad_pairs=tuple((int(i), int(j)) for i, j in bad),
     )
 
 
@@ -265,7 +252,7 @@ def _shortest_gap_triple(adj: np.ndarray, members: list[int], a: int, b: int
 
 
 def clique_repair(graph: WeightedGraph, partition: PartitionResult,
-                  structure: CliqueStructure, epsilon: float, m: int
+                  structure: CliqueStructure, epsilon: float
                   ) -> tuple[WeightedGraph, ModificationLog]:
     """Apply the five staged edits that leave a disjoint union of cliques.
 

@@ -139,10 +139,6 @@ class EigensolveFailure(TreelikeError):
     pass
 
 
-class NoCutFound(TreelikeError):
-    pass
-
-
 class HeavyAtom(TreelikeError):
     def __init__(self, msg):
         super().__init__(msg)

@@ -246,7 +246,7 @@ def partition_to_dict(result: PartitionResult) -> dict:
     ]
     return {
         "parts": [list(p) for p in result.parts],
-        "exceptional_index": result.exceptional_index,
+        "exceptional_index": 0,  # parts[0] is always V_0; kept for readers
         "densities": densities,
         "flags": flags,
         "params": dict(result.params),

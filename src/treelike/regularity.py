@@ -10,13 +10,19 @@ refined into parts of near-equal mass plus one exceptional part.
 The blow-up is never materialized: copies of a vertex share all eigenvector
 values, so the symmetric matrix B[x][y] = sqrt(K(x)K(y)) * adj[x][y] has the
 same nonzero spectrum and everything downstream is constant on copy groups.
+
+At desk scale the cut cannot meet its tail bound before the nonzero spectrum
+ends, so bucket widths separate almost every point and most parts are single
+points.  The pipeline settles every pair of single-point parts directly (the
+tester can only call them regular) and runs the tester on the rest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,7 +33,6 @@ from .errors import (
     EigensolveFailure,
     EmptyPart,
     HeavyAtom,
-    NoCutFound,
     PostconditionFailure,
     ZeroMassGraph,
 )
@@ -36,46 +41,23 @@ EXHAUSTIVE_LIMIT = 12  # pair tester enumerates subsets up to this part size
 RATIONALIZE_SCAN_LIMIT = 4096
 
 
-def default_growth(j: int) -> int:
-    """Practical-mode growth function for the spectral cut ladder."""
-    return 4 * j
-
-
-def theory_growth(epsilon: float, m: int):
-    """Growth function meeting the worst-case criterion for every rung.
-
-    Uses the largest allowed atom (1/2m) for the weight-dependent term, so it
-    depends only on epsilon and m.  Values overflow to inf quickly; the cut
-    scan tolerates that because windows past the spectrum sum to zero.
-    """
-
-    def f(j: int) -> float:
-        try:
-            base = (64.0 * j * j / epsilon ** 2 + 3.0) ** j
-            return ((8.0 * base + 16.0 * m) ** 2) / epsilon ** 6
-        except OverflowError:
-            return math.inf
-
-    return f
-
-
 @dataclass(frozen=True)
 class RegularityParams:
-    """Knobs for the partition pipeline.
+    """Settings of the partition pipeline.
 
-    mode "theory" enforces the worst-case atom bound p(epsilon, m) and uses
-    the closed-form growth function; mode "practical" keeps the construction
-    with a user-scale growth function and replaces the irregular-pair count
-    guarantee with the empirical tester.
+    mode "theory" enforces the worst-case atom bound p(epsilon, m), which is
+    zero at every usable scale, so it rejects every input with positive mass;
+    mode "practical" keeps the construction with the growth function
+    F(j) = 4j and replaces the irregular-pair count guarantee with the
+    empirical tester.  The class constants are fixed for every caller.
     """
 
     epsilon: float
     m: int
     mode: str = "practical"
-    growth: object = None
-    max_blowup: int = 10 ** 12
-    nu: float = 1e-9
-    trials: int = 64
+    max_blowup: ClassVar[int] = 10 ** 12
+    nu: ClassVar[float] = 1e-9
+    trials: ClassVar[int] = 64
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.25):
@@ -84,10 +66,6 @@ class RegularityParams:
             raise BadParams(f"m must be an integer >= 2, got {self.m}")
         if self.mode not in ("theory", "practical"):
             raise BadParams(f"mode must be theory or practical, got {self.mode}")
-        if self.growth is None:
-            g = theory_growth(self.epsilon, self.m) if self.mode == "theory" \
-                else default_growth
-            object.__setattr__(self, "growth", g)
 
 
 def atom_bound_theory(epsilon: float, m: int) -> dict:
@@ -218,12 +196,6 @@ class SpectralData:
     blowup_size: int
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    cut: int | None = None
-    cut_fallback: bool = False
-    buckets: object = None
-
-    def blowup_coordinates(self, i: int) -> np.ndarray:
-        return self.vectors[i] / np.sqrt(self.multiplicities)
 
 
 def weighted_adjacency_spectrum(graph: WeightedGraph, kmult: np.ndarray
@@ -269,46 +241,22 @@ def weighted_adjacency_spectrum(graph: WeightedGraph, kmult: np.ndarray
 
 
 def choose_spectral_cut(spectrum: SpectralData, params: RegularityParams
-                        ) -> tuple[int, bool]:
+                        ) -> int:
     """First ladder rung whose spectral window has a small enough tail.
 
-    Scans z, F(z), F(F(z)), ... (1-based indices) and returns the first rung
-    J with the window sum of squared eigenvalues below epsilon^5 N^2 / 128,
-    then lowers J so that every eigenvalue before it is nonzero.
+    Scans z = 1, 4, 16, ... (1-based indices, F(j) = 4j) and returns the
+    first rung J whose window [J, 4J) has a sum of squared eigenvalues at
+    most epsilon^5 N^2 / 128, then lowers J so that every eigenvalue before
+    it is nonzero.  A window past the spectrum sums to zero, so the scan
+    always stops.
     """
     lam2 = spectrum.eigenvalues ** 2
-    n = len(lam2)
     big_n = spectrum.blowup_size
     bound = params.epsilon ** 5 * big_n * big_n / 128.0
-    growth = params.growth
     z = 1
-    j = None
-    fallback = False
-    for _ in range(10000):
-        hi = growth(z)
-        if hi <= z:
-            raise BadParams("growth function must satisfy F(j) > j")
-        lo_idx = min(z - 1, n)
-        hi_idx = n if hi == math.inf else min(int(hi) - 1, n)
-        window = float(lam2[lo_idx:hi_idx].sum())
-        if window <= bound:
-            j = z
-            break
-        if z > n:
-            break
-        z = int(hi) if hi != math.inf else n + 1
-    if j is None:
-        # cannot happen with a strictly growing F: windows past the spectrum
-        # are empty; kept as a defensive fallback, flagged in the output
-        nz = int(np.count_nonzero(spectrum.eigenvalues))
-        j = nz + 1
-        fallback = True
-        if j < 1:
-            raise NoCutFound("spectral cut scan exhausted")
-    nz = int(np.count_nonzero(spectrum.eigenvalues))
-    if j > nz + 1:
-        j = nz + 1
-    return j, fallback
+    while float(lam2[z - 1:4 * z - 1].sum()) > bound:
+        z *= 4
+    return min(z, int(np.count_nonzero(spectrum.eigenvalues)) + 1)
 
 
 @dataclass(frozen=True)
@@ -339,30 +287,25 @@ def spectral_bucket_partition(spectrum: SpectralData, cut: int, epsilon: float
     if cut < 1:
         raise BadParams("cut must be >= 1")
     k = spectrum.multiplicities
-    n = len(k)
     big_n = spectrum.blowup_size
     threshold = math.sqrt(2.0 * cut / (epsilon * big_n))
     width = epsilon ** 1.5 / (16.0 * math.sqrt(2.0 * cut ** 3 * big_n))
-    coords = [spectrum.blowup_coordinates(i) for i in range(min(cut - 1, n))]
-    outlier = np.zeros(n, dtype=bool)
-    for u in coords:
-        outlier |= np.abs(u) > threshold
+    # blow-up coordinates, one row per eigenvector before the cut
+    coords = spectrum.vectors[:cut - 1] / np.sqrt(k)
+    outlier = (np.abs(coords) > threshold).any(axis=0)
     exc_blowup = int(k[outlier].sum())
     if exc_blowup > epsilon * big_n / 2.0:
         raise PostconditionFailure(
             "exceptional bucket exceeds half the allowed exceptional mass"
         )
-    cells: dict[tuple[int, ...], list[int]] = {}
-    cell_order: list[tuple[int, ...]] = []
-    for x in range(n):
-        if outlier[x]:
-            continue
-        label = tuple(int(math.ceil(u[x] / width)) for u in coords)
-        if label not in cells:
-            cells[label] = []
-            cell_order.append(label)
-        cells[label].append(x)
-    r = len(cell_order)
+    inside = np.nonzero(~outlier)[0]
+    # integral floats: labels can pass 2^63, so they are not cast to int64;
+    # dict order keeps the cells in first-occurrence order
+    labels = np.ceil(coords[:, inside] / width).T.tolist()
+    cells: dict[tuple[float, ...], list[int]] = {}
+    for x, label in zip(inside.tolist(), labels):
+        cells.setdefault(tuple(label), []).append(x)
+    r = len(cells)
     try:
         r_bound = (64.0 * cut * cut / epsilon ** 2 + 3.0) ** cut
     except OverflowError:
@@ -371,7 +314,7 @@ def spectral_bucket_partition(spectrum: SpectralData, cut: int, epsilon: float
         raise PostconditionFailure("bucket count exceeds its structural bound")
     return Buckets(
         exceptional=tuple(int(x) for x in np.nonzero(outlier)[0]),
-        cells=tuple(tuple(cells[lbl]) for lbl in cell_order),
+        cells=tuple(tuple(cell) for cell in cells.values()),
         coordinate_width=width,
         outlier_threshold=threshold,
     )
@@ -394,7 +337,6 @@ class PartitionResult:
     densities: np.ndarray
     regular_flags: np.ndarray
     params: dict
-    exceptional_index: int = 0
 
     @property
     def q(self) -> int:
@@ -411,14 +353,18 @@ class RefinedParts:
     part_cap: int
 
 
+def _check_theory_atom(p_star: float, epsilon: float, m: int) -> None:
+    bound = atom_bound_theory(epsilon, m)["value"]
+    if p_star > bound:
+        raise HeavyAtom(
+            f"max relative atom {p_star!r} exceeds the worst-case bound "
+            f"{bound!r} for epsilon={epsilon}, m={m}"
+        )
+
+
 def _effective_m(m: int, p_star: float, mode: str, epsilon: float) -> int:
     if mode == "theory":
-        bound = atom_bound_theory(epsilon, m)["value"]
-        if p_star > bound:
-            raise HeavyAtom(
-                f"max relative atom {p_star!r} exceeds the worst-case bound "
-                f"{bound!r} for epsilon={epsilon}, m={m}"
-            )
+        _check_theory_atom(p_star, epsilon, m)
         return m
     m_eff = m
     while m_eff > 1 and p_star * m_eff >= 1.0:
@@ -430,7 +376,7 @@ def _effective_m(m: int, p_star: float, mode: str, epsilon: float) -> int:
     return m_eff
 
 
-def equitable_refine(buckets: Buckets, kmult: np.ndarray, mass: np.ndarray,
+def equitable_refine(buckets: Buckets, mass: np.ndarray,
                      params: RegularityParams) -> RefinedParts:
     """Split buckets into parts of near-equal mass plus an exceptional part.
 
@@ -513,7 +459,6 @@ class RegularityVerdict:
     deviation: float
     base_density: float
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    trials_run: int = 0
 
 
 def _exhaustive_test(graph: WeightedGraph, left: list[int], right: list[int],
@@ -579,7 +524,7 @@ def _sampled_test(graph: WeightedGraph, left: list[int], right: list[int],
         return list(side)
 
     worst = 0.0
-    for t in range(trials):
+    for _ in range(trials):
         sub_l = draw(left, mu_l)
         sub_r = draw(right, mu_r)
         dev = abs(pair_density(graph, sub_l, sub_r) - base)
@@ -587,10 +532,9 @@ def _sampled_test(graph: WeightedGraph, left: list[int], right: list[int],
             worst = dev
         if dev > epsilon:
             return RegularityVerdict(
-                False, False, worst, base,
-                (tuple(sub_l), tuple(sub_r)), trials_run=t + 1,
+                False, False, worst, base, (tuple(sub_l), tuple(sub_r)),
             )
-    return RegularityVerdict(True, False, worst, base, None, trials_run=trials)
+    return RegularityVerdict(True, False, worst, base, None)
 
 
 def regularity_test(graph: WeightedGraph, left, right, epsilon: float,
@@ -626,42 +570,52 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
                         seed: int = 0) -> PartitionResult:
     """Full partition: rationalize, eigensolve, cut, bucket, refine, test.
 
-    Densities are recorded for every pair of non-exceptional parts and each
-    pair is classified by the regularity tester with a per-pair seed stream,
-    so verdicts do not depend on evaluation order.
+    Densities are recorded for every pair of non-exceptional parts.  A pair
+    of single-point parts is regular, because its only admissible subsets
+    are the parts themselves; every other pair is classified by the
+    regularity tester with the per-pair seed (seed, i, j), so verdicts do not
+    depend on evaluation order.  Theory mode rejects the heaviest atom
+    before any spectral work.
     """
     mu_total = graph.total_mass()
     if mu_total <= 0:
         raise ZeroMassGraph("graph carries no mass")
+    if params.mode == "theory":
+        _check_theory_atom(float(graph.mass.max()) / mu_total,
+                           params.epsilon, params.m)
     prob = graph.mass / mu_total
     kmult, blowup = rationalize_weights(prob, params.nu, params.max_blowup)
     spectrum = weighted_adjacency_spectrum(graph, kmult)
-    cut, fallback = choose_spectral_cut(spectrum, params)
+    cut = choose_spectral_cut(spectrum, params)
     buckets = spectral_bucket_partition(spectrum, cut, params.epsilon)
-    refined = equitable_refine(buckets, kmult, graph.mass, params)
-    spectrum = replace(spectrum, cut=cut, cut_fallback=fallback, buckets=buckets)
+    refined = equitable_refine(buckets, graph.mass, params)
 
     index_parts = [list(refined.exceptional)] + [list(p) for p in refined.parts]
     q = len(index_parts) - 1
+    sizes = np.array([len(part) for part in index_parts])
     membership = np.zeros((graph.n, q + 1))
-    for pi, part in enumerate(index_parts):
-        for v in part:
-            membership[v, pi] = 1.0
+    membership[[v for part in index_parts for v in part],
+               np.repeat(np.arange(q + 1), sizes)] = 1.0
     weighted = membership * graph.mass[:, None]
     rho = weighted.T @ graph.adj @ weighted
     part_mass = graph.mass @ membership
+    # pairs i < j of non-exceptional parts; refinement guarantees their mass
+    i, j = np.triu_indices(q, 1)
+    i += 1
+    j += 1
     densities = np.full((q + 1, q + 1), math.nan)
+    dens = rho[i, j] / (part_mass[i] * part_mass[j])
+    densities[i, j] = densities[j, i] = dens
+    # a single-point pair is regular; the tester settles every other pair
     flags = np.zeros((q + 1, q + 1), dtype=bool)
-    for i in range(1, q + 1):
-        for j in range(i + 1, q + 1):
-            densities[i, j] = densities[j, i] = (
-                rho[i, j] / (part_mass[i] * part_mass[j])
-            )
-            verdict = regularity_test(
-                graph, index_parts[i], index_parts[j], params.epsilon,
-                trials=params.trials, seed=(seed, i, j),
-            )
-            flags[i, j] = flags[j, i] = verdict.regular
+    flags[i, j] = flags[j, i] = True
+    tested = (sizes[i] > 1) | (sizes[j] > 1)
+    for a, b in zip(i[tested].tolist(), j[tested].tolist()):
+        verdict = regularity_test(
+            graph, index_parts[a], index_parts[b], params.epsilon,
+            trials=params.trials, seed=(seed, a, b),
+        )
+        flags[a, b] = flags[b, a] = verdict.regular
     parts_ids = tuple(
         tuple(graph.vertices[x] for x in part) for part in index_parts
     )
@@ -673,7 +627,7 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
         "seed": seed,
         "blowup_size": blowup,
         "cut": cut,
-        "cut_fallback": fallback,
+        "cut_fallback": False,
         "bucket_count": len(buckets.cells),
         "part_cap": refined.part_cap,
         "chunk_target": refined.chunk_target,

@@ -230,8 +230,7 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     pg = part_neighbor_graph(partition, params.epsilon)
     family = neighborhood_family(pg, params.epsilon)
     structure = clique_closure(family, pg, params.epsilon)
-    repaired, log = clique_repair(graph, partition, structure, params.epsilon,
-                                  params.m)
+    repaired, log = clique_repair(graph, partition, structure, params.epsilon)
     local = {v: idxs[k] for k, v in enumerate(graph.vertices)}
     edited: list[tuple[int, int]] = []
     for pairs in log.stages.values():

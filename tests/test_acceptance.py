@@ -246,7 +246,7 @@ def test_criterion_7_clique_repair_soundness():
             family = neighborhood_family(pg, epsilon)
             structure = clique_closure(family, pg, epsilon)
             repaired, log = clique_repair(graph, partition, structure,
-                                          epsilon, 2)
+                                          epsilon)
             check = verify_cliques(repaired)
             ok = ok and check.ok
             floor = 0.5 * epsilon ** 0.25 * graph.total_mass()

@@ -12,8 +12,9 @@ from treelike import (
     threshold_graph,
     verify_cliques,
 )
-from treelike.cliques import PartNeighborGraph, STAGE_NAMES
-from treelike.errors import NotAClique
+from treelike.cliques import CliqueStructure, PartNeighborGraph, \
+    STAGE_NAMES, _shortest_gap_triple
+from treelike.errors import NotAClique, PostconditionFailure
 from treelike.fixtures import planted_blocks_fixture
 from treelike.regularity import PartitionResult
 
@@ -162,7 +163,7 @@ class TestCliqueRepair:
         pg = part_neighbor_graph(partition, epsilon)
         family = neighborhood_family(pg, epsilon)
         structure = clique_closure(family, pg, epsilon)
-        repaired, log = clique_repair(graph, partition, structure, epsilon, m)
+        repaired, log = clique_repair(graph, partition, structure, epsilon)
         return graph, partition, structure, repaired, log
 
     def test_complete_graph_no_edits(self):
@@ -267,7 +268,7 @@ class TestEditMeasureTrend:
             pg = part_neighbor_graph(part, eps)
             family = neighborhood_family(pg, eps)
             structure = clique_closure(family, pg, eps)
-            _, log = clique_repair(graph, part, structure, eps, m)
+            _, log = clique_repair(graph, part, structure, eps)
             return log.total_measure
 
         eps_grid = (0.2, 0.01, 1e-4, 1e-8)
@@ -303,3 +304,181 @@ class TestVerifyCliques:
         check = verify_cliques(self.graph(adj))
         assert not check.ok
         assert set(check.witness) == {"v0", "v2"}
+
+
+# ---------------------------------------------------------------------------
+# per-pair loop references for the array code of the clique stages
+
+
+def part_neighbor_graph_loop(partition, epsilon):
+    q = partition.q
+    neighbor = np.zeros((q + 1, q + 1), dtype=bool)
+    irregular = np.zeros((q + 1, q + 1), dtype=bool)
+    middle = []
+    for i in range(1, q + 1):
+        for j in range(i + 1, q + 1):
+            d = float(partition.densities[i, j])
+            if not partition.regular_flags[i, j]:
+                irregular[i, j] = irregular[j, i] = True
+            elif d >= 1.0 - 2.0 * epsilon:
+                neighbor[i, j] = neighbor[j, i] = True
+            elif d >= 3.0 * epsilon:
+                middle.append((i, j))
+    return neighbor, irregular, tuple(middle)
+
+
+def neighborhood_family_loop(pg, epsilon):
+    cutoff = epsilon ** 0.25 * pg.q
+    unused = set(range(1, pg.q + 1))
+    family = []
+    while unused:
+        best = set()
+        for i in sorted(unused):
+            nbhd = {i} | {j for j in unused if pg.neighbor[i, j]}
+            if len(nbhd) > len(best):
+                best = nbhd
+        if len(best) < cutoff:
+            break
+        family.append(tuple(sorted(best)))
+        unused -= best
+    return tuple(family)
+
+
+def clique_closure_loop(family, pg, epsilon):
+    """Components by search, then per-part attachment and per-pair checks."""
+    q, t = pg.q, len(family)
+    adj = np.zeros((t, t), dtype=bool)
+    for a in range(t):
+        for b in range(a + 1, t):
+            adj[a, b] = adj[b, a] = any(
+                pg.neighbor[i, j] for i in family[a] for j in family[b])
+    comp = [-1] * t
+    comps = []
+    for a in range(t):
+        if comp[a] < 0:
+            comp[a] = len(comps)
+            stack, members = [a], []
+            while stack:
+                u = stack.pop()
+                members.append(u)
+                for v in range(t):
+                    if adj[u, v] and comp[v] < 0:
+                        comp[v] = comp[a]
+                        stack.append(v)
+            comps.append(sorted(members))
+    for members in comps:
+        for ai, a in enumerate(members):
+            for b in members[ai + 1:]:
+                if not adj[a, b]:
+                    triple = _shortest_gap_triple(adj, members, a, b)
+                    raise NotAClique("gap", witness=triple)
+    groups = [tuple(sorted(p for a in members for p in family[a]))
+              for members in comps]
+    if len(groups) > epsilon ** -0.25 + 1e-9:
+        raise PostconditionFailure("more clusters than the size bound allows")
+    grouped = {p for g in groups for p in g}
+    extended = [list(g) for g in groups]
+    leftover = []
+    for i in range(1, q + 1):
+        if i in grouped:
+            continue
+        hits = [gi for gi, g in enumerate(groups)
+                if sum(1 for j in g if pg.neighbor[i, j])
+                >= epsilon ** (1.0 / 3.0) * q]
+        if len(hits) > 1:
+            raise NotAClique("attach", witness=(i, tuple(hits)))
+        if hits:
+            extended[hits[0]].append(i)
+        else:
+            leftover.append(i)
+    extended = tuple(tuple(sorted(g)) for g in extended)
+    in_group = {p: gi for gi, g in enumerate(extended) for p in g}
+    bad = tuple(
+        (i, j) for i in range(1, q + 1) for j in range(i + 1, q + 1)
+        if pg.neighbor[i, j] and i in in_group and j in in_group
+        and in_group[i] != in_group[j])
+    if len(bad) > 3.0 * epsilon ** (1.0 / 12.0) * q * q:
+        raise PostconditionFailure("bad pair count exceeds its bound")
+    for i in leftover:
+        if int(pg.neighbor[i, 1:].sum()) > 2.0 * epsilon ** (1.0 / 12.0) * q:
+            raise PostconditionFailure("leftover part has too many neighbors")
+    return CliqueStructure(family, tuple(groups), extended, tuple(leftover),
+                           bad)
+
+
+def outcome(fn, *args):
+    """Result, or the error type and witness a call raised."""
+    try:
+        return fn(*args)
+    except (NotAClique, PostconditionFailure) as exc:
+        return type(exc), getattr(exc, "witness", None)
+
+
+def random_neighbor_graph(rng, q):
+    """Blocks of parts with a few flipped pairs: ties and near-cliques."""
+    blocks = rng.integers(0, int(rng.integers(1, 5)), size=q + 1)
+    nb = blocks[:, None] == blocks[None, :]
+    flip = np.triu(rng.random((q + 1, q + 1)) < rng.choice([0.0, 0.05, 0.3]),
+                   1)
+    nb ^= flip | flip.T
+    np.fill_diagonal(nb, False)
+    nb[0] = nb[:, 0] = False
+    return PartNeighborGraph(q=q, neighbor=nb, irregular=~nb,
+                             densities=np.full((q + 1, q + 1), np.nan),
+                             dichotomy_violations=())
+
+
+class TestLoopReferences:
+    EPSILONS = (1e-6, 1e-3, 1.0 / 16.0, 0.2)
+
+    def test_part_neighbor_graph(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            q = int(rng.integers(1, 12))
+            eps = float(rng.choice(self.EPSILONS))
+            # boundary densities and NaN exercise every comparison
+            values = [0.0, 3.0 * eps, 0.5, 1.0 - 2.0 * eps, 1.0, np.nan]
+            dens = rng.choice(values, size=(q + 1, q + 1))
+            flags = rng.random((q + 1, q + 1)) < 0.8
+            part = PartitionResult(parts=((),) * (q + 1), densities=dens,
+                                   regular_flags=flags, params={})
+            pg = part_neighbor_graph(part, eps)
+            neighbor, irregular, middle = part_neighbor_graph_loop(part, eps)
+            assert np.array_equal(pg.neighbor, neighbor)
+            assert np.array_equal(pg.irregular, irregular)
+            assert pg.dichotomy_violations == middle
+
+    def test_gap_witness_follows_component_order(self):
+        # components {0, 4, 5} and {1, 2, 3} both have a gap; the one in the
+        # component holding the lowest family is reported, not the lowest pair
+        pg = manual_pg(6, [(1, 5), (1, 6), (2, 3), (3, 4)])
+        family = tuple((p,) for p in range(1, 7))
+        got = outcome(clique_closure, family, pg, 1e-3)
+        assert got == (NotAClique, (4, 0, 5))
+        assert got == outcome(clique_closure_loop, family, pg, 1e-3)
+
+    def test_neighborhood_family_and_closure(self):
+        rng = np.random.default_rng(9)
+        seen = set()
+        for _ in range(300):
+            pg = random_neighbor_graph(rng, int(rng.integers(0, 16)))
+            eps = float(rng.choice(self.EPSILONS))
+            family = neighborhood_family(pg, eps)
+            assert family == neighborhood_family_loop(pg, eps)
+            # arbitrary disjoint families over some of the parts reach the
+            # gap and attach errors
+            order = rng.permutation(np.arange(1, pg.q + 1))
+            order = order[:int(rng.integers(0, pg.q + 1))]
+            cuts = np.sort(rng.choice(len(order) + 1,
+                                      size=min(3, len(order) + 1),
+                                      replace=False))
+            loose = tuple(tuple(sorted(int(p) for p in chunk))
+                          for chunk in np.split(order, cuts) if len(chunk))
+            for fam in (family, loose):
+                got = outcome(clique_closure, fam, pg, eps)
+                want = outcome(clique_closure_loop, fam, pg, eps)
+                assert got == want
+                seen.add(got[0] if isinstance(got, tuple) else "ok")
+                if isinstance(got, tuple) and got[0] is NotAClique:
+                    seen.add(len(got[1]))  # 3: gap triple, 2: attach
+        assert seen >= {"ok", NotAClique, PostconditionFailure, 2, 3}

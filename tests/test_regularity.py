@@ -14,9 +14,9 @@ from treelike import (
     spectral_bucket_partition,
     weighted_adjacency_spectrum,
 )
+from treelike import regularity
 from treelike.errors import BlowupTooLarge, EmptyPart, HeavyAtom, ZeroMassGraph
-from treelike.regularity import Buckets, SpectralData, atom_bound_theory, \
-    theory_growth
+from treelike.regularity import Buckets, SpectralData, atom_bound_theory
 
 
 def graph_from_adj(adj, mass=None):
@@ -139,16 +139,14 @@ class TestSpectralCut:
         g = graph_from_adj(np.zeros((5, 5)))
         spec = weighted_adjacency_spectrum(g, np.ones(5, dtype=np.int64))
         params = RegularityParams(epsilon=0.2, m=2)
-        j, fallback = choose_spectral_cut(spec, params)
-        assert j == 1 and not fallback
+        assert choose_spectral_cut(spec, params) == 1
 
     def test_single_spike_reduces_to_two(self):
         # lambda_1 large, everything else zero: the rung after [1, 4) is
         # [4, 16) with an empty tail, then the cut drops to the first zero
         spec = spike_spectrum([4.0, 0.0, 0.0, 0.0, 0.0])
         params = RegularityParams(epsilon=0.2, m=2)
-        j, _ = choose_spectral_cut(spec, params)
-        assert j == 2
+        assert choose_spectral_cut(spec, params) == 2
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(3)
@@ -158,7 +156,7 @@ class TestSpectralCut:
             lam = lam[np.argsort(-np.abs(lam), kind="stable")]
             spec = spike_spectrum(lam)
             params = RegularityParams(epsilon=0.15, m=2)
-            j, _ = choose_spectral_cut(spec, params)
+            j = choose_spectral_cut(spec, params)
             # oracle: first ladder rung whose window sum meets the bound
             bound = 0.15 ** 5 * spec.blowup_size ** 2 / 128.0
             z, expect = 1, None
@@ -171,11 +169,6 @@ class TestSpectralCut:
             nz = int(np.count_nonzero(lam))
             expect = min(expect, nz + 1)
             assert j == expect
-
-    def test_theory_growth_is_steep(self):
-        f = theory_growth(0.1, 2)
-        assert f(1) > 1e9
-        assert f(10) == math.inf or f(10) > f(1)
 
 
 class TestBuckets:
@@ -210,7 +203,7 @@ class TestBuckets:
             k = np.ones(12, dtype=np.int64)
             spec = weighted_adjacency_spectrum(g, k)
             params = RegularityParams(epsilon=0.2, m=2)
-            j, _ = choose_spectral_cut(spec, params)
+            j = choose_spectral_cut(spec, params)
             buckets = spectral_bucket_partition(spec, j, 0.2)
             exc = sum(int(k[x]) for x in buckets.exceptional)
             assert exc <= 0.2 * spec.blowup_size / 2.0
@@ -223,12 +216,11 @@ class TestEquitableRefine:
         # parts of three with an empty remainder
         n = 120
         mass = np.ones(n)
-        kmult = np.ones(n, dtype=np.int64)
         cells = (tuple(range(12)), tuple(range(12, n)))
         buckets = Buckets(exceptional=(), cells=cells,
                           coordinate_width=1.0, outlier_threshold=1.0)
         params = RegularityParams(epsilon=0.2, m=2)
-        refined = equitable_refine(buckets, kmult, mass, params)
+        refined = equitable_refine(buckets, mass, params)
         assert 2.0 < refined.chunk_target <= 3.0
         first_bucket_parts = [p for p in refined.parts
                               if set(p) <= set(range(12))]
@@ -258,10 +250,17 @@ class TestEquitableRefine:
         with pytest.raises(HeavyAtom):
             regularity_pipeline(g, params, seed=0)
 
-    def test_heavy_atom_theory_mode(self):
+    def test_heavy_atom_theory_mode(self, monkeypatch):
+        # the atom bound is zero, so theory mode fails before any spectral
+        # work: an eigensolve that raises must never be reached
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("theory mode reached the eigensolve")
+
+        monkeypatch.setattr(regularity, "weighted_adjacency_spectrum",
+                            no_eigensolve)
         g = er_graph(10, 0.5, 3)
         params = RegularityParams(epsilon=0.2, m=2, mode="theory")
-        with pytest.raises(HeavyAtom):
+        with pytest.raises(HeavyAtom, match="exceeds the worst-case bound"):
             regularity_pipeline(g, params, seed=0)
 
     def test_theory_atom_bound_reported(self):
@@ -395,3 +394,126 @@ class TestPipeline:
         g = graph_from_adj(np.zeros((3, 3)), mass=np.zeros(3))
         with pytest.raises(ZeroMassGraph):
             regularity_pipeline(g, RegularityParams(0.2, 2), seed=0)
+
+
+def pair_stage_loop(graph, result, epsilon, seed, tester=regularity_test):
+    """Reference: densities and flags from a per-pair loop over all parts.
+
+    Every pair, single-point pairs included, goes through the tester with
+    the per-pair seed (seed, i, j).
+    """
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    parts = [[index[v] for v in part] for part in result.parts]
+    q = result.q
+    membership = np.zeros((graph.n, q + 1))
+    for pi, part in enumerate(parts):
+        for v in part:
+            membership[v, pi] = 1.0
+    weighted = membership * graph.mass[:, None]
+    rho = weighted.T @ graph.adj @ weighted
+    part_mass = graph.mass @ membership
+    densities = np.full((q + 1, q + 1), math.nan)
+    flags = np.zeros((q + 1, q + 1), dtype=bool)
+    for i in range(1, q + 1):
+        for j in range(i + 1, q + 1):
+            densities[i, j] = densities[j, i] = (
+                rho[i, j] / (part_mass[i] * part_mass[j]))
+            verdict = tester(graph, parts[i], parts[j], epsilon, trials=64,
+                             seed=(seed, i, j))
+            flags[i, j] = flags[j, i] = verdict.regular
+    return densities, flags
+
+
+def oracle_graph(case):
+    if case == "empty120":
+        return graph_from_adj(np.zeros((120, 120)))
+    if case == "matched400":
+        adj = np.zeros((400, 400), dtype=bool)
+        for a, b in ((0, 1), (2, 3), (4, 5)):
+            adj[a, b] = adj[b, a] = True
+        return graph_from_adj(adj)
+    # every tenth point 12x heavier; one heavy-light edge splits off a
+    # bucket holding a single heavy point
+    mass = np.ones(200)
+    mass[::10] = 12.0
+    adj = np.zeros((200, 200), dtype=bool)
+    adj[0, 1] = adj[1, 0] = True
+    return graph_from_adj(adj, mass / mass.sum())
+
+
+class TestPipelineOracle:
+    @pytest.mark.parametrize("case, sizes", [
+        ("empty120", {4}),        # exhaustive tester
+        ("matched400", {14}),     # sampled tester
+        ("heavy200", {1, 9, 10}),  # single points meet multi-point parts
+    ])
+    def test_pair_stage_matches_per_pair_loop(self, case, sizes):
+        g = oracle_graph(case)
+        result = regularity_pipeline(g, RegularityParams(0.2, 2), seed=1)
+        assert {len(part) for part in result.parts[1:]} == sizes
+        densities, flags = pair_stage_loop(g, result, 0.2, seed=1)
+        assert np.array_equal(result.densities, densities, equal_nan=True)
+        assert np.array_equal(result.regular_flags, flags)
+
+    def test_tester_calls_follow_the_seed_stream(self, monkeypatch):
+        # every tester verdict above is regular, so a stand-in tester that
+        # rejects by seed checks which pairs are tested and with what seed
+        def stand_in(graph, left, right, epsilon, trials, seed):
+            if len(left) == len(right) == 1:
+                return regularity_test(graph, left, right, epsilon)
+            _, i, j = seed
+            return regularity.RegularityVerdict(
+                (i * i + j) % 3 != 0, True, 0.0, 0.0)
+
+        monkeypatch.setattr(regularity, "regularity_test", stand_in)
+        g = oracle_graph("heavy200")
+        result = regularity_pipeline(g, RegularityParams(0.2, 2), seed=1)
+        _, flags = pair_stage_loop(g, result, 0.2, seed=1, tester=stand_in)
+        assert not flags[1:, 1:].all()
+        assert np.array_equal(result.regular_flags, flags)
+
+
+def bucket_loop(spectrum, cut, epsilon):
+    """Reference: exceptional points and cells from a per-point loop."""
+    k = spectrum.multiplicities
+    n = len(k)
+    big_n = spectrum.blowup_size
+    threshold = math.sqrt(2.0 * cut / (epsilon * big_n))
+    width = epsilon ** 1.5 / (16.0 * math.sqrt(2.0 * cut ** 3 * big_n))
+    coords = [spectrum.vectors[i] / np.sqrt(k) for i in range(min(cut - 1, n))]
+    outlier = np.zeros(n, dtype=bool)
+    for u in coords:
+        outlier |= np.abs(u) > threshold
+    cells = {}
+    for x in range(n):
+        if not outlier[x]:
+            label = tuple(int(math.ceil(u[x] / width)) for u in coords)
+            cells.setdefault(label, []).append(x)
+    exceptional = tuple(int(x) for x in np.nonzero(outlier)[0])
+    return exceptional, tuple(tuple(cell) for cell in cells.values())
+
+
+class TestBucketLabels:
+    def test_matches_per_point_loop(self):
+        # block graphs repeat rows, so points share cells; loose epsilon
+        # and light copies give outliers
+        rng = np.random.default_rng(21)
+        shared = outliers = 0
+        for _ in range(40):
+            n = int(rng.integers(6, 30))
+            blocks = rng.integers(0, int(rng.integers(1, 5)), size=n)
+            link = rng.random((4, 4)) < 0.5
+            adj = (link | link.T)[np.ix_(blocks, blocks)]
+            np.fill_diagonal(adj, False)
+            g = graph_from_adj(adj)
+            k = rng.integers(1, 4, size=n)
+            spec = weighted_adjacency_spectrum(g, k)
+            eps = float(rng.choice([0.01, 0.1, 0.24]))
+            for cut in (1, 2, 3, n + 1):
+                exceptional, cells = bucket_loop(spec, cut, eps)
+                buckets = spectral_bucket_partition(spec, cut, eps)
+                assert buckets.exceptional == exceptional
+                assert buckets.cells == cells
+                shared += any(len(cell) > 1 for cell in cells) and cut > 1
+                outliers += bool(exceptional)
+        assert shared and outliers
