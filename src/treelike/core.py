@@ -79,17 +79,19 @@ def validate_space(space: SimilaritySpace) -> None:
         )
     if not space.bound > 0:
         raise OutOfRangeEntry("bound", space.bound)
-    for i, w in enumerate(space.weights):
-        if w < 0 or not np.isfinite(w):
-            raise OutOfRangeEntry(("weight", i), float(w))
-    total = float(space.weights.sum())
+    w = space.weights
+    bad = np.flatnonzero((w < 0) | ~np.isfinite(w))
+    if bad.size:
+        raise OutOfRangeEntry(("weight", int(bad[0])), float(w[bad[0]]))
+    total = float(w.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumMismatch(total)
     s = space.sim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if s[i, j] != s[j, i]:
-                raise AsymmetricSimilarity(i, j, float(s[i, j]), float(s[j, i]))
+    # NaN != NaN, so a NaN off the diagonal is reported as an asymmetry
+    bad = np.argwhere(np.triu(s != s.T, 1))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise AsymmetricSimilarity(i, j, float(s[i, j]), float(s[j, i]))
     bad = np.argwhere(~((s >= 0) & (s <= space.bound)))
     if bad.size:
         i, j = (int(v) for v in bad[0])
@@ -333,32 +335,28 @@ def tree_gromov_product(tree: CompatibleTree, x: str, y: str) -> int:
 def gromov_product_matrix(tree: CompatibleTree, points: tuple[str, ...]) -> np.ndarray:
     """All pairwise leaf Gromov products, as an integer matrix.
 
-    Row/column order follows ``points``.  Computed by walking ancestor sets
-    once per leaf, so it is O(n * depth + n^2).
+    Row/column order follows ``points``.  Two leaves share exactly a prefix
+    of their root-first ancestor ids, so each product is the count of equal
+    depths minus one: O(n * depth) walking plus O(n^2 * depth) array work.
     """
-    n = len(points)
+    ids: dict[str, int] = {}
     paths = []
     for p in points:
         node = tree.leaf_of(p)
-        chain = []
-        while True:
-            chain.append(node)
-            if node == tree.root:
-                break
+        chain = [ids.setdefault(node, len(ids))]
+        while node != tree.root:
             node = tree.parent[node]
-        chain.reverse()  # root first
-        paths.append(chain)
-    out = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        pi = paths[i]
-        out[i, i] = len(pi) - 1
-        for j in range(i + 1, n):
-            pj = paths[j]
-            k = 0
-            m = min(len(pi), len(pj))
-            while k < m and pi[k] == pj[k]:
-                k += 1
-            out[i, j] = out[j, i] = k - 1
+            chain.append(ids.setdefault(node, len(ids)))
+        paths.append(chain[::-1])  # root first
+    n = len(points)
+    depth = max(map(len, paths), default=0)
+    # depths below a leaf get an id of its own row, so they never match
+    anc = np.array([c + [-1 - i] * (depth - len(c)) for i, c in enumerate(paths)],
+                   dtype=int).reshape(n, depth)
+    out = np.full((n, n), -1, dtype=int)
+    for col in anc.T:
+        out += col[:, None] == col[None, :]
+    np.fill_diagonal(out, [len(c) - 1 for c in paths])
     return out
 
 

@@ -164,23 +164,27 @@ def bad_set_profile(space: SimilaritySpace) -> tuple[np.ndarray, np.ndarray]:
     s = space.sim
     p = space.weights
     vals = np.unique(s)
-    k = len(vals)
-    diff = np.zeros(k + 1)
+    # The profile changes only at distinct values, so triples are compared on
+    # ranks found once (the rank of a minimum is the minimum of the ranks): a
+    # triple is in R_t for t in (vals[rank[x, y]], vals[ib]].  searchsorted
+    # ranks, as np.unique's inverse may keep -0.0 as the zero.  The smallest
+    # type holding len(vals), the largest index formed, and contiguous rows,
+    # equal to the columns by symmetry, keep each pass short.
+    rank = np.searchsorted(vals, s).astype(np.min_scalar_type(len(vals)))
+    pp = np.outer(p, p)
+    diff = np.zeros(len(vals) + 1)
     for z in range(space.n):
         if p[z] == 0.0:
             continue
-        col = s[:, z]
-        high = np.minimum(col[:, None], col[None, :])
-        w = np.outer(p, p) * p[z]
-        ia = np.searchsorted(vals, s, side="right")
-        ib = np.searchsorted(vals, high, side="right") - 1
-        ok = ia <= ib
+        col = rank[z]
+        ib = np.minimum(col[:, None], col[None, :])
+        ok = rank < ib
         if not ok.any():
             continue
-        np.add.at(diff, ia[ok], w[ok])
-        np.add.at(diff, ib[ok] + 1, -w[ok])
-    masses = np.cumsum(diff[:-1])
-    return vals, masses
+        w = pp[ok] * p[z]
+        np.add.at(diff, rank[ok] + 1, w)
+        np.add.at(diff, ib[ok] + 1, -w)
+    return vals, np.cumsum(diff[:-1])
 
 
 def profile_value(ts: np.ndarray, masses: np.ndarray, t: float) -> float:
@@ -318,22 +322,22 @@ class ExceptionalSets:
 def exceptional_sets(space: SimilaritySpace, ladder: ThresholdLadder
                      ) -> ExceptionalSets:
     validate_space(space)
-    s = space.sim
     p = space.weights
     n = space.n
-    lows = [s < t for t in ladder.thresholds]
+    # count[x, y] is the number of thresholds t <= s(x, y); some t lies in
+    # (s(x, y), min(s(x, z), s(y, z))] exactly when the count rises there.
+    ts = np.sort(ladder.thresholds)
+    count = np.searchsorted(ts, space.sim, side="right").astype(
+        np.min_scalar_type(len(ts)))  # small and by rows, as in the profile
     n1 = np.zeros((n, n))
     r2 = np.zeros(n)
     for z in range(n):
-        acc = np.zeros((n, n), dtype=bool)
-        col = s[:, z]
-        for t, low in zip(ladder.thresholds, lows):
-            ok = col >= t
-            acc |= low & ok[:, None] & ok[None, :]
-        n1[:, z] = p @ acc  # mass over x, indexed by y
-        r2[z] = float(p @ acc @ p)
-    b_mask = n1 > ladder.delta0
-    b_measure = p @ b_mask
+        col = count[z]
+        acc = np.minimum(col[:, None], col[None, :]) > count
+        mass = p @ acc  # over x, indexed by y
+        n1[:, z] = mass
+        r2[z] = float(mass @ p)
+    b_measure = p @ (n1 > ladder.delta0)
     a_indices = tuple(int(z) for z in np.nonzero(b_measure > ladder.delta0)[0])
     a_mass = float(p[list(a_indices)].sum()) if a_indices else 0.0
     return ExceptionalSets(

@@ -111,7 +111,7 @@ def _apportion(p: np.ndarray, n_total: int) -> np.ndarray | None:
     excess = int(base.sum()) - n_total
     if excess > 0:
         # shave the most over-represented entries, never below 1
-        order = sorted(range(n), key=lambda i: (-(base[i] - ideal[i]), i))
+        order = np.argsort(ideal - base, kind="stable")
         k = 0
         while excess > 0:
             i = order[k % n]
@@ -122,8 +122,7 @@ def _apportion(p: np.ndarray, n_total: int) -> np.ndarray | None:
             if k > 64 * n:
                 return None
     elif excess < 0:
-        remainder = ideal - base
-        order = sorted(range(n), key=lambda i: (-remainder[i], i))
+        order = np.argsort(base - ideal, kind="stable")
         for k in range(-excess):
             base[order[k % n]] += 1
     return base

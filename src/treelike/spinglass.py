@@ -24,8 +24,7 @@ from .errors import (
     SizeTooSmall,
     TooLargeForEnumeration,
 )
-from .hyperbolicity import hyp_exact
-from .treebuild import TreeBuildReport, best_alpha, build_tree
+from .treebuild import TreeBuildReport, build_tree
 
 ENUMERATION_CAP = 20
 
@@ -252,7 +251,7 @@ def pure_state_tree(space: SimilaritySpace, mapping: OverlapMap,
     structure is clean.
     """
     report = build_tree(space, epsilon, m, mode=mode, seed=seed, delta0=delta0)
-    scale, _ = best_alpha(space, report.tree)
+    scale = report.best_alpha
     lo, hi = mapping.rho_range
     depth = max(report.tree.level.values())
     values = []
@@ -278,6 +277,6 @@ def pure_state_tree(space: SimilaritySpace, mapping: OverlapMap,
         scale=scale,
         level_values=tuple(values),
         clamped_levels=tuple(clamped),
-        overlap_defect=hyp_exact(space),
+        overlap_defect=report.ladder.hyp,
         mean_error=mean_error,
     )

@@ -79,19 +79,18 @@ def best_alpha(space: SimilaritySpace, tree: CompatibleTree
     w = np.outer(space.weights, space.weights)
     g = prod.astype(float)
     sel = (g > 0) & (w > 0)
-    if not sel.any():
-        return 0.0, tree_cost(space, tree, 0.0)
-    ratios = space.sim[sel] / g[sel]
-    kink = w[sel] * g[sel]
-    order = np.argsort(ratios, kind="stable")
-    ratios = ratios[order]
-    kink = kink[order]
-    total = float(kink.sum())
-    cum = np.cumsum(kink)
-    idx = int(np.searchsorted(cum, total / 2.0, side="left"))
-    alpha = float(ratios[min(idx, len(ratios) - 1)])
-    alpha = max(alpha, 0.0)
-    return alpha, tree_cost(space, tree, alpha)
+    alpha = 0.0
+    if sel.any():
+        ratios = space.sim[sel] / g[sel]
+        kink = w[sel] * g[sel]
+        order = np.argsort(ratios, kind="stable")
+        ratios, kink = ratios[order], kink[order]
+        total = float(kink.sum())
+        idx = int(np.searchsorted(np.cumsum(kink), total / 2.0, side="left"))
+        alpha = max(float(ratios[min(idx, len(ratios) - 1)]), 0.0)
+    p = space.weights
+    # the tree_cost expression, on the product matrix already built
+    return alpha, float(p @ np.abs(space.sim - alpha * prod) @ p)
 
 
 def split_atoms(space: SimilaritySpace, delta: float

@@ -4,6 +4,7 @@ import pytest
 from treelike import (
     CompatibleTree,
     SimilaritySpace,
+    build_tree,
     gromov_product_matrix,
     gromov_product_similarity,
     hyp_exact,
@@ -17,6 +18,8 @@ from treelike.errors import (
     AsymmetricSimilarity,
     DuplicatePoint,
     NegativeDistance,
+    OutOfRangeEntry,
+    TreelikeError,
     TriangleViolation,
     UnknownLeaf,
     WeightSumMismatch,
@@ -224,3 +227,169 @@ def test_space_from_tree_has_zero_defect():
     fx = tree_scaled_fixture(12, depth=2, alpha=1.0, seed=21)
     space = space_from_tree(fx.tree)
     assert hyp_exact(space) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# loop references: the per-entry validation and the pair-loop tree products,
+# compared exactly with the array code
+
+
+def validate_loop(space):
+    seen = {}
+    for i, p in enumerate(space.points):
+        if p in seen:
+            raise DuplicatePoint(i, p)
+        seen[p] = i
+    for i, w in enumerate(space.weights):
+        if w < 0 or not np.isfinite(w):
+            raise OutOfRangeEntry(("weight", i), float(w))
+    total = float(space.weights.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise WeightSumMismatch(total)
+    s = space.sim
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            if s[i, j] != s[j, i]:
+                raise AsymmetricSimilarity(i, j, float(s[i, j]), float(s[j, i]))
+    bad = np.argwhere(~((s >= 0) & (s <= space.bound)))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise OutOfRangeEntry((i, j), float(s[i, j]))
+
+
+def product_loop(tree, points):
+    paths = []
+    for p in points:
+        node = tree.leaf_of(p)
+        chain = [node]
+        while node != tree.root:
+            node = tree.parent[node]
+            chain.append(node)
+        paths.append(chain[::-1])
+    n = len(points)
+    out = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        out[i, i] = len(paths[i]) - 1
+        for j in range(i + 1, n):
+            k = 0
+            while (k < min(len(paths[i]), len(paths[j]))
+                   and paths[i][k] == paths[j][k]):
+                k += 1
+            out[i, j] = out[j, i] = k - 1
+    return out
+
+
+def raised(fn, space):
+    try:
+        fn(space)
+    except TreelikeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def corrupted_spaces(seed, count):
+    """Random spaces with a few random faults: asymmetric, NaN or out-of-range
+    entries, and negative, NaN or infinite weights."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        sp = random_fixture(n, seed=int(rng.integers(1000)),
+                            weights="random").space
+        sim, w = sp.sim.copy(), sp.weights.copy()
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            sim[i, j] = rng.choice([np.nan, -0.5, 1.5, sim[i, j] + 0.25, -0.0])
+        for _ in range(int(rng.integers(0, 3))):
+            w[int(rng.integers(n))] = rng.choice([np.nan, -0.1, np.inf, -0.0])
+        yield SimilaritySpace(sp.points, w, sim, 1.0)
+
+
+class TestValidateAgainstLoop:
+    def test_first_witness_matches_loop(self):
+        outcomes = set()
+        for sp in corrupted_spaces(seed=0, count=300):
+            got = raised(validate_space, sp)
+            assert got == raised(validate_loop, sp)
+            outcomes.add(got[0] if got else None)
+        assert {None, OutOfRangeEntry, AsymmetricSimilarity,
+                WeightSumMismatch} <= outcomes
+
+    def test_first_of_two_asymmetric_pairs(self):
+        sp = random_fixture(8, seed=1).space
+        sim = sp.sim.copy()
+        sim[5, 2] += 0.01  # row-major upper-triangle order finds (1, 6) first
+        sim[6, 1] += 0.01
+        bad = SimilaritySpace(sp.points, sp.weights, sim, 1.0)
+        with pytest.raises(AsymmetricSimilarity) as exc:
+            validate_space(bad)
+        assert exc.value.index == (1, 6)
+        assert raised(validate_space, bad) == raised(validate_loop, bad)
+
+    def test_nan_weight_is_the_first_witness(self):
+        sp = random_fixture(6, seed=2).space
+        w = sp.weights.copy()
+        w[2], w[4] = np.nan, -0.1
+        bad = SimilaritySpace(sp.points, w, sp.sim, 1.0)
+        with pytest.raises(OutOfRangeEntry) as exc:
+            validate_space(bad)
+        assert exc.value.where == ("weight", 2)
+        assert np.isnan(exc.value.value)
+        assert raised(validate_space, bad) == raised(validate_loop, bad)
+
+    @pytest.mark.parametrize("both", [False, True])
+    def test_nan_off_diagonal_is_asymmetric(self, both):
+        sp = random_fixture(6, seed=3).space
+        sim = sp.sim.copy()
+        sim[4, 1] = np.nan
+        if both:
+            sim[1, 4] = np.nan
+        bad = SimilaritySpace(sp.points, sp.weights, sim, 1.0)
+        with pytest.raises(AsymmetricSimilarity) as exc:
+            validate_space(bad)
+        assert exc.value.index == (1, 4)
+        assert raised(validate_space, bad) == raised(validate_loop, bad)
+
+
+def uneven_tree():
+    # leaves at depths 1, 2 and 3 under one root
+    return CompatibleTree(
+        root="r",
+        parent={"a": "r", "u": "r", "b": "u", "v": "u", "c": "v", "d": "v",
+                "e": "u"},
+        level={"r": 0, "a": 1, "u": 1, "b": 2, "v": 2, "e": 2, "c": 3,
+               "d": 3},
+        leaf_points={"a": "a", "b": "b", "c": "c", "d": "d", "e": "e"},
+    )
+
+
+class TestProductMatrixAgainstLoop:
+    def test_uneven_leaf_depths(self):
+        tree = uneven_tree()
+        for points in (("a", "b", "c", "d", "e"), ("d", "a", "e", "c"),
+                       ("c", "c", "a"), ("b",), ()):
+            got = gromov_product_matrix(tree, points)
+            want = product_loop(tree, points)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_fixture_and_built_trees(self):
+        trees = []
+        for seed in range(3):
+            fx = tree_scaled_fixture(30, depth=4, alpha=0.2, seed=seed,
+                                     weights="random")
+            trees.append((fx.tree, fx.space.points))
+        fx = tree_scaled_fixture(40, depth=3, alpha=0.31622776601683794,
+                                 seed=5, weights="random")
+        report = build_tree(rescale_to_unit(fx.space), 1e-12, 16, delta0=0.05)
+        assert len({report.tree.level[leaf]
+                    for leaf in report.tree.leaf_points}) > 1
+        trees.append((report.tree, fx.space.points))
+        rng = np.random.default_rng(0)
+        for tree, points in trees:
+            for order in (points, tuple(rng.permutation(points).tolist())):
+                got = gromov_product_matrix(tree, order)
+                want = product_loop(tree, order)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_unknown_leaf_still_raises(self):
+        with pytest.raises(UnknownLeaf):
+            gromov_product_matrix(uneven_tree(), ("a", "zz"))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from treelike import (
     SimilaritySpace,
+    ThresholdLadder,
     bad_set_measure,
     bad_set_profile,
     exceptional_sets,
@@ -331,3 +333,156 @@ class TestExceptionalSets:
                            for t in ladder.thresholds)
                 )
                 assert exc.n1_measure[y, z] == pytest.approx(mass, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# loop references: the searchsorted profile and the per-threshold exceptional
+# sets, compared bit for bit with the rank-based kernels
+
+
+def profile_loop(space):
+    s, p = space.sim, space.weights
+    vals = np.unique(s)
+    diff = np.zeros(len(vals) + 1)
+    for z in range(space.n):
+        if p[z] == 0.0:
+            continue
+        col = s[:, z]
+        high = np.minimum(col[:, None], col[None, :])
+        w = np.outer(p, p) * p[z]
+        ia = np.searchsorted(vals, s, side="right")
+        ib = np.searchsorted(vals, high, side="right") - 1
+        ok = ia <= ib
+        if not ok.any():
+            continue
+        np.add.at(diff, ia[ok], w[ok])
+        np.add.at(diff, ib[ok] + 1, -w[ok])
+    return vals, np.cumsum(diff[:-1])
+
+
+def exceptional_loop(space, ladder):
+    s, p, n = space.sim, space.weights, space.n
+    lows = [s < t for t in ladder.thresholds]
+    n1 = np.zeros((n, n))
+    r2 = np.zeros(n)
+    for z in range(n):
+        acc = np.zeros((n, n), dtype=bool)
+        col = s[:, z]
+        for t, low in zip(ladder.thresholds, lows):
+            ok = col >= t
+            acc |= low & ok[:, None] & ok[None, :]
+        n1[:, z] = p @ acc
+        r2[z] = float(p @ acc @ p)
+    b_measure = p @ (n1 > ladder.delta0)
+    a_indices = tuple(int(z) for z in np.nonzero(b_measure > ladder.delta0)[0])
+    a_mass = float(p[list(a_indices)].sum()) if a_indices else 0.0
+    return n1, b_measure, a_indices, a_mass, r2
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def tied_space(n, seed):
+    """Similarities on a quarter grid (many ties), about a quarter of the
+    weights zero, and a random half of the zero entries written as -0.0."""
+    rng = np.random.default_rng(seed)
+    raw = np.round(rng.uniform(0.0, 1.0, size=(n, n)) * 4) / 4
+    sim = np.triu(raw) + np.triu(raw, 1).T
+    sim[(sim == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+    w = rng.random(n)
+    w[rng.random(n) < 0.25] = 0.0
+    w[0] = max(w[0], 0.5)
+    return SimilaritySpace(tuple(f"q{i}" for i in range(n)), w / w.sum(), sim)
+
+
+def ladder_with(thresholds, delta0):
+    return ThresholdLadder(epsilon=1e-12, m=16, kappa=0.25, delta0=delta0,
+                           n_levels=len(thresholds), thresholds=thresholds,
+                           profile={}, hyp=0.0)
+
+
+def reference_spaces():
+    spaces = [tied_space(n, seed) for seed, n in enumerate((9, 17, 30))]
+    spaces += [random_fixture(13, seed=4, weights="random").space,
+               noisy_tree_fixture(24, depth=3, alpha=0.31622776601683794,
+                                  noise=0.001, seed=2, weights="random").space]
+    return spaces
+
+
+class TestLoopReferences:
+    def test_tied_space_has_the_hard_cases(self):
+        sp = tied_space(30, 2)
+        zeros = sp.sim[sp.sim == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert (sp.weights == 0.0).any()
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_profile_matches_searchsorted_loop(self, k):
+        sp = reference_spaces()[k]
+        for got, want in zip(bad_set_profile(sp), profile_loop(sp)):
+            assert_same_array(got, want)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_exceptional_sets_match_per_threshold_loop(self, k):
+        sp = reference_spaces()[k]
+        # thresholds on grid values (ties with s) and between them
+        for thresholds, delta0 in (((0.25, 0.5, 0.75), 0.05),
+                                   ((0.125, 0.5, 0.875), 0.2),
+                                   ((0.3,), 0.0), ((), 0.1)):
+            ladder = ladder_with(thresholds, delta0)
+            exc = exceptional_sets(sp, ladder)
+            n1, b, a_indices, a_mass, r2 = exceptional_loop(sp, ladder)
+            assert_same_array(exc.n1_measure, n1)
+            assert_same_array(exc.b_measure, b)
+            assert_same_array(exc.r2_measure, r2)
+            assert exc.a_indices == a_indices
+            assert exc.a_mass == a_mass
+
+    @pytest.mark.parametrize("distinct", [255, 256])
+    def test_at_the_small_integer_type_limit(self, distinct):
+        # 255 and 256 distinct values (and thresholds) straddle the uint8 /
+        # uint16 boundary of the rank and count types
+        n = 24
+        upper = np.triu_indices(n)
+        sim = np.zeros((n, n))
+        grid = np.arange(len(upper[0])) % distinct / (distinct - 1)
+        sim[upper] = np.random.default_rng(distinct).permutation(grid)
+        sim = sim + np.triu(sim, 1).T
+        sp = SimilaritySpace(tuple(f"q{i}" for i in range(n)),
+                             np.full(n, 1.0 / n), sim)
+        assert len(np.unique(sim)) == distinct
+        for got, want in zip(bad_set_profile(sp), profile_loop(sp)):
+            assert_same_array(got, want)
+        vals = np.unique(sim)
+        ladder = ladder_with((vals[1] / 2,) + tuple(vals[1:].tolist()), 0.01)
+        assert len(ladder.thresholds) == distinct
+        exc = exceptional_sets(sp, ladder)
+        n1, _, _, _, r2 = exceptional_loop(sp, ladder)
+        assert_same_array(exc.n1_measure, n1)
+        assert_same_array(exc.r2_measure, r2)
+
+    def test_exceptional_sets_of_a_built_ladder(self):
+        fx = noisy_tree_fixture(18, depth=2, alpha=0.31622776601683794,
+                                noise=0.001, seed=1, weights="random")
+        ladder = threshold_ladder(fx.space, 1e-12, 16, delta0=0.12)
+        exc = exceptional_sets(fx.space, ladder)
+        n1, _, a_indices, _, r2 = exceptional_loop(fx.space, ladder)
+        assert_same_array(exc.n1_measure, n1)
+        assert_same_array(exc.r2_measure, r2)
+        assert exc.a_indices == a_indices
+
+    def test_exceptional_sets_ignore_threshold_order(self):
+        sp = tied_space(17, 1)
+        ordered = ladder_with((0.125, 0.25, 0.5, 0.75), 0.05)
+        want = exceptional_sets(sp, ordered)
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            shuffled = tuple(rng.permutation(ordered.thresholds).tolist())
+            ladder = dataclasses.replace(ordered, thresholds=shuffled)
+            got = exceptional_sets(sp, ladder)
+            assert_same_array(got.n1_measure, want.n1_measure)
+            assert_same_array(got.r2_measure, want.r2_measure)
+            assert got.a_indices == want.a_indices
+            assert_same_array(got.n1_measure, exceptional_loop(sp, ladder)[0])

@@ -38,6 +38,33 @@ def er_graph(n, p, seed, mass=None):
     return graph_from_adj(adj, mass)
 
 
+def apportion_loop(p, n_total):
+    """Largest-remainder rounding with Python ``sorted`` orders."""
+    n = len(p)
+    if n_total < n:
+        return None
+    ideal = n_total * p
+    base = np.maximum(1, np.floor(ideal).astype(np.int64))
+    excess = int(base.sum()) - n_total
+    if excess > 0:
+        order = sorted(range(n), key=lambda i: (-(base[i] - ideal[i]), i))
+        k = 0
+        while excess > 0:
+            i = order[k % n]
+            if base[i] > 1:
+                base[i] -= 1
+                excess -= 1
+            k += 1
+            if k > 64 * n:
+                return None
+    elif excess < 0:
+        remainder = ideal - base
+        order = sorted(range(n), key=lambda i: (-remainder[i], i))
+        for k in range(-excess):
+            base[order[k % n]] += 1
+    return base
+
+
 class TestRationalize:
     def test_exact_dyadic(self):
         k, n = rationalize_weights(np.array([0.5, 0.25, 0.25]), 0.0)
@@ -60,6 +87,27 @@ class TestRationalize:
             assert int(k.sum()) == n
             assert (k >= 1).all()
             assert np.abs(k / n - p).max() <= 1e-6
+
+    def test_apportion_matches_sorted_loop(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for k in range(60):
+            n = int(rng.integers(1, 40))
+            p = rng.random(n) ** 3
+            if k % 3 == 0:  # zero weights and exact ties
+                p[rng.random(n) < 0.3] = 0.0
+                p[: n // 2] = p[0]
+            p = p / p.sum() if p.sum() > 0 else np.full(n, 1.0 / n)
+            for n_total in range(max(n - 1, 1), n + 200, 3):
+                got = regularity._apportion(p, n_total)
+                want = apportion_loop(p, n_total)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                    seen.add(int(np.sign(np.maximum(
+                        1, np.floor(n_total * p)).sum() - n_total)))
+        assert seen == {-1, 0, 1}  # both the shave and the increment ran
 
     def test_blowup_cap(self):
         with pytest.raises(BlowupTooLarge):
