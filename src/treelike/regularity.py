@@ -132,10 +132,19 @@ def rationalize_weights(weights: np.ndarray, tolerance: float,
                         max_blowup: int = 10 ** 12) -> tuple[np.ndarray, int]:
     """Approximate probabilities by K(x)/N with a common denominator N.
 
-    Guarantees K(x) >= 1, sum K = N and |K(x)/N - p(x)| within the tolerance
-    (plus the normalization slack when the input does not sum to one).  With
-    tolerance zero the exact dyadic representation is used.  Small N are
-    scanned first so nice inputs get their minimal denominator.
+    Guarantees K(x) >= 1, sum K = N and |K(x)/N - p(x)| within the tolerance.
+    With tolerance zero the weights are normalized and their exact dyadic
+    representation is used.  Small N are scanned first so nice inputs get
+    their minimal denominator.
+
+    A positive tolerance needs weights summing to one within n * tolerance,
+    since any K summing to N has K/N summing to one; other weights raise
+    BadParams before any N is tried.  The scan skips every N at which no
+    admissible K can pass the tolerance check: the integer K(x) >= 1 nearest
+    to N p(x) is max(1, rint(N p(x))), and when even that one misses N p(x)
+    by more than N * tolerance (plus a float margin) for some x, no K passes
+    at this N.  The remaining N are tried in ascending order exactly as a
+    plain scan tries them, so K and N do not change.
     """
     p = np.asarray(weights, dtype=float)
     n = len(p)
@@ -159,13 +168,49 @@ def rationalize_weights(weights: np.ndarray, tolerance: float,
             raise BadParams("zero weight cannot be represented exactly")
         return k, int(denom)
 
+    # With u = 2^-53, an accepted K has |K(x)/N - p(x)| <= tolerance / (1 - u)
+    # + u K(x)/N; summing over x gives |1 - sum p| <= n * tolerance (1 + 2u)
+    # + u, and the pairwise sum adds at most log2(n) u sum(p).  The 1e-9
+    # terms cover these.  A NaN sum fails the test too.
+    total = float(p.sum())
+    if not abs(total - 1.0) <= n * tolerance + 1e-9 * (1.0 + n * tolerance):
+        raise BadParams(
+            f"weights must sum to 1 within n * tolerance, got sum {total!r}"
+        )
+    values = np.unique(p)
     scan_top = min(max(RATIONALIZE_SCAN_LIMIT, 4 * n), max_blowup)
-    for n_total in range(n, scan_top + 1):
-        k = _apportion(p, n_total)
-        if k is None:
-            continue
-        if np.abs(k / n_total - p).max() <= tolerance:
-            return k, n_total
+    # N in ascending blocks, and values in chunks, both of doubling size: an
+    # early N returns early, and a chunk that drops nothing costs one call
+    start, size = n, 16
+    while start <= scan_top:
+        alive = np.arange(start, min(start + size, scan_top + 1))
+        # An accepted K has |K - N p| <= N tolerance (1 + 2u) + u K, from the
+        # rounding of k / N and of the subtraction (u = 2^-53).  x = fl(N p)
+        # is within u N p of N p, and c = max(1, rint(x)) is the integer >= 1
+        # nearest to x, so |c - x| <= |K - x| <= N tolerance (1 + 3u)
+        # + 3u max(1, x), up to terms in u^2.  Rounding |c - x| and the
+        # slack adds a relative u to each side.  The 1e-9 factors exceed all
+        # of these by more than 10^6, and x <= fl(N max p), so no N that the
+        # check accepts is dropped.
+        slack = alive * tolerance * (1.0 + 1e-9) \
+            + 1e-9 * np.maximum(1.0, alive * values[-1])
+        lo, width = 0, 1
+        # |c - x| never exceeds 1, so N with slack >= 1 are never dropped;
+        # slack grows with N, so its first entry decides for the block
+        while alive.size and slack[0] < 1.0 and lo < values.size:
+            x = alive[:, None] * values[lo:lo + width]
+            miss = np.abs(np.maximum(1.0, np.rint(x)) - x)
+            keep = (miss <= slack[:, None]).all(axis=1)
+            alive, slack = alive[keep], slack[keep]
+            lo, width = lo + width, 2 * width
+        for n_total in alive.tolist():
+            k = _apportion(p, n_total)
+            if k is None:
+                continue
+            if np.abs(k / n_total - p).max() <= tolerance:
+                return k, n_total
+        start += size
+        size *= 2
 
     n_total = max(n, int(math.ceil(2.0 / tolerance)))
     while n_total <= max_blowup:
@@ -215,14 +260,16 @@ def weighted_adjacency_spectrum(graph: WeightedGraph, kmult: np.ndarray
         lam, vec = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - lapack failure
         raise EigensolveFailure(str(exc)) from exc
-    order = sorted(range(len(lam)),
-                   key=lambda i: (-abs(lam[i]), 0 if lam[i] >= 0 else 1, i))
+    # decreasing magnitude, then positive first; lexsort is stable, so ties
+    # keep index order
+    order = np.lexsort((lam < 0, -np.abs(lam)))
     lam = lam[order]
     vec = vec[:, order].T.copy()  # row per eigenvalue
-    for row in vec:
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            row *= -1
+    # each row's first largest-magnitude entry is made positive (argmax
+    # fails on the 0x0 matrix of an empty graph, which has no rows)
+    if vec.size:
+        lead = vec[np.arange(len(vec)), np.argmax(np.abs(vec), axis=1)]
+        vec *= np.where(lead < 0, -1.0, 1.0)[:, None]
     lam.setflags(write=False)
     vec.setflags(write=False)
     edge_weight = float((np.outer(k, k) * graph.adj).sum())

@@ -51,6 +51,28 @@ class TreeBuildReport:
     n_repairs: int
 
 
+def _cost(space: SimilaritySpace, prod: np.ndarray, alpha: float) -> float:
+    p = space.weights
+    return float(p @ np.abs(space.sim - alpha * prod) @ p)
+
+
+def _best_alpha(space: SimilaritySpace, prod: np.ndarray
+                ) -> tuple[float, float]:
+    w = np.outer(space.weights, space.weights)
+    g = prod.astype(float)
+    sel = (g > 0) & (w > 0)
+    alpha = 0.0
+    if sel.any():
+        ratios = space.sim[sel] / g[sel]
+        kink = w[sel] * g[sel]
+        order = np.argsort(ratios, kind="stable")
+        ratios, kink = ratios[order], kink[order]
+        total = float(kink.sum())
+        idx = int(np.searchsorted(np.cumsum(kink), total / 2.0, side="left"))
+        alpha = max(float(ratios[min(idx, len(ratios) - 1)]), 0.0)
+    return alpha, _cost(space, prod, alpha)
+
+
 def tree_cost(space: SimilaritySpace, tree: CompatibleTree, alpha: float
               ) -> float:
     """Expected absolute error between similarity and alpha times products."""
@@ -59,9 +81,7 @@ def tree_cost(space: SimilaritySpace, tree: CompatibleTree, alpha: float
         raise BadParams("alpha must be nonnegative")
     if set(tree.leaf_points.values()) != set(space.points):
         raise LeafMismatch("tree leaves do not match the space points")
-    prod = gromov_product_matrix(tree, space.points)
-    p = space.weights
-    return float(p @ np.abs(space.sim - alpha * prod) @ p)
+    return _cost(space, gromov_product_matrix(tree, space.points), alpha)
 
 
 def best_alpha(space: SimilaritySpace, tree: CompatibleTree
@@ -75,22 +95,7 @@ def best_alpha(space: SimilaritySpace, tree: CompatibleTree
     validate_space(space)
     if set(tree.leaf_points.values()) != set(space.points):
         raise LeafMismatch("tree leaves do not match the space points")
-    prod = gromov_product_matrix(tree, space.points)
-    w = np.outer(space.weights, space.weights)
-    g = prod.astype(float)
-    sel = (g > 0) & (w > 0)
-    alpha = 0.0
-    if sel.any():
-        ratios = space.sim[sel] / g[sel]
-        kink = w[sel] * g[sel]
-        order = np.argsort(ratios, kind="stable")
-        ratios, kink = ratios[order], kink[order]
-        total = float(kink.sum())
-        idx = int(np.searchsorted(np.cumsum(kink), total / 2.0, side="left"))
-        alpha = max(float(ratios[min(idx, len(ratios) - 1)]), 0.0)
-    p = space.weights
-    # the tree_cost expression, on the product matrix already built
-    return alpha, float(p @ np.abs(space.sim - alpha * prod) @ p)
+    return _best_alpha(space, gromov_product_matrix(tree, space.points))
 
 
 def split_atoms(space: SimilaritySpace, delta: float
@@ -400,8 +405,9 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
 
     p = space.weights
     delta_e_total = float(p @ edited @ p)
-    cost_kappa = tree_cost(space, tree, kappa)
-    alpha_star, cost_star = best_alpha(space, tree)
+    # the tree was built on the space's points, so its leaves match them
+    cost_kappa = _cost(space, prod, kappa)
+    alpha_star, cost_star = _best_alpha(space, prod)
     collision = float((p ** 2).sum())
     bound = kappa + d0 + (1.0 + kappa) * (delta_e_total + collision)
     return TreeBuildReport(

@@ -15,7 +15,8 @@ from treelike import (
     weighted_adjacency_spectrum,
 )
 from treelike import regularity
-from treelike.errors import BlowupTooLarge, EmptyPart, HeavyAtom, ZeroMassGraph
+from treelike.errors import (BadParams, BlowupTooLarge, EmptyPart, HeavyAtom,
+                             ZeroMassGraph)
 from treelike.regularity import Buckets, SpectralData, atom_bound_theory
 
 
@@ -65,6 +66,67 @@ def apportion_loop(p, n_total):
     return base
 
 
+def rationalize_scan_loop(p, tolerance, max_blowup=10 ** 12):
+    """Reference: a positive tolerance tries every N from n up in order."""
+    n = len(p)
+    scan_top = min(max(regularity.RATIONALIZE_SCAN_LIMIT, 4 * n), max_blowup)
+    for n_total in range(n, scan_top + 1):
+        k = regularity._apportion(p, n_total)
+        if k is None:
+            continue
+        if np.abs(k / n_total - p).max() <= tolerance:
+            return k, n_total
+    n_total = max(n, int(math.ceil(2.0 / tolerance)))
+    while n_total <= max_blowup:
+        k = regularity._apportion(p, n_total)
+        if k is not None and np.abs(k / n_total - p).max() <= tolerance:
+            return k, n_total
+        n_total *= 2
+    raise BlowupTooLarge(n_total, max_blowup)
+
+
+def outcome(fn, *args):
+    try:
+        k, n_total = fn(*args)
+    except BlowupTooLarge as exc:
+        return type(exc), str(exc)
+    return k.dtype, k.tolist(), n_total
+
+
+def planted_counts(rng, n, n_total):
+    """Random integers K >= 1 summing to n_total."""
+    return 1 + rng.multinomial(n_total - n, np.full(n, 1.0 / n))
+
+
+def rationalize_cases():
+    """Seeded weight vectors with tolerances, of every kind the filter meets.
+
+    Each vector gets one tolerance that needs a long scan and four that end
+    it early; n > 1024 gives scan_top = 4n.
+    """
+    rng = np.random.default_rng(31)
+    cases = []
+    for t in range(4):
+        n = 1 if t == 0 else int(rng.integers(2, 40))
+        zeros = rng.random(n)
+        zeros[rng.random(n) < 0.3] = 0.0                    # zero weights
+        zeros[: n // 2] = zeros[0]                          # ties
+        vectors = [
+            rng.random(n),                                  # random
+            np.ones(n),                                     # uniform
+            rng.dirichlet(np.full(n, 0.3)),                 # Dirichlet
+            rng.integers(1, 64, size=n) / 64.0,             # dyadic
+            planted_counts(rng, n, (997, 997, 1000, 4093)[t]),
+            zeros if zeros.sum() > 0 else np.ones(n),
+        ]
+        for i, p in enumerate(vectors):
+            for tol in ((1e-9, 1e-6)[(t + i) % 2], 1e-3, 0.01, 0.1, 0.5):
+                cases.append((p / p.sum(), tol))
+    cases.append((planted_counts(rng, 1025, 4099) / 4099, 1e-9))
+    cases.append((rng.dirichlet(np.ones(1030)), 0.01))
+    return cases
+
+
 class TestRationalize:
     def test_exact_dyadic(self):
         k, n = rationalize_weights(np.array([0.5, 0.25, 0.25]), 0.0)
@@ -109,13 +171,127 @@ class TestRationalize:
                         1, np.floor(n_total * p)).sum() - n_total)))
         assert seen == {-1, 0, 1}  # both the shave and the increment ran
 
+    def test_filter_matches_plain_scan(self):
+        denominators = set()
+        for p, tol in rationalize_cases():
+            got = outcome(rationalize_weights, p, tol)
+            assert got == outcome(rationalize_scan_loop, p, tol)
+            denominators.add(got[2])
+        # minimal, planted, past-4096 and doubling-phase denominators
+        assert {1, 997, 4093, 4099, 2_000_000} <= denominators
+
+    def test_filter_matches_plain_scan_below_scan_top(self):
+        # a cap below scan_top ends the scan early and raises from the
+        # doubling phase
+        rng = np.random.default_rng(32)
+        for cap in (5, 64, 997, 3000):
+            for p in (np.full(3, 1 / 3), planted_counts(rng, 20, 997) / 997,
+                      rng.dirichlet(np.ones(8))):
+                p = p / p.sum()
+                for tol in (1e-9, 1e-3, 0.1):
+                    assert outcome(rationalize_weights, p, tol, cap) \
+                        == outcome(rationalize_scan_loop, p, tol, cap)
+
+    def test_filter_keeps_denominators_at_the_tolerance_edge(self):
+        # the tolerance is the check's own value at a planted N, so the
+        # check passes there with no room: rounding in the filter must not
+        # drop that N
+        rng = np.random.default_rng(33)
+        found = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            n_total = int(rng.integers(n + 1, 1024))
+            k = planted_counts(rng, n, n_total)
+            p = k / n_total * (1 + rng.normal(0.0, 1e-7, size=n))
+            tol = float(np.abs(k / n_total - p).max())
+            got = outcome(rationalize_weights, p, tol)
+            assert got == outcome(rationalize_scan_loop, p, tol)
+            found += got[2] == n_total
+        assert found > 20
+
+    def test_unnormalized_weights_fail_fast(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(regularity, "_apportion",
+                            lambda *args: calls.append(args))
+        for p in ([2.0, 3.0], [0.5, 0.25, 0.25 + 1e-6], [math.nan, 1.0]):
+            with pytest.raises(BadParams, match="must sum to 1"):
+                rationalize_weights(np.array(p), 1e-9)
+        assert not calls
+        # tolerance zero normalizes instead
+        k, n = rationalize_weights(np.array([2.0, 3.0]), 0.0)
+        assert list(k) == [2, 3] and n == 5
+
+    @pytest.mark.parametrize("kind", ["random", "zero"])
+    def test_apportion_runs_at_most_twice(self, monkeypatch, kind):
+        # no N in the scan can meet 1e-9: random weights miss it at every
+        # N, and a zero weight needs N >= 1e9; the doubling phase then
+        # passes at its first N
+        if kind == "random":
+            p = np.random.default_rng(34).random(128)
+            p /= p.sum()
+        else:
+            p = np.array([0.0, 0.5, 0.25, 0.25])
+        calls = []
+        apportion = regularity._apportion
+
+        def counting(*args):
+            calls.append(args[1])
+            return apportion(*args)
+
+        monkeypatch.setattr(regularity, "_apportion", counting)
+        k, n = rationalize_weights(p, 1e-9)
+        assert n == 2_000_000_000 and len(calls) <= 2
+
     def test_blowup_cap(self):
         with pytest.raises(BlowupTooLarge):
             rationalize_weights(np.array([1 / 3, 1 / 3, 1 / 3]), 1e-9,
                                 max_blowup=2)
 
 
+def spectrum_loop(graph, kmult):
+    """Reference: Python ``sorted`` eigenvalue order and a per-row sign loop."""
+    root = np.sqrt(np.asarray(kmult, dtype=np.int64).astype(float))
+    lam, vec = np.linalg.eigh(np.outer(root, root) * graph.adj)
+    order = sorted(range(len(lam)),
+                   key=lambda i: (-abs(lam[i]), 0 if lam[i] >= 0 else 1, i))
+    lam = lam[order]
+    vec = vec[:, order].T.copy()
+    for row in vec:
+        j = int(np.argmax(np.abs(row)))
+        if row[j] < 0:
+            row *= -1
+    return lam, vec
+
+
+def complete_bipartite(a, b):
+    adj = np.zeros((a + b, a + b), dtype=bool)
+    adj[:a, a:] = adj[a:, :a] = True
+    return graph_from_adj(adj)
+
+
 class TestSpectrum:
+    def test_order_and_signs_match_loop(self):
+        rng = np.random.default_rng(41)
+        matching = np.zeros((6, 6), dtype=bool)
+        matching[[0, 2, 4], [1, 3, 5]] = matching[[1, 3, 5], [0, 2, 4]] = True
+        graphs = [graph_from_adj(np.zeros((0, 0)), mass=np.zeros(0)),
+                  graph_from_adj(np.zeros((5, 5))), graph_from_adj(matching)]
+        graphs += [complete_bipartite(a, b)
+                   for a, b in ((1, 4), (2, 3), (3, 3), (4, 4))]
+        graphs += [er_graph(int(rng.integers(2, 20)), 0.4, seed)
+                   for seed in range(8)]
+        ties = 0
+        for g in graphs:
+            for k in (np.ones(g.n, dtype=np.int64),
+                      rng.integers(1, 4, size=g.n)):
+                spec = weighted_adjacency_spectrum(g, k)
+                lam, vec = spectrum_loop(g, k)
+                assert spec.eigenvalues.tobytes() == lam.tobytes()
+                assert spec.vectors.tobytes() == vec.tobytes()
+                pos = lam[lam > 0]
+                ties += int(np.isin(-pos, lam).sum())
+        assert ties  # some +/- eigenvalue pairs tie in magnitude exactly
+
     def test_single_edge(self):
         g = graph_from_adj([[0, 1], [1, 0]])
         spec = weighted_adjacency_spectrum(g, np.array([1, 1]))

@@ -17,6 +17,7 @@ from treelike import (
     tree_cost,
     validate_tree,
 )
+from treelike import treebuild
 from treelike.errors import LeafMismatch, MapMismatch, SplitRequired
 from treelike.fixtures import (
     random_fixture,
@@ -63,6 +64,21 @@ class TestBuildTree:
         built = gromov_product_matrix(report.tree, fx.space.points)
         off = ~np.eye(27, dtype=bool)
         assert np.array_equal(planted[off], built[off])
+
+    def test_products_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(tree, points):
+            calls.append(tree)
+            return gromov_product_matrix(tree, points)
+
+        monkeypatch.setattr(treebuild, "gromov_product_matrix", counting)
+        fx = ultrametric_fixture(27, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=7)
+        report = build_tree(fx.space, EPS, M, seed=0)
+        assert len(calls) == 1
+        assert report.cost == tree_cost(fx.space, report.tree, report.kappa)
+        assert (report.best_alpha, report.best_cost) \
+            == best_alpha(fx.space, report.tree)
 
     def test_products_within_level_range(self):
         fx = tree_scaled_fixture(30, depth=2, alpha=KAPPA, seed=3)
