@@ -137,20 +137,16 @@ def rationalize_weights(weights: np.ndarray, tolerance: float,
     representation is used.  Small N are scanned first so nice inputs get
     their minimal denominator.
 
-    A positive tolerance needs weights summing to one within n * tolerance,
-    since any K summing to N has K/N summing to one; other weights raise
-    BadParams before any N is tried.  The scan skips every N at which no
-    admissible K can pass the tolerance check: the integer K(x) >= 1 nearest
-    to N p(x) is max(1, rint(N p(x))), and when even that one misses N p(x)
-    by more than N * tolerance (plus a float margin) for some x, no K passes
-    at this N.  The remaining N are tried in ascending order exactly as a
-    plain scan tries them, so K and N do not change.
+    A positive tolerance needs weights summing to one within n * tolerance;
+    other weights raise BadParams before any N is tried.  The scan skips only
+    N at which no K(x) >= 1 can meet the tolerance, so K and N equal those of
+    a plain ascending scan.
     """
     p = np.asarray(weights, dtype=float)
     n = len(p)
     if n == 0 or (p < 0).any():
         raise BadParams("weights must be a nonempty nonnegative vector")
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise BadParams("tolerance must be >= 0")
     if tolerance == 0.0:
         fracs = [Fraction(float(x)) for x in p]
@@ -168,49 +164,37 @@ def rationalize_weights(weights: np.ndarray, tolerance: float,
             raise BadParams("zero weight cannot be represented exactly")
         return k, int(denom)
 
-    # With u = 2^-53, an accepted K has |K(x)/N - p(x)| <= tolerance / (1 - u)
-    # + u K(x)/N; summing over x gives |1 - sum p| <= n * tolerance (1 + 2u)
-    # + u, and the pairwise sum adds at most log2(n) u sum(p).  The 1e-9
-    # terms cover these.  A NaN sum fails the test too.
+    # K/N sums to one, so with u = 2^-53 an accepted K has |1 - sum p|
+    # <= n * tolerance (1 + 2u) + u, and the pairwise sum adds at most
+    # log2(n) u sum(p); the 1e-9 terms cover these.  A NaN sum fails too.
     total = float(p.sum())
     if not abs(total - 1.0) <= n * tolerance + 1e-9 * (1.0 + n * tolerance):
         raise BadParams(
             f"weights must sum to 1 within n * tolerance, got sum {total!r}"
         )
-    values = np.unique(p)
     scan_top = min(max(RATIONALIZE_SCAN_LIMIT, 4 * n), max_blowup)
-    # N in ascending blocks, and values in chunks, both of doubling size: an
-    # early N returns early, and a chunk that drops nothing costs one call
-    start, size = n, 16
-    while start <= scan_top:
-        alive = np.arange(start, min(start + size, scan_top + 1))
-        # An accepted K has |K - N p| <= N tolerance (1 + 2u) + u K, from the
-        # rounding of k / N and of the subtraction (u = 2^-53).  x = fl(N p)
-        # is within u N p of N p, and c = max(1, rint(x)) is the integer >= 1
-        # nearest to x, so |c - x| <= |K - x| <= N tolerance (1 + 3u)
-        # + 3u max(1, x), up to terms in u^2.  Rounding |c - x| and the
-        # slack adds a relative u to each side.  The 1e-9 factors exceed all
-        # of these by more than 10^6, and x <= fl(N max p), so no N that the
-        # check accepts is dropped.
-        slack = alive * tolerance * (1.0 + 1e-9) \
-            + 1e-9 * np.maximum(1.0, alive * values[-1])
-        lo, width = 0, 1
-        # |c - x| never exceeds 1, so N with slack >= 1 are never dropped;
-        # slack grows with N, so its first entry decides for the block
-        while alive.size and slack[0] < 1.0 and lo < values.size:
-            x = alive[:, None] * values[lo:lo + width]
-            miss = np.abs(np.maximum(1.0, np.rint(x)) - x)
-            keep = (miss <= slack[:, None]).all(axis=1)
-            alive, slack = alive[keep], slack[keep]
-            lo, width = lo + width, 2 * width
-        for n_total in alive.tolist():
-            k = _apportion(p, n_total)
-            if k is None:
-                continue
-            if np.abs(k / n_total - p).max() <= tolerance:
-                return k, n_total
-        start += size
-        size *= 2
+    alive = np.arange(n, scan_top + 1)
+    # An accepted K has |K - N p| <= N tolerance (1 + 2u) + u K, from the
+    # rounding of k / N and of the subtraction.  x = fl(N p) is within u N p
+    # of N p, and c = max(1, rint(x)) is the integer >= 1 nearest to x, so
+    # |c - x| <= |K - x| <= N tolerance (1 + 3u) + 3u max(1, x), up to terms
+    # in u^2.  Rounding |c - x| and the slack adds a relative u to each side.
+    # The 1e-9 factors exceed all of these by more than 10^6, and
+    # x <= fl(N max p), so no N that the check accepts is dropped.
+    slack = alive * tolerance * (1.0 + 1e-9) \
+        + 1e-9 * np.maximum(1.0, alive * p.max())
+    for value in np.unique(p):
+        if not alive.size:
+            break
+        x = alive * value
+        keep = np.abs(np.maximum(1.0, np.rint(x)) - x) <= slack
+        alive, slack = alive[keep], slack[keep]
+    for n_total in alive.tolist():
+        k = _apportion(p, n_total)
+        if k is None:
+            continue
+        if np.abs(k / n_total - p).max() <= tolerance:
+            return k, n_total
 
     n_total = max(n, int(math.ceil(2.0 / tolerance)))
     while n_total <= max_blowup:

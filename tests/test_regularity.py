@@ -216,6 +216,8 @@ class TestRationalize:
         for p in ([2.0, 3.0], [0.5, 0.25, 0.25 + 1e-6], [math.nan, 1.0]):
             with pytest.raises(BadParams, match="must sum to 1"):
                 rationalize_weights(np.array(p), 1e-9)
+        with pytest.raises(BadParams, match="tolerance must be >= 0"):
+            rationalize_weights(np.array([0.5, 0.5]), math.nan)
         assert not calls
         # tolerance zero normalizes instead
         k, n = rationalize_weights(np.array([2.0, 3.0]), 0.0)
