@@ -250,14 +250,16 @@ def cmd_tree(args) -> int:
 def cmd_eval(args) -> int:
     space = _load_space(args.space)
     tree = tree_from_dict(read_json(args.tree))
-    cost = tree_cost(space, tree, args.alpha)
-    out = {"config": _config(args), "cost": cost}
+    out = {"config": _config(args)}
     if args.converse:
         rep = converse_check(space, tree, args.alpha)
+        out["cost"] = rep.cost
         out["hyp"] = rep.hyp
         out["bound"] = rep.bound
         out["margin"] = rep.margin
         out["passed"] = rep.passed
+    else:
+        out["cost"] = tree_cost(space, tree, args.alpha)
     print(dump_json(out))
     return 0
 
@@ -339,6 +341,7 @@ def cmd_convert(args) -> int:
     if args.metric and args.space_out:
         dist, points, weights = metric_from_dict(read_json(args.metric))
         space = gromov_product_similarity(dist, args.base, points, weights)
+        validate_space(space)
         write_json(args.space_out, space_to_dict(space))
         wrote = True
     if args.space and args.dot and args.t is not None:

@@ -77,7 +77,7 @@ def validate_space(space: SimilaritySpace) -> None:
         raise TreelikeError(
             f"sim shape {space.sim.shape} does not match {n} points"
         )
-    if not space.bound > 0:
+    if not 0 < space.bound < np.inf:
         raise OutOfRangeEntry("bound", space.bound)
     w = space.weights
     bad = np.flatnonzero((w < 0) | ~np.isfinite(w))

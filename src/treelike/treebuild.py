@@ -204,10 +204,9 @@ class ConverseReport:
 def converse_check(space: SimilaritySpace, tree: CompatibleTree, alpha: float,
                    tolerance: float = 1e-12) -> ConverseReport:
     """Verify the average defect against five times the root of the cost."""
-    validate_space(space)
+    cost = tree_cost(space, tree, alpha)
     if space.bound != 1.0:
         raise BadParams("converse check requires a space with bound 1")
-    cost = tree_cost(space, tree, alpha)
     hyp = hyp_exact(space)
     bound = 5.0 * math.sqrt(max(cost, 0.0))
     margin = bound - hyp
@@ -227,7 +226,8 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     """Partition one cluster at threshold t into cliques and singletons.
 
     Returns the child clusters (as global point-index lists, singletons
-    included) and the edited pairs in global indices.
+    included, in order of their first member) and the edited pairs in
+    global indices.
     """
     graph = threshold_graph(space, t, subset=idxs)
     partition = regularity_pipeline(graph, params, seed=seed)
@@ -240,24 +240,14 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     for pairs in log.stages.values():
         for u, v in pairs:
             edited.append((local[u], local[v]))
-    n = repaired.n
-    seen = np.zeros(n, dtype=bool)
-    children: list[list[int]] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        members = [s]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(repaired.adj[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    members.append(int(v))
-                    stack.append(int(v))
-        children.append(sorted(local[repaired.vertices[k]] for k in members))
-    children.sort()
+    # clique_repair raises unless the graph is exactly the group cliques plus
+    # isolated points, so each point's clique is its closed neighbourhood and
+    # the first member of that neighbourhood labels the cluster; idxs ascend,
+    # so ordering by that label sorts the clusters
+    first = np.argmax(repaired.adj | np.eye(repaired.n, dtype=bool), axis=1)
+    order = np.argsort(first, kind="stable")
+    cuts = np.flatnonzero(np.diff(first[order])) + 1
+    children = [c.tolist() for c in np.split(np.asarray(idxs)[order], cuts)]
     return children, edited
 
 
@@ -266,12 +256,15 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
                delta0: float | None = None) -> TreeBuildReport:
     """Build a compatible tree by repeated threshold-and-repair.
 
-    Requires a space with bound 1.  Level 1 partitions the points outside
-    the exceptional set at the first threshold (exceptional points enter as
-    singleton leaves); each further level repairs every non-singleton
-    cluster at the next threshold; one final level splits what remains into
-    singletons.  The cost is evaluated at alpha = kappa and the optimal
-    alpha is reported alongside.
+    Requires a space with bound 1.  The root cluster holds the points
+    outside the exceptional set.  At each depth d = 1..n_levels every
+    pending cluster of two or more points is repaired at the d-th threshold
+    with seed (seed, d, k), k its position among the pending clusters, and
+    its cliques become children; any other cluster, and every cluster at
+    depth n_levels + 1, splits into single points.  A single point is a leaf
+    at the depth it appears.  Exceptional points are leaves at depth 1,
+    after the root's other children.  The cost is evaluated at
+    alpha = kappa and the optimal alpha is reported alongside.
     """
     validate_space(space)
     if space.bound != 1.0:
@@ -284,7 +277,7 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
             raise SplitRequired(pstar, thr)
     ladder = threshold_ladder(space, epsilon, m, delta0=delta0)
     exc = exceptional_sets(space, ladder)
-    excluded = set(exc.a_indices)
+    excluded = sorted(exc.a_indices)
     n = space.n
     kappa = ladder.kappa
     d0 = ladder.delta0
@@ -295,97 +288,47 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     while any(p.startswith(prefix) for p in space.points):
         prefix += "@"
 
-    parent: dict[str, str] = {}
-    level_of: dict[str, int] = {}
-    leaf_points: dict[str, str] = {}
     root = f"{prefix}0.0"
-    level_of[root] = 0
+    parent: dict[str, str] = {}
+    level_of: dict[str, int] = {root: 0}
+    leaf_points: dict[str, str] = {}
     edited = np.zeros((n, n), dtype=bool)
-    for a in excluded:
-        edited[a, :] = True
-        edited[:, a] = True
+    edited[excluded, :] = True
+    edited[:, excluded] = True
 
     levels: list[list[tuple[str, ...]]] = [[tuple(space.points)]]
     n_repairs = 0
-
-    def add_node(level: int, idxs: list[int], parent_node: str,
-                 counter: list[int]) -> tuple[str, bool]:
-        if len(idxs) == 1:
-            pid = space.points[idxs[0]]
-            parent[pid] = parent_node
-            level_of[pid] = level
-            leaf_points[pid] = pid
-            return pid, True
-        node = f"{prefix}{level}.{counter[0]}"
-        counter[0] += 1
-        parent[node] = parent_node
-        level_of[node] = level
-        return node, False
-
-    if n == 1:
-        pid = space.points[0]
-        parent[pid] = root
-        level_of[pid] = 1
-        leaf_points[pid] = pid
-        levels.append([(pid,)])
-        pending: list[tuple[str, list[int]]] = []
-    else:
-        pending = []
-        # level 1: repair the non-exceptional points, append the rest
-        survivors = [i for i in range(n) if i not in excluded]
-        counter = [0]
-        level1: list[tuple[str, ...]] = []
-        if n_levels >= 1 and len(survivors) >= 2:
-            children, pairs = _repair_cluster(
-                space, survivors, ladder.thresholds[0], params, (seed, 1, 0)
-            )
-            n_repairs += 1
-            for a, b in pairs:
-                edited[a, b] = True
-            for child in children:
-                node, is_leaf = add_node(1, child, root, counter)
-                level1.append(tuple(space.points[i] for i in child))
-                if not is_leaf:
-                    pending.append((node, child))
-        else:
-            for i in survivors:
-                node, _ = add_node(1, [i], root, counter)
-                level1.append((space.points[i],))
-        for a in sorted(excluded):
-            add_node(1, [a], root, counter)
-            level1.append((space.points[a],))
-        levels.append(level1)
-
-        for depth in range(2, n_levels + 1):
-            t = ladder.thresholds[depth - 1]
-            counter = [0]
-            next_pending: list[tuple[str, list[int]]] = []
-            level_row: list[tuple[str, ...]] = []
-            for k, (pnode, idxs) in enumerate(pending):
-                children, pairs = _repair_cluster(
-                    space, idxs, t, params, (seed, depth, k)
+    pending = [(root, np.setdiff1d(np.arange(n), excluded).tolist())]
+    for depth in range(1, n_levels + 2):
+        children: list[tuple[str, list[int]]] = []
+        for k, (pnode, idxs) in enumerate(pending):
+            if depth <= n_levels and len(idxs) >= 2:
+                clusters, pairs = _repair_cluster(
+                    space, idxs, ladder.thresholds[depth - 1], params,
+                    (seed, depth, k)
                 )
                 n_repairs += 1
                 for a, b in pairs:
                     edited[a, b] = True
-                for child in children:
-                    node, is_leaf = add_node(depth, child, pnode, counter)
-                    level_row.append(tuple(space.points[i] for i in child))
-                    if not is_leaf:
-                        next_pending.append((node, child))
-            if level_row:
-                levels.append(level_row)
-            pending = next_pending
-
-        # final level: singletons under the remaining non-singleton clusters
-        counter = [0]
-        last_row: list[tuple[str, ...]] = []
-        for pnode, idxs in pending:
-            for i in idxs:
-                add_node(n_levels + 1, [i], pnode, counter)
-                last_row.append((space.points[i],))
-        if last_row:
-            levels.append(last_row)
+            else:
+                clusters = [[i] for i in idxs]
+            children += [(pnode, c) for c in clusters]
+        if depth == 1:
+            children += [(root, [a]) for a in excluded]
+        pending = []
+        row: list[tuple[str, ...]] = []
+        for pnode, idxs in children:
+            if len(idxs) == 1:
+                node = space.points[idxs[0]]
+                leaf_points[node] = node
+            else:
+                node = f"{prefix}{depth}.{len(pending)}"
+                pending.append((node, idxs))
+            parent[node] = pnode
+            level_of[node] = depth
+            row.append(tuple(space.points[i] for i in idxs))
+        if row:
+            levels.append(row)
 
     tree = CompatibleTree(root=root, parent=parent, level=level_of,
                           leaf_points=leaf_points)
@@ -420,7 +363,7 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         best_cost=cost_star,
         delta_e_total=delta_e_total,
         levels=tuple(tuple(row) for row in levels),
-        excluded_points=tuple(space.points[i] for i in sorted(excluded)),
+        excluded_points=tuple(space.points[i] for i in excluded),
         sandwich_violations=violations,
         cost_bound=bound,
         cost_bound_ok=cost_kappa <= bound + 1e-9,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from treelike import treebuild
 from treelike.cli import main
 from treelike.io import (
     dump_json,
@@ -13,8 +14,8 @@ from treelike.io import (
     tree_to_dict,
     write_json,
 )
-from treelike.core import SimilaritySpace
-from treelike.fixtures import tree_scaled_fixture
+from treelike.core import SimilaritySpace, gromov_product_matrix
+from treelike.fixtures import noisy_tree_fixture, tree_scaled_fixture
 
 
 @pytest.fixture
@@ -231,3 +232,128 @@ class TestCommands:
         code = main(["tree", "--space", str(three_point_file),
                      "--epsilon", "0.5", "--m", "16"])
         assert code == 2
+
+    def test_convert_metric_rejects_invalid_space(self, tmp_path, capsys):
+        metric = tmp_path / "metric.json"
+        write_json(metric, {"dist": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
+                                     [1.0, 1.0, 0.0]],
+                            "weights": [1.0, 1.0, 1.0]})
+        out = tmp_path / "space.json"
+        assert main(["convert", "--metric", str(metric),
+                     "--space-out", str(out)]) == 2
+        assert "weights sum" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEvalConverse:
+    @pytest.fixture
+    def files(self, tmp_path):
+        fx = noisy_tree_fixture(12, depth=2, alpha=0.3, noise=0.01, seed=6)
+        space_path = tmp_path / "space.json"
+        tree_path = tmp_path / "tree.json"
+        write_json(space_path, space_to_dict(fx.space))
+        write_json(tree_path, tree_to_dict(fx.tree))
+        return fx, space_path, tree_path
+
+    def test_products_built_once(self, files, monkeypatch, capsys):
+        fx, space_path, tree_path = files
+        calls = []
+
+        def counting(tree, points):
+            calls.append(tree)
+            return gromov_product_matrix(tree, points)
+
+        monkeypatch.setattr(treebuild, "gromov_product_matrix", counting)
+        assert main(["eval", "--space", str(space_path), "--tree",
+                     str(tree_path), "--alpha", "0.3", "--converse"]) == 0
+        assert len(calls) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert list(data) == ["config", "cost", "hyp", "bound", "margin",
+                              "passed"]
+        assert data["cost"] == treebuild.tree_cost(fx.space, fx.tree, 0.3)
+
+    def test_missing_leaf_beats_bound_check(self, files, tmp_path):
+        fx, _, tree_path = files
+        sp = fx.space
+        keep = list(range(1, sp.n))
+        w = sp.weights[keep]
+        other = SimilaritySpace(sp.points[1:], w / w.sum(),
+                                2.0 * sp.sim[np.ix_(keep, keep)], 2.0)
+        other_path = tmp_path / "other.json"
+        write_json(other_path, space_to_dict(other))
+        for flags in ([], ["--converse"]):
+            assert main(["eval", "--space", str(other_path), "--tree",
+                         str(tree_path), "--alpha", "0.3", *flags]) == 6
+
+
+K = 1e-12 ** (1 / 24)
+
+
+def edge_space(edit=None):
+    """Blocks {a, b} and {c, d} with similarity 2 kappa inside, 0 across;
+    a and b (and c and d) have identical rows."""
+    s = 2 * K
+    data = {"points": ["a", "b", "c", "d"], "weights": [0.25] * 4, "b": 1.0,
+            "sim": [[s, s, 0.0, 0.0], [s, s, 0.0, 0.0],
+                    [0.0, 0.0, s, s], [0.0, 0.0, s, s]]}
+    if edit:
+        edit(data)
+    return data
+
+
+def set_sim(i, j, value, both=True):
+    def edit(data):
+        data["sim"][i][j] = value
+        if both:
+            data["sim"][j][i] = value
+    return edit
+
+
+def set_key(key, value):
+    def edit(data):
+        data[key] = value
+    return edit
+
+
+NAN = float("nan")
+EDGE_SPACES = {
+    "negative-zero": (edge_space(lambda d: (set_sim(0, 2, -0.0)(d),
+                                            set_sim(1, 3, -0.0)(d))), 0),
+    "duplicate-rows": (edge_space(), 0),
+    "zero-weight": (edge_space(set_key("weights", [0.0] + [1 / 3] * 3)), 0),
+    "one-point": ({"points": ["a"], "weights": [1.0], "b": 1.0,
+                   "sim": [[0.5]]}, 0),
+    "two-points": ({"points": ["a", "b"], "weights": [0.5, 0.5], "b": 1.0,
+                    "sim": [[2 * K, K], [K, 2 * K]]}, 0),
+    "bound-zero": (edge_space(set_key("b", 0.0)), 2),
+    "bound-inf": (edge_space(set_key("b", float("inf"))), 2),
+    "nan-off-diagonal": (edge_space(set_sim(0, 1, NAN)), 2),
+    "nan-diagonal": (edge_space(set_sim(2, 2, NAN)), 2),
+    "nan-weight": (edge_space(set_key("weights", [0.25, NAN, 0.25, 0.25])), 2),
+    "duplicate-point": (edge_space(set_key("points", ["a", "b", "a", "d"])), 2),
+    "weight-sum-off": (edge_space(set_key("weights", [0.35] + [0.25] * 3)), 2),
+    "asymmetric": (edge_space(set_sim(0, 2, 0.5, both=False)), 2),
+    "above-bound": (edge_space(set_sim(1, 2, 1.5)), 2),
+    "missing-sim": (edge_space(lambda d: d.pop("sim")), 8),
+}
+EDGE_COMMANDS = {
+    "hyp": lambda space, out: ["hyp", "--space", space],
+    "tree": lambda space, out: ["tree", "--space", space,
+                                "--epsilon", "1e-12", "--m", "16"],
+    "ladder": lambda space, out: ["ladder", "--space", space,
+                                  "--epsilon", "1e-12", "--m", "16"],
+    "rescale": lambda space, out: ["convert", "--space", space,
+                                   "--rescale-out", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EDGE_COMMANDS))
+@pytest.mark.parametrize("case", list(EDGE_SPACES))
+def test_edge_input_exit_codes(case, command, tmp_path, capsys):
+    data, code = EDGE_SPACES[case]
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert main(EDGE_COMMANDS[command](str(space_path), str(out))) == code
+    if command == "rescale":
+        assert out.exists() == (code == 0)

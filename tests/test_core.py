@@ -240,6 +240,8 @@ def validate_loop(space):
         if p in seen:
             raise DuplicatePoint(i, p)
         seen[p] = i
+    if not (space.bound > 0 and np.isfinite(space.bound)):
+        raise OutOfRangeEntry("bound", space.bound)
     for i, w in enumerate(space.weights):
         if w < 0 or not np.isfinite(w):
             raise OutOfRangeEntry(("weight", i), float(w))
@@ -334,6 +336,15 @@ class TestValidateAgainstLoop:
             validate_space(bad)
         assert exc.value.where == ("weight", 2)
         assert np.isnan(exc.value.value)
+        assert raised(validate_space, bad) == raised(validate_loop, bad)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_bad_bound(self, bound):
+        sp = random_fixture(5, seed=4).space
+        bad = SimilaritySpace(sp.points, sp.weights, sp.sim, bound)
+        with pytest.raises(OutOfRangeEntry) as exc:
+            validate_space(bad)
+        assert exc.value.where == "bound"
         assert raised(validate_space, bad) == raised(validate_loop, bad)
 
     @pytest.mark.parametrize("both", [False, True])

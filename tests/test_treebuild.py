@@ -18,7 +18,10 @@ from treelike import (
     validate_tree,
 )
 from treelike import treebuild
+from treelike.cliques import ModificationLog
+from treelike.core import WeightedGraph
 from treelike.errors import LeafMismatch, MapMismatch, SplitRequired
+from treelike.regularity import RegularityParams
 from treelike.fixtures import (
     random_fixture,
     tree_scaled_fixture,
@@ -324,3 +327,135 @@ class TestConverse:
             report = build_tree(fx.space, EPS, M, seed=seed)
             out = converse_check(fx.space, report.tree, report.kappa)
             assert out.passed
+
+
+def with_rogues(n, r, seed):
+    """A planted ultrametric space plus r rogue points, relabelled by a seeded
+    permutation.  A rogue point has similarity 3 kappa to every point and
+    weight 1e-7 before renormalising, so at delta0 = 0.05 the rogue points
+    are the exceptional set."""
+    fx = ultrametric_fixture(n, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=seed)
+    sim = np.full((n + r, n + r), 3 * KAPPA)
+    sim[:n, :n] = fx.space.sim
+    w = np.concatenate([fx.space.weights, np.full(r, 1e-7)])
+    points = fx.space.points + tuple(f"rogue{i}" for i in range(r))
+    perm = np.random.default_rng(seed).permutation(n + r)
+    return SimilaritySpace(tuple(points[i] for i in perm), w[perm] / w.sum(),
+                           sim[np.ix_(perm, perm)], 1.0)
+
+
+class TestLevelLoop:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_exceptional_points_are_last_level1_leaves(self, r):
+        for seed in range(3):
+            space = with_rogues(20, r, seed)
+            report = build_tree(space, EPS, M, seed=seed, delta0=0.05)
+            validate_tree(report.tree)
+            rogues = tuple(p for p in space.points if p.startswith("rogue"))
+            assert report.excluded_points == rogues
+            row = report.levels[1]
+            assert row[-r:] == tuple((p,) for p in rogues)
+            assert all(not p.startswith("rogue")
+                       for cluster in row[:-r] for p in cluster)
+            root = report.tree.root
+            for p in rogues:
+                assert report.tree.parent[p] == root
+                assert report.tree.level[p] == 1
+            children = [node for node, par in report.tree.parent.items()
+                        if par == root]
+            assert children[-r:] == list(rogues)
+
+    def test_one_point_build(self):
+        for name, root in (("a", "@0.0"), ("@x", "@@0.0")):
+            space = SimilaritySpace((name,), np.ones(1),
+                                    np.full((1, 1), 0.3), 1.0)
+            report = build_tree(space, EPS, M)
+            assert report.levels == (((name,),), ((name,),))
+            assert report.tree.root == root
+            assert report.tree.parent == {name: root}
+            assert report.tree.level == {root: 0, name: 1}
+            assert report.n_repairs == 0
+            assert report.excluded_points == ()
+
+    def test_repair_seeds_and_node_ids_follow_row_order(self, monkeypatch):
+        calls = []
+        repair = treebuild._repair_cluster
+
+        def recording(space, idxs, t, params, seed):
+            calls.append((seed, tuple(space.points[i] for i in idxs)))
+            return repair(space, idxs, t, params, seed)
+
+        monkeypatch.setattr(treebuild, "_repair_cluster", recording)
+        fx = ultrametric_fixture(40, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=9)
+        report = build_tree(fx.space, EPS, M, seed=5)
+        assert calls[0] == ((5, 1, 0), fx.space.points)
+        assert report.n_repairs == len(calls)
+        tree = report.tree
+        for depth in range(1, report.ladder.n_levels + 1):
+            internal = sorted((node for node in tree.level
+                               if tree.level[node] == depth
+                               and node not in tree.leaf_points),
+                              key=lambda u: int(u.split(".")[1]))
+            assert internal == [f"@{depth}.{k}" for k in range(len(internal))]
+            rows = [c for c in report.levels[depth] if len(c) > 1]
+            assert len(rows) == len(internal)
+            repaired = [(seed, pts) for seed, pts in calls
+                        if seed[1] == depth + 1]
+            if depth < report.ladder.n_levels:
+                assert repaired == [((5, depth + 1, k), c)
+                                    for k, c in enumerate(rows)]
+
+
+def clusters_loop(repaired, idxs):
+    """Connected components of the repaired graph by depth-first search, in
+    global indices, sorted."""
+    local = {v: idxs[k] for k, v in enumerate(repaired.vertices)}
+    seen = np.zeros(repaired.n, dtype=bool)
+    children = []
+    for s in range(repaired.n):
+        if seen[s]:
+            continue
+        stack = [s]
+        seen[s] = True
+        members = [s]
+        while stack:
+            u = stack.pop()
+            for v in np.nonzero(repaired.adj[u])[0]:
+                if not seen[v]:
+                    seen[v] = True
+                    members.append(int(v))
+                    stack.append(int(v))
+        children.append(sorted(local[repaired.vertices[k]] for k in members))
+    children.sort()
+    return children
+
+
+class TestClustersAgainstLoop:
+    def test_seeded_clique_unions(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        made = []
+
+        def clique_union(graph, partition, structure, epsilon):
+            # random groups, some of one point, plus isolated points
+            labels = rng.integers(-1, max(1, graph.n // 3), size=graph.n)
+            adj = (labels[:, None] == labels[None, :]) & (labels[:, None] >= 0)
+            np.fill_diagonal(adj, False)
+            made.append(WeightedGraph(graph.vertices, graph.mass, adj))
+            return made[-1], ModificationLog({}, {}, 0.0)
+
+        for stage in ("regularity_pipeline", "part_neighbor_graph",
+                      "neighborhood_family", "clique_closure"):
+            monkeypatch.setattr(treebuild, stage, lambda *a, **k: None)
+        monkeypatch.setattr(treebuild, "clique_repair", clique_union)
+        space = random_fixture(60, seed=1).space
+        params = RegularityParams(epsilon=EPS, m=M)
+        isolated = 0
+        for trial in range(200):
+            size = int(rng.integers(1, 61))
+            idxs = sorted(rng.choice(60, size=size, replace=False).tolist())
+            children, edited = treebuild._repair_cluster(
+                space, idxs, 0.5, params, (0, 1, trial))
+            assert children == clusters_loop(made[-1], idxs)
+            assert edited == []
+            isolated += sum(len(c) == 1 for c in children)
+        assert isolated > 0
