@@ -59,21 +59,54 @@ def _dedupe_points(space: SimilaritySpace) -> tuple[np.ndarray, np.ndarray]:
     return w, s[np.ix_(keep, keep)]
 
 
+# Rows per tile of the triple defect: a BLOCK x n float64 tile stays in cache
+# where a full n x n temporary per third point would stream through memory.
+BLOCK = 64
+
+
+def _defect_tiles(sim: np.ndarray, z: int, buf: np.ndarray):
+    """Yield (i0, i1, tile) with tile = min(s(x,z), s(y,z)) - s(x,y) for
+    rows x in [i0, i1) and columns y in [i0, n).
+
+    The defect is symmetric in x and y, so these tiles cover the x <= y half:
+    the square [i0, i1) x [i0, i1) holds each of its pairs in both orders,
+    and the columns from i1 on hold pairs whose mirror no tile repeats.
+    Every tile is a view of ``buf`` (BLOCK * n floats), valid until the next.
+    """
+    n = len(sim)
+    col = sim[z]
+    for i0 in range(0, n, BLOCK):
+        i1 = min(i0 + BLOCK, n)
+        tile = buf[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
+        np.minimum(col[i0:i1, None], col[None, i0:], out=tile)
+        tile -= sim[i0:i1, i0:]
+        yield i0, i1, tile
+
+
 def _defect_sum(weights: np.ndarray, sim: np.ndarray) -> float:
-    total = 0.0
     p = weights
+    buf = np.empty(BLOCK * len(p))
+    total = 0.0
     for z in range(len(p)):
         if p[z] == 0.0:
             continue
-        col = sim[:, z]
-        defect = np.minimum(col[:, None], col[None, :]) - sim
-        np.clip(defect, 0.0, None, out=defect)
-        total += p[z] * float(p @ defect @ p)
+        acc = 0.0
+        for i0, i1, tile in _defect_tiles(sim, z, buf):
+            np.maximum(tile, 0.0, out=tile)
+            v = p[i0:i1] @ tile
+            b = i1 - i0
+            acc += float(v[:b] @ p[i0:i1]) + 2.0 * float(v[b:] @ p[i1:])
+        total += p[z] * acc
     return total
 
 
 def hyp_exact(space: SimilaritySpace) -> float:
-    """Expected triple defect, computed exactly in O(n^3)."""
+    """Expected triple defect, computed exactly.
+
+    Takes O(n^3) time for n distinct rows, and O(BLOCK * n) working memory
+    beyond the (deduplicated) similarity matrix: each third point's defect
+    matrix is walked in row tiles over its x <= y half.
+    """
     validate_space(space)
     w, s = _dedupe_points(space)
     return _defect_sum(w, s)
@@ -83,13 +116,13 @@ def gromov_delta_worst_case(space: SimilaritySpace) -> float:
     """Maximum triple defect; an upper bound for the average."""
     validate_space(space)
     w, s = _dedupe_points(space)
+    buf = np.empty(BLOCK * len(w))
     best = 0.0
     for z in range(len(w)):
-        col = s[:, z]
-        defect = np.minimum(col[:, None], col[None, :]) - s
-        m = float(defect.max())
-        if m > best:
-            best = m
+        for _, _, tile in _defect_tiles(s, z, buf):
+            m = float(tile.max())
+            if m > best:
+                best = m
     return best
 
 

@@ -212,7 +212,7 @@ def converse_check(space: SimilaritySpace, tree: CompatibleTree, alpha: float,
     margin = bound - hyp
     return ConverseReport(
         hyp=hyp, cost=cost, bound=bound, margin=margin,
-        passed=hyp <= bound + tolerance,
+        passed=bool(hyp <= bound + tolerance),
     )
 
 

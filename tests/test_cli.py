@@ -272,6 +272,12 @@ class TestEvalConverse:
                               "passed"]
         assert data["cost"] == treebuild.tree_cost(fx.space, fx.tree, 0.3)
 
+    def test_passed_prints_as_json_bool(self, files, capsys):
+        _, space_path, tree_path = files
+        assert main(["eval", "--space", str(space_path), "--tree",
+                     str(tree_path), "--alpha", "0.3", "--converse"]) == 0
+        assert '"passed": true' in capsys.readouterr().out
+
     def test_missing_leaf_beats_bound_check(self, files, tmp_path):
         fx, _, tree_path = files
         sp = fx.space

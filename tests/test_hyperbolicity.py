@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -18,8 +20,11 @@ from treelike import (
     space_from_tree,
     threshold_ladder,
 )
+from treelike.cli import main
 from treelike.errors import Delta0TooLarge, NoGoodThreshold, \
     ThresholdOutOfRange, ZeroSamples
+from treelike.hyperbolicity import BLOCK, _dedupe_points
+from treelike.io import space_to_dict, write_json
 from treelike.fixtures import (
     noisy_tree_fixture,
     random_fixture,
@@ -156,6 +161,123 @@ class TestWorstCase:
         )
         assert worst <= 0.0
         assert gromov_delta_worst_case(space) == 0.0
+
+
+def tile_edge_space(n, seed):
+    """Random weights with some zeros, similarities with many ties, and a
+    diagonal below some off-diagonal entries, so x = y triples carry
+    positive defect."""
+    rng = np.random.default_rng(seed)
+    raw = np.where(rng.random((n, n)) < 0.5,
+                   rng.integers(0, 9, size=(n, n)) / 8.0,
+                   rng.uniform(0.0, 1.0, size=(n, n)))
+    sim = np.triu(raw) + np.triu(raw, 1).T
+    np.fill_diagonal(sim, rng.uniform(0.0, 0.6, size=n))
+    w = rng.random(n)
+    w[rng.random(n) < 0.2] = 0.0
+    return SimilaritySpace(points=tuple(f"p{i}" for i in range(n)),
+                           weights=w / w.sum(), sim=sim, bound=1.0)
+
+
+def defect_slabs(space):
+    """Per third point z, the n x n array of min(s(x,z), s(y,z)) - s(x,y)
+    over all ordered pairs, one entry per triple."""
+    s = space.sim
+    for z in range(space.n):
+        yield z, np.minimum(s[:, z][:, None], s[:, z][None, :]) - s
+
+
+def fsum_hyp(space):
+    """Correctly rounded sum over all ordered triples of the rounded terms
+    p(x) p(y) p(z) max(d, 0)."""
+    p = space.weights
+    pp = p[:, None] * p[None, :]
+    return math.fsum(itertools.chain.from_iterable(
+        (pp * p[z] * np.maximum(d, 0.0)).ravel().tolist()
+        for z, d in defect_slabs(space)))
+
+
+def blocked_sum_tolerance(n, oracle):
+    """Error bound of hyp_exact's blocked sum against fsum_hyp.
+
+    Each nonnegative term passes through at most k roundings in the kernel:
+    the product with p(x) and the sum over <= BLOCK tile rows, the product
+    with p(y) and the sum over < n columns, the addition of the diagonal
+    block's dot, <= ceil(n / BLOCK) tile additions, the product with p(z)
+    and < n additions over z.  The computed defect d is the same float in
+    both, so the kernel is within gamma_k and the oracle (three products,
+    then one rounding) within gamma_4 of the exact sum; together that is
+    within gamma_(k+5) of the oracle, gamma_j = j u / (1 - j u).
+    """
+    u = 2.0 ** -53
+    k = BLOCK + 2 * n + -(-n // BLOCK) + 2 + 5
+    return k * u / (1.0 - k * u) * oracle
+
+
+class TestDefectTiles:
+    """hyp_exact and gromov_delta_worst_case walk each third point's defect
+    matrix in BLOCK-row tiles over the x <= y half; sizes straddle the block
+    boundary."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_hyp_matches_fsum_oracle(self, n):
+        space = tile_edge_space(n, seed=n)
+        assert (space.weights == 0.0).any()
+        assert any(space.sim[x, x] < space.sim[x].max() for x in range(n))
+        oracle = fsum_hyp(space)
+        assert oracle > 0.0
+        assert abs(hyp_exact(space) - oracle) <= \
+            blocked_sum_tolerance(n, oracle)
+
+    def test_hyp_permutation_invariance(self):
+        n = 2 * BLOCK + 1
+        space = tile_edge_space(n, seed=11)
+        perm = np.random.default_rng(12).permutation(n)
+        oracle = fsum_hyp(space)
+        tol = blocked_sum_tolerance(n, oracle)
+        other = SimilaritySpace(points=tuple(space.points[i] for i in perm),
+                                weights=space.weights[perm],
+                                sim=space.sim[np.ix_(perm, perm)], bound=1.0)
+        a, b = hyp_exact(space), hyp_exact(other)
+        assert abs(a - oracle) <= tol and abs(b - oracle) <= tol
+        assert abs(a - b) <= 2.0 * tol
+
+    def test_hyp_exact_zero_on_tree_like_spaces(self):
+        n = 2 * BLOCK + 2
+        ultra = ultrametric_fixture(n, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+                                    seed=2, weights="random").space
+        tree = space_from_tree(tree_scaled_fixture(
+            n, depth=4, alpha=0.2, seed=3, weights="random").tree)
+        for space in (ultra, tree):
+            assert len(_dedupe_points(space)[0]) > BLOCK
+            assert hyp_exact(space) == 0.0
+            assert gromov_delta_worst_case(space) == 0.0
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1])
+    def test_worst_case_matches_brute_force(self, n):
+        space = tile_edge_space(n, seed=n)
+        worst = max(float(d.max()) for _, d in defect_slabs(space))
+        assert gromov_delta_worst_case(space) == worst
+        # plant the only pair of defect 1, at the last row of the first tile
+        # and the last column, with a third point of weight 0: every other
+        # similarity is below 1, so that point must still be counted
+        sim = 0.875 * space.sim
+        x, y, z = min(BLOCK, n - 1) - 1, n - 1, 1
+        sim[x, y] = sim[y, x] = 0.0
+        sim[[x, y], z] = sim[z, [x, y]] = 1.0
+        w = space.weights.copy()
+        w[z] = 0.0
+        planted = dataclasses.replace(space, weights=w / w.sum(), sim=sim)
+        assert max(float(d.max()) for _, d in defect_slabs(planted)) == 1.0
+        assert gromov_delta_worst_case(planted) == 1.0
+
+    def test_delta_command_matches_brute_force(self, tmp_path, capsys):
+        space = tile_edge_space(BLOCK + 1, seed=5)
+        path = tmp_path / "space.json"
+        write_json(path, space_to_dict(space))
+        assert main(["delta", "--space", str(path), "--format", "json"]) == 0
+        worst = max(float(d.max()) for _, d in defect_slabs(space))
+        assert json.loads(capsys.readouterr().out)["delta"] == worst
 
 
 class TestMonteCarlo:
