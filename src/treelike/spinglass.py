@@ -96,7 +96,7 @@ def gibbs_mcmc(model: SpinGlassModel, steps: int, burn_in: int, thin: int,
     Each step flips one uniformly chosen spin with acceptance probability
     min(1, exp(beta * energy_change)).  Deterministic per seed.
     """
-    if steps <= burn_in or thin < 1 or steps < 1:
+    if steps <= burn_in or burn_in < 0 or thin < 1:
         raise BadSchedule(
             f"need steps > burn_in >= 0 and thin >= 1, got "
             f"steps={steps}, burn_in={burn_in}, thin={thin}"

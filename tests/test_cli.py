@@ -363,3 +363,22 @@ def test_edge_input_exit_codes(case, command, tmp_path, capsys):
     assert main(EDGE_COMMANDS[command](str(space_path), str(out))) == code
     if command == "rescale":
         assert out.exists() == (code == 0)
+
+
+SPINGLASS_ARGS = ["spinglass", "--n", "8", "--beta", "0.5", "--seed", "3",
+                  "--f", "abs", "--epsilon", "5.96e-8", "--m", "4",
+                  "--delta0", "0.2"]
+SCHEDULE_EDGES = {
+    "negative-burn-in": (["--mcmc", "300", "--burn-in", "-50"], 7),
+    "burn-in-equals-steps": (["--mcmc", "300", "--burn-in", "300"], 7),
+    "zero-thin": (["--mcmc", "300", "--burn-in", "50", "--thin", "0"], 7),
+    "negative-thin": (["--mcmc", "300", "--burn-in", "50", "--thin", "-1"],
+                      7),
+}
+
+
+@pytest.mark.parametrize("case", list(SCHEDULE_EDGES))
+def test_spinglass_schedule_exit_codes(case, capsys):
+    flags, code = SCHEDULE_EDGES[case]
+    assert main(SPINGLASS_ARGS + flags) == code
+    assert "need steps > burn_in >= 0 and thin >= 1" in capsys.readouterr().err

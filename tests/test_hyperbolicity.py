@@ -17,6 +17,7 @@ from treelike import (
     hyp_exact,
     hyp_monte_carlo,
     profile_integral,
+    rescale_to_unit,
     space_from_tree,
     threshold_ladder,
 )
@@ -411,6 +412,20 @@ class TestThresholdLadder:
         with pytest.raises(Delta0TooLarge):
             threshold_ladder(fx.space, 1e-12, 16)
 
+    def test_delta0_too_large_message_prints_a_plain_number(self):
+        space = rescale_to_unit(random_fixture(65, seed=0).space)
+        hyp = hyp_exact(space)
+        assert type(hyp) is float
+        kappa = max(1e-12 ** (1.0 / 24.0), 16 ** -0.5)
+        with pytest.raises(Delta0TooLarge) as info:
+            threshold_ladder(space, 1e-12, 16)
+        assert str(info.value) == (
+            f"delta0={hyp ** 0.125!r} is not below kappa/2={kappa / 2!r}; "
+            "the space is not hyperbolic enough for this (epsilon, m)")
+        assert str(info.value).startswith("delta0=0.73153699198981")
+        fx = ultrametric_fixture(16, [0.3, 0.6, 0.9], seed=6)
+        assert type(threshold_ladder(fx.space, 1e-12, 16).hyp) is float
+
     def test_no_good_threshold(self):
         # the three-point space has triple mass 2/27 at every t in (0, 1]
         with pytest.raises(NoGoodThreshold):
@@ -506,6 +521,67 @@ def assert_same_array(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def exceptional_fsum_loop(space, ladder):
+    """The per-threshold loop with every sum correctly rounded: n1[y, z] is
+    the fsum of p(x) over the crossing x, r2[z] the fsum over y of the
+    rounded products p(y) n1[y, z]."""
+    s, p, n = space.sim, space.weights, space.n
+    lows = [s < t for t in ladder.thresholds]
+    n1 = np.zeros((n, n))
+    for z in range(n):
+        acc = np.zeros((n, n), dtype=bool)
+        col = s[:, z]
+        for t, low in zip(ladder.thresholds, lows):
+            ok = col >= t
+            acc |= low & ok[:, None] & ok[None, :]
+        n1[:, z] = [math.fsum(p[acc[:, y]].tolist()) for y in range(n)]
+    r2 = np.array([math.fsum((p * n1[:, z]).tolist()) for z in range(n)])
+    return n1, r2
+
+
+def gamma(k):
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
+
+
+def exceptional_tolerances(n, levels, n1, r2):
+    """Error bounds of exceptional_sets against exceptional_fsum_loop.
+
+    Every term of n1[y, z] is an exact p(x) (times 1 or 0) and all are
+    nonnegative.  The kernel adds them in a matrix product, a sum of at
+    most n terms in any order (n - 1 roundings), then adds the N partial
+    sums (N - 1 more), so it is within gamma_(n+N-2) of the exact sum; the
+    oracle rounds once.  Allowing for the exact sum in terms of the oracle,
+    n1 is within gamma_(n+N+1) of it.  r2 = p @ n1 rounds each product and
+    adds n terms, one more gamma_n, against an oracle that rounds n1, the
+    product and the sum (gamma_3): within gamma_(2n+N+4) of it.
+    """
+    return gamma(n + levels + 1) * n1, gamma(2 * n + levels + 4) * r2
+
+
+def assert_matches_fsum_loop(space, ladder, exc):
+    """exc against the fsum oracle within the kernel's error bounds; b_measure
+    and a_indices are compared bit for bit when no n1 lies within its bound
+    of delta0, where both sides take the same decisions.  Returns whether
+    they were compared."""
+    n1, r2 = exceptional_fsum_loop(space, ladder)
+    tol_n1, tol_r2 = exceptional_tolerances(space.n, len(ladder.thresholds),
+                                            n1, r2)
+    assert (np.abs(exc.n1_measure - n1) <= tol_n1).all()
+    assert (np.abs(exc.r2_measure - r2) <= tol_r2).all()
+    d0 = ladder.delta0
+    if ((n1 - tol_n1 <= d0) & (d0 < n1 + tol_n1)).any():
+        return False
+    p = space.weights
+    b_measure = p @ (n1 > d0)
+    a_indices = tuple(int(z) for z in np.nonzero(b_measure > d0)[0])
+    assert_same_array(exc.b_measure, b_measure)
+    assert exc.a_indices == a_indices
+    assert exc.a_mass == (float(p[list(a_indices)].sum()) if a_indices
+                          else 0.0)
+    return True
+
+
 def tied_space(n, seed):
     """Similarities on a quarter grid (many ties), about a quarter of the
     weights zero, and a random half of the zero entries written as -0.0."""
@@ -517,6 +593,31 @@ def tied_space(n, seed):
     w[rng.random(n) < 0.25] = 0.0
     w[0] = max(w[0], 0.5)
     return SimilaritySpace(tuple(f"q{i}" for i in range(n)), w / w.sum(), sim)
+
+
+def grid_space(n, seed, weights):
+    """Similarities on a sixteenth grid (ties with the grid ladders) and
+    random weights, random with about a quarter zero, or dyadic."""
+    rng = np.random.default_rng(seed)
+    raw = np.round(rng.uniform(0.0, 1.0, size=(n, n)) * 16) / 16
+    sim = np.triu(raw) + np.triu(raw, 1).T
+    if weights == "dyadic":
+        w = random_fixture(n, seed=seed, weights="dyadic").space.weights
+    else:
+        w = rng.random(n) + 0.1
+        if weights == "zero":
+            w[rng.random(n) < 0.25] = 0.0
+        w = w / w.sum()
+    return SimilaritySpace(tuple(f"g{i}" for i in range(n)), w, sim)
+
+
+# N = 0, 1, 3 and 12 thresholds, on grid values (ties with s) and between
+GRID_LADDERS = {
+    0: (),
+    1: (0.5,),
+    3: (0.25, 0.5, 0.75),
+    12: tuple(np.linspace(1 / 16, 15 / 16, 12).tolist()),
+}
 
 
 def ladder_with(thresholds, delta0):
@@ -555,12 +656,7 @@ class TestLoopReferences:
                                    ((0.3,), 0.0), ((), 0.1)):
             ladder = ladder_with(thresholds, delta0)
             exc = exceptional_sets(sp, ladder)
-            n1, b, a_indices, a_mass, r2 = exceptional_loop(sp, ladder)
-            assert_same_array(exc.n1_measure, n1)
-            assert_same_array(exc.b_measure, b)
-            assert_same_array(exc.r2_measure, r2)
-            assert exc.a_indices == a_indices
-            assert exc.a_mass == a_mass
+            assert assert_matches_fsum_loop(sp, ladder, exc)
 
     @pytest.mark.parametrize("distinct", [255, 256])
     def test_at_the_small_integer_type_limit(self, distinct):
@@ -581,9 +677,40 @@ class TestLoopReferences:
         ladder = ladder_with((vals[1] / 2,) + tuple(vals[1:].tolist()), 0.01)
         assert len(ladder.thresholds) == distinct
         exc = exceptional_sets(sp, ladder)
-        n1, _, _, _, r2 = exceptional_loop(sp, ladder)
+        assert assert_matches_fsum_loop(sp, ladder, exc)
+
+    @pytest.mark.parametrize("levels", sorted(GRID_LADDERS))
+    @pytest.mark.parametrize("weights", ["random", "zero"])
+    @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 1])
+    def test_exceptional_sets_match_fsum_loop_beyond_a_block(self, n, weights,
+                                                              levels):
+        sp = grid_space(n, seed=n + levels, weights=weights)
+        assert (sp.weights == 0.0).any() == (weights == "zero")
+        ladder = ladder_with(GRID_LADDERS[levels], 0.05)
+        exc = exceptional_sets(sp, ladder)
+        assert (exc.n1_measure.max() > 0.0) == (levels > 0)
+        assert assert_matches_fsum_loop(sp, ladder, exc)
+
+    @pytest.mark.parametrize("levels", sorted(GRID_LADDERS))
+    @pytest.mark.parametrize("kind", ["dyadic", "ultrametric"])
+    @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 1])
+    def test_exact_sums_match_the_loop_bit_for_bit(self, n, kind, levels):
+        # dyadic weights keep every partial sum exact, and an ultrametric
+        # space has no crossing x, so the order of the sums cannot show
+        if kind == "dyadic":
+            sp = grid_space(n, seed=n + levels, weights="dyadic")
+        else:
+            sp = ultrametric_fixture(n, [0.25, 0.5, 0.6875, 0.9375],
+                                     seed=n + levels, weights="random").space
+        ladder = ladder_with(GRID_LADDERS[levels], 0.05)
+        exc = exceptional_sets(sp, ladder)
+        n1, b, a_indices, a_mass, r2 = exceptional_loop(sp, ladder)
+        assert (n1.max() > 0.0) == (kind == "dyadic" and levels > 0)
         assert_same_array(exc.n1_measure, n1)
+        assert_same_array(exc.b_measure, b)
         assert_same_array(exc.r2_measure, r2)
+        assert exc.a_indices == a_indices
+        assert exc.a_mass == a_mass
 
     def test_exceptional_sets_of_a_built_ladder(self):
         fx = noisy_tree_fixture(18, depth=2, alpha=0.31622776601683794,
@@ -607,4 +734,4 @@ class TestLoopReferences:
             assert_same_array(got.n1_measure, want.n1_measure)
             assert_same_array(got.r2_measure, want.r2_measure)
             assert got.a_indices == want.a_indices
-            assert_same_array(got.n1_measure, exceptional_loop(sp, ladder)[0])
+            assert assert_matches_fsum_loop(sp, ladder, got)

@@ -109,6 +109,8 @@ class TestGibbsMcmc:
             gibbs_mcmc(model, steps=10, burn_in=10, thin=1, seed=0)
         with pytest.raises(BadSchedule):
             gibbs_mcmc(model, steps=10, burn_in=1, thin=0, seed=0)
+        with pytest.raises(BadSchedule):
+            gibbs_mcmc(model, steps=300, burn_in=-50, thin=1, seed=0)
 
     def test_close_to_exact_distribution(self):
         model = sk_couplings(8, beta=0.8, seed=5)
