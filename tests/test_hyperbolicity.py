@@ -497,17 +497,25 @@ def profile_loop(space):
     return vals, np.cumsum(diff[:-1])
 
 
-def exceptional_loop(space, ladder):
-    s, p, n = space.sim, space.weights, space.n
+def crossings(space, ladder):
+    """Per third point z, acc[x, y] = some threshold t has
+    s(x, y) < t <= min(s(x, z), s(y, z))."""
+    s, n = space.sim, space.n
     lows = [s < t for t in ladder.thresholds]
-    n1 = np.zeros((n, n))
-    r2 = np.zeros(n)
     for z in range(n):
         acc = np.zeros((n, n), dtype=bool)
         col = s[:, z]
         for t, low in zip(ladder.thresholds, lows):
             ok = col >= t
             acc |= low & ok[:, None] & ok[None, :]
+        yield z, acc
+
+
+def exceptional_loop(space, ladder):
+    p, n = space.weights, space.n
+    n1 = np.zeros((n, n))
+    r2 = np.zeros(n)
+    for z, acc in crossings(space, ladder):
         n1[:, z] = p @ acc
         r2[z] = float(p @ acc @ p)
     b_measure = p @ (n1 > ladder.delta0)
@@ -525,15 +533,9 @@ def exceptional_fsum_loop(space, ladder):
     """The per-threshold loop with every sum correctly rounded: n1[y, z] is
     the fsum of p(x) over the crossing x, r2[z] the fsum over y of the
     rounded products p(y) n1[y, z]."""
-    s, p, n = space.sim, space.weights, space.n
-    lows = [s < t for t in ladder.thresholds]
+    p, n = space.weights, space.n
     n1 = np.zeros((n, n))
-    for z in range(n):
-        acc = np.zeros((n, n), dtype=bool)
-        col = s[:, z]
-        for t, low in zip(ladder.thresholds, lows):
-            ok = col >= t
-            acc |= low & ok[:, None] & ok[None, :]
+    for z, acc in crossings(space, ladder):
         n1[:, z] = [math.fsum(p[acc[:, y]].tolist()) for y in range(n)]
     r2 = np.array([math.fsum((p * n1[:, z]).tolist()) for z in range(n)])
     return n1, r2
