@@ -63,12 +63,10 @@ EXIT_CODES = (
     (err.IOFailure, 8),
     (err.PostconditionFailure, 9),
     (err.NotAClique, 5),
-    (err.SplitRequired, 6),
     ((err.LeafMismatch, err.MapMismatch, err.UnknownLeaf,
       err.TreeStructureError), 6),
     ((err.SizeTooSmall, err.TooLargeForEnumeration, err.BadSchedule,
-      err.LengthMismatch, err.DegenerateSample,
-      err.RhoNotInvertibleAtValue), 7),
+      err.LengthMismatch, err.DegenerateSample), 7),
     ((err.ZeroMassGraph, err.BlowupTooLarge, err.EigensolveFailure,
       err.HeavyAtom, err.EmptyPart), 4),
     ((err.Delta0TooLarge, err.NoGoodThreshold, err.ThresholdOutOfRange,
@@ -89,6 +87,11 @@ def _load_space(path: str) -> SimilaritySpace:
     space = space_from_dict(read_json(path))
     validate_space(space)
     return space
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -156,14 +159,13 @@ def cmd_ladder(args) -> int:
         ts, masses = bad_set_profile(space)
         lines = ["t,mass"]
         lines += [f"{t:.17g},{m:.17g}" for t, m in zip(ts, masses)]
-        with open(args.profile_csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_text(args.profile_csv, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_partition(args) -> int:
     graph = graph_from_dict(read_json(args.graph))
-    params = RegularityParams(epsilon=args.epsilon, m=args.m, mode=args.mode)
+    params = RegularityParams(epsilon=args.epsilon, m=args.m)
     result = regularity_pipeline(graph, params, seed=args.seed)
     out = partition_to_dict(result)
     out["config"] = _config(args)
@@ -176,15 +178,14 @@ def cmd_partition(args) -> int:
         for pi, part in enumerate(result.parts):
             for v in part:
                 part_of[v] = pi
-        with open(args.dot, "w") as fh:
-            fh.write(graph_to_dot(graph, part_of))
+        _write_text(args.dot, graph_to_dot(graph, part_of))
     return 0
 
 
 def cmd_cliques(args) -> int:
     space = _load_space(args.space)
     graph = threshold_graph(space, args.t)
-    params = RegularityParams(epsilon=args.epsilon, m=args.m, mode=args.mode)
+    params = RegularityParams(epsilon=args.epsilon, m=args.m)
     partition = regularity_pipeline(graph, params, seed=args.seed)
     pg = part_neighbor_graph(partition, args.epsilon)
     family = neighborhood_family(pg, args.epsilon)
@@ -208,18 +209,16 @@ def cmd_cliques(args) -> int:
     else:
         print(dump_json(out))
     if args.dot_before:
-        with open(args.dot_before, "w") as fh:
-            fh.write(graph_to_dot(graph))
+        _write_text(args.dot_before, graph_to_dot(graph))
     if args.dot_after:
-        with open(args.dot_after, "w") as fh:
-            fh.write(graph_to_dot(repaired))
+        _write_text(args.dot_after, graph_to_dot(repaired))
     return 0
 
 
 def cmd_tree(args) -> int:
     space = _load_space(args.space)
-    report = build_tree(space, args.epsilon, args.m, mode=args.mode,
-                        seed=args.seed, delta0=args.delta0)
+    report = build_tree(space, args.epsilon, args.m, seed=args.seed,
+                        delta0=args.delta0)
     out = {
         "config": _config(args),
         "kappa": report.kappa,
@@ -242,8 +241,7 @@ def cmd_tree(args) -> int:
     if args.out:
         write_json(args.out, tree_to_dict(report.tree))
     if args.newick:
-        with open(args.newick, "w") as fh:
-            fh.write(tree_to_newick(report.tree) + "\n")
+        _write_text(args.newick, tree_to_newick(report.tree) + "\n")
     return 0
 
 
@@ -332,34 +330,50 @@ def cmd_fixture(args) -> int:
     return 0
 
 
+# each convert output and the inputs it is built from
+CONVERT_OUTPUTS = (
+    ("rescale_out", ("space",)),
+    ("space_out", ("metric",)),
+    ("dot", ("space", "t")),
+    ("graph_out", ("space", "t")),
+    ("newick", ("tree",)),
+)
+
+
 def cmd_convert(args) -> int:
-    wrote = False
-    if args.space and args.rescale_out:
-        space = rescale_to_unit(_load_space(args.space))
-        write_json(args.rescale_out, space_to_dict(space))
-        wrote = True
-    if args.metric and args.space_out:
+    given = [(out, needs) for out, needs in CONVERT_OUTPUTS
+             if getattr(args, out) is not None]
+    if not given:
+        raise err.BadParams("convert: no output given")
+    for out, needs in given:
+        missing = [f"--{n}" for n in needs if getattr(args, n) is None]
+        if missing:
+            raise err.BadParams(f"convert: --{out.replace('_', '-')} needs "
+                                + " and ".join(missing))
+    # every output is built before the first one is written
+    needed = {n for _, needs in given for n in needs}
+    if "space" in needed:
+        space = _load_space(args.space)
+    writes = []
+    if args.rescale_out is not None:
+        writes.append((write_json, args.rescale_out,
+                       space_to_dict(rescale_to_unit(space))))
+    if args.space_out is not None:
         dist, points, weights = metric_from_dict(read_json(args.metric))
-        space = gromov_product_similarity(dist, args.base, points, weights)
-        validate_space(space)
-        write_json(args.space_out, space_to_dict(space))
-        wrote = True
-    if args.space and args.dot and args.t is not None:
-        graph = threshold_graph(_load_space(args.space), args.t)
-        with open(args.dot, "w") as fh:
-            fh.write(graph_to_dot(graph))
-        wrote = True
-    if args.space and args.graph_out and args.t is not None:
-        graph = threshold_graph(_load_space(args.space), args.t)
-        write_json(args.graph_out, graph_to_dict(graph))
-        wrote = True
-    if args.tree and args.newick:
+        converted = gromov_product_similarity(dist, args.base, points, weights)
+        validate_space(converted)
+        writes.append((write_json, args.space_out, space_to_dict(converted)))
+    if "t" in needed:
+        graph = threshold_graph(space, args.t)
+    if args.dot is not None:
+        writes.append((_write_text, args.dot, graph_to_dot(graph)))
+    if args.graph_out is not None:
+        writes.append((write_json, args.graph_out, graph_to_dict(graph)))
+    if args.newick is not None:
         tree = tree_from_dict(read_json(args.tree))
-        with open(args.newick, "w") as fh:
-            fh.write(tree_to_newick(tree) + "\n")
-        wrote = True
-    if not wrote:
-        raise err.BadParams("convert: no input/output combination given")
+        writes.append((_write_text, args.newick, tree_to_newick(tree) + "\n"))
+    for write, path, value in writes:
+        write(path, value)
     return 0
 
 
@@ -416,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=("theory", "practical"),
-                   default="practical")
     p.add_argument("--out")
     p.add_argument("--dot")
     common(p, fmt=False)
@@ -428,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=("theory", "practical"),
-                   default="practical")
     p.add_argument("--out")
     p.add_argument("--dot-before")
     p.add_argument("--dot-after")
@@ -440,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=("theory", "practical"),
-                   default="practical")
     p.add_argument("--delta0", type=float, default=None)
     p.add_argument("--out")
     p.add_argument("--newick")

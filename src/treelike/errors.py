@@ -158,18 +158,6 @@ class NotAClique(TreelikeError):
 
 
 # ---------------------------------------------------------------------------
-# tree construction
-
-class SplitRequired(TreelikeError):
-    def __init__(self, pstar, threshold):
-        self.pstar = pstar
-        self.threshold = threshold
-        super().__init__(
-            f"max atom {pstar!r} exceeds {threshold!r}; split atoms first"
-        )
-
-
-# ---------------------------------------------------------------------------
 # spin glass
 
 class SizeTooSmall(TreelikeError):
@@ -190,11 +178,6 @@ class LengthMismatch(TreelikeError):
 
 class DegenerateSample(TreelikeError):
     pass
-
-
-class RhoNotInvertibleAtValue(TreelikeError):
-    def __init__(self, value, lo, hi):
-        super().__init__(f"value {value!r} outside invertible range [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,8 @@ def threshold_ladder(space: SimilaritySpace, epsilon: float, m: int,
         raise BadParams(f"epsilon must be positive, got {epsilon}")
     if m < 2:
         raise BadParams(f"m must be an integer >= 2, got {m}")
+    if delta0 is not None and not delta0 > 0:
+        raise BadParams(f"delta0 must be positive, got {delta0}")
     hyp = hyp_exact(space)
     if delta0 is None:
         delta0 = max(hyp, MACHINE_EPS) ** 0.125

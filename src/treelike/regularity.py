@@ -45,16 +45,14 @@ RATIONALIZE_SCAN_LIMIT = 4096
 class RegularityParams:
     """Settings of the partition pipeline.
 
-    mode "theory" enforces the worst-case atom bound p(epsilon, m), which is
-    zero at every usable scale, so it rejects every input with positive mass;
-    mode "practical" keeps the construction with the growth function
-    F(j) = 4j and replaces the irregular-pair count guarantee with the
-    empirical tester.  The class constants are fixed for every caller.
+    The construction uses the growth function F(j) = 4j and replaces the
+    irregular-pair count guarantee with the empirical tester; the worst-case
+    atom bound, given by ``atom_bound_theory``, is not enforced.  The
+    class constants are fixed for every caller.
     """
 
     epsilon: float
     m: int
-    mode: str = "practical"
     max_blowup: ClassVar[int] = 10 ** 12
     nu: ClassVar[float] = 1e-9
     trials: ClassVar[int] = 64
@@ -64,8 +62,6 @@ class RegularityParams:
             raise BadParams(f"epsilon must be in (0, 1/4), got {self.epsilon}")
         if int(self.m) != self.m or self.m < 2:
             raise BadParams(f"m must be an integer >= 2, got {self.m}")
-        if self.mode not in ("theory", "practical"):
-            raise BadParams(f"mode must be theory or practical, got {self.mode}")
 
 
 def atom_bound_theory(epsilon: float, m: int) -> dict:
@@ -383,19 +379,7 @@ class RefinedParts:
     part_cap: int
 
 
-def _check_theory_atom(p_star: float, epsilon: float, m: int) -> None:
-    bound = atom_bound_theory(epsilon, m)["value"]
-    if p_star > bound:
-        raise HeavyAtom(
-            f"max relative atom {p_star!r} exceeds the worst-case bound "
-            f"{bound!r} for epsilon={epsilon}, m={m}"
-        )
-
-
-def _effective_m(m: int, p_star: float, mode: str, epsilon: float) -> int:
-    if mode == "theory":
-        _check_theory_atom(p_star, epsilon, m)
-        return m
+def _effective_m(m: int, p_star: float) -> int:
     m_eff = m
     while m_eff > 1 and p_star * m_eff >= 1.0:
         m_eff -= 1
@@ -421,7 +405,7 @@ def equitable_refine(buckets: Buckets, mass: np.ndarray,
         raise ZeroMassGraph("total mass must be positive")
     mu_star = float(mass.max())
     p_star = mu_star / mu_total
-    m_eff = _effective_m(params.m, p_star, params.mode, params.epsilon)
+    m_eff = _effective_m(params.m, p_star)
     m_star = m_eff / (1.0 - p_star * m_eff)
     r = len(buckets.cells)
     target = params.epsilon * mu_total / (2.0 * (r + m_star))
@@ -604,15 +588,11 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
     of single-point parts is regular, because its only admissible subsets
     are the parts themselves; every other pair is classified by the
     regularity tester with the per-pair seed (seed, i, j), so verdicts do not
-    depend on evaluation order.  Theory mode rejects the heaviest atom
-    before any spectral work.
+    depend on evaluation order.
     """
     mu_total = graph.total_mass()
     if mu_total <= 0:
         raise ZeroMassGraph("graph carries no mass")
-    if params.mode == "theory":
-        _check_theory_atom(float(graph.mass.max()) / mu_total,
-                           params.epsilon, params.m)
     prob = graph.mass / mu_total
     kmult, blowup = rationalize_weights(prob, params.nu, params.max_blowup)
     spectrum = weighted_adjacency_spectrum(graph, kmult)
@@ -653,7 +633,6 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
         "epsilon": params.epsilon,
         "m": params.m,
         "m_effective": refined.m_effective,
-        "mode": params.mode,
         "seed": seed,
         "blowup_size": blowup,
         "cut": cut,

@@ -20,7 +20,6 @@ from .errors import (
     BadSchedule,
     DegenerateSample,
     LengthMismatch,
-    RhoNotInvertibleAtValue,
     SizeTooSmall,
     TooLargeForEnumeration,
 )
@@ -239,18 +238,17 @@ class PureStateReport:
 
 def pure_state_tree(space: SimilaritySpace, mapping: OverlapMap,
                     epsilon: float, m: int, seed: int = 0,
-                    mode: str = "practical", clamp: bool = True,
                     delta0: float | None = None) -> PureStateReport:
     """Run the tree construction on an overlap space and read off q-values.
 
     The similarity scale is the optimal alpha of the built tree; a cluster
-    at depth d receives rho^{-1}(alpha * d) clamped into rho's range (the
-    clamp can be disabled, in which case out-of-range values raise).
+    at depth d receives rho^{-1}(alpha * d) with alpha * d clamped into
+    rho's range; the depths clamped are listed in ``clamped_levels``.
     ``delta0`` overrides the measured window width, which finite samples
     usually need: their defect is far from zero even when the cluster
     structure is clean.
     """
-    report = build_tree(space, epsilon, m, mode=mode, seed=seed, delta0=delta0)
+    report = build_tree(space, epsilon, m, seed=seed, delta0=delta0)
     scale = report.best_alpha
     lo, hi = mapping.rho_range
     depth = max(report.tree.level.values())
@@ -259,8 +257,6 @@ def pure_state_tree(space: SimilaritySpace, mapping: OverlapMap,
     for d in range(depth + 1):
         v = scale * d
         if not (lo <= v <= hi):
-            if not clamp:
-                raise RhoNotInvertibleAtValue(v, lo, hi)
             clamped.append(d)
             v = min(max(v, lo), hi)
         values.append(float(mapping.rho_inverse(v)))

@@ -19,10 +19,10 @@ from .cliques import clique_closure, clique_repair, neighborhood_family, \
     part_neighbor_graph
 from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix, \
     threshold_graph, validate_space
-from .errors import BadParams, LeafMismatch, MapMismatch, SplitRequired
+from .errors import BadParams, LeafMismatch, MapMismatch
 from .hyperbolicity import ThresholdLadder, exceptional_sets, hyp_exact, \
     threshold_ladder
-from .regularity import RegularityParams, atom_bound_theory, regularity_pipeline
+from .regularity import RegularityParams, regularity_pipeline
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ def tree_cost(space: SimilaritySpace, tree: CompatibleTree, alpha: float
               ) -> float:
     """Expected absolute error between similarity and alpha times products."""
     validate_space(space)
-    if alpha < 0:
-        raise BadParams("alpha must be nonnegative")
+    if not 0 <= alpha < math.inf:
+        raise BadParams(f"alpha must be finite and nonnegative, got {alpha!r}")
     if set(tree.leaf_points.values()) != set(space.points):
         raise LeafMismatch("tree leaves do not match the space points")
     return _cost(space, gromov_product_matrix(tree, space.points), alpha)
@@ -108,8 +108,8 @@ def split_atoms(space: SimilaritySpace, delta: float
     map.  Points that need no splitting keep their identifier.
     """
     validate_space(space)
-    if delta <= 0:
-        raise BadParams("delta must be positive")
+    if not delta > 0:
+        raise BadParams(f"delta must be positive, got {delta!r}")
     existing = set(space.points)
     new_points: list[str] = []
     copy_map: dict[str, str] = {}
@@ -252,8 +252,7 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
 
 
 def build_tree(space: SimilaritySpace, epsilon: float, m: int,
-               mode: str = "practical", seed: int = 0,
-               delta0: float | None = None) -> TreeBuildReport:
+               seed: int = 0, delta0: float | None = None) -> TreeBuildReport:
     """Build a compatible tree by repeated threshold-and-repair.
 
     Requires a space with bound 1.  The root cluster holds the points
@@ -264,17 +263,14 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     depth n_levels + 1, splits into single points.  A single point is a leaf
     at the depth it appears.  Exceptional points are leaves at depth 1,
     after the root's other children.  The cost is evaluated at
-    alpha = kappa and the optimal alpha is reported alongside.
+    alpha = kappa and the optimal alpha is reported alongside.  No atom
+    bound is enforced: each partition lowers m until its heaviest point
+    fits (see ``atom_bound_theory`` for the paper's worst-case bound).
     """
     validate_space(space)
     if space.bound != 1.0:
         raise BadParams("build_tree requires a space rescaled to bound 1")
-    params = RegularityParams(epsilon=epsilon, m=m, mode=mode)
-    pstar = float(space.weights.max())
-    if mode == "theory":
-        thr = atom_bound_theory(epsilon, m)["value"]
-        if pstar > thr:
-            raise SplitRequired(pstar, thr)
+    params = RegularityParams(epsilon=epsilon, m=m)
     ladder = threshold_ladder(space, epsilon, m, delta0=delta0)
     exc = exceptional_sets(space, ladder)
     excluded = sorted(exc.a_indices)

@@ -7,6 +7,7 @@ from treelike import treebuild
 from treelike.cli import main
 from treelike.io import (
     dump_json,
+    graph_to_dict,
     read_json,
     space_from_dict,
     space_to_dict,
@@ -14,7 +15,8 @@ from treelike.io import (
     tree_to_dict,
     write_json,
 )
-from treelike.core import SimilaritySpace, gromov_product_matrix
+from treelike.core import SimilaritySpace, gromov_product_matrix, \
+    threshold_graph
 from treelike.fixtures import noisy_tree_fixture, tree_scaled_fixture
 
 
@@ -382,3 +384,92 @@ def test_spinglass_schedule_exit_codes(case, capsys):
     flags, code = SCHEDULE_EDGES[case]
     assert main(SPINGLASS_ARGS + flags) == code
     assert "need steps > burn_in >= 0 and thin >= 1" in capsys.readouterr().err
+
+
+UNIT = ["--epsilon", "1e-12", "--m", "16"]
+TREE_OUTS = ["--out", "{out}/tree.json", "--report", "{out}/report.json",
+             "--newick", "{out}/tree.nwk"]
+EVAL = ["eval", "--space", "{tree_space}", "--tree", "{tree}"]
+REGULARITY = ["--epsilon", "0.2", "--m", "4"]
+PARAM_EDGES = {
+    "ladder-delta0-negative": (["ladder", "--space", "{space}", *UNIT,
+                                "--delta0", "-0.1", "--out",
+                                "{out}/ladder.json"], 2),
+    "ladder-delta0-zero": (["ladder", "--space", "{space}", *UNIT,
+                            "--delta0", "0", "--out", "{out}/ladder.json"], 2),
+    "ladder-delta0-nan": (["ladder", "--space", "{space}", *UNIT,
+                           "--delta0", "nan", "--out", "{out}/ladder.json"],
+                          2),
+    "tree-delta0-negative": (["tree", "--space", "{space}", *UNIT,
+                              "--delta0", "-0.1", *TREE_OUTS], 2),
+    "tree-delta0-zero": (["tree", "--space", "{space}", *UNIT,
+                          "--delta0", "0", *TREE_OUTS], 2),
+    "tree-delta0-nan": (["tree", "--space", "{space}", *UNIT,
+                         "--delta0", "nan", *TREE_OUTS], 2),
+    "spinglass-delta0-zero": (SPINGLASS_ARGS + [
+        "--delta0", "0", "--out", "{out}/tree.json",
+        "--report", "{out}/report.json"], 2),
+    "eval-alpha-nan": (EVAL + ["--alpha", "nan"], 2),
+    "eval-alpha-nan-converse": (EVAL + ["--alpha", "nan", "--converse"], 2),
+    "eval-alpha-inf": (EVAL + ["--alpha", "inf"], 2),
+    "eval-alpha-inf-converse": (EVAL + ["--alpha", "inf", "--converse"], 2),
+    "split-delta-nan": (["split", "--space", "{space}", "--delta", "nan",
+                         "--out", "{out}/split.json", "--map",
+                         "{out}/map.json"], 2),
+    "convert-dot-without-t": (["convert", "--space", "{space}",
+                               "--rescale-out", "{out}/unit.json",
+                               "--dot", "{out}/graph.dot"], 2),
+    "convert-graph-out-without-t": (["convert", "--space", "{space}",
+                                     "--rescale-out", "{out}/unit.json",
+                                     "--graph-out", "{out}/graph.json"], 2),
+    "convert-dot-without-space": (["convert", "--tree", "{tree}",
+                                   "--newick", "{out}/tree.nwk", "--t", "0.5",
+                                   "--dot", "{out}/graph.dot"], 2),
+    "convert-newick-without-tree": (["convert", "--space", "{space}",
+                                     "--rescale-out", "{out}/unit.json",
+                                     "--newick", "{out}/tree.nwk"], 2),
+    "convert-space-out-without-metric": (["convert", "--space", "{space}",
+                                          "--rescale-out", "{out}/unit.json",
+                                          "--space-out", "{out}/space.json"],
+                                         2),
+    "convert-rescale-out-without-space": (["convert", "--tree", "{tree}",
+                                           "--newick", "{out}/tree.nwk",
+                                           "--rescale-out",
+                                           "{out}/unit.json"], 2),
+    "partition-mode": (["partition", "--graph", "{graph}", *REGULARITY,
+                        "--mode", "practical", "--out", "{out}/parts.json",
+                        "--dot", "{out}/parts.dot"], 2),
+    "cliques-mode": (["cliques", "--space", "{space}", "--t", repr(K),
+                      *REGULARITY, "--mode", "practical",
+                      "--out", "{out}/cliques.json"], 2),
+    "tree-mode": (["tree", "--space", "{space}", *UNIT,
+                   "--mode", "practical", *TREE_OUTS], 2),
+}
+
+
+@pytest.fixture
+def param_files(tmp_path):
+    space = space_from_dict(edge_space())
+    fx = tree_scaled_fixture(8, depth=2, alpha=0.3, seed=6)
+    files = {name: tmp_path / f"{name}.json"
+             for name in ("space", "graph", "tree", "tree_space")}
+    write_json(files["space"], space_to_dict(space))
+    write_json(files["graph"], graph_to_dict(threshold_graph(space, K)))
+    write_json(files["tree"], tree_to_dict(fx.tree))
+    write_json(files["tree_space"], space_to_dict(fx.space))
+    files["out"] = tmp_path / "out"
+    files["out"].mkdir()
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("case", list(PARAM_EDGES))
+def test_param_edge_exit_codes(case, param_files, tmp_path, capsys):
+    flags, code = PARAM_EDGES[case]
+    argv = [flag.format(**param_files) for flag in flags]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag
+        got = exc.code
+    assert got == code
+    assert capsys.readouterr().out == ""
+    assert list((tmp_path / "out").iterdir()) == []

@@ -476,19 +476,6 @@ class TestEquitableRefine:
         with pytest.raises(HeavyAtom):
             regularity_pipeline(g, params, seed=0)
 
-    def test_heavy_atom_theory_mode(self, monkeypatch):
-        # the atom bound is zero, so theory mode fails before any spectral
-        # work: an eigensolve that raises must never be reached
-        def no_eigensolve(*args, **kwargs):
-            raise AssertionError("theory mode reached the eigensolve")
-
-        monkeypatch.setattr(regularity, "weighted_adjacency_spectrum",
-                            no_eigensolve)
-        g = er_graph(10, 0.5, 3)
-        params = RegularityParams(epsilon=0.2, m=2, mode="theory")
-        with pytest.raises(HeavyAtom, match="exceeds the worst-case bound"):
-            regularity_pipeline(g, params, seed=0)
-
     def test_theory_atom_bound_reported(self):
         info = atom_bound_theory(0.2, 2)
         assert info["half_inverse_m"] == 0.25

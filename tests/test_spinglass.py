@@ -18,7 +18,6 @@ from treelike.errors import (
     BadSchedule,
     DegenerateSample,
     LengthMismatch,
-    RhoNotInvertibleAtValue,
     SizeTooSmall,
     TooLargeForEnumeration,
 )
@@ -244,13 +243,15 @@ class TestPureStates:
                                  seed=3, delta0=0.12)
         assert len(report.level_values) == report.build.tree.depth() + 1
 
-    def test_clamp_disabled_raises(self):
+    def test_out_of_range_depth_is_clamped(self):
+        # alpha * 2 leaves rho's range here, so depth 2 takes rho^{-1}(1)
         mapping = overlap_map("abs")
         configs, _ = planted_two_cluster(48, 16, seed=1)
         space = overlap_space(configs, None, mapping)
-        with pytest.raises(RhoNotInvertibleAtValue):
-            pure_state_tree(space, mapping, epsilon=2 ** -24, m=4, seed=1,
-                            delta0=0.12, clamp=False)
+        report = pure_state_tree(space, mapping, epsilon=2 ** -24, m=4,
+                                 seed=1, delta0=0.12)
+        assert report.clamped_levels == (2,)
+        assert report.level_values[2] == 1.0
 
     def test_pipeline_deterministic(self):
         mapping = overlap_map("abs")

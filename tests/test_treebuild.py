@@ -20,7 +20,7 @@ from treelike import (
 from treelike import treebuild
 from treelike.cliques import ModificationLog
 from treelike.core import WeightedGraph
-from treelike.errors import LeafMismatch, MapMismatch, SplitRequired
+from treelike.errors import LeafMismatch, MapMismatch
 from treelike.regularity import RegularityParams
 from treelike.fixtures import (
     random_fixture,
@@ -110,11 +110,6 @@ class TestBuildTree:
                      + (1.0 + report.kappa)
                      * (report.delta_e_total + collision))
             assert report.cost <= bound + 1e-9
-
-    def test_theory_mode_requires_split(self):
-        fx = ultrametric_fixture(12, [KAPPA, 2 * KAPPA], seed=1)
-        with pytest.raises(SplitRequired):
-            build_tree(fx.space, EPS, M, mode="theory")
 
     def test_determinism(self):
         fx = ultrametric_fixture(20, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=4)
