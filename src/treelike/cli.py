@@ -330,28 +330,35 @@ def cmd_fixture(args) -> int:
     return 0
 
 
-# each convert output and the inputs it is built from
+# each convert output, the inputs it needs and the inputs it may also read
 CONVERT_OUTPUTS = (
-    ("rescale_out", ("space",)),
-    ("space_out", ("metric",)),
-    ("dot", ("space", "t")),
-    ("graph_out", ("space", "t")),
-    ("newick", ("tree",)),
+    ("rescale_out", ("space",), ()),
+    ("space_out", ("metric",), ("base",)),
+    ("dot", ("space", "t"), ()),
+    ("graph_out", ("space", "t"), ()),
+    ("newick", ("tree",), ()),
 )
+CONVERT_INPUTS = ("space", "metric", "tree", "base", "t")
 
 
 def cmd_convert(args) -> int:
-    given = [(out, needs) for out, needs in CONVERT_OUTPUTS
+    given = [(out, needs, extra) for out, needs, extra in CONVERT_OUTPUTS
              if getattr(args, out) is not None]
     if not given:
         raise err.BadParams("convert: no output given")
-    for out, needs in given:
+    for out, needs, _ in given:
         missing = [f"--{n}" for n in needs if getattr(args, n) is None]
         if missing:
             raise err.BadParams(f"convert: --{out.replace('_', '-')} needs "
                                 + " and ".join(missing))
+    read = {n for _, needs, extra in given for n in needs + extra}
+    unread = [f"--{n}" for n in CONVERT_INPUTS
+              if getattr(args, n) is not None and n not in read]
+    if unread:
+        raise err.BadParams("convert: no requested output reads "
+                            + " or ".join(unread))
     # every output is built before the first one is written
-    needed = {n for _, needs in given for n in needs}
+    needed = {n for _, needs, _ in given for n in needs}
     if "space" in needed:
         space = _load_space(args.space)
     writes = []
@@ -360,7 +367,8 @@ def cmd_convert(args) -> int:
                        space_to_dict(rescale_to_unit(space))))
     if args.space_out is not None:
         dist, points, weights = metric_from_dict(read_json(args.metric))
-        converted = gromov_product_similarity(dist, args.base, points, weights)
+        base = 0 if args.base is None else args.base
+        converted = gromov_product_similarity(dist, base, points, weights)
         validate_space(converted)
         writes.append((write_json, args.space_out, space_to_dict(converted)))
     if "t" in needed:
@@ -509,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space")
     p.add_argument("--metric")
     p.add_argument("--tree")
-    p.add_argument("--base", type=int, default=0)
+    p.add_argument("--base", type=int,
+                   help="base point for --space-out (default 0)")
     p.add_argument("--t", type=float)
     p.add_argument("--rescale-out")
     p.add_argument("--space-out")

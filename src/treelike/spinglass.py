@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import (
 from .treebuild import TreeBuildReport, build_tree
 
 ENUMERATION_CAP = 20
+MCMC_BLOCK = 1 << 14  # chain steps held as Python scalars at a time
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,13 @@ def gibbs_mcmc(model: SpinGlassModel, steps: int, burn_in: int, thin: int,
 
     Each step flips one uniformly chosen spin with acceptance probability
     min(1, exp(beta * energy_change)).  Deterministic per seed.
+
+    The chain runs on Python scalars, MCMC_BLOCK steps at a time, and logs
+    the steps of its accepted flips.  The samples at steps burn_in,
+    burn_in + thin, ... are rebuilt from that log by per-site flip parity,
+    so they are byte-identical to copying the spins at each sample step of
+    a per-step numpy loop.  Beyond the O(steps) random draws, memory is
+    O(samples * n) bytes plus O(MCMC_BLOCK).
     """
     if steps <= burn_in or burn_in < 0 or thin < 1:
         raise BadSchedule(
@@ -104,19 +113,38 @@ def gibbs_mcmc(model: SpinGlassModel, steps: int, burn_in: int, thin: int,
     rng = np.random.default_rng(seed)
     g = model.coupling_matrix()
     sigma = (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
-    local = g @ sigma / math.sqrt(n)  # field at each site
+    local = (g @ sigma / math.sqrt(n)).tolist()  # field at each site
     sites = rng.integers(0, n, size=steps)
     accept_u = rng.random(steps)
-    out = []
-    for step in range(steps):
-        i = sites[step]
-        delta = -2.0 * sigma[i] * local[i]
-        if delta >= 0 or accept_u[step] < math.exp(model.beta * delta):
-            sigma[i] = -sigma[i]
-            local += 2.0 * sigma[i] * g[:, i] / math.sqrt(n)
-        if step >= burn_in and (step - burn_in) % thin == 0:
-            out.append(sigma.copy())
-    return np.array(out, dtype=np.int8)
+    # field change when spin i flips to +1 / -1: column i of +-2 g / sqrt(n);
+    # scaling by +-2 is exact and commutes with rounding, so the bits match
+    # 2 * sigma_i * g[:, i] / sqrt(n)
+    to_up = (2.0 * g / math.sqrt(n)).T.tolist()
+    to_down = (-2.0 * g / math.sqrt(n)).T.tolist()
+    spins = sigma.tolist()
+    beta, exp = model.beta, math.exp
+    count = len(range(burn_in, steps, thin))
+    stop = burn_in + (count - 1) * thin + 1  # no sample sees a later step
+    # toggle[k, j]: parity of the flips of site j that sample k is the first
+    # to see, those at steps in (burn_in + (k - 1) * thin, burn_in + k * thin]
+    toggle = np.zeros((count, n), dtype=bool)
+    for start in range(0, stop, MCMC_BLOCK):
+        block = slice(start, min(start + MCMC_BLOCK, stop))
+        flips = []  # steps of the accepted flips in this block
+        for step, i, u in zip(range(start, stop), sites[block].tolist(),
+                              accept_u[block].tolist()):
+            s = spins[i]
+            delta = -2.0 * s * local[i]
+            if delta >= 0 or u < exp(beta * delta):
+                spins[i] = -s
+                local = list(map(add, local,
+                                 to_down[i] if s > 0 else to_up[i]))
+                flips.append(step)
+        flips = np.array(flips, dtype=np.int64)
+        first = np.maximum(-((burn_in - flips) // thin), 0)
+        np.logical_xor.at(toggle, (first, sites[flips]), True)
+    flipped = np.logical_xor.accumulate(toggle, axis=0, out=toggle)
+    return np.where(flipped, -sigma, sigma)
 
 
 def overlap(sigma1: np.ndarray, sigma2: np.ndarray) -> float:

@@ -436,6 +436,28 @@ PARAM_EDGES = {
                                            "--newick", "{out}/tree.nwk",
                                            "--rescale-out",
                                            "{out}/unit.json"], 2),
+    "convert-newick-ignores-space-t-base": (["convert", "--space", "{space}",
+                                             "--t", "0.5", "--base", "3",
+                                             "--tree", "{tree}", "--newick",
+                                             "{out}/tree.nwk"], 2),
+    "convert-newick-ignores-space": (["convert", "--space", "{space}",
+                                      "--tree", "{tree}", "--newick",
+                                      "{out}/tree.nwk"], 2),
+    "convert-newick-ignores-t": (["convert", "--tree", "{tree}", "--t", "0.5",
+                                  "--newick", "{out}/tree.nwk"], 2),
+    "convert-rescale-ignores-base": (["convert", "--space", "{space}",
+                                      "--base", "0", "--rescale-out",
+                                      "{out}/unit.json"], 2),
+    "convert-rescale-ignores-tree": (["convert", "--space", "{space}",
+                                      "--tree", "{tree}", "--rescale-out",
+                                      "{out}/unit.json"], 2),
+    "convert-rescale-ignores-metric": (["convert", "--space", "{space}",
+                                        "--metric", "{metric}",
+                                        "--rescale-out", "{out}/unit.json"],
+                                       2),
+    "convert-space-out-ignores-t": (["convert", "--metric", "{metric}",
+                                     "--t", "0.5", "--space-out",
+                                     "{out}/space.json"], 2),
     "partition-mode": (["partition", "--graph", "{graph}", *REGULARITY,
                         "--mode", "practical", "--out", "{out}/parts.json",
                         "--dot", "{out}/parts.dot"], 2),
@@ -452,8 +474,10 @@ def param_files(tmp_path):
     space = space_from_dict(edge_space())
     fx = tree_scaled_fixture(8, depth=2, alpha=0.3, seed=6)
     files = {name: tmp_path / f"{name}.json"
-             for name in ("space", "graph", "tree", "tree_space")}
+             for name in ("space", "graph", "tree", "tree_space", "metric")}
     write_json(files["space"], space_to_dict(space))
+    write_json(files["metric"], {"dist": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
+                                          [1.0, 1.0, 0.0]]})
     write_json(files["graph"], graph_to_dict(threshold_graph(space, K)))
     write_json(files["tree"], tree_to_dict(fx.tree))
     write_json(files["tree_space"], space_to_dict(fx.space))

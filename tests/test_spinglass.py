@@ -4,7 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from treelike import spinglass
 from treelike import (
+    SpinGlassModel,
     gibbs_exact,
     gibbs_mcmc,
     hyp_exact,
@@ -85,6 +87,73 @@ class TestGibbsExact:
     def test_enumeration_cap(self):
         with pytest.raises(TooLargeForEnumeration):
             gibbs_exact(sk_couplings(21, seed=0))
+
+
+def gibbs_loop(model, steps, burn_in, thin, seed):
+    """Per-step numpy Metropolis loop that copies the spins at each sample."""
+    n = model.n
+    rng = np.random.default_rng(seed)
+    g = model.coupling_matrix()
+    sigma = (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
+    local = g @ sigma / math.sqrt(n)  # field at each site
+    sites = rng.integers(0, n, size=steps)
+    accept_u = rng.random(steps)
+    out = []
+    for step in range(steps):
+        i = sites[step]
+        delta = -2.0 * sigma[i] * local[i]
+        if delta >= 0 or accept_u[step] < math.exp(model.beta * delta):
+            sigma[i] = -sigma[i]
+            local += 2.0 * sigma[i] * g[:, i] / math.sqrt(n)
+        if step >= burn_in and (step - burn_in) % thin == 0:
+            out.append(sigma.copy())
+    return np.array(out, dtype=np.int8)
+
+
+def assert_same_samples(model, steps, burn_in, thin, seed):
+    got = gibbs_mcmc(model, steps, burn_in, thin, seed)
+    want = gibbs_loop(model, steps, burn_in, thin, seed)
+    assert got.dtype == want.dtype == np.int8
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+LOOP_STEPS = 400
+
+
+class TestGibbsMatchesLoop:
+    @pytest.mark.parametrize("burn_in", [0, LOOP_STEPS - 1])
+    @pytest.mark.parametrize("thin", [1, 7, 100])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])  # beta 0 accepts all
+    @pytest.mark.parametrize("n", [2, 10, 12])
+    def test_grid(self, n, beta, thin, burn_in):
+        seed = 100 * n + 10 * int(beta) + thin
+        model = sk_couplings(n, beta=beta, seed=seed)
+        samples = assert_same_samples(model, LOOP_STEPS, burn_in, thin,
+                                      seed + 1)
+        if burn_in == LOOP_STEPS - 1:
+            assert len(samples) == 1
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(spinglass, "MCMC_BLOCK", block)
+        model = sk_couplings(10, beta=1.0, seed=9)
+        assert_same_samples(model, LOOP_STEPS, 13, 7, 10)
+
+    def test_site_that_never_flips(self):
+        model = sk_couplings(12, beta=1.0, seed=4)
+        samples = assert_same_samples(model, 6, 0, 1, 5)
+        assert (samples == samples[0]).all(axis=0).any()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_zero_temperature_ties(self, seed):
+        # on a frustrated triangle at beta = inf only moves whose field
+        # cancels to exactly 0 are accepted, so the field bits decide
+        model = SpinGlassModel(n=3, beta=math.inf, seed=0,
+                               couplings=np.full(3, -1.3))
+        samples = assert_same_samples(model, 300, 0, 1, seed)
+        assert len(np.unique(samples, axis=0)) > 2
 
 
 class TestGibbsMcmc:
