@@ -119,12 +119,16 @@ def cmd_hyp(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    if args.base is not None and (args.space or args.four_point):
+        raise err.BadParams("delta: --base is read only with --metric and "
+                            "without --four-point")
     if args.metric:
         dist, points, weights = metric_from_dict(read_json(args.metric))
         if args.four_point:
             value = gromov_delta_four_point(dist)
         else:
-            space = gromov_product_similarity(dist, args.base, points, weights)
+            base = 0 if args.base is None else args.base
+            space = gromov_product_similarity(dist, base, points, weights)
             value = gromov_delta_worst_case(space)
     else:
         if args.four_point:
@@ -416,9 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hyp)
 
     p = sub.add_parser("delta", help="worst-case defect")
-    p.add_argument("--space")
-    p.add_argument("--metric")
-    p.add_argument("--base", type=int, default=0)
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--space")
+    given.add_argument("--metric")
+    p.add_argument("--base", type=int,
+                   help="base point for --metric (default 0)")
     p.add_argument("--four-point", action="store_true",
                    help="maximize over all base points (O(n^4), metric only)")
     common(p, seed=False)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricSimilarity,
+    BadParams,
     DuplicatePoint,
     InvalidDiagonal,
     NegativeDistance,
@@ -129,13 +130,15 @@ def gromov_product_similarity(
     if neg.size:
         i, j = (int(v) for v in neg[0])
         raise NegativeDistance(i, j, float(d[i, j]))
-    for i in range(n):
-        if d[i, i] != 0.0:
-            raise InvalidDiagonal(i, float(d[i, i]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] != d[j, i]:
-                raise AsymmetricSimilarity(i, j, float(d[i, j]), float(d[j, i]))
+    bad = np.flatnonzero(np.diagonal(d) != 0)
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidDiagonal(i, float(d[i, i]))
+    # NaN != NaN, so a NaN off the diagonal is reported as an asymmetry
+    bad = np.argwhere(np.triu(d != d.T, 1))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise AsymmetricSimilarity(i, j, float(d[i, j]), float(d[j, i]))
     # d[i,j] <= d[i,k] + d[k,j] for all triples
     for k in range(n):
         slack = d - (d[:, k][:, None] + d[k, :][None, :])
@@ -144,7 +147,7 @@ def gromov_product_similarity(
             i, j = (int(v) for v in bad[0])
             raise TriangleViolation((i, k, j), float(slack[i, j]))
     if not (0 <= base < n):
-        raise TreelikeError(f"base index {base} out of range")
+        raise BadParams(f"base index {base} out of range")
     prod = 0.5 * (d[:, base][:, None] + d[:, base][None, :] - d)
     np.fill_diagonal(prod, d[:, base])
     diameter = float(d.max()) if n else 0.0
@@ -268,6 +271,41 @@ class CompatibleTree:
 
     def depth(self) -> int:
         return max(self.level.values()) if self.level else 0
+
+
+def tree_from_levels(points: tuple[str, ...], levels: list[list[list[int]]]
+                     ) -> CompatibleTree:
+    """Leveled tree read off nested clusters of point indices.
+
+    ``levels[d-1]`` lists the clusters at depth d; the root ``{prefix}0.0``
+    holds every point.  A cluster of one point is a leaf named by that point,
+    at the depth where it first appears, and is not listed again below.  The
+    k-th cluster of two or more points in row d is node ``{prefix}{d}.{k}``,
+    and a node's parent is the node that held its first point one row up.
+    The prefix is the shortest run of ``@`` that starts no point id.
+    """
+    prefix = "@"
+    while any(p.startswith(prefix) for p in points):
+        prefix += "@"
+    root = f"{prefix}0.0"
+    parent: dict[str, str] = {}
+    level = {root: 0}
+    leaf_points: dict[str, str] = {}
+    holder = dict.fromkeys(range(len(points)), root)
+    for d, row in enumerate(levels, start=1):
+        above, holder, k = holder, {}, 0
+        for cluster in row:
+            if len(cluster) == 1:
+                node = points[cluster[0]]
+                leaf_points[node] = node
+            else:
+                node = f"{prefix}{d}.{k}"
+                k += 1
+                holder.update(dict.fromkeys(cluster, node))
+            parent[node] = above[cluster[0]]
+            level[node] = d
+    return CompatibleTree(root=root, parent=parent, level=level,
+                          leaf_points=leaf_points)
 
 
 def validate_tree(tree: CompatibleTree) -> None:

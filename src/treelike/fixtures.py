@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix
+from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix, \
+    tree_from_levels
 from .errors import BadParams
 
 KINDS = ("ultrametric", "tree-scaled", "noisy-tree", "random", "planted-blocks")
@@ -64,41 +65,15 @@ def _tree_from_hierarchy(points: tuple[str, ...], levels: list[np.ndarray]
     singleton; blocks still shared at the last level get singleton leaves
     one level below.
     """
-    n = len(points)
-    parent: dict[str, str] = {}
-    level_of: dict[str, int] = {"@0.0": 0}
-    leaf_points: dict[str, str] = {}
-    prev_nodes = {0: "@0.0"}
-    prev_labels = np.zeros(n, dtype=int)
-    alive = np.ones(n, dtype=bool)
-    for d, labels in enumerate(levels, start=1):
-        nodes: dict[int, str] = {}
-        counter = 0
-        for block in np.unique(labels[alive]):
-            members = np.nonzero((labels == block) & alive)[0]
-            pnode = prev_nodes[int(prev_labels[members[0]])]
-            if len(members) == 1:
-                pid = points[int(members[0])]
-                parent[pid] = pnode
-                level_of[pid] = d
-                leaf_points[pid] = pid
-                alive[members[0]] = False
-            else:
-                node = f"@{d}.{counter}"
-                counter += 1
-                parent[node] = pnode
-                level_of[node] = d
-                nodes[int(block)] = node
-        prev_nodes = nodes
-        prev_labels = labels
-    last = len(levels) + 1
-    for i in np.nonzero(alive)[0]:
-        pid = points[int(i)]
-        parent[pid] = prev_nodes[int(prev_labels[i])]
-        level_of[pid] = last
-        leaf_points[pid] = pid
-    return CompatibleTree(root="@0.0", parent=parent, level=level_of,
-                          leaf_points=leaf_points)
+    rows = []
+    alive = np.ones(len(points), dtype=bool)
+    for labels in levels:
+        row = [np.flatnonzero((labels == block) & alive).tolist()
+               for block in np.unique(labels[alive])]
+        alive[[c[0] for c in row if len(c) == 1]] = False
+        rows.append(row)
+    rows.append([[i] for i in np.flatnonzero(alive).tolist()])
+    return tree_from_levels(points, rows)
 
 
 def _weights(n: int, rng: np.random.Generator, kind: str) -> np.ndarray:

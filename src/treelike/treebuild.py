@@ -18,7 +18,7 @@ import numpy as np
 from .cliques import clique_closure, clique_repair, neighborhood_family, \
     part_neighbor_graph
 from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix, \
-    threshold_graph, validate_space
+    threshold_graph, tree_from_levels, validate_space
 from .errors import BadParams, LeafMismatch, MapMismatch
 from .hyperbolicity import ThresholdLadder, exceptional_sets, hyp_exact, \
     threshold_ladder
@@ -156,39 +156,20 @@ def merge_tree_leaves(tree: CompatibleTree, copy_map: dict[str, str], seed: int
     for cp, orig in copy_map.items():
         by_origin.setdefault(orig, []).append(cp)
     rng = np.random.default_rng(seed)
-    kept: dict[str, str] = {}
-    for orig, copies in by_origin.items():
-        kept[copies[int(rng.integers(len(copies)))]] = orig
-
-    keep_nodes = set()
-    for leaf_node, point in tree.leaf_points.items():
-        if point in kept:
-            node = leaf_node
-            while True:
-                keep_nodes.add(node)
-                if node == tree.root:
-                    break
-                node = tree.parent[node]
-
-    parent: dict[str, str] = {}
-    level: dict[str, int] = {}
-    leaf_points: dict[str, str] = {}
-    rename: dict[str, str] = {}
-    for leaf_node, point in tree.leaf_points.items():
-        if point in kept:
-            rename[leaf_node] = kept[point]
-    for node in tree.level:
-        if node not in keep_nodes:
-            continue
-        name = rename.get(node, node)
-        level[name] = tree.level[node]
-        if node != tree.root:
-            parent[name] = rename.get(tree.parent[node], tree.parent[node])
-    for leaf_node, point in tree.leaf_points.items():
-        if point in kept:
-            leaf_points[kept[point]] = kept[point]
+    # kept leaf node -> the original point it is renamed to
+    kept = {tree.leaf_of(copies[int(rng.integers(len(copies)))]): orig
+            for orig, copies in by_origin.items()}
+    keep = {tree.root}
+    for node in kept:
+        while node not in keep:
+            keep.add(node)
+            node = tree.parent[node]
     return CompatibleTree(
-        root=tree.root, parent=parent, level=level, leaf_points=leaf_points
+        root=tree.root,
+        parent={kept.get(v, v): tree.parent[v] for v in tree.level
+                if v in keep and v != tree.root},
+        level={kept.get(v, v): d for v, d in tree.level.items() if v in keep},
+        leaf_points={kept[v]: kept[v] for v in tree.level if v in kept},
     )
 
 
@@ -279,25 +260,16 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     d0 = ladder.delta0
     n_levels = ladder.n_levels
 
-    # internal node ids must not collide with point identifiers
-    prefix = "@"
-    while any(p.startswith(prefix) for p in space.points):
-        prefix += "@"
-
-    root = f"{prefix}0.0"
-    parent: dict[str, str] = {}
-    level_of: dict[str, int] = {root: 0}
-    leaf_points: dict[str, str] = {}
     edited = np.zeros((n, n), dtype=bool)
     edited[excluded, :] = True
     edited[:, excluded] = True
 
-    levels: list[list[tuple[str, ...]]] = [[tuple(space.points)]]
+    rows: list[list[list[int]]] = []
     n_repairs = 0
-    pending = [(root, np.setdiff1d(np.arange(n), excluded).tolist())]
+    pending = [np.setdiff1d(np.arange(n), excluded).tolist()]
     for depth in range(1, n_levels + 2):
-        children: list[tuple[str, list[int]]] = []
-        for k, (pnode, idxs) in enumerate(pending):
+        row: list[list[int]] = []
+        for k, idxs in enumerate(pending):
             if depth <= n_levels and len(idxs) >= 2:
                 clusters, pairs = _repair_cluster(
                     space, idxs, ladder.thresholds[depth - 1], params,
@@ -308,26 +280,13 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
                     edited[a, b] = True
             else:
                 clusters = [[i] for i in idxs]
-            children += [(pnode, c) for c in clusters]
+            row += clusters
         if depth == 1:
-            children += [(root, [a]) for a in excluded]
-        pending = []
-        row: list[tuple[str, ...]] = []
-        for pnode, idxs in children:
-            if len(idxs) == 1:
-                node = space.points[idxs[0]]
-                leaf_points[node] = node
-            else:
-                node = f"{prefix}{depth}.{len(pending)}"
-                pending.append((node, idxs))
-            parent[node] = pnode
-            level_of[node] = depth
-            row.append(tuple(space.points[i] for i in idxs))
+            row += [[a] for a in excluded]
         if row:
-            levels.append(row)
-
-    tree = CompatibleTree(root=root, parent=parent, level=level_of,
-                          leaf_points=leaf_points)
+            rows.append(row)
+        pending = [c for c in row if len(c) >= 2]
+    tree = tree_from_levels(space.points, rows)
 
     prod = gromov_product_matrix(tree, space.points)
     s = space.sim
@@ -358,7 +317,8 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         best_alpha=alpha_star,
         best_cost=cost_star,
         delta_e_total=delta_e_total,
-        levels=tuple(tuple(row) for row in levels),
+        levels=tuple(tuple(tuple(space.points[i] for i in c) for c in row)
+                     for row in [[range(n)]] + rows),
         excluded_points=tuple(space.points[i] for i in excluded),
         sandwich_violations=violations,
         cost_bound=bound,

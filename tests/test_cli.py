@@ -458,6 +458,19 @@ PARAM_EDGES = {
     "convert-space-out-ignores-t": (["convert", "--metric", "{metric}",
                                      "--t", "0.5", "--space-out",
                                      "{out}/space.json"], 2),
+    "convert-space-out-base-out-of-range": (["convert", "--metric",
+                                             "{metric}", "--base", "7",
+                                             "--space-out",
+                                             "{out}/space.json"], 2),
+    "delta-no-input": (["delta"], 2),
+    "delta-space-and-metric": (["delta", "--space", "{space}", "--metric",
+                                "{metric}"], 2),
+    "delta-space-ignores-base": (["delta", "--space", "{space}", "--base",
+                                  "0"], 2),
+    "delta-four-point-ignores-base": (["delta", "--metric", "{metric}",
+                                       "--four-point", "--base", "1"], 2),
+    "delta-base-out-of-range": (["delta", "--metric", "{metric}", "--base",
+                                 "9"], 2),
     "partition-mode": (["partition", "--graph", "{graph}", *REGULARITY,
                         "--mode", "practical", "--out", "{out}/parts.json",
                         "--dot", "{out}/parts.dot"], 2),

@@ -14,9 +14,12 @@ from treelike import (
     validate_space,
     validate_tree,
 )
+from treelike.core import tree_from_levels
 from treelike.errors import (
     AsymmetricSimilarity,
+    BadParams,
     DuplicatePoint,
+    InvalidDiagonal,
     NegativeDistance,
     OutOfRangeEntry,
     TreelikeError,
@@ -24,7 +27,14 @@ from treelike.errors import (
     UnknownLeaf,
     WeightSumMismatch,
 )
-from treelike.fixtures import random_fixture, tree_scaled_fixture
+from treelike.fixtures import (
+    _random_hierarchy,
+    _tree_from_hierarchy,
+    generate_fixture,
+    random_fixture,
+    tree_scaled_fixture,
+)
+from treelike.io import dump_json, tree_to_dict
 
 
 def two_point_space():
@@ -404,3 +414,258 @@ class TestProductMatrixAgainstLoop:
     def test_unknown_leaf_still_raises(self):
         with pytest.raises(UnknownLeaf):
             gromov_product_matrix(uneven_tree(), ("a", "zz"))
+
+
+# ---------------------------------------------------------------------------
+# loop reference: the per-entry metric checks of gromov_product_similarity,
+# compared exactly with the array code
+
+
+def metric_check_loop(dist, base, points=None, weights=None):
+    d = np.asarray(dist, dtype=float)
+    n = d.shape[0]
+    if d.shape != (n, n):
+        raise TreelikeError(f"distance matrix must be square, got {d.shape}")
+    neg = np.argwhere(d < 0)
+    if neg.size:
+        i, j = (int(v) for v in neg[0])
+        raise NegativeDistance(i, j, float(d[i, j]))
+    for i in range(n):
+        if d[i, i] != 0.0:
+            raise InvalidDiagonal(i, float(d[i, i]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i, j] != d[j, i]:
+                raise AsymmetricSimilarity(i, j, float(d[i, j]), float(d[j, i]))
+    for k in range(n):
+        slack = d - (d[:, k][:, None] + d[k, :][None, :])
+        bad = np.argwhere(slack > 0)
+        if bad.size:
+            i, j = (int(v) for v in bad[0])
+            raise TriangleViolation((i, k, j), float(slack[i, j]))
+    if not (0 <= base < n):
+        raise TreelikeError(f"base index {base} out of range")
+    prod = 0.5 * (d[:, base][:, None] + d[:, base][None, :] - d)
+    np.fill_diagonal(prod, d[:, base])
+    diameter = float(d.max()) if n else 0.0
+    bound = diameter if diameter > 0 else 1.0
+    if points is None:
+        points = [str(i) for i in range(n)]
+    if weights is None:
+        weights = np.full(n, 1.0 / n)
+    return SimilaritySpace(points=tuple(points), weights=weights, sim=prod,
+                           bound=bound)
+
+
+def metric_outcome(fn, dist, base):
+    try:
+        space = fn(dist, base)
+    except TreelikeError as exc:
+        return "raised", type(exc), str(exc)
+    return ("built", space.points, space.weights.tobytes(),
+            space.sim.tobytes(), space.bound)
+
+
+def tree_metric(rng):
+    """Leaf-to-leaf path lengths of a random tree, scaled by a power of two
+    so the triangle inequality holds exactly."""
+    n = int(rng.integers(2, 9))
+    fx = tree_scaled_fixture(n, depth=3, alpha=1.0,
+                             seed=int(rng.integers(1000)))
+    prod = gromov_product_matrix(fx.tree, fx.space.points)
+    depth = np.diag(prod)
+    return (depth[:, None] + depth[None, :] - 2 * prod) * 0.5 ** int(
+        rng.integers(-2, 3))
+
+
+def corrupted_metrics(seed, count):
+    """Tree metrics with a few random faults: negative, NaN or nonzero
+    diagonal entries, NaN or shifted off-diagonal entries, and entries large
+    enough to break the triangle inequality."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = tree_metric(rng)
+        n = len(d)
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            fault = int(rng.integers(6))
+            if fault == 0:
+                d[i, j] = -float(rng.uniform(0.1, 1.0))
+            elif fault == 1:
+                d[i, i] = rng.choice([np.nan, 0.5])
+            elif fault == 2 and i != j:
+                d[i, j] = np.nan
+            elif fault == 3 and i != j:
+                d[i, j] += 0.25
+            elif fault == 4 and i != j:
+                d[i, j] = d[j, i] = 3.0 * d.max() + 1.0
+        yield d, int(rng.integers(n))
+
+
+class TestMetricCheckAgainstLoop:
+    def test_first_witness_matches_loop(self):
+        outcomes = set()
+        for d, base in corrupted_metrics(seed=0, count=400):
+            got = metric_outcome(gromov_product_similarity, d, base)
+            assert got == metric_outcome(metric_check_loop, d, base)
+            outcomes.add(got[1] if got[0] == "raised" else None)
+        assert outcomes == {None, NegativeDistance, InvalidDiagonal,
+                            AsymmetricSimilarity, TriangleViolation}
+
+    def test_first_of_two_asymmetric_pairs(self):
+        d = tree_metric(np.random.default_rng(3))
+        assert len(d) >= 6
+        d[5, 2] += 0.5  # row-major upper-triangle order finds (1, 4) first
+        d[4, 1] += 0.5
+        with pytest.raises(AsymmetricSimilarity) as exc:
+            gromov_product_similarity(d, base=0)
+        assert exc.value.index == (1, 4)
+        assert metric_outcome(gromov_product_similarity, d, 0) == \
+            metric_outcome(metric_check_loop, d, 0)
+
+    @pytest.mark.parametrize("both", [False, True])
+    def test_nan_off_diagonal_is_asymmetric(self, both):
+        d = tree_metric(np.random.default_rng(3))
+        d[3, 1] = np.nan
+        if both:
+            d[1, 3] = np.nan
+        with pytest.raises(AsymmetricSimilarity) as exc:
+            gromov_product_similarity(d, base=0)
+        assert exc.value.index == (1, 3)
+        assert metric_outcome(gromov_product_similarity, d, 0) == \
+            metric_outcome(metric_check_loop, d, 0)
+
+    @pytest.mark.parametrize("value", [np.nan, 0.5])
+    def test_first_bad_diagonal(self, value):
+        d = tree_metric(np.random.default_rng(3))
+        d[2, 2] = value
+        d[4, 4] = 1.0
+        with pytest.raises(InvalidDiagonal, match="at 2 is nonzero"):
+            gromov_product_similarity(d, base=0)
+        assert metric_outcome(gromov_product_similarity, d, 0) == \
+            metric_outcome(metric_check_loop, d, 0)
+
+    @pytest.mark.parametrize("base", [-1, 7, 9])
+    def test_base_out_of_range_is_bad_params(self, base):
+        d = tree_metric(np.random.default_rng(3))
+        assert len(d) == 7
+        with pytest.raises(BadParams, match=f"base index {base} out of range"):
+            gromov_product_similarity(d, base=base)
+
+
+# ---------------------------------------------------------------------------
+# tree_from_levels: direct cases, and the fixtures' per-block node loop kept
+# as a reference
+
+
+def tree_items(tree):
+    """Every field of a tree with dict insertion order, plus its file bytes."""
+    return (tree.root, list(tree.parent.items()), list(tree.level.items()),
+            list(tree.leaf_points.items()), dump_json(tree_to_dict(tree)))
+
+
+def hierarchy_tree_loop(points, levels):
+    n = len(points)
+    parent = {}
+    level_of = {"@0.0": 0}
+    leaf_points = {}
+    prev_nodes = {0: "@0.0"}
+    prev_labels = np.zeros(n, dtype=int)
+    alive = np.ones(n, dtype=bool)
+    for d, labels in enumerate(levels, start=1):
+        nodes = {}
+        counter = 0
+        for block in np.unique(labels[alive]):
+            members = np.nonzero((labels == block) & alive)[0]
+            pnode = prev_nodes[int(prev_labels[members[0]])]
+            if len(members) == 1:
+                pid = points[int(members[0])]
+                parent[pid] = pnode
+                level_of[pid] = d
+                leaf_points[pid] = pid
+                alive[members[0]] = False
+            else:
+                node = f"@{d}.{counter}"
+                counter += 1
+                parent[node] = pnode
+                level_of[node] = d
+                nodes[int(block)] = node
+        prev_nodes = nodes
+        prev_labels = labels
+    last = len(levels) + 1
+    for i in np.nonzero(alive)[0]:
+        pid = points[int(i)]
+        parent[pid] = prev_nodes[int(prev_labels[i])]
+        level_of[pid] = last
+        leaf_points[pid] = pid
+    return CompatibleTree(root="@0.0", parent=parent, level=level_of,
+                          leaf_points=leaf_points)
+
+
+class TestTreeFromLevels:
+    def test_single_point_beside_a_cluster(self):
+        tree = tree_from_levels(("a", "b", "c", "d"),
+                                [[[0], [1, 2, 3]], [[1], [2, 3]], [[2], [3]]])
+        validate_tree(tree)
+        assert tree.root == "@0.0"
+        assert list(tree.parent.items()) == [
+            ("a", "@0.0"), ("@1.0", "@0.0"), ("b", "@1.0"), ("@2.0", "@1.0"),
+            ("c", "@2.0"), ("d", "@2.0")]
+        assert list(tree.level.items()) == [
+            ("@0.0", 0), ("a", 1), ("@1.0", 1), ("b", 2), ("@2.0", 2),
+            ("c", 3), ("d", 3)]
+        assert list(tree.leaf_points.items()) == [
+            ("a", "a"), ("b", "b"), ("c", "c"), ("d", "d")]
+
+    def test_parent_holds_the_first_point_one_row_up(self):
+        # the second depth-2 cluster starts with point 4, held by @1.1
+        tree = tree_from_levels(tuple("abcdef"), [
+            [[0, 1], [2, 3, 4, 5]], [[0], [1], [2, 3], [4, 5]],
+            [[2], [3], [4], [5]]])
+        validate_tree(tree)
+        assert tree.parent["@2.0"] == "@1.1"
+        assert tree.parent["@2.1"] == "@1.1"
+        assert tree.parent["a"] == tree.parent["b"] == "@1.0"
+
+    @pytest.mark.parametrize("points, prefix", [
+        (("@x0", "b", "c"), "@@"),
+        (("@1.0", "x", "y"), "@@"),
+        (("@@i", "@x", "c"), "@@@"),
+    ])
+    def test_prefix_grows_past_point_ids(self, points, prefix):
+        tree = tree_from_levels(points, [[[1, 2], [0]], [[1], [2]]])
+        validate_tree(tree)
+        assert tree.root == f"{prefix}0.0"
+        assert list(tree.level) == [f"{prefix}0.0", f"{prefix}1.0", points[0],
+                                    points[1], points[2]]
+        assert tree.leaf_points == {p: p for p in points}
+
+    def test_last_row_of_single_points(self):
+        tree = tree_from_levels(("a", "b", "c"), [[[0, 1, 2]],
+                                                 [[0], [1], [2]]])
+        validate_tree(tree)
+        assert tree.level == {"@0.0": 0, "@1.0": 1, "a": 2, "b": 2, "c": 2}
+        assert set(tree.parent.values()) == {"@0.0", "@1.0"}
+
+    @pytest.mark.parametrize("depth", [0, 1, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 27, 64])
+    def test_hierarchy_trees_match_loop(self, n, depth):
+        points = tuple(f"p{i}" for i in range(n))
+        for seed in range(4):
+            levels = _random_hierarchy(n, depth, np.random.default_rng(seed))
+            got = _tree_from_hierarchy(points, levels)
+            validate_tree(got)
+            assert tree_items(got) == tree_items(
+                hierarchy_tree_loop(points, levels))
+
+    @pytest.mark.parametrize("kind", ["ultrametric", "tree-scaled",
+                                      "noisy-tree"])
+    @pytest.mark.parametrize("n", [2, 5, 27, 130])
+    def test_fixture_trees_match_loop(self, kind, n):
+        depth = 3  # the default depth of every kind that plants a tree
+        points = tuple(f"p{i}" for i in range(n))
+        for seed in range(4):
+            fx = generate_fixture(kind, n, {}, seed)
+            levels = _random_hierarchy(n, depth, np.random.default_rng(seed))
+            assert tree_items(fx.tree) == tree_items(
+                hierarchy_tree_loop(points, levels))

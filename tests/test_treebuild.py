@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treelike import (
+    CompatibleTree,
     SimilaritySpace,
     best_alpha,
     build_tree,
@@ -21,6 +22,7 @@ from treelike import treebuild
 from treelike.cliques import ModificationLog
 from treelike.core import WeightedGraph
 from treelike.errors import LeafMismatch, MapMismatch
+from treelike.io import dump_json, tree_to_dict
 from treelike.regularity import RegularityParams
 from treelike.fixtures import (
     random_fixture,
@@ -225,7 +227,82 @@ class TestSplitAtoms:
                 gromov_delta_worst_case(fx.space)
 
 
+def merge_loop(tree, copy_map, seed):
+    leaves = set(tree.leaf_points.values())
+    if leaves != set(copy_map):
+        raise MapMismatch("copy map does not match the tree leaves")
+    by_origin = {}
+    for cp, orig in copy_map.items():
+        by_origin.setdefault(orig, []).append(cp)
+    rng = np.random.default_rng(seed)
+    kept = {}
+    for orig, copies in by_origin.items():
+        kept[copies[int(rng.integers(len(copies)))]] = orig
+
+    keep_nodes = set()
+    for leaf_node, point in tree.leaf_points.items():
+        if point in kept:
+            node = leaf_node
+            while True:
+                keep_nodes.add(node)
+                if node == tree.root:
+                    break
+                node = tree.parent[node]
+
+    parent = {}
+    level = {}
+    leaf_points = {}
+    rename = {}
+    for leaf_node, point in tree.leaf_points.items():
+        if point in kept:
+            rename[leaf_node] = kept[point]
+    for node in tree.level:
+        if node not in keep_nodes:
+            continue
+        name = rename.get(node, node)
+        level[name] = tree.level[node]
+        if node != tree.root:
+            parent[name] = rename.get(tree.parent[node], tree.parent[node])
+    for leaf_node, point in tree.leaf_points.items():
+        if point in kept:
+            leaf_points[kept[point]] = kept[point]
+    return CompatibleTree(
+        root=tree.root, parent=parent, level=level, leaf_points=leaf_points
+    )
+
+
+def tree_items(tree):
+    """Every field of a tree with dict insertion order, plus its file bytes."""
+    return (tree.root, list(tree.parent.items()), list(tree.level.items()),
+            list(tree.leaf_points.items()), dump_json(tree_to_dict(tree)))
+
+
+def relabel_leaves(tree):
+    """The same tree with every leaf node renamed away from its point."""
+    name = {leaf: f"leaf:{leaf}" for leaf in tree.leaf_points}
+    return CompatibleTree(
+        root=tree.root,
+        parent={name.get(v, v): u for v, u in tree.parent.items()},
+        level={name.get(v, v): d for v, d in tree.level.items()},
+        leaf_points={name[v]: p for v, p in tree.leaf_points.items()},
+    )
+
+
 class TestMergeLeaves:
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_matches_loop_on_seeded_splits(self, n):
+        for seed in range(3):
+            fx = tree_scaled_fixture(n, depth=2, alpha=KAPPA, seed=seed)
+            for delta in (0.5, 0.1, 0.03):
+                split, mapping = split_atoms(fx.space, delta)
+                tree = build_tree(split, EPS, M, seed=seed).tree
+                for t in (tree, relabel_leaves(tree)):
+                    for merge_seed in range(3):
+                        got = merge_tree_leaves(t, mapping, merge_seed)
+                        validate_tree(got)
+                        assert tree_items(got) == tree_items(
+                            merge_loop(t, mapping, merge_seed))
+
     def test_identity_split_round_trip(self):
         fx = tree_scaled_fixture(10, depth=2, alpha=0.3, seed=4)
         _, mapping = split_atoms(fx.space, 1.0)  # every k(x) = 1
