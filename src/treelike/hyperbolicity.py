@@ -1,4 +1,4 @@
-"""Average hyperbolicity, worst-case defect, bad-set profile and threshold ladder.
+"""Average hyperbolicity, worst-case defect, bad-set mass and threshold ladder.
 
 The central quantity is the expected positive part of
 ``min(s(X,Z), s(Y,Z)) - s(X,Y)`` over independent triples drawn from the
@@ -6,7 +6,14 @@ point weights.  Everything downstream (threshold selection, exceptional
 sets) is driven by the piecewise-constant map ``t -> mass of R_t`` where
 ``R_t`` is the set of triples whose pair similarity drops below ``t`` while
 both similarities to the third point stay at or above it.
-"""
+
+Triple masses depend on a point only through its similarity row, so the
+kernels run on the d distinct rows with merged weights (``_dedupe_points``).
+The ladder evaluates the mass of R_t only at its C window candidates, one
+d x d BLAS product each: O(C d^3).  ``exceptional_sets`` is N products for N
+ladder thresholds: O(N d^3).  ``bad_set_profile`` computes the mass at
+every distinct value in O(n^3) scatter work; it serves ``treelike ladder
+--profile-csv`` and the tests, and no build calls it."""
 
 from __future__ import annotations
 
@@ -31,32 +38,28 @@ MACHINE_EPS = float(np.finfo(float).eps)
 DELTA0_FLOOR = MACHINE_EPS ** 0.125
 
 
-def _dedupe_points(space: SimilaritySpace) -> tuple[np.ndarray, np.ndarray]:
+def _dedupe_points(space: SimilaritySpace
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse points with identical similarity rows, merging their weights.
 
-    Triple expectations depend on a point only through its row (including
-    the diagonal), so grouping identical rows is an exact reduction.  Weight
+    Returns the merged weights, the similarity between the distinct rows (in
+    order of first occurrence) and each point's row index, so that a
+    per-row result r expands to the points as ``r[inv]``.  Triple
+    expectations depend on a point only through its row (including the
+    diagonal), so grouping identical rows is an exact reduction.  Weight
     merging uses ``math.fsum`` so that re-splitting a point into equal-mass
     copies round-trips exactly when the weight is a power of two.
     """
     s = space.sim
-    n = space.n
-    order: list[int] = []
-    groups: dict[bytes, list[int]] = {}
-    for i in range(n):
-        key = s[i].tobytes()
-        if key in groups:
-            groups[key].append(i)
-        else:
-            groups[key] = [i]
-            order.append(i)
-    if len(order) == n:
-        return space.weights, s
-    keep = np.array(order, dtype=int)
-    w = np.array(
-        [math.fsum(space.weights[j] for j in groups[s[i].tobytes()]) for i in order]
-    )
-    return w, s[np.ix_(keep, keep)]
+    first: dict[bytes, int] = {}
+    inv = np.array([first.setdefault(row.tobytes(), len(first)) for row in s],
+                   dtype=int)
+    if len(first) == space.n:
+        return space.weights, s, inv
+    keep = np.unique(inv, return_index=True)[1]
+    p = space.weights
+    w = np.array([math.fsum(p[inv == g]) for g in range(len(first))])
+    return w, s[np.ix_(keep, keep)], inv
 
 
 # Rows per tile of the triple defect: a BLOCK x n float64 tile stays in cache
@@ -108,14 +111,14 @@ def hyp_exact(space: SimilaritySpace) -> float:
     matrix is walked in row tiles over its x <= y half.
     """
     validate_space(space)
-    w, s = _dedupe_points(space)
+    w, s, _ = _dedupe_points(space)
     return _defect_sum(w, s)
 
 
 def gromov_delta_worst_case(space: SimilaritySpace) -> float:
     """Maximum triple defect; an upper bound for the average."""
     validate_space(space)
-    w, s = _dedupe_points(space)
+    w, s, _ = _dedupe_points(space)
     buf = np.empty(BLOCK * len(w))
     best = 0.0
     for z in range(len(w)):
@@ -168,21 +171,27 @@ def gromov_delta_four_point(dist: np.ndarray) -> float:
 # bad set of thresholds
 
 
+def _mass(w: np.ndarray, s: np.ndarray, t: float) -> float:
+    """Triple mass of R_t on distinct rows with weights w: with G = [s >= t]
+    and W = diag(w), it is w^T ((G W G^T) * [s < t]) w, one d x d product.
+    Every term is nonnegative, so an empty R_t gives exactly 0.0."""
+    g = (s >= t).astype(float)
+    pair = (g * w) @ g.T
+    pair *= s < t
+    return float(w @ pair @ w)
+
+
 def bad_set_measure(space: SimilaritySpace, t: float) -> float:
-    """Triple mass of R_t = {(x,y,z): s(x,y) < t <= min(s(x,z), s(y,z))}."""
+    """Triple mass of R_t = {(x,y,z): s(x,y) < t <= min(s(x,z), s(y,z))}.
+
+    One d x d BLAS product on the d distinct rows; exactly 0.0 when R_t
+    holds no triple of positive mass.
+    """
     validate_space(space)
     if not (0.0 < t <= space.bound):
         raise ThresholdOutOfRange(t, space.bound)
-    s = space.sim
-    p = space.weights
-    low = s < t
-    total = 0.0
-    for z in range(space.n):
-        if p[z] == 0.0:
-            continue
-        wz = p * (s[:, z] >= t)
-        total += p[z] * float(wz @ low @ wz)
-    return total
+    w, s, _ = _dedupe_points(space)
+    return _mass(w, s, t)
 
 
 def bad_set_profile(space: SimilaritySpace) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +200,9 @@ def bad_set_profile(space: SimilaritySpace) -> tuple[np.ndarray, np.ndarray]:
     Returns the distinct similarity values (sorted ascending) and the mass at
     each one.  The profile is constant on every interval between consecutive
     values, left-open and right-closed, and zero above the largest value, so
-    these breakpoints describe it completely.
+    these breakpoints describe it completely.  The masses are a cumsum of
+    signed scatters, so an empty R_t may come out as a rounding residue such
+    as -5.5e-16 where ``bad_set_measure`` gives 0.0.
     """
     validate_space(space)
     s = space.sim
@@ -218,14 +229,6 @@ def bad_set_profile(space: SimilaritySpace) -> tuple[np.ndarray, np.ndarray]:
         np.add.at(diff, rank[ok] + 1, w)
         np.add.at(diff, ib[ok] + 1, -w)
     return vals, np.cumsum(diff[:-1])
-
-
-def profile_value(ts: np.ndarray, masses: np.ndarray, t: float) -> float:
-    """Evaluate the profile at t, using its left-open right-closed pieces."""
-    i = int(np.searchsorted(ts, t, side="left"))
-    if i >= len(ts):
-        return 0.0
-    return float(masses[i])
 
 
 def profile_integral(ts: np.ndarray, masses: np.ndarray, upper: float = 1.0) -> float:
@@ -257,7 +260,8 @@ class ThresholdLadder:
     measured average hyperbolicity (floored at machine precision's eighth
     root); n_levels is the largest N with N*kappa < 1.  Each threshold sits
     in [i*kappa - delta0, i*kappa + delta0] and has triple-defect mass below
-    delta0^4.
+    delta0^4.  profile maps every candidate threshold the scan evaluated to
+    its mass.
     """
 
     epsilon: float
@@ -275,19 +279,36 @@ def threshold_ladder(space: SimilaritySpace, epsilon: float, m: int,
     """Pick thresholds minimizing the bad-set mass inside each window.
 
     Candidates are the distinct similarity values inside the window plus the
-    window endpoints; the profile is piecewise constant with breakpoints at
+    window endpoints; the mass is piecewise constant with breakpoints at
     similarity values, so this scan is exact.  Ties go to the smallest t.
+    Each window is scanned upwards and stops at its first mass of exactly
+    0.0, which no later candidate can beat.
+
+    The mass is evaluated at the scanned candidates only, as one BLAS
+    product on the d distinct rows each: C candidates cost O(C d^3) beside
+    the O(d^3) average defect, and the full ``bad_set_profile`` is not
+    computed.  A window whose masses are all positive is scanned in full,
+    so values that fill a window make C large: a uniform random space at
+    n = 256 and delta0 = 0.05 evaluates 3,295 candidates (about 6 s on one
+    OpenBLAS thread) before it fails with NoGoodThreshold.
     """
     validate_space(space)
     if space.bound != 1.0:
         raise BadParams("threshold ladder requires a space rescaled to bound 1")
+    return _threshold_ladder(_dedupe_points(space), epsilon, m, delta0)
+
+
+def _threshold_ladder(rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+                      epsilon: float, m: int, delta0: float | None
+                      ) -> ThresholdLadder:
     if not (epsilon > 0):
         raise BadParams(f"epsilon must be positive, got {epsilon}")
     if m < 2:
         raise BadParams(f"m must be an integer >= 2, got {m}")
     if delta0 is not None and not delta0 > 0:
         raise BadParams(f"delta0 must be positive, got {delta0}")
-    hyp = hyp_exact(space)
+    w, s, _ = rows
+    hyp = _defect_sum(w, s)
     if delta0 is None:
         delta0 = max(hyp, MACHINE_EPS) ** 0.125
     kappa = max(epsilon ** (1.0 / 24.0), m ** (-0.5))
@@ -299,7 +320,7 @@ def threshold_ladder(space: SimilaritySpace, epsilon: float, m: int,
     while (n_levels + 1) * kappa < 1.0:
         n_levels += 1
 
-    ts, masses = bad_set_profile(space)
+    vals = np.unique(s)
     budget = delta0 ** 4
     thresholds: list[float] = []
     profile: dict[float, float] = {}
@@ -307,16 +328,18 @@ def threshold_ladder(space: SimilaritySpace, epsilon: float, m: int,
         lo = i * kappa - delta0
         hi = min(i * kappa + delta0, 1.0)
         cands = {lo, hi}
-        inside = ts[(ts > lo) & (ts < hi)]
+        inside = vals[(vals > lo) & (vals < hi)]
         cands.update(float(v) for v in inside)
         best_t = None
         best_mass = math.inf
         for t in sorted(cands):
-            mass = profile_value(ts, masses, t)
+            mass = _mass(w, s, t)
             profile[float(t)] = mass
             if mass < best_mass:
                 best_mass = mass
                 best_t = float(t)
+            if mass == 0.0:
+                break  # no mass is below 0.0, and ties go to the smallest t
         if best_mass >= budget:
             raise NoGoodThreshold(i, (lo, hi), best_mass)
         thresholds.append(best_t)
@@ -366,37 +389,67 @@ def exceptional_sets(space: SimilaritySpace, ladder: ThresholdLadder
         n1 = sum over j < N of (E_j^T G_j) * G_j,
 
     the last factor being [c(y,z) > j] because c is symmetric; and
-    r2 = p @ n1.  That is N BLAS matrix products, O(N n^3) flops, and three
-    n x n float64 buffers beyond n1.  Only the order of the sum over x
-    differs from a per-point pass.  N = ladder.n_levels < 1/kappa <= sqrt(m)
-    in a build (3 whenever m <= 16).  Against a pass per z over an n x n
-    mask, on one OpenBLAS thread: at N = 3 this is about 5x faster at
-    n = 512 and 14x at n = 2048; the two cost the same near N = 16, and at
-    N = 32 the products take about 1.6x as long for n = 128 to 512.
+    r2 = p @ n1.  The masses depend on a point only through its similarity
+    row, so the sum runs on the d distinct rows with their merged weights
+    and n1, r2 and b_measure are expanded back to the points by indexing:
+    N BLAS matrix products, O(N d^3) flops, and three d x d float64 buffers
+    beyond n1.  N = ladder.n_levels < 1/kappa <= sqrt(m) in a build (3
+    whenever m <= 16).  Against a pass per z over an n x n mask, on one
+    OpenBLAS thread and all rows distinct: at N = 3 this is about 5x faster
+    at n = 512 and 14x at n = 2048; the two cost the same near N = 16, and
+    at N = 32 the products take about 1.6x as long for n = 128 to 512.
+
+    A mass counts as above delta0 only when it exceeds delta0 by more than
+    the error bound of its sum, so a mass equal to delta0 in exact
+    arithmetic is never above it, whatever order the sum was taken in.
     """
     validate_space(space)
-    p = space.weights
-    n = space.n
+    return _exceptional_sets(space.weights, _dedupe_points(space), ladder)
+
+
+def _gamma(k: int) -> float:
+    """Relative error bound of k roundings: k u / (1 - k u), u = 2^-53."""
+    u = MACHINE_EPS / 2.0
+    return k * u / (1.0 - k * u)
+
+
+def _exceptional_sets(p: np.ndarray,
+                      rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+                      ladder: ThresholdLadder) -> ExceptionalSets:
+    w, s, inv = rows
+    d = len(w)
     ts = np.sort(ladder.thresholds)
-    count = np.searchsorted(ts, space.sim, side="right").astype(
+    count = np.searchsorted(ts, s, side="right").astype(
         np.min_scalar_type(len(ts)))  # small and by rows, as in the profile
-    n1 = np.zeros((n, n))
-    e, g, prod = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    n1 = np.zeros((d, d))
+    e, g, prod = np.empty((d, d)), np.empty((d, d)), np.empty((d, d))
     for j in range(len(ts)):
         np.equal(count, j, out=e)
-        e *= p[:, None]
+        e *= w[:, None]
         np.greater(count, j, out=g)
         np.matmul(e.T, g, out=prod)
         prod *= g
         n1 += prod
-    r2 = p @ n1
-    b_measure = p @ (n1 > ladder.delta0)
-    a_indices = tuple(int(z) for z in np.nonzero(b_measure > ladder.delta0)[0])
+    # The paper's sets are strict: y is in B(z) when n1[y, z] > delta0, and
+    # z is in A when b[z] > delta0.  Each merged weight is the fsum of its
+    # points' weights, within u = 2^-53 of their exact sum.  n1[y, z] adds at
+    # most d of these nonnegative terms in one product (d - 1 roundings, in
+    # any order) and then the N partial sums (N - 1 more), so it is within
+    # gamma(d + N - 1) of the exact mass, relative.  b[z] adds at most d
+    # terms w(y), within gamma(d).  A computed mass is declared above delta0
+    # only past delta0 * (1 + gamma(k + 2)) for its bound gamma(k): the two
+    # roundings of that product lose at most 2u < gamma(k + 2) - gamma(k).
+    # A mass equal to delta0 in exact arithmetic is thus never above it,
+    # whatever order the sums were taken in.
+    d0 = ladder.delta0
+    b = w @ (n1 > d0 * (1.0 + _gamma(d + len(ts) + 1)))
+    a_indices = tuple(int(z) for z in np.nonzero(
+        b[inv] > d0 * (1.0 + _gamma(d + 2)))[0])
     a_mass = float(p[list(a_indices)].sum()) if a_indices else 0.0
     return ExceptionalSets(
-        n1_measure=n1,
-        b_measure=b_measure,
+        n1_measure=n1[np.ix_(inv, inv)],
+        b_measure=b[inv],
         a_indices=a_indices,
         a_mass=a_mass,
-        r2_measure=r2,
+        r2_measure=(w @ n1)[inv],
     )

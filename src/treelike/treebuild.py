@@ -20,8 +20,8 @@ from .cliques import clique_closure, clique_repair, neighborhood_family, \
 from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix, \
     threshold_graph, tree_from_levels, validate_space
 from .errors import BadParams, LeafMismatch, MapMismatch
-from .hyperbolicity import ThresholdLadder, exceptional_sets, hyp_exact, \
-    threshold_ladder
+from .hyperbolicity import ThresholdLadder, _dedupe_points, \
+    _exceptional_sets, _threshold_ladder, hyp_exact
 from .regularity import RegularityParams, regularity_pipeline
 
 
@@ -252,8 +252,10 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     if space.bound != 1.0:
         raise BadParams("build_tree requires a space rescaled to bound 1")
     params = RegularityParams(epsilon=epsilon, m=m)
-    ladder = threshold_ladder(space, epsilon, m, delta0=delta0)
-    exc = exceptional_sets(space, ladder)
+    # the space is valid from here on, so the kernels skip the checks
+    rows = _dedupe_points(space)
+    ladder = _threshold_ladder(rows, epsilon, m, delta0)
+    exc = _exceptional_sets(space.weights, rows, ladder)
     excluded = sorted(exc.a_indices)
     n = space.n
     kappa = ladder.kappa

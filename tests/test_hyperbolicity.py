@@ -33,6 +33,8 @@ from treelike.fixtures import (
     ultrametric_fixture,
 )
 
+KAPPA = 1e-12 ** (1 / 24)
+
 
 def three_point_space():
     # s(a,b)=0, s(a,c)=s(b,c)=1, diagonal 1, uniform weights
@@ -561,27 +563,51 @@ def exceptional_tolerances(n, levels, n1, r2):
     return gamma(n + levels + 1) * n1, gamma(2 * n + levels + 4) * r2
 
 
+def undecided(value, delta0, tol, margin):
+    """Whether some reference value, within tol of the exact one, lies where
+    the paper's strict exact > delta0 and the kernel's rule (above only past
+    delta0 plus its error margin) may disagree."""
+    return bool(((delta0 - tol < value) & (value <= delta0 + margin + tol))
+                .any())
+
+
+def assert_same_decisions(space, ladder, exc, n1, tol_n1):
+    """b_measure and a_indices of exc against the paper's strict rule on
+    reference n1 values within tol_n1 of the exact masses.  Returns False,
+    comparing nothing, when some n1 or b lies where the kernel's margin
+    leaves the decision open.  On distinct rows the kernel's b is the same
+    product p @ mask and is compared bit for bit; merged rows add their
+    weights first, so b is then compared within both sums' bounds."""
+    n, levels, d0 = space.n, len(ladder.thresholds), ladder.delta0
+    if undecided(n1, d0, tol_n1, gamma(n + levels + 2) * d0):
+        return False
+    p = space.weights
+    b_measure = p @ (n1 > d0)
+    if len(_dedupe_points(space)[0]) == n:
+        tol_b = np.zeros(n)
+        assert_same_array(exc.b_measure, b_measure)
+    else:
+        tol_b = gamma(2 * n + 1) * b_measure
+        assert (np.abs(exc.b_measure - b_measure) <= tol_b).all()
+    if undecided(b_measure, d0, tol_b, gamma(n + 3) * d0):
+        return False
+    a_indices = tuple(int(z) for z in np.nonzero(b_measure > d0)[0])
+    assert exc.a_indices == a_indices
+    assert exc.a_mass == (float(p[list(a_indices)].sum()) if a_indices
+                          else 0.0)
+    return True
+
+
 def assert_matches_fsum_loop(space, ladder, exc):
-    """exc against the fsum oracle within the kernel's error bounds; b_measure
-    and a_indices are compared bit for bit when no n1 lies within its bound
-    of delta0, where both sides take the same decisions.  Returns whether
-    they were compared."""
+    """exc against the fsum oracle within the kernel's error bounds, and its
+    decisions against the paper's rule where they are decided.  Returns
+    whether the decisions were compared."""
     n1, r2 = exceptional_fsum_loop(space, ladder)
     tol_n1, tol_r2 = exceptional_tolerances(space.n, len(ladder.thresholds),
                                             n1, r2)
     assert (np.abs(exc.n1_measure - n1) <= tol_n1).all()
     assert (np.abs(exc.r2_measure - r2) <= tol_r2).all()
-    d0 = ladder.delta0
-    if ((n1 - tol_n1 <= d0) & (d0 < n1 + tol_n1)).any():
-        return False
-    p = space.weights
-    b_measure = p @ (n1 > d0)
-    a_indices = tuple(int(z) for z in np.nonzero(b_measure > d0)[0])
-    assert_same_array(exc.b_measure, b_measure)
-    assert exc.a_indices == a_indices
-    assert exc.a_mass == (float(p[list(a_indices)].sum()) if a_indices
-                          else 0.0)
-    return True
+    return assert_same_decisions(space, ladder, exc, n1, tol_n1)
 
 
 def tied_space(n, seed):
@@ -737,3 +763,191 @@ class TestLoopReferences:
             assert_same_array(got.r2_measure, want.r2_measure)
             assert got.a_indices == want.a_indices
             assert assert_matches_fsum_loop(sp, ladder, got)
+
+
+# ---------------------------------------------------------------------------
+# the kernels on distinct rows: candidate masses and exceptional sets against
+# brute-force and per-point oracles
+
+
+def duplicated_space(n, seed):
+    """n points copying the rows of a smaller tied_space, so rows repeat;
+    the copies get fresh weights, about a quarter of them zero, and keep the
+    -0.0 entries of the rows they copy."""
+    rng = np.random.default_rng(seed)
+    base = tied_space(n // 2 + 1, seed)
+    src = rng.integers(0, base.n, size=n)
+    w = rng.random(n)
+    w[rng.random(n) < 0.25] = 0.0
+    w[0] = max(w[0], 0.5)
+    return SimilaritySpace(tuple(f"d{i}" for i in range(n)), w / w.sum(),
+                           base.sim[np.ix_(src, src)])
+
+
+def fsum_bad_set_measure(space, t):
+    s, p = space.sim, space.weights
+    return math.fsum(
+        p[x] * p[y] * p[z]
+        for x, y, z in itertools.product(range(space.n), repeat=3)
+        if s[x, y] < t <= min(s[x, z], s[y, z]))
+
+
+def exceptional_points(space, ladder):
+    """n1 and r2 as exceptional_sets computed them on every point, before
+    the rows were deduplicated: N products on the n x n counts."""
+    p, n = space.weights, space.n
+    ts = np.sort(ladder.thresholds)
+    count = np.searchsorted(ts, space.sim, side="right")
+    n1 = np.zeros((n, n))
+    for j in range(len(ts)):
+        e = (count == j) * p[:, None]
+        g = (count > j).astype(float)
+        n1 += (e.T @ g) * g
+    return n1, p @ n1
+
+
+def window_candidates(space, ladder):
+    """Per ladder window, its candidate thresholds in ascending order."""
+    vals = np.unique(space.sim)
+    rows = []
+    for i in range(1, ladder.n_levels + 1):
+        lo = i * ladder.kappa - ladder.delta0
+        hi = min(i * ladder.kappa + ladder.delta0, 1.0)
+        inside = vals[(vals > lo) & (vals < hi)].tolist()
+        rows.append(sorted({lo, hi, *inside}))
+    return rows
+
+
+class TestDistinctRowKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicated_space_has_the_hard_cases(self, seed):
+        sp = duplicated_space(14, seed)
+        assert len(_dedupe_points(sp)[0]) < sp.n
+        assert (sp.weights == 0.0).any()
+        assert np.signbit(sp.sim[sp.sim == 0.0]).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bad_set_measure_matches_fsum_oracle(self, seed):
+        # The kernel rounds each merged weight once, sums at most d terms per
+        # entry of G W G^T and then two products with w of d terms each: it
+        # is within gamma(3d + 4) of the exact mass, relative, as every term
+        # is nonnegative.  The oracle rounds two products per triple and the
+        # fsum once, gamma(3).  A mass with no triple is exactly +0.0: the
+        # ultrametric space has repeated rows and no triple in any R_t.
+        ultra = ultrametric_fixture(14, [0.25, 0.5, 0.75], seed=seed,
+                                    weights="random").space
+        assert len(_dedupe_points(ultra)[0]) < ultra.n
+        for sp in (duplicated_space(14, seed), ultra):
+            for t in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0):
+                want = fsum_bad_set_measure(sp, t)
+                got = bad_set_measure(sp, t)
+                if want == 0.0:
+                    assert got == 0.0 and not np.signbit(got)
+                else:
+                    assert sp is not ultra
+                    assert abs(got - want) <= gamma(3 * sp.n + 7) * want
+
+    def test_ladder_masses_are_exact_zeros(self):
+        # the weighted noisy n = 128 space, where the profile's signed
+        # cumsum gave -5.5e-16 at candidates with no triple in R_t
+        fx = noisy_tree_fixture(128, depth=3, alpha=KAPPA, noise=1e-4,
+                                seed=1, weights="random")
+        sp = rescale_to_unit(fx.space)
+        ladder = threshold_ladder(sp, 1e-12, 16, delta0=0.05)
+        s, pos = sp.sim, np.flatnonzero(sp.weights > 0.0)
+        cands = window_candidates(sp, ladder)
+        assert set(ladder.profile) <= {t for row in cands for t in row}
+        empty = 0
+        for t in (t for row in cands for t in row):
+            low = (s < t)[np.ix_(pos, pos)]
+            high = (s >= t)[np.ix_(pos, pos)]
+            if not any((low & np.outer(col, col)).any() for col in high.T):
+                empty += 1
+                mass = bad_set_measure(sp, t)
+                assert mass == 0.0 and not np.signbit(mass)
+                assert ladder.profile.get(t, 0.0) == 0.0
+        assert empty > len(ladder.thresholds)
+        # each window's lower end is an exact zero, so the smallest t wins
+        for i, t in enumerate(ladder.thresholds, start=1):
+            assert t == i * ladder.kappa - ladder.delta0
+
+    def test_window_scan_stops_at_its_first_zero(self):
+        # a nearly exact hierarchy under the measured delta0: the windows
+        # hold whole clusters of noisy values above candidates of mass 0.0,
+        # and the scan evaluates none of them
+        fx = noisy_tree_fixture(40, depth=3, alpha=KAPPA, noise=1e-8,
+                                seed=1, weights="random")
+        sp = rescale_to_unit(fx.space)
+        ladder = threshold_ladder(sp, 1e-12, 16)
+        skipped = 0
+        for t, row in zip(ladder.thresholds, window_candidates(sp, ladder)):
+            masses = [bad_set_measure(sp, c) for c in row]
+            stop = masses.index(0.0)
+            assert t == row[stop]
+            assert all(m > 0.0 for m in masses[:stop])
+            assert all(ladder.profile[c] == m
+                       for c, m in zip(row[:stop + 1], masses))
+            assert not set(row[stop + 1:]) & set(ladder.profile)
+            skipped += len(row) - stop - 1
+        assert skipped > 100
+
+    @pytest.mark.parametrize("thresholds, delta0", [
+        ((0.25, 0.5, 0.75), 0.05), ((0.125, 0.5, 0.875), 0.2), ((0.3,), 0.0),
+        ((), 0.1)])
+    @pytest.mark.parametrize("n, seed", [(14, 0), (40, 1), (2 * BLOCK + 3, 2)])
+    def test_exceptional_sets_match_per_point_oracle(self, n, seed,
+                                                     thresholds, delta0):
+        # both sides are within exceptional_tolerances of the exact masses
+        sp = duplicated_space(n, seed)
+        assert len(_dedupe_points(sp)[0]) < n
+        ladder = ladder_with(thresholds, delta0)
+        exc = exceptional_sets(sp, ladder)
+        n1, r2 = exceptional_points(sp, ladder)
+        tol_n1, tol_r2 = exceptional_tolerances(n, len(thresholds), n1, r2)
+        assert (np.abs(exc.n1_measure - n1) <= 2 * tol_n1).all()
+        assert (np.abs(exc.r2_measure - r2) <= 2 * tol_r2).all()
+        assert assert_same_decisions(sp, ladder, exc, n1, 2 * tol_n1)
+        # points sharing a row share every result
+        _, _, inv = _dedupe_points(sp)
+        first = np.unique(inv, return_index=True)[1][inv]
+        assert_same_array(exc.n1_measure,
+                          exc.n1_measure[np.ix_(first, first)])
+        assert_same_array(exc.b_measure, exc.b_measure[first])
+
+    def test_ties_at_delta0_do_not_depend_on_point_order(self):
+        # Points come in pairs whose weights add up to c = 2/48 exactly and
+        # whose similarities lie on the same side of the threshold, so every
+        # crossing set is a union of pairs and its mass a multiple of c.
+        # With delta0 = 4c, n1 = delta0 in exact arithmetic where four pairs
+        # cross, and b = delta0 where four pairs of y are above, while the
+        # float sums land on either side of delta0 by the order of their
+        # terms.  A strict float comparison put different points in A under
+        # these permutations; the stated rule follows the exact counts.
+        m, n = 24, 48
+        c = 2 * (1.0 / n)
+        rng = np.random.default_rng(5)
+        side = rng.choice([0.25, 0.75], size=(m, m), p=[0.3, 0.7])
+        side = np.triu(side) + np.triu(side, 1).T
+        pair = np.arange(n) // 2
+        jitter = rng.choice([0.0, 0.0625], size=(n, n))
+        sim = side[np.ix_(pair, pair)] + np.triu(jitter) + np.triu(jitter, 1).T
+        w1 = 1.0 / n + rng.uniform(-1.0, 1.0, m) / (8 * n)
+        w = np.empty(n)
+        w[0::2], w[1::2] = w1, c - w1
+        assert (w[0::2] + w[1::2] == c).all()
+        ladder = ladder_with((0.5,), 4 * c)
+        low = (side < 0.5).astype(int)
+        crossing = (low.T @ (1 - low)) * (1 - low)  # pairs x per (y, z)
+        above = (crossing > 4).sum(axis=0)  # pairs y above delta0 per z
+        assert (crossing == 4).any() and (above == 4).any()
+        b_exact = above[pair] * c
+        want = {f"t{z}" for z in np.flatnonzero(above[pair] > 4)}
+        for k in range(30):
+            perm = np.random.default_rng(100 + k).permutation(n)
+            sp = SimilaritySpace(tuple(f"t{i}" for i in perm), w[perm],
+                                 sim[np.ix_(perm, perm)])
+            assert len(_dedupe_points(sp)[0]) == n
+            exc = exceptional_sets(sp, ladder)
+            assert (np.abs(exc.b_measure - b_exact[perm])
+                    <= gamma(n + 1) * b_exact[perm]).all()
+            assert {sp.points[z] for z in exc.a_indices} == want

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,13 +19,16 @@ from treelike import (
     tree_cost,
     validate_tree,
 )
-from treelike import treebuild
+from treelike import cliques, core, hyperbolicity, regularity, treebuild
+from treelike.core import rescale_to_unit, validate_space
 from treelike.cliques import ModificationLog
 from treelike.core import WeightedGraph
-from treelike.errors import LeafMismatch, MapMismatch
+from treelike.errors import BadParams, Delta0TooLarge, LeafMismatch, \
+    MapMismatch, WeightSumMismatch
 from treelike.io import dump_json, tree_to_dict
 from treelike.regularity import RegularityParams
 from treelike.fixtures import (
+    noisy_tree_fixture,
     random_fixture,
     tree_scaled_fixture,
     ultrametric_fixture,
@@ -84,6 +88,47 @@ class TestBuildTree:
         assert report.cost == tree_cost(fx.space, report.tree, report.kappa)
         assert (report.best_alpha, report.best_cost) \
             == best_alpha(fx.space, report.tree)
+
+    def test_build_never_computes_the_full_profile(self, monkeypatch):
+        def refuse(space):
+            raise AssertionError("bad_set_profile called on the build path")
+
+        monkeypatch.setattr(hyperbolicity, "bad_set_profile", refuse)
+        fx = noisy_tree_fixture(40, 3, KAPPA, 1e-4, seed=1, weights="random")
+        report = build_tree(rescale_to_unit(fx.space), EPS, M, seed=0,
+                            delta0=0.05)
+        assert report.n_repairs > 0
+
+    def test_space_validated_once(self, monkeypatch):
+        calls = []
+
+        def counting(space):
+            calls.append(space)
+            validate_space(space)
+
+        for module in (core, hyperbolicity, treebuild, regularity, cliques):
+            if hasattr(module, "validate_space"):
+                monkeypatch.setattr(module, "validate_space", counting)
+        fx = ultrametric_fixture(27, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=7)
+        build_tree(fx.space, EPS, M, seed=0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("change, kwargs, error, message", [
+        # each case breaks two checks; the first in the old order wins
+        ({"weights": np.full(27, 0.5)}, {"delta0": -1.0}, WeightSumMismatch,
+         "weights sum to"),
+        ({"bound": 2.0}, {"epsilon": -1.0}, BadParams, "rescaled to bound 1"),
+        ({}, {"epsilon": 0.5, "delta0": -1.0}, BadParams, "epsilon must be"),
+        ({}, {"m": 1, "delta0": -1.0}, BadParams, "m must be"),
+        ({}, {"delta0": -1.0}, BadParams, "delta0 must be positive"),
+        ({}, {"delta0": 0.2}, Delta0TooLarge, "delta0=0.2"),
+    ])
+    def test_errors_keep_their_order(self, change, kwargs, error, message):
+        fx = ultrametric_fixture(27, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=7)
+        space = dataclasses.replace(fx.space, **change)
+        args = {"epsilon": EPS, "m": M, "seed": 0, **kwargs}
+        with pytest.raises(error, match=message):
+            build_tree(space, **args)
 
     def test_products_within_level_range(self):
         fx = tree_scaled_fixture(30, depth=2, alpha=KAPPA, seed=3)
