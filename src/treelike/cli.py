@@ -63,6 +63,7 @@ EXIT_CODES = (
     (err.IOFailure, 8),
     (err.PostconditionFailure, 9),
     (err.NotAClique, 5),
+    (err.LightClique, 10),
     ((err.LeafMismatch, err.MapMismatch, err.UnknownLeaf,
       err.TreeStructureError), 6),
     ((err.SizeTooSmall, err.TooLargeForEnumeration, err.BadSchedule,

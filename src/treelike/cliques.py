@@ -6,9 +6,11 @@ grouped into clusters, nearby leftover parts are attached, and the vertex
 graph is then repaired in five staged edit passes whose pairs and measures
 are all logged.
 
-Every stage works on boolean part-by-part matrices.  At desk scale the parts
-are single points, so the part neighbor relation is the thresholded vertex
-graph itself and q is the vertex count.
+Every stage works on boolean part-by-part matrices.  The parts are single
+points, so that the part neighbor relation is the thresholded vertex graph
+itself and q is the vertex count, whenever the partition is forced: (a)
+epsilon N <= 1 for the rationalized denominator N, and (b) every point's
+mass is at least epsilon mu / (2 (1 + m*)) (see ``regularity``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import WeightedGraph
-from .errors import NotAClique, PostconditionFailure
+from .errors import LightClique, NotAClique, PostconditionFailure
 from .regularity import PartitionResult
 
 STAGE_NAMES = (
@@ -260,8 +262,13 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     internally, complete each extended group across its parts, cut edges
     between distinct groups, and clear all edges at leftover parts.  The
     result is asserted to be exactly the group cliques plus isolated
-    vertices, and every non-singleton clique must carry at least
-    (1/2) epsilon^(1/4) of the graph mass.
+    vertices.
+
+    Before any edit, every group of two or more points must carry at least
+    (1/2) epsilon^(1/4) of the graph mass, or LightClique is raised.  The
+    neighborhood family accepts a neighborhood by its part count,
+    epsilon^(1/4) q, which gives that mass only when parts have near-equal
+    mass; uneven point masses (such as Gibbs weights) can fall below it.
     """
     n = graph.n
     index = {v: i for i, v in enumerate(graph.vertices)}
@@ -285,6 +292,20 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     group_v[part_v == 0] = -1
     leftover_v = leftover_part[part_v]
     in_exceptional = part_v == 0
+
+    mass = graph.mass
+    mass_floor = 0.5 * epsilon ** 0.25 * graph.total_mass()
+    for gi in range(len(structure.extended_groups)):
+        members = np.nonzero(group_v == gi)[0]
+        if len(members) >= 2:
+            gmass = float(mass[members].sum())
+            if gmass < mass_floor:
+                raise LightClique(
+                    f"clique {gi} of {len(members)} points has mass "
+                    f"{gmass!r}, below the floor {mass_floor!r}; its "
+                    "neighborhoods passed by part count, but their points "
+                    "are too light"
+                )
 
     adj = graph.adj.copy()
     off_diag = ~np.eye(n, dtype=bool)
@@ -331,18 +352,6 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     if not np.array_equal(adj, expected):
         raise PostconditionFailure("repair did not produce the group cliques")
 
-    total_mass = graph.total_mass()
-    mass_floor = 0.5 * epsilon ** 0.25 * total_mass
-    for gi, g in enumerate(structure.extended_groups):
-        members = np.nonzero(group_v == gi)[0]
-        if len(members) >= 2:
-            gmass = float(graph.mass[members].sum())
-            if gmass < mass_floor:
-                raise PostconditionFailure(
-                    f"clique {gi} mass {gmass!r} below floor {mass_floor!r}"
-                )
-
-    mass = graph.mass
     stages: dict[str, tuple[tuple[str, str], ...]] = {}
     stage_measures: dict[str, float] = {}
     union = np.zeros((n, n), dtype=bool)

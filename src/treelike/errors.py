@@ -157,6 +157,10 @@ class NotAClique(TreelikeError):
         super().__init__(msg)
 
 
+class LightClique(TreelikeError):
+    """A clique group of two or more points below the mass floor."""
+
+
 # ---------------------------------------------------------------------------
 # spin glass
 

@@ -11,10 +11,15 @@ The blow-up is never materialized: copies of a vertex share all eigenvector
 values, so the symmetric matrix B[x][y] = sqrt(K(x)K(y)) * adj[x][y] has the
 same nonzero spectrum and everything downstream is constant on copy groups.
 
-At desk scale the cut cannot meet its tail bound before the nonzero spectrum
-ends, so bucket widths separate almost every point and most parts are single
-points.  The pipeline settles every pair of single-point parts directly (the
-tester can only call them regular) and runs the tester on the rest.
+The partition is forced to one point per part, with an empty exceptional
+part, whatever the eigenvectors are, when (a) epsilon N <= 1, so that no
+point can be an outlier, and (b) every point's mass is at least
+epsilon mu / (2 (1 + m*)), the chunk target at one bucket, so that every
+chunk closes at one point.  Since N <= max_blowup and m* >= 1, both hold
+whenever epsilon <= 1 / max_blowup and every relative weight is at least
+epsilon / 4; the pipeline then skips the eigensolve, the cut and the
+buckets.  The pipeline settles every pair of single-point parts directly
+(the tester can only call them regular) and runs the tester on the rest.
 """
 
 from __future__ import annotations
@@ -371,12 +376,14 @@ class PartitionResult:
 
 @dataclass(frozen=True)
 class RefinedParts:
+    """Refined parts; a forced refinement has no chunk target or part cap."""
+
     exceptional: tuple[int, ...]
     parts: tuple[tuple[int, ...], ...]
     m_effective: int
     m_star: float
-    chunk_target: float
-    part_cap: int
+    chunk_target: float | None
+    part_cap: int | None
 
 
 def _effective_m(m: int, p_star: float) -> int:
@@ -390,6 +397,59 @@ def _effective_m(m: int, p_star: float) -> int:
     return m_eff
 
 
+def _refine_scale(mass: np.ndarray, params: RegularityParams
+                  ) -> tuple[float, int, float]:
+    """Total mass, effective m and m* = m_eff / (1 - p* m_eff)."""
+    mu_total = float(mass.sum())
+    if mu_total <= 0:
+        raise ZeroMassGraph("total mass must be positive")
+    p_star = float(mass.max()) / mu_total
+    m_eff = _effective_m(params.m, p_star)
+    return mu_total, m_eff, m_eff / (1.0 - p_star * m_eff)
+
+
+def _chunk_target(epsilon: float, mu_total: float, r: int, m_star: float
+                  ) -> float:
+    return epsilon * mu_total / (2.0 * (r + m_star))
+
+
+def _forced_refinement(mass: np.ndarray, blowup_size: int,
+                       params: RegularityParams) -> RefinedParts | None:
+    """The single-point refinement when no spectrum can change it, else None.
+
+    When both conditions below hold, ``spectral_bucket_partition`` finds no
+    outlier and ``equitable_refine`` closes every chunk at its first point,
+    so the parts are the single points with an empty exceptional part,
+    whatever the eigenvectors are.  They come here in index order; the
+    spectral path lists them cell by cell, which differs only where points
+    share a cell, such as isolated vertices in the all-zero cell.
+    """
+    # (a) epsilon N <= 1: the outlier threshold sqrt(2J / (epsilon N)) is
+    # then at least sqrt(2), while a blow-up coordinate |v(x)| / sqrt(K(x))
+    # of a unit eigenvector is at most 1 (up to rounding far below the
+    # margin), so no point is an outlier
+    if not params.epsilon * blowup_size <= 1.0:
+        return None
+    mu_total, m_eff, m_star = _refine_scale(mass, params)
+    target = _chunk_target(params.epsilon, mu_total, 1, m_star)
+    # (b) every mass reaches the chunk target at r = 1 bucket, and that
+    # target is positive: the rounded target is nonincreasing in r, so every
+    # chunk closes at one point of positive mass for any r >= 1
+    if not (target > 0.0 and float(mass.min()) >= target):
+        return None
+    # equitable_refine's checks pass: q = n >= m_eff, as m_eff p* < 1 and
+    # p* >= 1/n; q = n <= N <= 1 / epsilon < part_cap; V_0 is empty; part
+    # masses are positive and spread by at most the max atom
+    return RefinedParts(
+        exceptional=(),
+        parts=tuple((x,) for x in range(len(mass))),
+        m_effective=m_eff,
+        m_star=m_star,
+        chunk_target=None,
+        part_cap=None,
+    )
+
+
 def equitable_refine(buckets: Buckets, mass: np.ndarray,
                      params: RegularityParams) -> RefinedParts:
     """Split buckets into parts of near-equal mass plus an exceptional part.
@@ -400,15 +460,10 @@ def equitable_refine(buckets: Buckets, mass: np.ndarray,
     never split.  The remainder of every bucket joins the exceptional part
     together with the outlier bucket.
     """
-    mu_total = float(mass.sum())
-    if mu_total <= 0:
-        raise ZeroMassGraph("total mass must be positive")
+    mu_total, m_eff, m_star = _refine_scale(mass, params)
     mu_star = float(mass.max())
-    p_star = mu_star / mu_total
-    m_eff = _effective_m(params.m, p_star)
-    m_star = m_eff / (1.0 - p_star * m_eff)
     r = len(buckets.cells)
-    target = params.epsilon * mu_total / (2.0 * (r + m_star))
+    target = _chunk_target(params.epsilon, mu_total, r, m_star)
     parts: list[tuple[int, ...]] = []
     leftover: list[int] = list(buckets.exceptional)
     for cell in buckets.cells:
@@ -584,6 +639,12 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
                         seed: int = 0) -> PartitionResult:
     """Full partition: rationalize, eigensolve, cut, bucket, refine, test.
 
+    When the weights force the partition to single points (see
+    ``_forced_refinement``), the eigensolve, cut and buckets are skipped,
+    the parts come in index order, each density is the adjacency entry and
+    the ``forced`` meta key is true; the spectrum-only keys ``cut``,
+    ``bucket_count``, ``part_cap`` and ``chunk_target`` are then None.
+
     Densities are recorded for every pair of non-exceptional parts.  A pair
     of single-point parts is regular, because its only admissible subsets
     are the parts themselves; every other pair is classified by the
@@ -595,26 +656,35 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
         raise ZeroMassGraph("graph carries no mass")
     prob = graph.mass / mu_total
     kmult, blowup = rationalize_weights(prob, params.nu, params.max_blowup)
-    spectrum = weighted_adjacency_spectrum(graph, kmult)
-    cut = choose_spectral_cut(spectrum, params)
-    buckets = spectral_bucket_partition(spectrum, cut, params.epsilon)
-    refined = equitable_refine(buckets, graph.mass, params)
+    refined = _forced_refinement(graph.mass, blowup, params)
+    forced = refined is not None
+    cut = bucket_count = None
+    if not forced:
+        spectrum = weighted_adjacency_spectrum(graph, kmult)
+        cut = choose_spectral_cut(spectrum, params)
+        buckets = spectral_bucket_partition(spectrum, cut, params.epsilon)
+        bucket_count = len(buckets.cells)
+        refined = equitable_refine(buckets, graph.mass, params)
 
     index_parts = [list(refined.exceptional)] + [list(p) for p in refined.parts]
     q = len(index_parts) - 1
     sizes = np.array([len(part) for part in index_parts])
-    membership = np.zeros((graph.n, q + 1))
-    membership[[v for part in index_parts for v in part],
-               np.repeat(np.arange(q + 1), sizes)] = 1.0
-    weighted = membership * graph.mass[:, None]
-    rho = weighted.T @ graph.adj @ weighted
-    part_mass = graph.mass @ membership
     # pairs i < j of non-exceptional parts; refinement guarantees their mass
     i, j = np.triu_indices(q, 1)
     i += 1
     j += 1
     densities = np.full((q + 1, q + 1), math.nan)
-    dens = rho[i, j] / (part_mass[i] * part_mass[j])
+    if forced:
+        # part i is point i - 1, so a density is an adjacency entry
+        dens = graph.adj[i - 1, j - 1]
+    else:
+        membership = np.zeros((graph.n, q + 1))
+        membership[[v for part in index_parts for v in part],
+                   np.repeat(np.arange(q + 1), sizes)] = 1.0
+        weighted = membership * graph.mass[:, None]
+        rho = weighted.T @ graph.adj @ weighted
+        part_mass = graph.mass @ membership
+        dens = rho[i, j] / (part_mass[i] * part_mass[j])
     densities[i, j] = densities[j, i] = dens
     # a single-point pair is regular; the tester settles every other pair
     flags = np.zeros((q + 1, q + 1), dtype=bool)
@@ -636,8 +706,8 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
         "seed": seed,
         "blowup_size": blowup,
         "cut": cut,
-        "cut_fallback": False,
-        "bucket_count": len(buckets.cells),
+        "forced": forced,
+        "bucket_count": bucket_count,
         "part_cap": refined.part_cap,
         "chunk_target": refined.chunk_target,
         "trials": params.trials,

@@ -197,6 +197,17 @@ def overlap_map(name: str) -> OverlapMap:
     raise BadParams(f"unknown overlap map {name!r} (choose id or abs)")
 
 
+def _per_value(fn, values: np.ndarray) -> np.ndarray:
+    """fn of each entry as a float array, calling fn once per distinct value.
+
+    fn sees the same Python floats as an entrywise call would (numpy merges
+    -0.0 with 0.0, which both built-in maps send to equal floats).
+    """
+    uniq, inverse = np.unique(values, return_inverse=True)
+    mapped = np.array([fn(u) for u in uniq.tolist()], dtype=float)
+    return mapped[inverse].reshape(values.shape)
+
+
 def overlap_space(configs: np.ndarray, weights: np.ndarray | None,
                   mapping: OverlapMap) -> SimilaritySpace:
     """Similarity space of distinct configurations under rho(f(overlap)).
@@ -229,9 +240,7 @@ def overlap_space(configs: np.ndarray, weights: np.ndarray | None,
     distinct = arr[order].astype(float)
     n_spins = arr.shape[1]
     ov = distinct @ distinct.T / n_spins
-    f = np.vectorize(mapping.f, otypes=[float])
-    rho = np.vectorize(mapping.rho, otypes=[float])
-    sim = rho(f(ov))
+    sim = _per_value(lambda u: mapping.rho(mapping.f(u)), ov)
     sim = (sim + sim.T) / 2.0  # symmetrize float dust from the transform
     points = tuple(
         "".join("+" if v > 0 else "-" for v in arr[k]) for k in order
@@ -289,10 +298,9 @@ def pure_state_tree(space: SimilaritySpace, mapping: OverlapMap,
             v = min(max(v, lo), hi)
         values.append(float(mapping.rho_inverse(v)))
     prod = gromov_product_matrix(report.tree, space.points)
-    f_vals = np.vectorize(mapping.f, otypes=[float])(
-        np.vectorize(mapping.rho_inverse, otypes=[float])(space.sim)
-    )
     # space.sim is rho(f(overlap)), so rho^{-1} recovers f(overlap)
+    f_vals = _per_value(lambda v: mapping.f(mapping.rho_inverse(v)),
+                        space.sim)
     q_of_pair = np.array(values)[prod]
     p = space.weights
     mean_error = float(p @ np.abs(f_vals - q_of_pair) @ p)

@@ -409,6 +409,12 @@ PARAM_EDGES = {
     "spinglass-delta0-zero": (SPINGLASS_ARGS + [
         "--delta0", "0", "--out", "{out}/tree.json",
         "--report", "{out}/report.json"], 2),
+    # Gibbs weights leave a two-state clique below the group-mass floor
+    "spinglass-light-clique": (["spinglass", "--n", "6", "--beta", "1.0",
+                                "--seed", "2", "--epsilon", "5.96e-8",
+                                "--m", "4", "--delta0", "0.2",
+                                "--out", "{out}/tree.json",
+                                "--report", "{out}/report.json"], 10),
     "eval-alpha-nan": (EVAL + ["--alpha", "nan"], 2),
     "eval-alpha-nan-converse": (EVAL + ["--alpha", "nan", "--converse"], 2),
     "eval-alpha-inf": (EVAL + ["--alpha", "inf"], 2),

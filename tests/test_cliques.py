@@ -14,7 +14,8 @@ from treelike import (
 )
 from treelike.cliques import CliqueStructure, PartNeighborGraph, \
     STAGE_NAMES, _shortest_gap_triple
-from treelike.errors import NotAClique, PostconditionFailure
+from treelike.errors import LightClique, NotAClique, \
+    PostconditionFailure
 from treelike.fixtures import planted_blocks_fixture
 from treelike.regularity import PartitionResult
 
@@ -240,6 +241,22 @@ class TestCliqueRepair:
                 mass = sum(graph.mass[graph.vertices.index(v)]
                            for v in clique)
                 assert mass >= floor
+
+    def test_light_group_is_a_construction_error(self):
+        # the pair v0 ~ v1 passes by part count (epsilon^(1/4) q = 1) but
+        # carries 0.02 of the mass, below the floor 0.05
+        mass = np.array([0.01, 0.01] + [0.98 / 8] * 8)
+        adj = np.zeros((10, 10), dtype=bool)
+        adj[0, 1] = adj[1, 0] = True
+        graph = WeightedGraph(tuple(f"v{i}" for i in range(10)), mass, adj)
+        epsilon = 1e-4
+        partition = regularity_pipeline(graph, RegularityParams(epsilon, 2))
+        pg = part_neighbor_graph(partition, epsilon)
+        structure = clique_closure(neighborhood_family(pg, epsilon), pg,
+                                   epsilon)
+        assert (1, 2) in structure.extended_groups
+        with pytest.raises(LightClique, match="of 2 points has mass 0.02"):
+            clique_repair(graph, partition, structure, epsilon)
 
     def test_no_neighbors_across_core_groups(self):
         fx = planted_blocks_fixture(36, 3, seed=5)

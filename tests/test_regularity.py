@@ -730,3 +730,141 @@ class TestBucketLabels:
                 shared += any(len(cell) > 1 for cell in cells) and cut > 1
                 outliers += bool(exceptional)
         assert shared and outliers
+
+
+SPECTRUM_KEYS = ("cut", "bucket_count", "part_cap", "chunk_target")
+TINY = RegularityParams(1e-12, 16)
+
+
+def spectral_path(graph, params, seed=0):
+    """Oracle: the pipeline with the forced check turned off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "_forced_refinement", lambda *args: None)
+        return regularity_pipeline(graph, params, seed=seed)
+
+
+def in_point_order(result, graph):
+    """Densities and flags of a single-point partition, indexed by point."""
+    where = {part[0]: pi for pi, part in enumerate(result.parts[1:], 1)}
+    order = [0] + [where[v] for v in graph.vertices]
+    cells = np.ix_(order, order)
+    return result.densities[cells], result.regular_flags[cells]
+
+
+class TestForcedPartition:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, p", [(12, 0.5), (40, 0.3), (90, 0.6)])
+    @pytest.mark.parametrize("weights", ["uniform", "random"])
+    def test_matches_spectral_path(self, seed, n, p, weights):
+        rng = np.random.default_rng((seed, n))
+        mass = None if weights == "uniform" else rng.random(n) + 0.1
+        g = er_graph(n, p, seed, None if mass is None else mass / mass.sum())
+        assert g.adj.any(axis=1).all()  # no isolated vertex shares a cell
+        forced = regularity_pipeline(g, TINY, seed=seed)
+        full = spectral_path(g, TINY, seed=seed)
+        assert forced.params["forced"] and not full.params["forced"]
+        assert forced.parts == full.parts
+        assert forced.parts == ((),) + tuple((v,) for v in g.vertices)
+        assert forced.densities.tobytes() == full.densities.tobytes()
+        assert np.array_equal(forced.regular_flags, full.regular_flags)
+        for key in SPECTRUM_KEYS:
+            assert forced.params[key] is None
+            assert full.params[key] is not None
+        rest = set(forced.params) - set(SPECTRUM_KEYS) - {"forced"}
+        assert {k: forced.params[k] for k in rest} \
+            == {k: full.params[k] for k in rest}
+
+    def test_isolated_vertices_share_a_spectral_cell(self):
+        # a path and an edge on 20 points; the other 15 are isolated
+        adj = np.zeros((20, 20), dtype=bool)
+        for a, b in ((1, 5), (5, 9), (12, 16)):
+            adj[a, b] = adj[b, a] = True
+        g = graph_from_adj(adj)
+        forced = regularity_pipeline(g, TINY, seed=1)
+        full = spectral_path(g, TINY, seed=1)
+        assert forced.parts == ((),) + tuple((v,) for v in g.vertices)
+        # the spectral path lists the all-zero cell at its first member
+        assert full.parts != forced.parts
+        assert sorted(full.parts) == sorted(forced.parts)
+        dens, flags = in_point_order(full, g)
+        assert dens.tobytes() == forced.densities.tobytes()
+        assert np.array_equal(flags, forced.regular_flags)
+
+    def test_zero_weight_point_takes_the_spectral_path(self):
+        # fails (b): the zero-weight point cannot close a chunk on its own
+        mass = np.full(10, 0.1)
+        mass[3] = 0.0
+        g = er_graph(10, 0.5, 2, mass)
+        result = regularity_pipeline(g, TINY, seed=0)
+        assert not result.params["forced"]
+        # its chunk never closes, so it is left over into V_0
+        assert result.parts[0] == ("v3",)
+        assert result.parts == spectral_path(g, TINY, seed=0).parts
+        # a target that underflows to 0 must not let a zero mass through
+        tiny = RegularityParams(5e-324, 2)
+        assert regularity._forced_refinement(mass, 20, tiny) is None
+
+    def test_mass_condition_boundary(self):
+        # an empty graph has one spectral cell, so the chunk target is the
+        # one at r = 1; a light point exactly at it still closes its chunk,
+        # one just below joins the next point's chunk
+        def masses(w):  # m_eff = 6 for every small w
+            return np.array([w] + [1.0] * 8 + [1.5])
+
+        w = 0.0
+        for _ in range(5):  # fixed point of w = target(masses(w))
+            mu, _, m_star = regularity._refine_scale(masses(w), TINY)
+            w = regularity._chunk_target(TINY.epsilon, mu, 1, m_star)
+        at = regularity_pipeline(graph_from_adj(np.zeros((10, 10)),
+                                                masses(w)), TINY)
+        assert at.params["forced"]
+        below = regularity_pipeline(graph_from_adj(
+            np.zeros((10, 10)), masses(float(np.nextafter(w, 0.0)))), TINY)
+        assert not below.params["forced"]
+        assert below.params["bucket_count"] == 1
+        assert below.parts[:2] == ((), ("v0", "v1"))
+
+    def test_epsilon_n_just_above_one_takes_the_spectral_path(self):
+        g = er_graph(10, 0.4, 3)  # uniform weights: N = 10
+        at_one = regularity_pipeline(g, RegularityParams(0.1, 2), seed=0)
+        above = regularity_pipeline(
+            g, RegularityParams(float(np.nextafter(0.1, 1.0)), 2), seed=0)
+        assert at_one.params["blowup_size"] == 10
+        assert at_one.params["forced"] and not above.params["forced"]
+        assert at_one.parts == above.parts
+
+    def test_outliers_need_condition_a(self):
+        # a star whose centre has multiplicity 1 and its 4 leaves 13 each:
+        # (b) holds, but at epsilon N = 12.72 the centre is an outlier
+        adj = np.zeros((5, 5), dtype=bool)
+        adj[0, 1:] = adj[1:, 0] = True
+        k = np.array([1, 13, 13, 13, 13])
+        g = graph_from_adj(adj, k / k.sum())
+        params = RegularityParams(0.24, 4)
+        _, big_n = rationalize_weights(g.mass, params.nu)
+        assert params.epsilon * big_n > 1.0
+        mu, _, m_star = regularity._refine_scale(g.mass, params)
+        assert g.mass.min() >= regularity._chunk_target(0.24, mu, 1, m_star)
+        result = regularity_pipeline(g, params, seed=0)
+        assert not result.params["forced"]
+        assert result.parts == (("v0",), ("v1",), ("v2",), ("v3",), ("v4",))
+
+    def test_single_point_is_a_heavy_atom(self):
+        g = graph_from_adj(np.zeros((1, 1)), mass=[1.0])
+        with pytest.raises(HeavyAtom, match="leaves no feasible part count"):
+            regularity_pipeline(g, TINY, seed=0)
+        with pytest.raises(HeavyAtom, match="leaves no feasible part count"):
+            spectral_path(g, TINY, seed=0)
+
+    def test_part_count_reaches_m_effective(self):
+        # q = n on the forced path, and m_eff p* < 1 <= n p* keeps
+        # m_eff <= n, so the q < m_eff HeavyAtom cannot arise there
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 20))
+            mass = rng.random(n) ** 4 + 1e-3
+            g = er_graph(n, 0.5, int(rng.integers(1000)), mass / mass.sum())
+            result = regularity_pipeline(g, TINY, seed=0)
+            assert result.params["forced"]
+            assert result.params["m_effective"] <= result.q == n
+            assert result.parts == spectral_path(g, TINY, seed=0).parts

@@ -9,6 +9,7 @@ from treelike import (
     SpinGlassModel,
     gibbs_exact,
     gibbs_mcmc,
+    gromov_product_matrix,
     hyp_exact,
     overlap,
     overlap_map,
@@ -333,3 +334,51 @@ class TestPureStates:
         assert a.build.tree == b.build.tree
         assert a.level_values == b.level_values
         assert a.mean_error == b.mean_error
+
+
+def entrywise(fn, values):
+    """Reference: fn applied entry by entry through np.vectorize."""
+    return np.vectorize(fn, otypes=[float])(values)
+
+
+def spins_of(space):
+    return np.array([[1.0 if ch == "+" else -1.0 for ch in point]
+                     for point in space.points])
+
+
+class TestMapsPerDistinctValue:
+    @pytest.mark.parametrize("name", ["id", "abs"])
+    def test_matches_entrywise_on_repeats_and_signed_zeros(self, name):
+        mapping = overlap_map(name)
+        rng = np.random.default_rng(3)
+        values = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0], size=(9, 7))
+        got = spinglass._per_value(lambda u: mapping.rho(mapping.f(u)),
+                                   values)
+        want = entrywise(mapping.rho, entrywise(mapping.f, values))
+        assert got.shape == values.shape
+        assert got.tobytes() == want.tobytes()
+        sims = mapping.rho(values)
+        got = spinglass._per_value(
+            lambda v: mapping.f(mapping.rho_inverse(v)), sims)
+        want = entrywise(mapping.f, entrywise(mapping.rho_inverse, sims))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["id", "abs"])
+    def test_overlap_space_and_mean_error_match_entrywise(self, name):
+        mapping = overlap_map(name)
+        configs, _ = planted_two_cluster(32, 12, seed=4)
+        space = overlap_space(configs, None, mapping)
+        spins = spins_of(space)
+        ov = spins @ spins.T / spins.shape[1]
+        sim = entrywise(mapping.rho, entrywise(mapping.f, ov))
+        assert space.sim.tobytes() == ((sim + sim.T) / 2.0).tobytes()
+
+        report = pure_state_tree(space, mapping, epsilon=2 ** -24, m=4,
+                                 seed=4, delta0=0.12)
+        f_vals = entrywise(mapping.f, entrywise(mapping.rho_inverse,
+                                                space.sim))
+        prod = gromov_product_matrix(report.build.tree, space.points)
+        q_of_pair = np.array(report.level_values)[prod]
+        p = space.weights
+        assert report.mean_error \
+            == float(p @ np.abs(f_vals - q_of_pair) @ p)

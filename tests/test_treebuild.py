@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from treelike.io import dump_json, tree_to_dict
 from treelike.regularity import RegularityParams
 from treelike.fixtures import (
     noisy_tree_fixture,
+    planted_blocks_fixture,
     random_fixture,
     tree_scaled_fixture,
     ultrametric_fixture,
@@ -157,6 +159,31 @@ class TestBuildTree:
                      + (1.0 + report.kappa)
                      * (report.delta_e_total + collision))
             assert report.cost <= bound + 1e-9
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("weights", ["uniform", "random"])
+    def test_build_reads_no_part_order(self, monkeypatch, seed, weights):
+        # the forced partition lists single points in index order; the
+        # spectral path lists the isolated points of a sparse cluster
+        # together, at the first of them, and the report must not differ
+        reordered = []
+        pipeline = treebuild.regularity_pipeline
+
+        def spectral(graph, params, seed):
+            forced = pipeline(graph, params, seed=seed)
+            with monkeypatch.context() as mp:
+                mp.setattr(regularity, "_forced_refinement", lambda *a: None)
+                full = pipeline(graph, params, seed=seed)
+            assert forced.params["forced"] and not full.params["forced"]
+            reordered.append(full.parts != forced.parts)
+            return full
+
+        space = planted_blocks_fixture(40, 3, seed, weights=weights).space
+        expected = build_tree(space, EPS, M, seed=1, delta0=0.12)
+        monkeypatch.setattr(treebuild, "regularity_pipeline", spectral)
+        got = build_tree(space, EPS, M, seed=1, delta0=0.12)
+        assert any(reordered)
+        assert pickle.dumps(got) == pickle.dumps(expected)
 
     def test_determinism(self):
         fx = ultrametric_fixture(20, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=4)
