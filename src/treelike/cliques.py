@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightedGraph
+from .core import WeightedGraph, upper_pairs
 from .errors import LightClique, NotAClique, PostconditionFailure
 from .regularity import PartitionResult
 
@@ -95,13 +95,14 @@ def part_neighbor_graph(partition: PartitionResult, epsilon: float
     dense = regular & (d >= 1.0 - 2.0 * epsilon)
     middle = regular & ~dense & (d >= 3.0 * epsilon)
     irregular = upper & ~partition.regular_flags
+    # middle lies above the diagonal, where upper_pairs keeps every entry
+    rows, cols = upper_pairs(middle)
     return PartNeighborGraph(
         q=q,
         neighbor=dense | dense.T,
         irregular=irregular | irregular.T,
         densities=partition.densities,
-        dichotomy_violations=tuple(
-            (int(i), int(j)) for i, j in np.argwhere(middle)),
+        dichotomy_violations=tuple(zip(rows.tolist(), cols.tolist())),
     )
 
 
@@ -162,10 +163,11 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
             break
         reach = wider
     root = np.where(reach, np.arange(t), t).min(axis=1, initial=t)
-    gaps = np.argwhere(np.triu(reach & ~adj, 1)).tolist()
-    if gaps:
+    rows, cols = upper_pairs(reach & ~adj)
+    if rows.size:
         # the first gap in component order, as a component-by-component
         # scan of member pairs would meet it
+        gaps = zip(rows.tolist(), cols.tolist())
         a, b = min(gaps, key=lambda p: (root[p[0]], p))
         members = np.nonzero(root == root[a])[0].tolist()
         triple = _shortest_gap_triple(adj, members, a, b)
@@ -211,7 +213,8 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
     gid = group_id[1:]
     cross = (gid[:, None] >= 0) & (gid[None, :] >= 0) \
         & (gid[:, None] != gid[None, :])
-    bad = np.argwhere(np.triu(pg.neighbor[1:, 1:] & cross, 1)) + 1
+    rows, cols = upper_pairs(pg.neighbor[1:, 1:] & cross)
+    bad = tuple(zip((rows + 1).tolist(), (cols + 1).tolist()))
     if len(bad) > 3.0 * epsilon ** (1.0 / 12.0) * q * q:
         raise PostconditionFailure("bad pair count exceeds its bound")
     degrees = pg.neighbor[leftover, 1:].sum(axis=1)
@@ -225,7 +228,7 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
         part_groups=tuple(groups),
         extended_groups=extended_groups,
         leftover_parts=tuple(leftover),
-        bad_pairs=tuple((int(i), int(j)) for i, j in bad),
+        bad_pairs=bad,
     )
 
 
@@ -262,7 +265,8 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     internally, complete each extended group across its parts, cut edges
     between distinct groups, and clear all edges at leftover parts.  The
     result is asserted to be exactly the group cliques plus isolated
-    vertices.
+    vertices.  Each stage's mask is built whole; a stage that edits nothing
+    then costs one scan of that mask, and logs no pairs and measure 0.0.
 
     Before any edit, every group of two or more points must carry at least
     (1/2) epsilon^(1/4) of the graph mass, or LightClique is raised.  The
@@ -354,20 +358,25 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
 
     stages: dict[str, tuple[tuple[str, str], ...]] = {}
     stage_measures: dict[str, float] = {}
-    union = np.zeros((n, n), dtype=bool)
+    edited: list[np.ndarray] = []
+    vertices = graph.vertices
     for name, mk in zip(STAGE_NAMES, masks):
+        rows, cols = upper_pairs(mk)
         pairs = []
-        for i, j in zip(*np.nonzero(np.triu(mk, 1))):
-            u, v = graph.vertices[int(i)], graph.vertices[int(j)]
-            pairs.append((u, v))
-            pairs.append((v, u))
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            pairs.append((vertices[i], vertices[j]))
+            pairs.append((vertices[j], vertices[i]))
         stages[name] = tuple(pairs)
-        stage_measures[name] = float(mass @ mk @ mass)
-        union |= mk
+        # every mask is symmetric with a zero diagonal, so a stage without
+        # pairs has an all-False mask, whose measure is 0.0
+        stage_measures[name] = float(mass @ mk @ mass) if pairs else 0.0
+        if pairs:
+            edited.append(mk)
+    total = float(mass @ np.logical_or.reduce(edited) @ mass) if edited else 0.0
     log = ModificationLog(
         stages=stages,
         stage_measures=stage_measures,
-        total_measure=float(mass @ union @ mass),
+        total_measure=total,
     )
     repaired = WeightedGraph(vertices=graph.vertices, mass=graph.mass, adj=adj)
     return repaired, log

@@ -62,13 +62,33 @@ class SimilaritySpace:
             raise TreelikeError(f"unknown point {point!r}") from None
 
 
-def validate_space(space: SimilaritySpace) -> None:
-    """Check every SimilaritySpace invariant; raise on the first violation."""
-    seen: dict[str, int] = {}
-    for i, p in enumerate(space.points):
+def upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j where a square mask holds.
+
+    The pairs come in row-major order, as ``np.nonzero(np.triu(mask, 1))``
+    gives them.  An all-False mask costs one scan and yields two empty
+    index arrays.
+    """
+    if not mask.any():
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+    return np.nonzero(np.triu(mask, 1))
+
+
+def _check_distinct(ids: tuple[str, ...]) -> None:
+    """Raise DuplicatePoint at the first repeated identifier."""
+    if len(set(ids)) == len(ids):
+        return
+    seen: set[str] = set()
+    for i, p in enumerate(ids):
         if p in seen:
             raise DuplicatePoint(i, p)
-        seen[p] = i
+        seen.add(p)
+
+
+def validate_space(space: SimilaritySpace) -> None:
+    """Check every SimilaritySpace invariant; raise on the first violation."""
+    _check_distinct(space.points)
     n = space.n
     if space.weights.shape != (n,):
         raise TreelikeError(
@@ -89,13 +109,13 @@ def validate_space(space: SimilaritySpace) -> None:
         raise WeightSumMismatch(total)
     s = space.sim
     # NaN != NaN, so a NaN off the diagonal is reported as an asymmetry
-    bad = np.argwhere(np.triu(s != s.T, 1))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
+    rows, cols = upper_pairs(s != s.T)
+    if rows.size:
+        i, j = int(rows[0]), int(cols[0])
         raise AsymmetricSimilarity(i, j, float(s[i, j]), float(s[j, i]))
-    bad = np.argwhere(~((s >= 0) & (s <= space.bound)))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
+    outside = ~((s >= 0) & (s <= space.bound))
+    if outside.any():
+        i, j = (int(v) for v in np.argwhere(outside)[0])
         raise OutOfRangeEntry((i, j), float(s[i, j]))
 
 
@@ -126,25 +146,25 @@ def gromov_product_similarity(
     n = d.shape[0]
     if d.shape != (n, n):
         raise TreelikeError(f"distance matrix must be square, got {d.shape}")
-    neg = np.argwhere(d < 0)
-    if neg.size:
-        i, j = (int(v) for v in neg[0])
+    neg = d < 0
+    if neg.any():
+        i, j = (int(v) for v in np.argwhere(neg)[0])
         raise NegativeDistance(i, j, float(d[i, j]))
     bad = np.flatnonzero(np.diagonal(d) != 0)
     if bad.size:
         i = int(bad[0])
         raise InvalidDiagonal(i, float(d[i, i]))
     # NaN != NaN, so a NaN off the diagonal is reported as an asymmetry
-    bad = np.argwhere(np.triu(d != d.T, 1))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
+    rows, cols = upper_pairs(d != d.T)
+    if rows.size:
+        i, j = int(rows[0]), int(cols[0])
         raise AsymmetricSimilarity(i, j, float(d[i, j]), float(d[j, i]))
     # d[i,j] <= d[i,k] + d[k,j] for all triples
     for k in range(n):
         slack = d - (d[:, k][:, None] + d[k, :][None, :])
-        bad = np.argwhere(slack > 0)
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
+        bad = slack > 0
+        if bad.any():
+            i, j = (int(v) for v in np.argwhere(bad)[0])
             raise TriangleViolation((i, k, j), float(slack[i, j]))
     if not (0 <= base < n):
         raise BadParams(f"base index {base} out of range")
@@ -167,8 +187,9 @@ def gromov_product_similarity(
 class WeightedGraph:
     """Finite simple graph with a nonnegative vertex measure.
 
-    ``adj`` is the symmetric boolean adjacency matrix with a zero diagonal;
-    the edge relation is the set of ordered pairs it encodes.
+    ``vertices`` are distinct identifiers; ``adj`` is the symmetric boolean
+    adjacency matrix with a zero diagonal; the edge relation is the set of
+    ordered pairs it encodes.
     """
 
     vertices: tuple[str, ...]
@@ -179,6 +200,7 @@ class WeightedGraph:
         object.__setattr__(self, "vertices", tuple(str(v) for v in self.vertices))
         mass = np.asarray(self.mass, dtype=float)
         adj = np.asarray(self.adj, dtype=bool)
+        _check_distinct(self.vertices)
         n = len(self.vertices)
         if mass.shape != (n,):
             raise TreelikeError("mass vector does not match vertex count")
@@ -204,10 +226,9 @@ class WeightedGraph:
 
     def edges(self) -> list[tuple[str, str]]:
         """Edges as ordered identifier pairs, one orientation (i < j)."""
-        out = []
-        for i, j in zip(*np.nonzero(np.triu(self.adj, 1))):
-            out.append((self.vertices[int(i)], self.vertices[int(j)]))
-        return out
+        v = self.vertices
+        rows, cols = upper_pairs(self.adj)
+        return [(v[i], v[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def threshold_graph(space: SimilaritySpace, t: float,

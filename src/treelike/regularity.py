@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import WeightedGraph
+from .core import WeightedGraph, upper_pairs
 from .errors import (
     BadParams,
     BlowupTooLarge,
@@ -645,11 +645,15 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
     the ``forced`` meta key is true; the spectrum-only keys ``cut``,
     ``bucket_count``, ``part_cap`` and ``chunk_target`` are then None.
 
-    Densities are recorded for every pair of non-exceptional parts.  A pair
-    of single-point parts is regular, because its only admissible subsets
-    are the parts themselves; every other pair is classified by the
-    regularity tester with the per-pair seed (seed, i, j), so verdicts do not
-    depend on evaluation order.
+    Densities and flags are assigned as whole blocks over the
+    non-exceptional parts: the adjacency block on the forced path, the
+    part-mass quotients of the weighted edge masses otherwise (each pair
+    i < j computed once and mirrored).  Every pair starts regular, since a
+    pair of single-point parts has no admissible subsets but the parts
+    themselves.  The tester then sees only the pairs with a part of two or
+    more points, in row-major order with the per-pair seed (seed, i, j), so
+    verdicts do not depend on evaluation order; when every part is a single
+    point it runs on no pair.
     """
     mu_total = graph.total_mass()
     if mu_total <= 0:
@@ -669,14 +673,10 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
     index_parts = [list(refined.exceptional)] + [list(p) for p in refined.parts]
     q = len(index_parts) - 1
     sizes = np.array([len(part) for part in index_parts])
-    # pairs i < j of non-exceptional parts; refinement guarantees their mass
-    i, j = np.triu_indices(q, 1)
-    i += 1
-    j += 1
     densities = np.full((q + 1, q + 1), math.nan)
     if forced:
         # part i is point i - 1, so a density is an adjacency entry
-        dens = graph.adj[i - 1, j - 1]
+        densities[1:, 1:] = graph.adj
     else:
         membership = np.zeros((graph.n, q + 1))
         membership[[v for part in index_parts for v in part],
@@ -684,13 +684,19 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
         weighted = membership * graph.mass[:, None]
         rho = weighted.T @ graph.adj @ weighted
         part_mass = graph.mass @ membership
-        dens = rho[i, j] / (part_mass[i] * part_mass[j])
-    densities[i, j] = densities[j, i] = dens
+        # refinement gives every non-exceptional part positive mass
+        dens = rho[1:, 1:] / np.outer(part_mass[1:], part_mass[1:])
+        # rho need not be bit-symmetric: mirror the value above the diagonal
+        upper = np.arange(q)[:, None] < np.arange(q)
+        densities[1:, 1:] = np.where(upper, dens, dens.T)
+    np.fill_diagonal(densities, math.nan)
     # a single-point pair is regular; the tester settles every other pair
     flags = np.zeros((q + 1, q + 1), dtype=bool)
-    flags[i, j] = flags[j, i] = True
-    tested = (sizes[i] > 1) | (sizes[j] > 1)
-    for a, b in zip(i[tested].tolist(), j[tested].tolist()):
+    flags[1:, 1:] = True
+    np.fill_diagonal(flags, False)
+    multi = sizes[1:] > 1
+    tested_a, tested_b = upper_pairs(multi[:, None] | multi)
+    for a, b in zip((tested_a + 1).tolist(), (tested_b + 1).tolist()):
         verdict = regularity_test(
             graph, index_parts[a], index_parts[b], params.epsilon,
             trials=params.trials, seed=(seed, a, b),

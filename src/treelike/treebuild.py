@@ -297,10 +297,10 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     lower_ok = s >= prod * kappa - d0
     upper_ok = s <= (prod + 1) * kappa + d0
     off_diag = ~np.eye(n, dtype=bool)
-    check = off_diag & ~edited
-    bad = np.argwhere(check & ~(lower_ok & upper_ok))
+    bad = off_diag & ~edited & ~(lower_ok & upper_ok)
     violations = tuple(
-        (space.points[int(i)], space.points[int(j)]) for i, j in bad
+        (space.points[int(i)], space.points[int(j)])
+        for i, j in (np.argwhere(bad) if bad.any() else ())
     )
 
     p = space.weights

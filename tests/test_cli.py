@@ -477,6 +477,10 @@ PARAM_EDGES = {
                                        "--four-point", "--base", "1"], 2),
     "delta-base-out-of-range": (["delta", "--metric", "{metric}", "--base",
                                  "9"], 2),
+    # a repeated vertex id would otherwise give two parts of one name
+    "partition-duplicate-vertex": (["partition", "--graph", "{dup_graph}",
+                                    *REGULARITY, "--out", "{out}/parts.json"],
+                                   2),
     "partition-mode": (["partition", "--graph", "{graph}", *REGULARITY,
                         "--mode", "practical", "--out", "{out}/parts.json",
                         "--dot", "{out}/parts.dot"], 2),
@@ -493,11 +497,15 @@ def param_files(tmp_path):
     space = space_from_dict(edge_space())
     fx = tree_scaled_fixture(8, depth=2, alpha=0.3, seed=6)
     files = {name: tmp_path / f"{name}.json"
-             for name in ("space", "graph", "tree", "tree_space", "metric")}
+             for name in ("space", "graph", "dup_graph", "tree", "tree_space",
+                          "metric")}
     write_json(files["space"], space_to_dict(space))
     write_json(files["metric"], {"dist": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
                                           [1.0, 1.0, 0.0]]})
     write_json(files["graph"], graph_to_dict(threshold_graph(space, K)))
+    write_json(files["dup_graph"], {"vertices": ["a", "b", "a"],
+                                    "measure": [0.3, 0.3, 0.4],
+                                    "edges": [["a", "b"]]})
     write_json(files["tree"], tree_to_dict(fx.tree))
     write_json(files["tree_space"], space_to_dict(fx.space))
     files["out"] = tmp_path / "out"

@@ -270,6 +270,45 @@ class TestCliqueRepair:
                         assert not pg.neighbor[i, j]
 
 
+class TestStageLog:
+    """Stages that edit, checked against masks rebuilt from the log."""
+
+    @pytest.mark.parametrize("epsilon, counts", [
+        (1e-12, {"complete_within_group": 10000}),
+        (0.05, {"complete_within_group": 2608,
+                "delete_leftover_incident": 5605}),
+        (0.2, {"delete_leftover_incident": 9900}),
+    ])
+    def test_planted_blocks_median(self, epsilon, counts):
+        fx = planted_blocks_fixture(200, 3, seed=0)
+        graph = threshold_graph(fx.space, float(np.median(fx.space.sim)))
+        partition = regularity_pipeline(graph, RegularityParams(epsilon, 4))
+        pg = part_neighbor_graph(partition, epsilon)
+        structure = clique_closure(neighborhood_family(pg, epsilon), pg,
+                                   epsilon)
+        repaired, log = clique_repair(graph, partition, structure, epsilon)
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        mass = graph.mass
+        adj = graph.adj.copy()
+        union = np.zeros_like(adj)
+        for name in STAGE_NAMES:
+            pairs = log.stages[name]
+            assert len(pairs) // 2 == counts.get(name, 0)
+            forward = [(index[u], index[v]) for u, v in pairs[::2]]
+            assert [(index[v], index[u]) for u, v in pairs[1::2]] == forward
+            assert forward == sorted(forward)  # row-major, i < j
+            mask = np.zeros_like(adj)
+            for i, j in forward:
+                assert i < j
+                mask[i, j] = mask[j, i] = True
+            assert log.stage_measures[name] == float(mass @ mask @ mass)
+            adj ^= mask  # every stage edit flips an edge the stage saw
+            union |= mask
+        assert np.array_equal(repaired.adj, adj)
+        assert log.total_measure == float(mass @ union @ mass)
+        assert log.total_measure > 0.0
+
+
 class TestEditMeasureTrend:
     def test_monotone_in_parameters(self):
         # the edit measure follows the epsilon^(1/12) + 1/m budget as a

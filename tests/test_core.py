@@ -14,7 +14,8 @@ from treelike import (
     validate_space,
     validate_tree,
 )
-from treelike.core import tree_from_levels
+from treelike.core import WeightedGraph, threshold_graph, tree_from_levels, \
+    upper_pairs
 from treelike.errors import (
     AsymmetricSimilarity,
     BadParams,
@@ -669,3 +670,62 @@ class TestTreeFromLevels:
             levels = _random_hierarchy(n, depth, np.random.default_rng(seed))
             assert tree_items(fx.tree) == tree_items(
                 hierarchy_tree_loop(points, levels))
+
+
+def pair_masks():
+    """Seeded square boolean masks of every shape the pair helper meets."""
+    rng = np.random.default_rng(13)
+    one = np.zeros((6, 6), dtype=bool)
+    one[1, 4] = one[4, 1] = True
+    lower = np.zeros((5, 5), dtype=bool)
+    lower[3, 1] = lower[2, 2] = True  # set entries, none above the diagonal
+    dense = rng.random((40, 40)) < 0.6
+    return {
+        "empty": np.zeros((7, 7), dtype=bool),
+        "one-pair": one,
+        "dense": dense | dense.T,
+        "all-true": np.ones((9, 9), dtype=bool),
+        "0x0": np.zeros((0, 0), dtype=bool),
+        "1x1": np.ones((1, 1), dtype=bool),
+        "non-symmetric": rng.random((30, 30)) < 0.3,
+        "below-diagonal-only": lower,
+    }
+
+
+class TestUpperPairs:
+    @pytest.mark.parametrize("case", list(pair_masks()))
+    def test_matches_triu_nonzero(self, case):
+        mask = pair_masks()[case]
+        rows, cols = upper_pairs(mask)
+        want_rows, want_cols = np.nonzero(np.triu(mask, 1))
+        assert rows.dtype == cols.dtype == want_rows.dtype
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
+
+    def test_edges_follow_the_pairs(self):
+        mask = pair_masks()["dense"]
+        np.fill_diagonal(mask, False)
+        g = WeightedGraph(tuple(f"v{i}" for i in range(40)),
+                          np.full(40, 1 / 40), mask)
+        want = [(f"v{i}", f"v{j}") for i in range(40) for j in range(i + 1, 40)
+                if mask[i, j]]
+        assert want and g.edges() == want
+
+
+class TestDuplicateVertices:
+    def test_weighted_graph_rejects_a_repeated_id(self):
+        with pytest.raises(DuplicatePoint) as exc:
+            WeightedGraph(("a", "b", "a"), np.array([0.3, 0.3, 0.4]),
+                          np.zeros((3, 3), dtype=bool))
+        assert (exc.value.index, exc.value.point) == (2, "a")
+
+    def test_ids_are_compared_as_strings(self):
+        with pytest.raises(DuplicatePoint):
+            WeightedGraph((1, "1"), np.array([0.5, 0.5]),
+                          np.zeros((2, 2), dtype=bool))
+
+    def test_threshold_subset_with_a_repeat(self):
+        sp = random_fixture(4, seed=0).space
+        with pytest.raises(DuplicatePoint) as exc:
+            threshold_graph(sp, 0.5, subset=[0, 0, 1])
+        assert (exc.value.index, exc.value.point) == (1, "p0")

@@ -868,3 +868,101 @@ class TestForcedPartition:
             assert result.params["forced"]
             assert result.params["m_effective"] <= result.q == n
             assert result.parts == spectral_path(g, TINY, seed=0).parts
+
+
+def triu_scatter_reference(graph, result, epsilon, seed,
+                           tester=regularity_test):
+    """Reference: the fancy-index scatter over ``np.triu_indices``.
+
+    Densities and flags are written pair by pair at the indices i < j of
+    the non-exceptional parts and mirrored; the tester runs on every pair
+    with a multi-point part, in that row-major order.
+    """
+    index = {v: x for x, v in enumerate(graph.vertices)}
+    index_parts = [[index[v] for v in part] for part in result.parts]
+    q = len(index_parts) - 1
+    sizes = np.array([len(part) for part in index_parts])
+    i, j = np.triu_indices(q, 1)
+    i += 1
+    j += 1
+    densities = np.full((q + 1, q + 1), math.nan)
+    if result.params["forced"]:
+        dens = graph.adj[i - 1, j - 1]
+    else:
+        membership = np.zeros((graph.n, q + 1))
+        membership[[v for part in index_parts for v in part],
+                   np.repeat(np.arange(q + 1), sizes)] = 1.0
+        weighted = membership * graph.mass[:, None]
+        rho = weighted.T @ graph.adj @ weighted
+        part_mass = graph.mass @ membership
+        dens = rho[i, j] / (part_mass[i] * part_mass[j])
+    densities[i, j] = densities[j, i] = dens
+    flags = np.zeros((q + 1, q + 1), dtype=bool)
+    flags[i, j] = flags[j, i] = True
+    tested = (sizes[i] > 1) | (sizes[j] > 1)
+    for a, b in zip(i[tested].tolist(), j[tested].tolist()):
+        verdict = tester(graph, index_parts[a], index_parts[b], epsilon,
+                         trials=64, seed=(seed, a, b))
+        flags[a, b] = flags[b, a] = verdict.regular
+    return densities, flags
+
+
+class TestBlockAssignment:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("weights", ["uniform", "random"])
+    def test_forced_path_matches_scatter(self, seed, weights):
+        rng = np.random.default_rng((seed, 7))
+        mass = None if weights == "uniform" else rng.random(70) + 0.1
+        g = er_graph(70, 0.4, seed, None if mass is None else mass / mass.sum())
+        result = regularity_pipeline(g, TINY, seed=seed)
+        assert result.params["forced"]
+        densities, flags = triu_scatter_reference(g, result, TINY.epsilon,
+                                                  seed)
+        assert result.densities.tobytes() == densities.tobytes()
+        assert np.array_equal(result.regular_flags, flags)
+
+    @pytest.mark.parametrize("case", ["empty120", "matched400", "heavy200",
+                                      "er60", "chunks"])
+    def test_spectral_path_matches_scatter(self, case, monkeypatch):
+        # a stand-in tester that rejects by seed shows which pairs are
+        # tested and with what seed, at a fraction of the real tester's cost
+        def stand_in(graph, left, right, epsilon, trials, seed):
+            _, i, j = seed
+            return regularity.RegularityVerdict(
+                (i * i + j) % 3 != 0, True, 0.0, 0.0)
+
+        monkeypatch.setattr(regularity, "regularity_test", stand_in)
+        if case == "chunks":
+            # parts of five points with uneven masses on edges: the weighted
+            # edge masses rho are then not bit-symmetric
+            def chunks(buckets, mass, params):
+                return regularity.RefinedParts(
+                    exceptional=(), m_effective=2, m_star=2.0,
+                    chunk_target=None, part_cap=None,
+                    parts=tuple(tuple(range(x, x + 5))
+                                for x in range(0, len(mass), 5)))
+
+            monkeypatch.setattr(regularity, "equitable_refine", chunks)
+            mass = np.random.default_rng(8).random(80) + 0.5
+            g = er_graph(80, 0.5, 8, mass / mass.sum())
+        elif case == "er60":
+            g = er_graph(60, 0.5, 3)
+        else:
+            # at epsilon = 0.2 these hold multi-point parts
+            g = oracle_graph(case)
+        result = regularity_pipeline(g, RegularityParams(0.2, 2), seed=4)
+        assert not result.params["forced"]
+        if case != "er60":
+            assert not result.regular_flags[1:, 1:].all()
+        densities, flags = triu_scatter_reference(g, result, 0.2, 4,
+                                                  tester=stand_in)
+        assert result.densities.tobytes() == densities.tobytes()
+        assert np.array_equal(result.regular_flags, flags)
+
+    def test_single_point_parts_skip_the_tester(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tester called on single-point parts")
+
+        monkeypatch.setattr(regularity, "regularity_test", refuse)
+        result = regularity_pipeline(er_graph(50, 0.5, 1), TINY, seed=0)
+        assert result.regular_flags[1:, 1:].sum() == 50 * 49
