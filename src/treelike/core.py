@@ -55,12 +55,6 @@ class SimilaritySpace:
     def n(self) -> int:
         return len(self.points)
 
-    def index_of(self, point: str) -> int:
-        try:
-            return self.points.index(point)
-        except ValueError:
-            raise TreelikeError(f"unknown point {point!r}") from None
-
 
 def upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the pairs i < j where a square mask holds.
@@ -206,8 +200,9 @@ class WeightedGraph:
             raise TreelikeError("mass vector does not match vertex count")
         if adj.shape != (n, n):
             raise TreelikeError("adjacency does not match vertex count")
-        if (mass < 0).any():
-            raise TreelikeError("vertex masses must be nonnegative")
+        bad = np.flatnonzero((mass < 0) | ~np.isfinite(mass))
+        if bad.size:
+            raise OutOfRangeEntry(("mass", int(bad[0])), float(mass[bad[0]]))
         if not np.array_equal(adj, adj.T):
             raise TreelikeError("edge relation must be symmetric")
         if adj.diagonal().any():
@@ -280,9 +275,6 @@ class CompatibleTree:
 
     def children(self, node: str) -> list[str]:
         return self._children[node]
-
-    def nodes(self) -> list[str]:
-        return list(self.level)
 
     def leaf_of(self, point: str) -> str:
         try:

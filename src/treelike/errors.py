@@ -82,13 +82,11 @@ class UnknownLeaf(TreeStructureError):
 
 
 class LeafMismatch(TreeStructureError):
-    def __init__(self, msg):
-        super().__init__(msg)
+    pass
 
 
 class MapMismatch(TreeStructureError):
-    def __init__(self, msg):
-        super().__init__(msg)
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +138,7 @@ class EigensolveFailure(TreelikeError):
 
 
 class HeavyAtom(TreelikeError):
-    def __init__(self, msg):
-        super().__init__(msg)
+    pass
 
 
 class EmptyPart(TreelikeError):

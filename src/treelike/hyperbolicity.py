@@ -33,10 +33,6 @@ from .errors import (
 
 MACHINE_EPS = float(np.finfo(float).eps)
 
-# Floor applied to delta0 when the measured hyperbolicity is exactly zero;
-# without it every window constraint degenerates.
-DELTA0_FLOOR = MACHINE_EPS ** 0.125
-
 
 def _dedupe_points(space: SimilaritySpace
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,6 +306,8 @@ def _threshold_ladder(rows: tuple[np.ndarray, np.ndarray, np.ndarray],
     w, s, _ = rows
     hyp = _defect_sum(w, s)
     if delta0 is None:
+        # the floor applies when the measured hyperbolicity is exactly zero;
+        # without it every window constraint degenerates
         delta0 = max(hyp, MACHINE_EPS) ** 0.125
     kappa = max(epsilon ** (1.0 / 24.0), m ** (-0.5))
     if not delta0 < kappa / 2.0:

@@ -234,20 +234,10 @@ def _escape_newick(label: str) -> str:
 
 
 def partition_to_dict(result: PartitionResult) -> dict:
-    q = result.q
-    densities = [
-        [None if math.isnan(result.densities[i, j]) else result.densities[i, j]
-         for j in range(q + 1)]
-        for i in range(q + 1)
-    ]
-    flags = [
-        [bool(result.regular_flags[i, j]) for j in range(q + 1)]
-        for i in range(q + 1)
-    ]
     return {
         "parts": [list(p) for p in result.parts],
         "exceptional_index": 0,  # parts[0] is always V_0; kept for readers
-        "densities": densities,
-        "flags": flags,
+        "densities": result.densities,
+        "flags": result.regular_flags,
         "params": dict(result.params),
     }

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
@@ -129,41 +128,25 @@ def _apportion(p: np.ndarray, n_total: int) -> np.ndarray | None:
     return base
 
 
-def rationalize_weights(weights: np.ndarray, tolerance: float,
-                        max_blowup: int = 10 ** 12) -> tuple[np.ndarray, int]:
+def rationalize_weights(weights: np.ndarray, tolerance: float
+                        ) -> tuple[np.ndarray, int]:
     """Approximate probabilities by K(x)/N with a common denominator N.
 
-    Guarantees K(x) >= 1, sum K = N and |K(x)/N - p(x)| within the tolerance.
-    With tolerance zero the weights are normalized and their exact dyadic
-    representation is used.  Small N are scanned first so nice inputs get
-    their minimal denominator.
+    Guarantees K(x) >= 1, sum K = N <= ``RegularityParams.max_blowup`` and
+    |K(x)/N - p(x)| within the tolerance, which must be positive.  Small N
+    are scanned first so nice inputs get their minimal denominator.
 
-    A positive tolerance needs weights summing to one within n * tolerance;
-    other weights raise BadParams before any N is tried.  The scan skips only
-    N at which no K(x) >= 1 can meet the tolerance, so K and N equal those of
-    a plain ascending scan.
+    The weights must sum to one within n * tolerance; other weights raise
+    BadParams before any N is tried.  The scan skips only N at which no
+    K(x) >= 1 can meet the tolerance, so K and N equal those of a plain
+    ascending scan.
     """
     p = np.asarray(weights, dtype=float)
     n = len(p)
     if n == 0 or (p < 0).any():
         raise BadParams("weights must be a nonempty nonnegative vector")
-    if not tolerance >= 0:
-        raise BadParams("tolerance must be >= 0")
-    if tolerance == 0.0:
-        fracs = [Fraction(float(x)) for x in p]
-        total = sum(fracs)
-        if total == 0:
-            raise BadParams("weights sum to zero")
-        ratios = [f / total for f in fracs]
-        denom = 1
-        for r in ratios:
-            denom = denom * r.denominator // math.gcd(denom, r.denominator)
-        if denom > max_blowup:
-            raise BlowupTooLarge(denom, max_blowup)
-        k = np.array([int(r * denom) for r in ratios], dtype=np.int64)
-        if (k < 1).any():
-            raise BadParams("zero weight cannot be represented exactly")
-        return k, int(denom)
+    if not tolerance > 0:
+        raise BadParams("tolerance must be > 0")
 
     # K/N sums to one, so with u = 2^-53 an accepted K has |1 - sum p|
     # <= n * tolerance (1 + 2u) + u, and the pairwise sum adds at most
@@ -173,8 +156,7 @@ def rationalize_weights(weights: np.ndarray, tolerance: float,
         raise BadParams(
             f"weights must sum to 1 within n * tolerance, got sum {total!r}"
         )
-    scan_top = min(max(RATIONALIZE_SCAN_LIMIT, 4 * n), max_blowup)
-    alive = np.arange(n, scan_top + 1)
+    alive = np.arange(n, max(RATIONALIZE_SCAN_LIMIT, 4 * n) + 1)
     # An accepted K has |K - N p| <= N tolerance (1 + 2u) + u K, from the
     # rounding of k / N and of the subtraction.  x = fl(N p) is within u N p
     # of N p, and c = max(1, rint(x)) is the integer >= 1 nearest to x, so
@@ -197,6 +179,7 @@ def rationalize_weights(weights: np.ndarray, tolerance: float,
         if np.abs(k / n_total - p).max() <= tolerance:
             return k, n_total
 
+    max_blowup = RegularityParams.max_blowup
     n_total = max(n, int(math.ceil(2.0 / tolerance)))
     while n_total <= max_blowup:
         k = _apportion(p, n_total)
@@ -577,7 +560,7 @@ def _flatten_seed(seed) -> tuple[int, ...]:
 
 
 def _sampled_test(graph: WeightedGraph, left: list[int], right: list[int],
-                  epsilon: float, trials: int, seed) -> RegularityVerdict:
+                  epsilon: float, seed) -> RegularityVerdict:
     mass = graph.mass
     mu_l = float(mass[list(left)].sum())
     mu_r = float(mass[list(right)].sum())
@@ -593,7 +576,7 @@ def _sampled_test(graph: WeightedGraph, left: list[int], right: list[int],
         return list(side)
 
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(RegularityParams.trials):
         sub_l = draw(left, mu_l)
         sub_r = draw(right, mu_r)
         dev = abs(pair_density(graph, sub_l, sub_r) - base)
@@ -607,12 +590,13 @@ def _sampled_test(graph: WeightedGraph, left: list[int], right: list[int],
 
 
 def regularity_test(graph: WeightedGraph, left, right, epsilon: float,
-                    trials: int = 64, seed=0) -> RegularityVerdict:
+                    seed=0) -> RegularityVerdict:
     """Decide whether a disjoint pair of parts is epsilon-regular.
 
     Exhaustive subset enumeration when both parts have at most 12 points
     (the verdict is then certified); otherwise a seeded sampling tester that
-    reports Regular unless it finds a witness.
+    draws ``RegularityParams.trials`` subset pairs and reports Regular unless
+    one of them is a witness.
     """
     left = [int(v) for v in left]
     right = [int(v) for v in right]
@@ -628,7 +612,7 @@ def regularity_test(graph: WeightedGraph, left, right, epsilon: float,
         return RegularityVerdict(True, True, 0.0, base, None)
     if len(left) <= EXHAUSTIVE_LIMIT and len(right) <= EXHAUSTIVE_LIMIT:
         return _exhaustive_test(graph, left, right, epsilon)
-    return _sampled_test(graph, left, right, epsilon, trials, seed)
+    return _sampled_test(graph, left, right, epsilon, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +643,7 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
     if mu_total <= 0:
         raise ZeroMassGraph("graph carries no mass")
     prob = graph.mass / mu_total
-    kmult, blowup = rationalize_weights(prob, params.nu, params.max_blowup)
+    kmult, blowup = rationalize_weights(prob, params.nu)
     refined = _forced_refinement(graph.mass, blowup, params)
     forced = refined is not None
     cut = bucket_count = None
@@ -699,7 +683,7 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
     for a, b in zip((tested_a + 1).tolist(), (tested_b + 1).tolist()):
         verdict = regularity_test(
             graph, index_parts[a], index_parts[b], params.epsilon,
-            trials=params.trials, seed=(seed, a, b),
+            seed=(seed, a, b),
         )
         flags[a, b] = flags[b, a] = verdict.regular
     parts_ids = tuple(

@@ -49,10 +49,6 @@ class SpinGlassModel:
         g[np.triu_indices(self.n, 1)] = self.couplings
         return g + g.T
 
-    def energy(self, sigma: np.ndarray) -> float:
-        g = self.coupling_matrix()
-        return float(sigma @ g @ sigma) / (2.0 * math.sqrt(self.n))
-
 
 def sk_couplings(n: int, beta: float = 1.0, seed: int = 0) -> SpinGlassModel:
     """Draw the n(n-1)/2 Gaussian couplings for a model of size n."""

@@ -37,7 +37,6 @@ class TreeBuildReport:
     tree: CompatibleTree
     kappa: float
     delta0: float
-    alpha_used: float
     cost: float
     best_alpha: float
     best_cost: float
@@ -182,9 +181,13 @@ class ConverseReport:
     passed: bool
 
 
-def converse_check(space: SimilaritySpace, tree: CompatibleTree, alpha: float,
-                   tolerance: float = 1e-12) -> ConverseReport:
-    """Verify the average defect against five times the root of the cost."""
+def converse_check(space: SimilaritySpace, tree: CompatibleTree, alpha: float
+                   ) -> ConverseReport:
+    """Verify the average defect against five times the root of the cost.
+
+    The check passes when the defect is at most the bound plus a fixed
+    1e-12 slack for rounding.
+    """
     cost = tree_cost(space, tree, alpha)
     if space.bound != 1.0:
         raise BadParams("converse check requires a space with bound 1")
@@ -193,7 +196,7 @@ def converse_check(space: SimilaritySpace, tree: CompatibleTree, alpha: float,
     margin = bound - hyp
     return ConverseReport(
         hyp=hyp, cost=cost, bound=bound, margin=margin,
-        passed=bool(hyp <= bound + tolerance),
+        passed=bool(hyp <= bound + 1e-12),
     )
 
 
@@ -253,9 +256,9 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         raise BadParams("build_tree requires a space rescaled to bound 1")
     params = RegularityParams(epsilon=epsilon, m=m)
     # the space is valid from here on, so the kernels skip the checks
-    rows = _dedupe_points(space)
-    ladder = _threshold_ladder(rows, epsilon, m, delta0)
-    exc = _exceptional_sets(space.weights, rows, ladder)
+    distinct = _dedupe_points(space)
+    ladder = _threshold_ladder(distinct, epsilon, m, delta0)
+    exc = _exceptional_sets(space.weights, distinct, ladder)
     excluded = sorted(exc.a_indices)
     n = space.n
     kappa = ladder.kappa
@@ -314,7 +317,6 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         tree=tree,
         kappa=kappa,
         delta0=d0,
-        alpha_used=kappa,
         cost=cost_kappa,
         best_alpha=alpha_star,
         best_cost=cost_star,

@@ -106,7 +106,7 @@ def test_criterion_2_converse_bound(noisy_fixtures):
     ok = True
     for fx in noisy_fixtures:
         alpha, _ = best_alpha(fx.space, fx.tree)
-        out = converse_check(fx.space, fx.tree, alpha, tolerance=1e-12)
+        out = converse_check(fx.space, fx.tree, alpha)
         worst_margin = min(worst_margin, out.margin)
         ok = ok and out.passed and out.margin >= -1e-12
     report(2, ok, f"50 noisy-tree fixtures: min margin {worst_margin:.4f}")

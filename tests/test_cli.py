@@ -1,13 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treelike import treebuild
+from treelike import generate_fixture, profile_integral, treebuild, \
+    validate_space
 from treelike.cli import main
 from treelike.io import (
     dump_json,
+    graph_from_dict,
     graph_to_dict,
+    graph_to_dot,
     read_json,
     space_from_dict,
     space_to_dict,
@@ -140,7 +144,8 @@ class TestCommands:
         code = main(["ladder", "--space", str(three_point_file),
                      "--epsilon", "1e-10", "--m", "9",
                      "--delta0", "0.15", "--profile-csv", str(csv_path)])
-        assert code == 3 or code == 0
+        assert code == 3
+        assert not csv_path.exists()
 
     def test_split_command(self, tmp_path, three_point_file, capsys):
         out = tmp_path / "split.json"
@@ -387,6 +392,8 @@ def test_spinglass_schedule_exit_codes(case, capsys):
 
 
 UNIT = ["--epsilon", "1e-12", "--m", "16"]
+MASS_GRAPHS = {"nan": [NAN, 0.5, 0.5], "inf": [float("inf"), 0.5, 0.5],
+               "negative": [-0.1, 0.6, 0.5]}
 TREE_OUTS = ["--out", "{out}/tree.json", "--report", "{out}/report.json",
              "--newick", "{out}/tree.nwk"]
 EVAL = ["eval", "--space", "{tree_space}", "--tree", "{tree}"]
@@ -422,6 +429,7 @@ PARAM_EDGES = {
     "split-delta-nan": (["split", "--space", "{space}", "--delta", "nan",
                          "--out", "{out}/split.json", "--map",
                          "{out}/map.json"], 2),
+    "convert-no-output": (["convert", "--space", "{space}"], 2),
     "convert-dot-without-t": (["convert", "--space", "{space}",
                                "--rescale-out", "{out}/unit.json",
                                "--dot", "{out}/graph.dot"], 2),
@@ -471,6 +479,8 @@ PARAM_EDGES = {
     "delta-no-input": (["delta"], 2),
     "delta-space-and-metric": (["delta", "--space", "{space}", "--metric",
                                 "{metric}"], 2),
+    "delta-space-four-point": (["delta", "--space", "{space}",
+                                "--four-point"], 2),
     "delta-space-ignores-base": (["delta", "--space", "{space}", "--base",
                                   "0"], 2),
     "delta-four-point-ignores-base": (["delta", "--metric", "{metric}",
@@ -481,6 +491,12 @@ PARAM_EDGES = {
     "partition-duplicate-vertex": (["partition", "--graph", "{dup_graph}",
                                     *REGULARITY, "--out", "{out}/parts.json"],
                                    2),
+    # the first negative, NaN or infinite vertex mass is out of range
+    **{f"partition-{kind}-mass": (["partition", "--graph",
+                                   f"{{{kind}_mass_graph}}", "--epsilon",
+                                   "0.1", "--m", "2", "--out",
+                                   "{out}/parts.json"], 2)
+       for kind in MASS_GRAPHS},
     "partition-mode": (["partition", "--graph", "{graph}", *REGULARITY,
                         "--mode", "practical", "--out", "{out}/parts.json",
                         "--dot", "{out}/parts.dot"], 2),
@@ -506,6 +522,12 @@ def param_files(tmp_path):
     write_json(files["dup_graph"], {"vertices": ["a", "b", "a"],
                                     "measure": [0.3, 0.3, 0.4],
                                     "edges": [["a", "b"]]})
+    for kind, measure in MASS_GRAPHS.items():
+        path = files[f"{kind}_mass_graph"] = tmp_path / f"{kind}_mass.json"
+        # json.dumps writes NaN and Infinity as literals, which the reader takes
+        path.write_text(json.dumps({"vertices": ["a", "b", "c"],
+                                    "measure": measure,
+                                    "edges": [["a", "b"]]}))
     write_json(files["tree"], tree_to_dict(fx.tree))
     write_json(files["tree_space"], space_to_dict(fx.space))
     files["out"] = tmp_path / "out"
@@ -524,3 +546,146 @@ def test_param_edge_exit_codes(case, param_files, tmp_path, capsys):
     assert got == code
     assert capsys.readouterr().out == ""
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def check_hyp_mc(stdout, out, files):
+    value, mc = stdout.splitlines()
+    data = read_json(out / "hyp.json")
+    assert value == f"{data['hyp']:.6f}"
+    assert mc == (f"mc {data['mc_estimate']:.6f} "
+                  f"stderr {data['mc_stderr']:.2e}")
+
+
+def check_delta(expected):
+    def check(stdout, out, files):
+        assert stdout == expected + "\n"
+    return check
+
+
+def check_delta_json(expected):
+    def check(stdout, out, files):
+        assert json.loads(stdout)["delta"] == expected
+    return check
+
+
+def check_ladder(stdout, out, files):
+    space = space_from_dict(read_json(files["ultrametric"]))
+    data = read_json(out / "ladder.json")
+    assert stdout.startswith(f"kappa {data['kappa']:.6f} ")
+    header, *rows = (out / "profile.csv").read_text().splitlines()
+    assert header == "t,mass"
+    ts, masses = np.array([[float(v) for v in row.split(",")]
+                           for row in rows]).T
+    assert np.array_equal(ts, np.unique(space.sim))
+    assert profile_integral(ts, masses) == pytest.approx(data["hyp"],
+                                                         abs=1e-15)
+
+
+def check_same_as_out_file(command):
+    def check(stdout, out, files):
+        argv = [flag.format(**files) for flag in OUTPUT_RUNS[command][0]]
+        assert main(argv + ["--out", str(out / "again.json")]) == 0
+        printed = json.loads(stdout)
+        written = read_json(out / "again.json")
+        for data in (printed, written):
+            data.pop("config")
+        assert printed == written
+    return check
+
+
+def check_cliques_dots(stdout, out, files):
+    check_same_as_out_file("cliques-stdout-dots")(stdout, out, files)
+    graph = threshold_graph(space_from_dict(read_json(files["space"])), K)
+    assert (out / "before.dot").read_text() == graph_to_dot(graph)
+    assert (out / "after.dot").read_text().startswith("graph")
+
+
+def check_spinglass_tree(stdout, out, files):
+    tree = tree_from_dict(read_json(out / "tree.json"))
+    assert len(tree.leaf_points) == json.loads(stdout)["n_states"]
+
+
+def check_space_out(stdout, out, files):
+    space = space_from_dict(read_json(out / "space.json"))
+    validate_space(space)
+    assert space.n == 4
+
+
+def check_graph_outs(stdout, out, files):
+    graph = threshold_graph(space_from_dict(read_json(files["space"])), K)
+    assert (out / "graph.dot").read_text() == graph_to_dot(graph)
+    back = graph_from_dict(read_json(out / "graph.json"))
+    assert back.vertices == graph.vertices
+    assert np.array_equal(back.mass, graph.mass)
+    assert np.array_equal(back.adj, graph.adj)
+
+
+# the four-cycle with unit sides: opposite pairs sum to 2, 2 and 4, and at
+# base 0 the products (1|2) = (2|3) = 1 but (1|3) = 0, so both deltas are 1
+SQUARE = [[0.0, 1.0, 2.0, 1.0], [1.0, 0.0, 1.0, 2.0],
+          [2.0, 1.0, 0.0, 1.0], [1.0, 2.0, 1.0, 0.0]]
+OUTPUT_RUNS = {
+    # case: (flags, files written, check of stdout and files)
+    "hyp-mc-plain-out": (["hyp", "--space", "{three}", "--mc", "200",
+                          "--out", "{out}/hyp.json"], {"hyp.json"},
+                         check_hyp_mc),
+    "delta-metric": (["delta", "--metric", "{square}"], set(),
+                     check_delta("1.000000")),
+    "delta-metric-four-point": (["delta", "--metric", "{square}",
+                                 "--four-point"], set(),
+                                check_delta("1.000000")),
+    "delta-space-json": (["delta", "--space", "{three}", "--format", "json"],
+                         set(), check_delta_json(1.0)),
+    "ladder-out-profile-csv": (["ladder", "--space", "{ultrametric}", *UNIT,
+                                "--out", "{out}/ladder.json",
+                                "--profile-csv", "{out}/profile.csv"],
+                               {"ladder.json", "profile.csv"}, check_ladder),
+    "partition-stdout": (["partition", "--graph", "{graph}", *REGULARITY],
+                         set(), check_same_as_out_file("partition-stdout")),
+    "cliques-stdout-dots": (["cliques", "--space", "{space}", "--t", repr(K),
+                             *REGULARITY, "--dot-before", "{out}/before.dot",
+                             "--dot-after", "{out}/after.dot"],
+                            {"before.dot", "after.dot"}, check_cliques_dots),
+    "spinglass-out": (["spinglass", "--n", "12", "--beta", "2.0", "--seed",
+                       "3", "--mcmc", "30000", "--burn-in", "5000", "--thin",
+                       "100", "--f", "abs", "--epsilon", "5.96e-8", "--m",
+                       "4", "--delta0", "0.2", "--out", "{out}/tree.json"],
+                      {"tree.json"}, check_spinglass_tree),
+    "convert-space-out": (["convert", "--metric", "{square}", "--space-out",
+                           "{out}/space.json"], {"space.json"},
+                          check_space_out),
+    "convert-dot-graph-out": (["convert", "--space", "{space}", "--t", repr(K),
+                               "--dot", "{out}/graph.dot", "--graph-out",
+                               "{out}/graph.json"],
+                              {"graph.dot", "graph.json"}, check_graph_outs),
+}
+
+
+@pytest.fixture
+def run_files(tmp_path):
+    space = space_from_dict(edge_space())
+    three = SimilaritySpace(
+        points=("a", "b", "c"),
+        weights=np.full(3, 1.0 / 3.0),
+        sim=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+    )
+    files = {name: tmp_path / f"{name}.json"
+             for name in ("space", "three", "ultrametric", "graph", "square")}
+    write_json(files["space"], space_to_dict(space))
+    write_json(files["three"], space_to_dict(three))
+    write_json(files["ultrametric"], space_to_dict(
+        generate_fixture("ultrametric", 16, {}, 3).space))
+    write_json(files["graph"], graph_to_dict(threshold_graph(space, K)))
+    write_json(files["square"], {"dist": SQUARE})
+    files["out"] = tmp_path / "out"
+    files["out"].mkdir()
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("case", list(OUTPUT_RUNS))
+def test_output_paths(case, run_files, capsys):
+    flags, written, check = OUTPUT_RUNS[case]
+    assert main([flag.format(**run_files) for flag in flags]) == 0
+    out = run_files["out"]
+    assert {p.name for p in Path(out).iterdir()} == written
+    check(capsys.readouterr().out, Path(out), run_files)

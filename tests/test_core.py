@@ -729,3 +729,18 @@ class TestDuplicateVertices:
         with pytest.raises(DuplicatePoint) as exc:
             threshold_graph(sp, 0.5, subset=[0, 0, 1])
         assert (exc.value.index, exc.value.point) == (1, "p0")
+
+
+class TestVertexMasses:
+    @pytest.mark.parametrize("mass, index", [
+        ([np.nan, 0.5, 0.5], 0),
+        ([0.5, np.inf, 0.5], 1),
+        ([0.5, 0.6, -0.1], 2),
+        ([0.5, -np.inf, np.nan], 1),
+    ])
+    def test_first_bad_mass_is_reported(self, mass, index):
+        with pytest.raises(OutOfRangeEntry) as exc:
+            WeightedGraph(("a", "b", "c"), np.array(mass),
+                          np.zeros((3, 3), dtype=bool))
+        assert exc.value.where == ("mass", index)
+        np.testing.assert_equal(exc.value.value, mass[index])
