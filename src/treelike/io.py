@@ -1,8 +1,18 @@
 """File formats and exports.
 
-JSON numbers are written with 17 significant digits so binary floats
-round-trip exactly and reports are byte-identical across runs.  Undefined
-densities serialize as null.
+JSON numbers follow one rule, so binary floats round-trip exactly and
+reports are byte-identical across runs: a float with an integral value below
+1e16 in magnitude is written with one decimal ("3.0", "-0.0"), any other
+finite float with 17 significant digits, NaN as null and infinities as the
+strings "inf" and "-inf".  Python and numpy integers are written as
+integers, Python bools as true/false; any other number (a numpy bool or
+float32 scalar) is first widened to a float.
+
+Writers stream.  One generator yields a document in pieces, one array row
+or one line of scalars at a time; ``dump_json`` joins the pieces and
+``write_json`` writes them to the open file as they come, so it never holds
+the whole text.  A 1-D or 2-D numeric ndarray is converted and formatted a
+row at a time.
 """
 
 from __future__ import annotations
@@ -19,60 +29,106 @@ from .regularity import PartitionResult
 
 
 def _format_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    v = float(x)
-    if math.isnan(v):
+    if type(x) is not float:
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        x = float(x)
+    if x != x:
         return "null"
-    if math.isinf(v):
-        return '"inf"' if v > 0 else '"-inf"'
-    if v == int(v) and abs(v) < 1e16:
-        return f"{v:.1f}"
-    return f"{v:.17g}"
+    if x == math.inf:
+        return '"inf"'
+    if x == -math.inf:
+        return '"-inf"'
+    if x.is_integer() and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return f"{x:.17g}"
 
 
-def dump_json(value, indent: int = 0) -> str:
-    """Serialize dicts/lists/strings/numbers with stable float formatting."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(k))}: {dump_json(v, indent + 2)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if flat:
-            return "[" + ", ".join(dump_json(v) for v in seq) + "]"
-        rows = [f"{inner}{dump_json(v, indent + 2)}" for v in seq]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(value, np.ndarray):
-        return dump_json(value.tolist(), indent)
+def _leaf(value) -> str:
+    """A value that shares its line with its siblings in a list."""
     if value is None:
         return "null"
     if isinstance(value, str):
         return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        return dump_json(value)
     return _format_number(value)
 
 
+def _chunks(value, indent: int):
+    """Yield the JSON text of value in pieces.
+
+    A list of scalars, or a 1-D numeric array, stays on one line.  Dicts,
+    other lists and 2-D numeric arrays put one item (one row) on each line,
+    indented by ``indent + 2``; an item that is itself a container goes on
+    as the pieces of its own text.
+    """
+    if isinstance(value, np.ndarray):
+        if not (value.size and value.ndim in (1, 2)
+                and value.dtype.kind in "biuf"):
+            value = value.tolist()
+        elif value.ndim == 1:
+            yield "[" + ", ".join(map(_format_number, value.tolist())) + "]"
+            return
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        brackets = "{}"
+        items = ((json.dumps(str(k)) + ": ", v) for k, v in value.items())
+    elif isinstance(value, np.ndarray):
+        brackets = "[]"
+        items = (("", row) for row in value)
+    elif isinstance(value, (list, tuple)):
+        if not any(isinstance(v, (dict, list, tuple)) for v in value):
+            yield "[" + ", ".join(map(_leaf, value)) + "]"
+            return
+        brackets = "[]"
+        items = (("", v) for v in value)
+    else:
+        yield _leaf(value)
+        return
+    inner = " " * (indent + 2)
+    head = brackets[0] + "\n"
+    for key, v in items:
+        if isinstance(v, (dict, list, tuple, np.ndarray)):
+            yield f"{head}{inner}{key}"
+            yield from _chunks(v, indent + 2)
+        else:
+            yield f"{head}{inner}{key}{_leaf(v)}"
+        head = ",\n"
+    yield f"\n{' ' * indent}{brackets[1]}"
+
+
+def dump_json(value, indent: int = 0) -> str:
+    """Serialize dicts/lists/arrays/strings/numbers with stable float
+    formatting."""
+    return "".join(_chunks(value, indent))
+
+
 def write_json(path, value) -> None:
-    Path(path).write_text(dump_json(value) + "\n")
+    """Write ``dump_json(value)`` and a newline to path, piece by piece."""
+    p = Path(path)
+    try:
+        with p.open("w", encoding="utf-8") as fh:
+            fh.writelines(_chunks(value, 0))
+            fh.write("\n")
+    except OSError as exc:
+        raise IOFailure(f"cannot write {p}: {exc}") from exc
 
 
 def read_json(path):
     p = Path(path)
-    if not p.exists():
-        raise IOFailure(f"no such file: {p}")
     try:
-        return json.loads(p.read_text())
+        text = p.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise IOFailure(f"no such file: {p}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IOFailure(f"cannot read {p}: {exc}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise IOFailure(f"cannot parse {p}: {exc}") from exc
 

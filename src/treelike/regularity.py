@@ -180,7 +180,12 @@ def rationalize_weights(weights: np.ndarray, tolerance: float
             return k, n_total
 
     max_blowup = RegularityParams.max_blowup
-    n_total = max(n, int(math.ceil(2.0 / tolerance)))
+    start = 2.0 / tolerance
+    if start > max_blowup:
+        # the doubling would start past the cap; a subnormal tolerance makes
+        # start infinite, which has no integer ceiling
+        raise BlowupTooLarge(start, max_blowup)
+    n_total = max(n, math.ceil(start))
     while n_total <= max_blowup:
         k = _apportion(p, n_total)
         if k is not None and np.abs(k / n_total - p).max() <= tolerance:

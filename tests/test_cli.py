@@ -508,6 +508,28 @@ PARAM_EDGES = {
 }
 
 
+# files that cannot be read or written exit 8, as a missing input does
+IO_EDGES = {
+    "hyp-space-is-a-directory": (["hyp", "--space", "{out}"], "{out}"),
+    "hyp-space-not-utf8": (["hyp", "--space", "{latin1}"], "{latin1}"),
+    "fixture-out-missing-dir": (["fixture", "--kind", "ultrametric",
+                                 "--size", "4", "--out",
+                                 "{out}/missing/x.json"], "missing"),
+    "hyp-out-missing-dir": (["hyp", "--space", "{space}", "--out",
+                             "{out}/missing/h.json"], "missing"),
+}
+
+
+@pytest.mark.parametrize("case", list(IO_EDGES))
+def test_io_edge_exit_codes(case, param_files, capsys):
+    flags, named = IO_EDGES[case]
+    argv = [flag.format(**param_files) for flag in flags]
+    assert main(argv) == 8
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named.format(**param_files) in err
+    assert list(Path(param_files["out"]).iterdir()) == []
+
+
 @pytest.fixture
 def param_files(tmp_path):
     space = space_from_dict(edge_space())
@@ -530,6 +552,8 @@ def param_files(tmp_path):
                                     "edges": [["a", "b"]]}))
     write_json(files["tree"], tree_to_dict(fx.tree))
     write_json(files["tree_space"], space_to_dict(fx.space))
+    files["latin1"] = tmp_path / "latin1.json"
+    files["latin1"].write_bytes('{"points": ["\xe9"]}'.encode("latin-1"))
     files["out"] = tmp_path / "out"
     files["out"].mkdir()
     return {name: str(path) for name, path in files.items()}

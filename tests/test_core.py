@@ -14,8 +14,8 @@ from treelike import (
     validate_space,
     validate_tree,
 )
-from treelike.core import WeightedGraph, threshold_graph, tree_from_levels, \
-    upper_pairs
+from treelike.core import WeightedGraph, first_asymmetry, threshold_graph, \
+    tree_from_levels, upper_pairs
 from treelike.errors import (
     AsymmetricSimilarity,
     BadParams,
@@ -710,6 +710,60 @@ class TestUpperPairs:
         want = [(f"v{i}", f"v{j}") for i in range(40) for j in range(i + 1, 40)
                 if mask[i, j]]
         assert want and g.edges() == want
+
+
+def asymmetric_matrices(seed, count):
+    """Seeded symmetric matrices of up to four symmetry tiles, with a few
+    entries changed on one side, set to NaN on one or both sides, or set to
+    NaN on the diagonal; boolean ones get one-sided flips."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.choice([1, 2, 63, 64, 65, 130, 200]))
+        m = rng.random((n, n)).round(1)
+        m = np.triu(m) + np.triu(m, 1).T
+        if rng.random() < 0.3:
+            m = m > 0.5
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            if m.dtype == bool:
+                m[i, j] = ~m[i, j]
+                continue
+            kind = rng.integers(3)
+            if kind == 0:
+                m[i, j] += 0.5
+            else:
+                m[i, j] = np.nan
+                if kind == 2:
+                    m[j, i] = np.nan
+        yield m
+
+
+class TestFirstAsymmetry:
+    def test_matches_transpose_compare(self):
+        seen = set()
+        for m in asymmetric_matrices(seed=17, count=300):
+            rows, cols = upper_pairs(m != m.T)
+            want = (int(rows[0]), int(cols[0])) if rows.size else None
+            assert first_asymmetry(m) == want
+            if want is not None:
+                seen.add((m.dtype == bool, want[0] // 64, want[1] // 64))
+        # pairs in the first and in later tiles, within a tile and across
+        assert {(False, 0, 0), (False, 0, 1), (False, 1, 1), (False, 1, 2),
+                (True, 0, 1)} <= seen
+
+    def test_nan_on_the_diagonal_is_symmetric(self):
+        m = np.zeros((70, 70))
+        m[3, 3] = m[66, 66] = np.nan
+        assert first_asymmetry(m) is None
+        m[66, 69] = np.nan
+        assert first_asymmetry(m) == (66, 69)
+
+    def test_graph_rejects_a_one_sided_edge(self):
+        adj = np.zeros((70, 70), dtype=bool)
+        adj[65, 2] = True
+        with pytest.raises(TreelikeError, match="symmetric"):
+            WeightedGraph(tuple(f"v{i}" for i in range(70)),
+                          np.full(70, 1 / 70), adj)
 
 
 class TestDuplicateVertices:

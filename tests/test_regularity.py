@@ -236,6 +236,15 @@ class TestRationalize:
             rationalize_weights(p / p.sum(), 1e-13)
         assert info.value.cap == RegularityParams.max_blowup
 
+    @pytest.mark.parametrize("tolerance", [1e-310, 5e-324])
+    def test_subnormal_tolerance_hits_the_cap(self, tolerance):
+        # 2 / tolerance is infinite, and has no integer ceiling
+        p = np.random.default_rng(36).random(5)
+        with pytest.raises(BlowupTooLarge) as info:
+            rationalize_weights(p / p.sum(), tolerance)
+        assert info.value.needed == np.inf
+        assert info.value.cap == RegularityParams.max_blowup
+
 
 def spectrum_loop(graph, kmult):
     """Reference: Python ``sorted`` eigenvalue order and a per-row sign loop."""
