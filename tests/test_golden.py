@@ -65,6 +65,14 @@ CASES = {
     "partition-out-coarse": [ULTRAMETRIC, GRAPH, [
         "partition", "--graph", "graph.json", "--epsilon", "0.2", "--m", "4",
         "--out", "parts.json"]],
+    # the repair chain's stages, stage measures and total measure: leftover
+    # parts cleared on the spectral path, groups completed on the forced one
+    "cliques-ultrametric-coarse": [ULTRAMETRIC, [
+        "cliques", "--space", "space.json", "--t", repr(2 * K), "--epsilon",
+        "0.2", "--m", "4", "--out", "cliques.json"]],
+    "cliques-noisy": [*NOISY, [
+        "cliques", "--space", "space.json", "--t", "0.25", *UNIT, "--out",
+        "cliques.json"]],
     "convert-space-out": [METRIC, [
         "convert", "--metric", "metric.json", "--base", "4", "--space-out",
         "converted.json"]],
@@ -187,6 +195,24 @@ GOLDEN = {
             "a6c684db754bb41b2a0909d64e5f70e0bd86ad287891eeb15d4e5d380486b192",
         "space.json":
             "ce8d1902bab9a7bedfd8b533d02c528111c73a434f54e2587b65397422ebd865",
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "cliques-ultrametric-coarse": {
+        "cliques.json":
+            "bf212b9bcf22b8b6e17819f708864eb7a91a7399aded2435a22c425924015692",
+        "space.json":
+            "ce8d1902bab9a7bedfd8b533d02c528111c73a434f54e2587b65397422ebd865",
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "cliques-noisy": {
+        "cliques.json":
+            "3534f1836ab0cd0dc8e898c8872f5a9576552de0abb801340a5b3a06f61d6ad3",
+        "raw.json":
+            "b0b713266337bd657988afd1c8f5b2bf1ec4083d013f656f30a93291ea430663",
+        "space.json":
+            "7474b7068a61e12b7212914002f7543d064b2c206170dc5b4987837886f23136",
         "stdout":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
