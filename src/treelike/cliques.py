@@ -88,20 +88,21 @@ def part_neighbor_graph(partition: PartitionResult, epsilon: float
                         ) -> PartNeighborGraph:
     """Classify part pairs as neighbor / regular-non-neighbor / irregular."""
     q = partition.q
-    upper = np.triu(np.ones((q + 1, q + 1), dtype=bool), 1)
-    upper[0] = False
-    regular = upper & partition.regular_flags
+    r = np.arange(q + 1)
+    # the pairs 1 <= i < j of non-exceptional parts
+    upper = (r[:, None] < r) & (r[:, None] > 0)
+    flags = partition.regular_flags
     d = partition.densities
+    regular = upper & flags
     dense = regular & (d >= 1.0 - 2.0 * epsilon)
     middle = regular & ~dense & (d >= 3.0 * epsilon)
-    irregular = upper & ~partition.regular_flags
-    # middle lies above the diagonal, where upper_pairs keeps every entry
-    rows, cols = upper_pairs(middle)
+    irregular = upper & ~flags
+    rows, cols = middle.nonzero()  # row-major, above the diagonal
     return PartNeighborGraph(
         q=q,
         neighbor=dense | dense.T,
         irregular=irregular | irregular.T,
-        densities=partition.densities,
+        densities=d,
         dichotomy_violations=tuple(zip(rows.tolist(), cols.tolist())),
     )
 
@@ -113,29 +114,42 @@ def neighborhood_family(pg: PartNeighborGraph, epsilon: float
     Repeatedly takes the part whose closed neighborhood among unused parts
     is largest (ties to the lowest index) and accepts it while it has at
     least epsilon^(1/4) q members; on exit no unused part has an acceptable
-    neighborhood left, which is re-verified.
+    neighborhood left, which is re-verified.  The sizes are counted once
+    and then lowered by each accepted neighborhood's members.
     """
     q = pg.q
     cutoff = epsilon ** 0.25 * q
-    closed = pg.neighbor[1:, 1:] | np.eye(q, dtype=bool)
+    closed = pg.neighbor[1:, 1:].copy()
+    closed.flat[::q + 1] = True
     unused = np.ones(q, dtype=bool)
+    # closed-neighborhood sizes among unused parts; a used part's size is
+    # negative, below every unused part's (each counts itself)
+    size = closed.sum(axis=1)
     family: list[tuple[int, ...]] = []
-
-    def sizes() -> np.ndarray:
-        # closed-neighborhood sizes among unused parts; -1 marks used parts
-        return np.where(unused, (closed & unused).sum(axis=1), -1)
-
-    while unused.any():
-        size = sizes()
-        best = int(np.argmax(size))  # first maximum: lowest index on ties
+    left = q
+    while left:
+        best = size.argmax()  # first maximum: lowest index on ties
         if size[best] < cutoff:
             break
-        members = closed[best] & unused
-        family.append(tuple(int(i) + 1 for i in np.nonzero(members)[0]))
-        unused &= ~members
-    if unused.any() and sizes().max() >= cutoff:
+        members = (closed[best] & unused).nonzero()[0]
+        family.append(tuple((members + 1).tolist()))
+        unused[members] = False
+        left -= len(members)
+        size -= closed[members].sum(axis=0)  # closed is symmetric
+        size[members] = -1
+    if left and np.where(unused, (closed & unused).sum(axis=1), -1).max() \
+            >= cutoff:
         raise PostconditionFailure("greedy neighborhood family not maximal")
     return tuple(family)
+
+
+def _groups_of(label: np.ndarray, count: int) -> tuple[tuple[int, ...], ...]:
+    """The parts labelled 0, 1, ..., count - 1, each in increasing order;
+    label -1 marks a part in no group."""
+    parts = (label >= 0).nonzero()[0]
+    flat = parts[label[parts].argsort(kind="stable")].tolist()
+    ends = np.bincount(label[parts], minlength=count).cumsum().tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
@@ -147,26 +161,36 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
     with at least epsilon^(1/3) q neighbors inside a unique cluster joins
     that cluster; finding two such clusters contradicts the construction and
     raises instead of picking one arbitrarily.
+
+    The components are complete exactly when each family's linked families
+    (itself included) are the ones that share its lowest linked family, so
+    that one test settles them; only a gap then needs the components, found
+    by spreading the lowest label across links.  The attachment scan runs
+    only when some part is in no cluster.  Parts of distinct clusters that
+    are neighbors would link their families, so bad pairs need an attached
+    part and are sought only when some part attached.
     """
     q = pg.q
     t = len(family)
+    parts = np.array([p for f in family for p in f], dtype=int)
+    owner = np.arange(t).repeat([len(f) for f in family])
     member = np.zeros((t, q + 1))
-    for a, parts in enumerate(family):
-        member[a, list(parts)] = 1.0
-    adj = np.triu(member @ pg.neighbor @ member.T > 0, 1)
+    member[owner, parts] = 1.0
+    r = np.arange(t)
+    adj = (member @ pg.neighbor @ member.T > 0) & (r[:, None] < r)
     adj |= adj.T
-    # transitive closure; each component is labelled by its lowest family
-    reach = adj | np.eye(t, dtype=bool)
-    while True:
-        wider = reach.astype(float) @ reach > 0
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
-    root = np.where(reach, np.arange(t), t).min(axis=1, initial=t)
-    rows, cols = upper_pairs(reach & ~adj)
-    if rows.size:
+    linked = adj | (r[:, None] == r)
+    root = linked.argmax(axis=1) if t else r
+    if not (linked == (root[:, None] == root)).all():
+        while True:
+            low = np.where(linked, root, t).min(axis=1)
+            if (low == root).all():
+                break
+            root = low
+        reach = root[:, None] == root
         # the first gap in component order, as a component-by-component
         # scan of member pairs would meet it
+        rows, cols = upper_pairs(reach & ~adj)
         gaps = zip(rows.tolist(), cols.tolist())
         a, b = min(gaps, key=lambda p: (root[p[0]], p))
         members = np.nonzero(root == root[a])[0].tolist()
@@ -178,56 +202,55 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
             "preconditions do not hold for these parameters",
             witness=triple,
         )
-    groups = [
-        tuple(sorted(p for a in np.nonzero(root == r)[0] for p in family[a]))
-        for r in np.unique(root)
-    ]
-    if len(groups) > epsilon ** -0.25 + 1e-9:
+    # components in order of their lowest family, which is their root
+    head = root == r
+    n_groups = int(head.sum())
+    group_id = np.empty(q + 1, dtype=int)
+    group_id.fill(-1)
+    group_id[parts] = (head.cumsum() - 1)[root][owner]
+    groups = extended_groups = _groups_of(group_id, n_groups)
+    if n_groups > epsilon ** -0.25 + 1e-9:
         raise PostconditionFailure("more clusters than the size bound allows")
-    in_group = np.zeros((len(groups), q + 1))
-    for gi, g in enumerate(groups):
-        in_group[gi, list(g)] = 1.0
-    grouped = in_group.any(axis=0)
-    grouped[0] = True
-    outside = np.nonzero(~grouped)[0]
-    attach_cut = epsilon ** (1.0 / 3.0) * q
-    hits = pg.neighbor[outside] @ in_group.T >= attach_cut
-    extended = [list(g) for g in groups]
-    leftover: list[int] = []
-    for i, row in zip(outside.tolist(), hits):
-        gis = np.nonzero(row)[0].tolist()
-        if len(gis) > 1:
+    leftover = outside = (group_id[1:] < 0).nonzero()[0] + 1
+    bad: tuple[tuple[int, int], ...] = ()
+    if outside.size:
+        in_group = (group_id[:, None] == np.arange(n_groups)).astype(float)
+        attach_cut = epsilon ** (1.0 / 3.0) * q
+        hits = pg.neighbor[outside] @ in_group >= attach_cut
+        count = hits.sum(axis=1)
+        many = (count > 1).nonzero()[0]
+        if many.size:
+            i, row = int(outside[many[0]]), hits[many[0]]
             raise NotAClique(
-                f"part {i} attaches to {len(gis)} distinct clusters; "
-                "cluster uniqueness fails for these parameters",
-                witness=(i, tuple(gis)),
+                f"part {i} attaches to {int(count[many[0]])} distinct "
+                "clusters; cluster uniqueness fails for these parameters",
+                witness=(i, tuple(row.nonzero()[0].tolist())),
             )
-        if gis:
-            extended[gis[0]].append(i)
-        else:
-            leftover.append(i)
-    extended_groups = tuple(tuple(sorted(g)) for g in extended)
-    group_id = np.full(q + 1, -1)
-    for gi, g in enumerate(extended_groups):
-        group_id[list(g)] = gi
-    gid = group_id[1:]
-    cross = (gid[:, None] >= 0) & (gid[None, :] >= 0) \
-        & (gid[:, None] != gid[None, :])
-    rows, cols = upper_pairs(pg.neighbor[1:, 1:] & cross)
-    bad = tuple(zip((rows + 1).tolist(), (cols + 1).tolist()))
+        one = count == 1
+        leftover = outside[~one]
+        if one.any():
+            group_id[outside[one]] = hits[one].argmax(axis=1)
+            extended_groups = _groups_of(group_id, n_groups)
+            gid = group_id[1:]
+            cross = (gid[:, None] >= 0) & (gid[None, :] >= 0) \
+                & (gid[:, None] != gid[None, :])
+            rows, cols = upper_pairs(pg.neighbor[1:, 1:] & cross)
+            bad = tuple(zip((rows + 1).tolist(), (cols + 1).tolist()))
     if len(bad) > 3.0 * epsilon ** (1.0 / 12.0) * q * q:
         raise PostconditionFailure("bad pair count exceeds its bound")
-    degrees = pg.neighbor[leftover, 1:].sum(axis=1)
-    for i, degree in zip(leftover, degrees.tolist()):
-        if degree > 2.0 * epsilon ** (1.0 / 12.0) * q:
+    if leftover.size:
+        degrees = pg.neighbor[leftover, 1:].sum(axis=1)
+        over = (degrees > 2.0 * epsilon ** (1.0 / 12.0) * q).nonzero()[0]
+        if over.size:
             raise PostconditionFailure(
-                f"leftover part {i} has too many neighbors ({degree})"
+                f"leftover part {int(leftover[over[0]])} has too many "
+                f"neighbors ({int(degrees[over[0]])})"
             )
     return CliqueStructure(
         families=family,
-        part_groups=tuple(groups),
+        part_groups=groups,
         extended_groups=extended_groups,
-        leftover_parts=tuple(leftover),
+        leftover_parts=tuple(leftover.tolist()),
         bad_pairs=bad,
     )
 
@@ -266,8 +289,11 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     internally, complete each extended group across its parts, cut edges
     between distinct groups, and clear all edges at leftover parts.  The
     result is asserted to be exactly the group cliques plus isolated
-    vertices.  Each stage's mask is built whole; a stage that edits nothing
-    then costs one scan of that mask, and logs no pairs and measure 0.0.
+    vertices.  A stage's mask is built only when the labels allow it an
+    edit: edges at V_0 need an exceptional vertex, a part to complete needs
+    two vertices, a group to complete two parts, a cut two groups, and a
+    clearing a leftover vertex.  A stage that edits nothing logs no pairs
+    and measure 0.0.
 
     Before any edit, every group of two or more points must carry at least
     (1/2) epsilon^(1/4) of the graph mass, or LightClique is raised.  The
@@ -278,33 +304,35 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     default), so a vertex that merges twins counts as all of its points.
     """
     n = graph.n
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    part_of = np.full(n, -1, dtype=int)
-    for pi, part in enumerate(partition.parts):
-        for v in part:
-            part_of[index[v]] = pi
-    if (part_of < 0).any():
-        missing = graph.vertices[int(np.nonzero(part_of < 0)[0][0])]
+    vertices = graph.vertices
+    parts = partition.parts
+    groups = structure.extended_groups
+    index = dict(zip(vertices, range(n)))
+    part_v = np.empty(n, dtype=int)
+    part_v.fill(-1)
+    part_v[[index[v] for part in parts for v in part]] = \
+        np.arange(len(parts)).repeat(list(map(len, parts)))
+    if (part_v < 0).any():
+        missing = vertices[int((part_v < 0).nonzero()[0][0])]
         raise PostconditionFailure(f"vertex {missing!r} missing from partition")
-    group_of_part = np.full(len(partition.parts), -1, dtype=int)
-    for gi, g in enumerate(structure.extended_groups):
-        for p in g:
-            group_of_part[p] = gi
-    leftover_part = np.zeros(len(partition.parts), dtype=bool)
-    for p in structure.leftover_parts:
-        leftover_part[p] = True
-
-    part_v = part_of
-    group_v = group_of_part[part_v]
-    group_v[part_v == 0] = -1
-    leftover_v = leftover_part[part_v]
+    group_of_part = np.empty(len(parts), dtype=int)
+    group_of_part.fill(-1)
+    group_of_part[[p for g in groups for p in g]] = \
+        np.arange(len(groups)).repeat(list(map(len, groups)))
+    leftover_part = np.zeros(len(parts), dtype=bool)
+    leftover_part[list(structure.leftover_parts)] = True
     in_exceptional = part_v == 0
+    group_v = np.where(in_exceptional, -1, group_of_part[part_v])
+    leftover_v = leftover_part[part_v]
 
     mass = graph.mass
     mass_floor = 0.5 * epsilon ** 0.25 * graph.total_mass()
     points = np.ones(n, dtype=int) if sizes is None else np.asarray(sizes)
-    for gi in range(len(structure.extended_groups)):
-        members = np.nonzero(group_v == gi)[0]
+    # the vertices of each group, in increasing order
+    by_group = group_v.argsort(kind="stable")
+    ends = np.bincount(group_v + 1, minlength=len(groups) + 1).cumsum()
+    for gi, (a, b) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
+        members = by_group[a:b]
         count = int(points[members].sum())
         if count >= 2:
             gmass = float(mass[members].sum())
@@ -317,65 +345,46 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
                 )
 
     adj = graph.adj.copy()
-    off_diag = ~np.eye(n, dtype=bool)
-    masks: list[np.ndarray] = []
-
-    touch_v0 = in_exceptional[:, None] | in_exceptional[None, :]
-    m1 = adj & touch_v0
-    adj &= ~m1
-    masks.append(m1)
-
-    same_part = (part_v[:, None] == part_v[None, :]) & (part_v[:, None] >= 1)
-    m2 = same_part & off_diag & ~adj
-    adj |= m2
-    masks.append(m2)
-
-    same_group = (
-        (group_v[:, None] == group_v[None, :])
-        & (group_v[:, None] >= 0)
-        & (part_v[:, None] != part_v[None, :])
-    )
-    m3 = same_group & ~adj
-    adj |= m3
-    masks.append(m3)
-
-    cross_group = (
-        (group_v[:, None] >= 0)
-        & (group_v[None, :] >= 0)
-        & (group_v[:, None] != group_v[None, :])
-    )
-    m4 = cross_group & adj
-    adj &= ~m4
-    masks.append(m4)
-
-    touch_leftover = leftover_v[:, None] | leftover_v[None, :]
-    m5 = touch_leftover & adj
-    adj &= ~m5
-    masks.append(m5)
-
-    expected = (
-        (group_v[:, None] == group_v[None, :])
-        & (group_v[:, None] >= 0)
-        & off_diag
-    )
-    if not np.array_equal(adj, expected):
+    grouped = group_v >= 0
+    same_group = (group_v[:, None] == group_v) & grouped[:, None]
+    masks: dict[str, np.ndarray] = {}
+    if in_exceptional.any():
+        masks[STAGE_NAMES[0]] = m1 = adj & (
+            in_exceptional[:, None] | in_exceptional)
+        adj &= ~m1
+    if max(map(len, parts[1:]), default=0) > 1:
+        masks[STAGE_NAMES[1]] = m2 = \
+            (part_v[:, None] == part_v) & (part_v[:, None] >= 1) & ~adj
+        m2.flat[::n + 1] = False
+        adj |= m2
+    if max(map(len, groups), default=0) > 1:
+        masks[STAGE_NAMES[2]] = m3 = \
+            same_group & (part_v[:, None] != part_v) & ~adj
+        adj |= m3
+    if len(groups) > 1:
+        masks[STAGE_NAMES[3]] = m4 = \
+            adj & ~same_group & grouped[:, None] & grouped
+        adj &= ~m4
+    if leftover_v.any():
+        masks[STAGE_NAMES[4]] = m5 = adj & (leftover_v[:, None] | leftover_v)
+        adj &= ~m5
+    same_group.flat[::n + 1] = False
+    if (adj != same_group).any():
         raise PostconditionFailure("repair did not produce the group cliques")
 
     stages: dict[str, tuple[tuple[str, str], ...]] = {}
     stage_measures: dict[str, float] = {}
     edited: list[np.ndarray] = []
-    vertices = graph.vertices
-    for name, mk in zip(STAGE_NAMES, masks):
-        rows, cols = upper_pairs(mk)
-        pairs = []
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            pairs.append((vertices[i], vertices[j]))
-            pairs.append((vertices[j], vertices[i]))
-        stages[name] = tuple(pairs)
-        # every mask is symmetric with a zero diagonal, so a stage without
-        # pairs has an all-False mask, whose measure is 0.0
-        stage_measures[name] = float(mass @ mk @ mass) if pairs else 0.0
-        if pairs:
+    for name in STAGE_NAMES:
+        mk = masks.get(name)
+        rows, cols = upper_pairs(mk) if mk is not None else ((), ())
+        stages[name], stage_measures[name] = (), 0.0
+        if len(rows):
+            # each pair in both orientations, (i, j) then (j, i)
+            names = list(map(vertices.__getitem__, np.array(
+                [rows, cols, cols, rows]).T.ravel().tolist()))
+            stages[name] = tuple(zip(names[0::2], names[1::2]))
+            stage_measures[name] = float(mass @ mk @ mass)
             edited.append(mk)
     total = float(mass @ np.logical_or.reduce(edited) @ mass) if edited else 0.0
     log = ModificationLog(

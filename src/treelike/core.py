@@ -66,12 +66,14 @@ def upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not mask.any():
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    return np.nonzero(np.triu(mask, 1))
+    r = np.arange(len(mask))
+    return (mask & (r[:, None] < r)).nonzero()
 
 
-# Rows per tile of the symmetry check: comparing a matrix with its transpose
-# in one pass reads the transpose across rows, and at n = 512 the tiles take
-# about half the time
+# Side of the square tiles of the symmetry check: a tile and its mirror tile
+# both stay in cache, where comparing a band of rows with the transposed band
+# of columns reads the transpose across rows (at n = 4096 it took three
+# times as long)
 SYMMETRY_TILE = 64
 
 
@@ -80,15 +82,25 @@ def first_asymmetry(m: np.ndarray) -> tuple[int, int] | None:
 
     A NaN never equals its mirror, so a NaN off the diagonal is reported as
     an asymmetry.  Returns None for a symmetric square matrix.  Each step
-    compares a tile of rows with the same tile of columns, transposed.
+    compares a square tile on or above the diagonal with its mirror tile,
+    transposed.  The first pair of a band of rows can lie in any of its
+    tiles, so the whole band is compared before one is chosen.
     """
-    for i in range(0, len(m), SYMMETRY_TILE):
-        tile = m[i:i + SYMMETRY_TILE, i:] != m[i:, i:i + SYMMETRY_TILE].T
-        # a tile's pairs below the diagonal mirror pairs above it
-        if tile.any():
-            rows, cols = np.nonzero(np.triu(tile, 1))
-            if rows.size:
-                return i + int(rows[0]), i + int(cols[0])
+    step = SYMMETRY_TILE
+    above = np.triu(np.ones((step, step), dtype=bool), 1)
+    for i in range(0, len(m), step):
+        first = None
+        for j in range(i, len(m), step):
+            tile = m[i:i + step, j:j + step] != m[j:j + step, i:i + step].T
+            if i == j:
+                # pairs below the diagonal mirror pairs above it
+                tile &= above[:len(tile), :len(tile)]
+            if tile.any():
+                rows, cols = tile.nonzero()
+                pair = (i + int(rows[0]), j + int(cols[0]))
+                first = pair if first is None else min(first, pair)
+        if first is not None:
+            return first
     return None
 
 
@@ -129,8 +141,10 @@ def validate_space(space: SimilaritySpace) -> None:
     if pair is not None:
         i, j = pair
         raise AsymmetricSimilarity(i, j, float(s[i, j]), float(s[j, i]))
-    outside = ~((s >= 0) & (s <= space.bound))
-    if outside.any():
+    # min and max carry a NaN through, and need no n x n temporaries; the
+    # entry is located only when there is one to report
+    if not (s.min() >= 0 and s.max() <= space.bound):
+        outside = ~((s >= 0) & (s <= space.bound))
         i, j = (int(v) for v in np.argwhere(outside)[0])
         raise OutOfRangeEntry((i, j), float(s[i, j]))
 
@@ -277,13 +291,16 @@ def threshold_graph(space: SimilaritySpace, t: float,
     The space must be valid (see ``validate_space``): the graph inherits its
     invariants and does not check them again.
     """
-    idx = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
-    sub = space.sim[np.ix_(idx, idx)]
-    adj = sub >= t
+    if subset is None:
+        adj, ids, mass = space.sim >= t, space.points, space.weights.copy()
+    else:
+        idx = np.asarray(subset, dtype=int)
+        adj = space.sim[idx[:, None], idx] >= t
+        ids = tuple(map(space.points.__getitem__, idx.tolist()))
+        mass = space.weights[idx]
     np.fill_diagonal(adj, False)
     # a validated space has distinct ids, valid weights and a symmetric sim
-    return WeightedGraph._symmetric_by_construction(
-        tuple(space.points[i] for i in idx), space.weights[idx], adj)
+    return WeightedGraph._symmetric_by_construction(ids, mass, adj)
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,6 @@ def rationalize_weights(weights: np.ndarray, tolerance: float
         raise BadParams(
             f"weights must sum to 1 within n * tolerance, got sum {total!r}"
         )
-    alive = np.arange(n, max(RATIONALIZE_SCAN_LIMIT, 4 * n) + 1)
     # An accepted K has |K - N p| <= N tolerance (1 + 2u) + u K, from the
     # rounding of k / N and of the subtraction.  x = fl(N p) is within u N p
     # of N p, and c = max(1, rint(x)) is the integer >= 1 nearest to x, so
@@ -164,15 +163,22 @@ def rationalize_weights(weights: np.ndarray, tolerance: float
     # in u^2.  Rounding |c - x| and the slack adds a relative u to each side.
     # The 1e-9 factors exceed all of these by more than 10^6, and
     # x <= fl(N max p), so no N that the check accepts is dropped.
+    def off(big_n, value):
+        x = big_n * value
+        return np.abs(np.maximum(1.0, np.rint(x)) - x)
+
+    top = max(RATIONALIZE_SCAN_LIMIT, 4 * n)
+    alive = np.arange(n, top + 1, dtype=float)
+    # The slack rises with N, so the smallest weight first thins the scan
+    # against the slack at the last N, keeping every N the check would; N x
+    # is then near an integer >= 1 for an x <= 1/n, which few N are.  The
+    # survivors meet every weight against their own slack.
+    big = top * tolerance * (1.0 + 1e-9) + 1e-9 * max(1.0, top * p.max())
+    alive = alive[off(alive, p.min()) <= big]
     slack = alive * tolerance * (1.0 + 1e-9) \
         + 1e-9 * np.maximum(1.0, alive * p.max())
-    for value in np.unique(p):
-        if not alive.size:
-            break
-        x = alive * value
-        keep = np.abs(np.maximum(1.0, np.rint(x)) - x) <= slack
-        alive, slack = alive[keep], slack[keep]
-    for n_total in alive.tolist():
+    alive = alive[(off(alive[:, None], p) <= slack[:, None]).all(axis=1)]
+    for n_total in map(int, alive.tolist()):
         k = _apportion(p, n_total)
         if k is None:
             continue
@@ -206,7 +212,8 @@ class SpectralData:
     magnitude ties, then original index); indices past ``len(eigenvalues)``
     correspond to the blow-up padding and are identically zero.  ``vectors``
     stores per-point values v_i(x) of the reduced matrix; the blow-up
-    coordinate of any copy of x is v_i(x) / sqrt(K(x)).
+    coordinate of any copy of x is v_i(x) / sqrt(K(x)).  An isolated point's
+    value is exactly 0 in every vector whose eigenvalue is nonzero.
     """
 
     multiplicities: np.ndarray
@@ -238,6 +245,10 @@ def weighted_adjacency_spectrum(graph: WeightedGraph, kmult: np.ndarray
     order = np.lexsort((lam < 0, -np.abs(lam)))
     lam = lam[order]
     vec = vec[:, order].T.copy()  # row per eigenvalue
+    # an isolated vertex has a zero row in B, so its coordinate in an
+    # eigenvector of a nonzero eigenvalue is exactly 0; rounding would leave
+    # noise there and give each isolated vertex a bucket of its own
+    vec[np.ix_(lam != 0, ~graph.adj.any(axis=1))] = 0.0
     # each row's first largest-magnitude entry is made positive (argmax
     # fails on the 0x0 matrix of an empty graph, which has no rows)
     if vec.size:
@@ -430,7 +441,7 @@ def _forced_refinement(mass: np.ndarray, blowup_size: int,
     # masses are positive and spread by at most the max atom
     return RefinedParts(
         exceptional=(),
-        parts=tuple((x,) for x in range(len(mass))),
+        parts=tuple(zip(range(len(mass)))),
         m_effective=m_eff,
         m_star=m_star,
         chunk_target=None,
@@ -659,14 +670,21 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
         bucket_count = len(buckets.cells)
         refined = equitable_refine(buckets, graph.mass, params)
 
-    index_parts = [list(refined.exceptional)] + [list(p) for p in refined.parts]
-    q = len(index_parts) - 1
-    sizes = np.array([len(part) for part in index_parts])
+    q = len(refined.parts)
     densities = np.full((q + 1, q + 1), math.nan)
+    # a single-point pair is regular; the tester settles every other pair
+    flags = np.zeros((q + 1, q + 1), dtype=bool)
+    flags[1:, 1:] = True
+    np.fill_diagonal(flags, False)
     if forced:
-        # part i is point i - 1, so a density is an adjacency entry
+        # part i is point i - 1, so a density is an adjacency entry, and
+        # no part has two points
         densities[1:, 1:] = graph.adj
+        parts_ids = ((),) + tuple(zip(graph.vertices))
     else:
+        index_parts = [list(refined.exceptional)] \
+            + [list(p) for p in refined.parts]
+        sizes = np.array([len(part) for part in index_parts])
         membership = np.zeros((graph.n, q + 1))
         membership[[v for part in index_parts for v in part],
                    np.repeat(np.arange(q + 1), sizes)] = 1.0
@@ -678,22 +696,17 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
         # rho need not be bit-symmetric: mirror the value above the diagonal
         upper = np.arange(q)[:, None] < np.arange(q)
         densities[1:, 1:] = np.where(upper, dens, dens.T)
+        multi = sizes[1:] > 1
+        tested_a, tested_b = upper_pairs(multi[:, None] | multi)
+        for a, b in zip((tested_a + 1).tolist(), (tested_b + 1).tolist()):
+            verdict = regularity_test(
+                graph, index_parts[a], index_parts[b], params.epsilon,
+                seed=(seed, a, b),
+            )
+            flags[a, b] = flags[b, a] = verdict.regular
+        parts_ids = tuple(tuple(map(graph.vertices.__getitem__, part))
+                          for part in index_parts)
     np.fill_diagonal(densities, math.nan)
-    # a single-point pair is regular; the tester settles every other pair
-    flags = np.zeros((q + 1, q + 1), dtype=bool)
-    flags[1:, 1:] = True
-    np.fill_diagonal(flags, False)
-    multi = sizes[1:] > 1
-    tested_a, tested_b = upper_pairs(multi[:, None] | multi)
-    for a, b in zip((tested_a + 1).tolist(), (tested_b + 1).tolist()):
-        verdict = regularity_test(
-            graph, index_parts[a], index_parts[b], params.epsilon,
-            seed=(seed, a, b),
-        )
-        flags[a, b] = flags[b, a] = verdict.regular
-    parts_ids = tuple(
-        tuple(graph.vertices[x] for x in part) for part in index_parts
-    )
     meta = {
         "epsilon": params.epsilon,
         "m": params.m,

@@ -83,15 +83,24 @@ class _ClassPairs:
     leaf: np.ndarray
 
 
+def _first_labels(keys: np.ndarray) -> np.ndarray:
+    """Number equal keys 0, 1, ... in order of their first occurrence."""
+    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[first.argsort()] = np.arange(len(first))
+    return rank[label]
+
+
 def _class_pairs(space: SimilaritySpace, tree: CompatibleTree,
                  row_of: np.ndarray) -> _ClassPairs:
     """Group the points by (similarity row, leaf parent); row_of numbers
     the rows, as ``_dedupe_points`` does.  The products are formed once,
     on the first point of each group."""
-    ids: dict[tuple, int] = {}
-    keys = zip(row_of.tolist(),
-               (tree.parent.get(tree.leaf_of(x)) for x in space.points))
-    group = np.array([ids.setdefault(k, len(ids)) for k in keys], dtype=int)
+    parents = list(map(tree.parent.get, map(tree.leaf_of, space.points)))
+    # a parent is named by the last point below it, then paired with a row
+    last = dict(zip(parents, range(space.n)))
+    group = _first_labels(row_of * space.n + np.fromiter(
+        map(last.__getitem__, parents), dtype=int, count=space.n))
     reps = np.unique(group, return_index=True)[1]
     p = space.weights
     if len(reps) == space.n:
@@ -306,19 +315,23 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     structure = clique_closure(family, pg, params.epsilon)
     repaired, log = clique_repair(graph, partition, structure, params.epsilon,
                                   None if sizes is None else sizes[idxs])
-    local = {v: idxs[k] for k, v in enumerate(graph.vertices)}
-    edited: list[tuple[int, int]] = []
-    for pairs in log.stages.values():
-        for u, v in pairs:
-            edited.append((local[u], local[v]))
+    # the log names its points; each stage holds its pairs in order
+    index = dict(zip(graph.vertices, idxs))
+    pairs = sum(log.stages.values(), ())
+    us, vs = zip(*pairs) if pairs else ((), ())
+    edited = list(zip(map(index.__getitem__, us), map(index.__getitem__, vs)))
     # clique_repair raises unless the graph is exactly the group cliques plus
     # isolated points, so each point's clique is its closed neighbourhood and
     # the first member of that neighbourhood labels the cluster; idxs ascend,
     # so ordering by that label sorts the clusters
-    first = np.argmax(repaired.adj | np.eye(repaired.n, dtype=bool), axis=1)
-    order = np.argsort(first, kind="stable")
-    cuts = np.flatnonzero(np.diff(first[order])) + 1
-    children = [c.tolist() for c in np.split(np.asarray(idxs)[order], cuts)]
+    closed = repaired.adj.copy()
+    closed.flat[::repaired.n + 1] = True
+    first = closed.argmax(axis=1)
+    order = first.argsort(kind="stable")
+    first = first[order]
+    flat = np.asarray(idxs)[order].tolist()
+    ends = ((first[1:] != first[:-1]).nonzero()[0] + 1).tolist() + [len(flat)]
+    children = [flat[a:b] for a, b in zip([0] + ends, ends)]
     return children, edited
 
 
@@ -337,11 +350,9 @@ def _twin_classes(space: SimilaritySpace,
     """
     w, s, row_of = rows
     twins = s.diagonal() >= s.max(axis=1)
-    ids: dict[int, int] = {}
-    keys = np.where(twins[row_of], row_of, len(w) + np.arange(space.n))
-    cls = np.array([ids.setdefault(k, len(ids)) for k in keys.tolist()],
-                   dtype=int)
-    if len(ids) == space.n:
+    cls = _first_labels(
+        np.where(twins[row_of], row_of, len(w) + np.arange(space.n)))
+    if cls[-1] == space.n - 1:  # every point is a class of its own
         return space, cls
     reps = np.unique(cls, return_index=True)[1]
     return SimilaritySpace(
@@ -431,8 +442,9 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     n_repairs = 0
     pending = [np.setdiff1d(np.arange(d), excluded_classes).tolist()]
     for depth in range(1, n_levels + 2):
-        # each cluster of the row as (its points, its classes)
-        row: list[tuple[list[int], list[int]]] = []
+        # each cluster of the row as (its points, its classes); a single
+        # point never pends, so it needs no classes
+        row: list[tuple[list[int] | tuple[int], list[int] | None]] = []
         for k, item in enumerate(pending):
             points = points_of(item) if item else []
             if depth <= n_levels and len(points) >= 2:
@@ -443,8 +455,8 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
                 else:
                     children, pairs = _repair_cluster(
                         quotient, item, t, params, (seed, depth, k), sizes)
-                    for a, b in pairs:
-                        edited[a, b] = True
+                    if pairs:
+                        edited[tuple(zip(*pairs))] = True
                 clusters = []
                 for child in children:
                     if len(child) == 1 and top[child[0]] < t:
@@ -454,10 +466,10 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
                 # a split class puts its points among the other children
                 clusters.sort(key=lambda c: c[0][0])
             else:
-                clusters = [([x], [int(cls[x])]) for x in points]
+                clusters = zip(zip(points), [None] * len(points))
             row += clusters
         if depth == 1:
-            row += [([a], [int(cls[a])]) for a in excluded]
+            row += zip(zip(excluded), [None] * len(excluded))
         if row:
             rows.append([c for c, _ in row])
         pending = [classes for c, classes in row if len(c) >= 2]
@@ -495,8 +507,8 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         best_alpha=alpha_star,
         best_cost=cost_star,
         delta_e_total=delta_e_total,
-        levels=tuple(tuple(tuple(space.points[i] for i in c) for c in row)
-                     for row in [[range(n)]] + rows),
+        levels=tuple(tuple(tuple(map(space.points.__getitem__, c))
+                           for c in row) for row in [[range(n)]] + rows),
         excluded_points=tuple(space.points[i] for i in excluded),
         sandwich_violations=violations,
         cost_bound=bound,

@@ -349,6 +349,24 @@ class TestValidateAgainstLoop:
         assert np.isnan(exc.value.value)
         assert raised(validate_space, bad) == raised(validate_loop, bad)
 
+    @pytest.mark.parametrize("value, where", [
+        (-0.25, (1, 6)),     # negative, mirrored to stay symmetric
+        (1.5, (2, 3)),       # above the bound
+        (np.nan, (4, 4)),    # on the diagonal: off it, a NaN is an asymmetry
+    ])
+    def test_out_of_range_entry_is_located(self, value, where):
+        sp = random_fixture(9, seed=3).space
+        sim = sp.sim.copy()
+        i, j = where
+        sim[i, j] = sim[j, i] = value
+        sim[7, 8] = sim[8, 7] = -1.0  # a later bad entry is not reported
+        bad = SimilaritySpace(sp.points, sp.weights, sim, 1.0)
+        with pytest.raises(OutOfRangeEntry) as exc:
+            validate_space(bad)
+        assert exc.value.where == where
+        np.testing.assert_equal(exc.value.value, value)
+        assert raised(validate_space, bad) == raised(validate_loop, bad)
+
     @pytest.mark.parametrize("bound", [0.0, -1.0, np.inf, -np.inf, np.nan])
     def test_bad_bound(self, bound):
         sp = random_fixture(5, seed=4).space
@@ -757,6 +775,32 @@ class TestFirstAsymmetry:
         assert first_asymmetry(m) is None
         m[66, 69] = np.nan
         assert first_asymmetry(m) == (66, 69)
+
+    def test_first_pair_of_a_band_lies_in_a_later_tile(self):
+        # rows 64-127 are one band; its tile of columns 192-255 holds an
+        # asymmetric pair in an earlier row than its tile of columns 128-191
+        n = 260
+        m = np.random.default_rng(18).random((n, n))
+        m = m + m.T
+        m[90, 130] += 1.0
+        m[80, 150] = np.nan
+        m[70, 200] += 1.0
+        m[30, 2] = np.nan  # below the diagonal, mirrored pair (2, 30)
+
+        def brute(m):
+            for i in range(len(m)):
+                for j in range(i + 1, len(m)):
+                    if not m[i, j] == m[j, i]:
+                        return i, j
+            return None
+
+        assert first_asymmetry(m) == brute(m) == (2, 30)
+        m[30, 2] = m[2, 30]
+        assert first_asymmetry(m) == brute(m) == (70, 200)
+        m[66, 250] = np.nan
+        assert first_asymmetry(m) == brute(m) == (66, 250)
+        m[64, 255] -= 1.0
+        assert first_asymmetry(m) == brute(m) == (64, 255)
 
     def test_graph_rejects_a_one_sided_edge(self):
         adj = np.zeros((70, 70), dtype=bool)

@@ -431,6 +431,28 @@ class TestBuckets:
             assert exc <= 0.2 * spec.blowup_size / 2.0
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_isolated_points_share_one_bucket(self, seed):
+        # a 30-point ER graph with 5 isolated points at a tiny epsilon: the
+        # cut keeps every numerically nonzero eigenvalue, including rounding
+        # noise on the null space, whose vectors sit on the isolated points
+        rng = np.random.default_rng(seed)
+        adj = np.triu(rng.random((30, 30)) < 0.3, 1)
+        adj |= adj.T
+        isolated = np.sort(rng.choice(30, size=5, replace=False))
+        adj[isolated] = adj[:, isolated] = False
+        g = graph_from_adj(adj)
+        params = RegularityParams(1e-12, 16)
+        k, _ = rationalize_weights(g.mass / g.total_mass(), params.nu)
+        spec = weighted_adjacency_spectrum(g, k)
+        nonzero = spec.eigenvalues != 0
+        assert (spec.vectors[np.ix_(nonzero, isolated)] == 0.0).all()
+        cut = choose_spectral_cut(spec, params)
+        buckets = spectral_bucket_partition(spec, cut, params.epsilon)
+        assert buckets.exceptional == ()
+        assert tuple(isolated) in buckets.cells
+
+
 class TestEquitableRefine:
     def test_chunks_of_three(self):
         # two buckets of unit-mass points in a 120-unit space: the chunk
