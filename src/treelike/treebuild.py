@@ -26,7 +26,8 @@ from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix, \
     threshold_graph, tree_from_levels, validate_space
 from .errors import BadParams, LeafMismatch, MapMismatch
 from .hyperbolicity import ThresholdLadder, _dedupe_points, \
-    _exceptional_rows, _merge_weights, _threshold_ladder, hyp_exact
+    _exceptional_rows, _first_labels, _merge_weights, _threshold_ladder, \
+    hyp_exact
 from .regularity import RegularityParams, regularity_pipeline
 
 
@@ -81,14 +82,6 @@ class _ClassPairs:
     sim: np.ndarray
     meet: np.ndarray
     leaf: np.ndarray
-
-
-def _first_labels(keys: np.ndarray) -> np.ndarray:
-    """Number equal keys 0, 1, ... in order of their first occurrence."""
-    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=int)
-    rank[first.argsort()] = np.arange(len(first))
-    return rank[label]
 
 
 def _class_pairs(space: SimilaritySpace, tree: CompatibleTree,
@@ -440,13 +433,14 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
 
     rows: list[list[list[int]]] = []
     n_repairs = 0
-    pending = [np.setdiff1d(np.arange(d), excluded_classes).tolist()]
+    kept = np.setdiff1d(np.arange(d), excluded_classes).tolist()
+    # each pending cluster as (its points, its classes)
+    pending = [(points_of(kept) if kept else [], kept)]
     for depth in range(1, n_levels + 2):
-        # each cluster of the row as (its points, its classes); a single
-        # point never pends, so it needs no classes
+        # each cluster of the row likewise; a single point never pends, so
+        # it needs no classes
         row: list[tuple[list[int] | tuple[int], list[int] | None]] = []
-        for k, item in enumerate(pending):
-            points = points_of(item) if item else []
+        for k, (points, item) in enumerate(pending):
             if depth <= n_levels and len(points) >= 2:
                 t = ladder.thresholds[depth - 1]
                 n_repairs += 1
@@ -460,7 +454,8 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
                 clusters = []
                 for child in children:
                     if len(child) == 1 and top[child[0]] < t:
-                        clusters += [([x], child) for x in points_of(child)]
+                        split = points_of(child)
+                        clusters += zip(zip(split), [None] * len(split))
                     else:
                         clusters.append((points_of(child), child))
                 # a split class puts its points among the other children
@@ -472,7 +467,7 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
             row += zip(zip(excluded), [None] * len(excluded))
         if row:
             rows.append([c for c, _ in row])
-        pending = [classes for c, classes in row if len(c) >= 2]
+        pending = [cluster for cluster in row if len(cluster[0]) >= 2]
     tree = tree_from_levels(space.points, rows)
 
     # the points of a class are sibling leaves with one row, so each class
@@ -507,7 +502,9 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         best_alpha=alpha_star,
         best_cost=cost_star,
         delta_e_total=delta_e_total,
-        levels=tuple(tuple(tuple(map(space.points.__getitem__, c))
+        # most clusters of the last rows are single points
+        levels=tuple(tuple((space.points[c[0]],) if len(c) == 1
+                           else tuple(map(space.points.__getitem__, c))
                            for c in row) for row in [[range(n)]] + rows),
         excluded_points=tuple(space.points[i] for i in excluded),
         sandwich_violations=violations,

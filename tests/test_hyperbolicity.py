@@ -818,7 +818,43 @@ def window_candidates(space, ladder):
     return rows
 
 
+def dedupe_by_bytes(space):
+    """Row labels in order of first occurrence, keyed by each row's bytes."""
+    first = {}
+    return np.array([first.setdefault(row.tobytes(), len(first))
+                     for row in space.sim], dtype=int)
+
+
 class TestDistinctRowKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_labels_match_bytes_keys(self, seed):
+        sp = duplicated_space(40, seed)
+        w, s, inv = _dedupe_points(sp)
+        assert np.array_equal(inv, dedupe_by_bytes(sp))
+        keep = np.unique(inv, return_index=True)[1]
+        assert_same_array(s, sp.sim[np.ix_(keep, keep)])
+        assert np.array_equal(w, [math.fsum(sp.weights[inv == c])
+                                  for c in range(len(keep))])
+
+    def test_rows_with_one_hash_are_told_apart(self):
+        # rows 0 and 1 differ in columns 0 and 1 by bit patterns whose
+        # weighted sum vanishes mod 2^64, so their row hashes agree
+        n = 3
+        mult = [(2 * j + 1) * 0x9E3779B97F4A7C15 % 2 ** 64 for j in range(n)]
+        delta1 = 1
+        delta0 = -delta1 * mult[1] * pow(mult[0], -1, 2 ** 64) % 2 ** 64
+        half = 0x3FE0000000000000  # the bits of 0.5
+        bits = np.full((n, n), half, dtype=np.uint64)
+        bits[1, 0] = (half + delta0) % 2 ** 64
+        bits[1, 1] = half + delta1
+        hashes = [sum(int(b) * m for b, m in zip(row, mult)) % 2 ** 64
+                  for row in bits]
+        assert hashes[0] == hashes[1]
+        sp = SimilaritySpace(("a", "b", "c"), np.full(3, 1 / 3),
+                             bits.view(np.float64))
+        _, _, inv = _dedupe_points(sp)
+        assert inv.tolist() == dedupe_by_bytes(sp).tolist() == [0, 1, 0]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_duplicated_space_has_the_hard_cases(self, seed):
         sp = duplicated_space(14, seed)
