@@ -6,11 +6,13 @@ grouped into clusters, nearby leftover parts are attached, and the vertex
 graph is then repaired in five staged edit passes whose pairs and measures
 are all logged.
 
-Every stage works on boolean part-by-part matrices.  The parts are single
-points, so that the part neighbor relation is the thresholded vertex graph
-itself and q is the vertex count, whenever the partition is forced: (a)
-epsilon N <= 1 for the rationalized denominator N, and (b) every point's
-mass is at least epsilon mu / (2 (1 + m*)) (see ``regularity``).
+Every stage works on boolean part-by-part matrices, in a bounded number of
+array operations with no loop over parts or pairs, and skips work whose
+result is provably empty.  The parts are single points, so that the part
+neighbor relation is the thresholded vertex graph itself and q is the
+vertex count, whenever the partition is forced: (a) epsilon N <= 1 for the
+rationalized denominator N, and (b) every point's mass is at least
+epsilon mu / (2 (1 + m*)) (see ``regularity``).
 """
 
 from __future__ import annotations
@@ -91,12 +93,11 @@ def part_neighbor_graph(partition: PartitionResult, epsilon: float
     r = np.arange(q + 1)
     # the pairs 1 <= i < j of non-exceptional parts
     upper = (r[:, None] < r) & (r[:, None] > 0)
-    flags = partition.regular_flags
     d = partition.densities
-    regular = upper & flags
+    regular = upper & partition.regular_flags
     dense = regular & (d >= 1.0 - 2.0 * epsilon)
     middle = regular & ~dense & (d >= 3.0 * epsilon)
-    irregular = upper & ~flags
+    irregular = upper & ~partition.regular_flags
     rows, cols = middle.nonzero()  # row-major, above the diagonal
     return PartNeighborGraph(
         q=q,
@@ -126,19 +127,17 @@ def neighborhood_family(pg: PartNeighborGraph, epsilon: float
     # negative, below every unused part's (each counts itself)
     size = closed.sum(axis=1)
     family: list[tuple[int, ...]] = []
-    left = q
-    while left:
+    while unused.any():
         best = size.argmax()  # first maximum: lowest index on ties
         if size[best] < cutoff:
             break
         members = (closed[best] & unused).nonzero()[0]
         family.append(tuple((members + 1).tolist()))
         unused[members] = False
-        left -= len(members)
         size -= closed[members].sum(axis=0)  # closed is symmetric
         size[members] = -1
-    if left and np.where(unused, (closed & unused).sum(axis=1), -1).max() \
-            >= cutoff:
+    if unused.any() and np.where(
+            unused, (closed & unused).sum(axis=1), -1).max() >= cutoff:
         raise PostconditionFailure("greedy neighborhood family not maximal")
     return tuple(family)
 
@@ -152,6 +151,17 @@ def _groups_of(label: np.ndarray, count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
 
 
+def _components(linked: np.ndarray) -> np.ndarray:
+    """The lowest index each index reaches through a symmetric relation that
+    holds on the diagonal, spread across links until nothing changes."""
+    root = np.arange(len(linked))
+    while True:
+        low = np.where(linked, root, len(root)).min(axis=1, initial=len(root))
+        if (low == root).all():
+            return root
+        root = low
+
+
 def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
                    epsilon: float) -> CliqueStructure:
     """Group the neighborhoods into clusters and attach nearby leftovers.
@@ -163,12 +173,10 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
     raises instead of picking one arbitrarily.
 
     The components are complete exactly when each family's linked families
-    (itself included) are the ones that share its lowest linked family, so
-    that one test settles them; only a gap then needs the components, found
-    by spreading the lowest label across links.  The attachment scan runs
-    only when some part is in no cluster.  Parts of distinct clusters that
-    are neighbors would link their families, so bad pairs need an attached
-    part and are sought only when some part attached.
+    (itself included) are those sharing its lowest linked family, so one
+    test settles them; only a gap needs the components.  Attachments are
+    sought only for parts in no cluster, and bad pairs only once a part has
+    attached: neighbors in two clusters would link their families.
     """
     q = pg.q
     t = len(family)
@@ -182,17 +190,13 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
     linked = adj | (r[:, None] == r)
     root = linked.argmax(axis=1) if t else r
     if not (linked == (root[:, None] == root)).all():
-        while True:
-            low = np.where(linked, root, t).min(axis=1)
-            if (low == root).all():
-                break
-            root = low
+        root = _components(linked)
         reach = root[:, None] == root
         # the first gap in component order, as a component-by-component
         # scan of member pairs would meet it
         rows, cols = upper_pairs(reach & ~adj)
-        gaps = zip(rows.tolist(), cols.tolist())
-        a, b = min(gaps, key=lambda p: (root[p[0]], p))
+        gap = np.lexsort((cols, rows, root[rows]))[0]
+        a, b = int(rows[gap]), int(cols[gap])
         members = np.nonzero(root == root[a])[0].tolist()
         triple = _shortest_gap_triple(adj, members, a, b)
         raise NotAClique(
@@ -205,8 +209,7 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
     # components in order of their lowest family, which is their root
     head = root == r
     n_groups = int(head.sum())
-    group_id = np.empty(q + 1, dtype=int)
-    group_id.fill(-1)
+    group_id = np.full(q + 1, -1)
     group_id[parts] = (head.cumsum() - 1)[root][owner]
     groups = extended_groups = _groups_of(group_id, n_groups)
     if n_groups > epsilon ** -0.25 + 1e-9:
@@ -270,13 +273,10 @@ def _shortest_gap_triple(adj: np.ndarray, members: list[int], a: int, b: int
         if b in prev:
             break
         queue = nxt
-    path = []
-    cur = b
-    while cur is not None:
-        path.append(cur)
-        cur = prev[cur]
-    path.reverse()
-    return (path[0], path[1], path[2])
+    path = [b]  # from b back to a
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    return (a, path[-2], path[-3])
 
 
 def clique_repair(graph: WeightedGraph, partition: PartitionResult,
@@ -308,15 +308,13 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     parts = partition.parts
     groups = structure.extended_groups
     index = dict(zip(vertices, range(n)))
-    part_v = np.empty(n, dtype=int)
-    part_v.fill(-1)
+    part_v = np.full(n, -1)
     part_v[[index[v] for part in parts for v in part]] = \
         np.arange(len(parts)).repeat(list(map(len, parts)))
     if (part_v < 0).any():
         missing = vertices[int((part_v < 0).nonzero()[0][0])]
         raise PostconditionFailure(f"vertex {missing!r} missing from partition")
-    group_of_part = np.empty(len(parts), dtype=int)
-    group_of_part.fill(-1)
+    group_of_part = np.full(len(parts), -1)
     group_of_part[[p for g in groups for p in g]] = \
         np.arange(len(groups)).repeat(list(map(len, groups)))
     leftover_part = np.zeros(len(parts), dtype=bool)
@@ -412,41 +410,21 @@ class CliqueCheck:
 def verify_cliques(graph: WeightedGraph) -> CliqueCheck:
     """Connected components with a completeness check.
 
-    Returns the components and, when some component is not complete, the
-    first non-adjacent pair inside one as a witness.
+    Returns the components, in order of their first vertex, and, when some
+    component is not complete, the first non-adjacent pair inside one as a
+    witness: in the first such component, the first pair in row-major order.
     """
-    n = graph.n
-    seen = np.zeros(n, dtype=bool)
-    comps: list[list[int]] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        members = []
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for v in np.nonzero(graph.adj[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        comps.append(sorted(members))
+    linked = graph.adj | np.eye(graph.n, dtype=bool)
+    root = _components(linked)
+    names = list(map(graph.vertices.__getitem__,
+                     root.argsort(kind="stable").tolist()))
+    # a component's lowest vertex is its root
+    head = root == np.arange(graph.n)
+    ends = np.bincount(root, minlength=graph.n)[head].cumsum().tolist()
+    cliques = tuple(tuple(names[a:b]) for a, b in zip([0] + ends, ends))
+    rows, cols = upper_pairs((root[:, None] == root) & ~linked)
     witness = None
-    for members in comps:
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                if not graph.adj[members[ai], members[bi]]:
-                    witness = (
-                        graph.vertices[members[ai]],
-                        graph.vertices[members[bi]],
-                    )
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return CliqueCheck(
-        cliques=tuple(tuple(graph.vertices[i] for i in c) for c in comps),
-        witness=witness,
-    )
+    if rows.size:
+        first = np.lexsort((cols, rows, root[rows]))[0]
+        witness = (graph.vertices[rows[first]], graph.vertices[cols[first]])
+    return CliqueCheck(cliques=cliques, witness=witness)

@@ -66,14 +66,11 @@ def upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not mask.any():
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    r = np.arange(len(mask))
-    return (mask & (r[:, None] < r)).nonzero()
+    return np.nonzero(np.triu(mask, 1))
 
 
-# Side of the square tiles of the symmetry check: a tile and its mirror tile
-# both stay in cache, where comparing a band of rows with the transposed band
-# of columns reads the transpose across rows (at n = 4096, four times as
-# long)
+# Side of the square tiles of the symmetry check: a tile and its mirror stay
+# in cache, where a band against its transposed column band did not
 SYMMETRY_TILE = 64
 
 
@@ -82,27 +79,23 @@ def first_asymmetry(m: np.ndarray) -> tuple[int, int] | None:
 
     A NaN never equals its mirror, so a NaN off the diagonal is reported as
     an asymmetry.  Returns None for a symmetric square matrix.  Each band of
-    rows is compared, as square tiles side by side, with the mirror tiles
-    transposed, in one step; columns past the band's last whole tile are
-    compared as a strip.  The first pair of a band can lie in any of its
-    tiles, so the whole band is compared before one is chosen.
+    rows is compared in one step, as square tiles against their transposed
+    mirror tiles, plus a strip of columns past the last whole tile; its
+    first pair can lie in any tile, so the whole band is compared first.
     """
     n = len(m)
-    above = np.triu(np.ones((SYMMETRY_TILE, SYMMETRY_TILE), dtype=bool), 1)
+    above = np.triu(np.ones((SYMMETRY_TILE,) * 2, dtype=bool), 1)
     for i in range(0, n, SYMMETRY_TILE):
         h = min(SYMMETRY_TILE, n - i)
         full = i + (n - i) // h * h
         # tile b of the band holds m[i + r, i + b h + c] at [b, r, c]
-        tiles = m[i:i + h, i:full].reshape(h, -1, h).transpose(1, 0, 2)
-        mirror = m[i:full, i:i + h].reshape(-1, h, h).transpose(0, 2, 1)
-        diff = tiles != mirror
-        # pairs below the diagonal mirror pairs above it
-        diff[0] &= above[:h, :h]
+        diff = m[i:i + h, i:full].reshape(h, -1, h).transpose(1, 0, 2) \
+            != m[i:full, i:i + h].reshape(-1, h, h).transpose(0, 2, 1)
+        diff[0] &= above[:h, :h]  # pairs below the diagonal mirror others
         strip = m[i:i + h, full:] != m[full:, i:i + h].T
         if diff.any() or strip.any():
-            band = np.concatenate(
-                [diff.transpose(1, 0, 2).reshape(h, -1), strip], axis=1)
-            rows, cols = band.nonzero()
+            rows, cols = np.concatenate(
+                [diff.transpose(1, 0, 2).reshape(h, -1), strip], 1).nonzero()
             return i + int(rows[0]), i + int(cols[0])
     return None
 
@@ -144,8 +137,7 @@ def validate_space(space: SimilaritySpace) -> None:
     if pair is not None:
         i, j = pair
         raise AsymmetricSimilarity(i, j, float(s[i, j]), float(s[j, i]))
-    # min and max carry a NaN through, and need no n x n temporaries; the
-    # entry is located only when there is one to report
+    # min and max pass a NaN on and need no n x n temporaries
     if not (s.min() >= 0 and s.max() <= space.bound):
         outside = ~((s >= 0) & (s <= space.bound))
         i, j = (int(v) for v in np.argwhere(outside)[0])
@@ -294,16 +286,13 @@ def threshold_graph(space: SimilaritySpace, t: float,
     The space must be valid (see ``validate_space``): the graph inherits its
     invariants and does not check them again.
     """
-    if subset is None:
-        adj, ids, mass = space.sim >= t, space.points, space.weights.copy()
-    else:
-        idx = np.asarray(subset, dtype=int)
-        adj = space.sim[idx[:, None], idx] >= t
-        ids = tuple(map(space.points.__getitem__, idx.tolist()))
-        mass = space.weights[idx]
+    idx = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
+    adj = space.sim[idx[:, None], idx] >= t
     np.fill_diagonal(adj, False)
     # a validated space has distinct ids, valid weights and a symmetric sim
-    return WeightedGraph._symmetric_by_construction(ids, mass, adj)
+    return WeightedGraph._symmetric_by_construction(
+        tuple(map(space.points.__getitem__, idx.tolist())), space.weights[idx],
+        adj)
 
 
 # ---------------------------------------------------------------------------

@@ -47,34 +47,27 @@ def _dedupe_points(space: SimilaritySpace
     copies round-trips exactly when the weight is a power of two.
     """
     s = space.sim
-    # Rows with one bit pattern share its hash, a sum of the bits times odd
-    # multipliers mod 2^64; a hash shared by two patterns shows as a row
-    # that differs from the first row of its hash (compared a block of rows
-    # at a time, so the copies stay small), and the rows are then keyed by
-    # their bytes instead.
+    # rows with one bit pattern share its hash (odd multipliers, mod 2^64);
+    # if a row differs from the first row of its hash, bytes key the rows
     bits = s.view(np.uint64)
-    mult = np.arange(1, 2 * space.n, 2, dtype=np.uint64) \
-        * np.uint64(0x9E3779B97F4A7C15)
-    inv = _first_labels(bits.dot(mult))
-    keep = np.unique(inv, return_index=True)[1]
-    rep = keep[inv]
-    if any((bits[i:i + BLOCK] != bits[rep[i:i + BLOCK]]).any()
+    inv, keep = _first_labels(bits.dot(
+        np.arange(1, 2 * space.n, 2, dtype=np.uint64)
+        * np.uint64(0x9E3779B97F4A7C15)))
+    if any((bits[i:i + BLOCK] != bits[keep[inv[i:i + BLOCK]]]).any()
            for i in range(0, space.n, BLOCK)):
-        first: dict[bytes, int] = {}
-        inv = np.array([first.setdefault(row.tobytes(), len(first))
-                        for row in s], dtype=int)
-        keep = np.unique(inv, return_index=True)[1]
+        inv, keep = _first_labels(np.array([row.tobytes() for row in s]))
     if len(keep) == space.n:
         return space.weights, s, inv
     return _merge_weights(space.weights, inv), s[np.ix_(keep, keep)], inv
 
 
-def _first_labels(keys: np.ndarray) -> np.ndarray:
-    """Number equal keys 0, 1, ... in order of their first occurrence."""
+def _first_labels(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal keys numbered 0, 1, ... in order of their first occurrence, and
+    the index where each number first occurs."""
     _, first, label = np.unique(keys, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=int)
     rank[first.argsort()] = np.arange(len(first))
-    return rank[label]
+    return rank[label], np.sort(first)
 
 
 def _merge_weights(p: np.ndarray, group: np.ndarray) -> np.ndarray:

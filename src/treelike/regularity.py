@@ -20,6 +20,10 @@ whenever epsilon <= 1 / max_blowup and every relative weight is at least
 epsilon / 4; the pipeline then skips the eigensolve, the cut and the
 buckets.  The pipeline settles every pair of single-point parts directly
 (the tester can only call them regular) and runs the tester on the rest.
+The denominator scan is thinned by the smallest weight in one array pass
+and its survivors meet every weight at once; an isolated point's values in
+eigenvectors of nonzero eigenvalues are exactly 0, so such points share a
+bucket.
 """
 
 from __future__ import annotations
@@ -169,15 +173,11 @@ def rationalize_weights(weights: np.ndarray, tolerance: float
 
     top = max(RATIONALIZE_SCAN_LIMIT, 4 * n)
     alive = np.arange(n, top + 1, dtype=float)
-    # The slack rises with N, so the smallest weight first thins the scan
-    # against the slack at the last N, keeping every N the check would; N x
-    # is then near an integer >= 1 for an x <= 1/n, which few N are.  The
-    # survivors meet every weight against their own slack.
-    big = top * tolerance * (1.0 + 1e-9) + 1e-9 * max(1.0, top * p.max())
-    alive = alive[off(alive, p.min()) <= big]
-    slack = alive * tolerance * (1.0 + 1e-9) \
-        + 1e-9 * np.maximum(1.0, alive * p.max())
-    alive = alive[(off(alive[:, None], p) <= slack[:, None]).all(axis=1)]
+    # The slack rises with N, so its value at the last N bounds it.  Few N
+    # put N min(p) near an integer >= 1; the survivors meet every weight.
+    slack = top * tolerance * (1.0 + 1e-9) + 1e-9 * max(1.0, top * p.max())
+    alive = alive[off(alive, p.min()) <= slack]
+    alive = alive[(off(alive[:, None], p) <= slack).all(axis=1)]
     for n_total in map(int, alive.tolist()):
         k = _apportion(p, n_total)
         if k is None:
@@ -245,9 +245,8 @@ def weighted_adjacency_spectrum(graph: WeightedGraph, kmult: np.ndarray
     order = np.lexsort((lam < 0, -np.abs(lam)))
     lam = lam[order]
     vec = vec[:, order].T.copy()  # row per eigenvalue
-    # an isolated vertex has a zero row in B, so its coordinate in an
-    # eigenvector of a nonzero eigenvalue is exactly 0; rounding would leave
-    # noise there and give each isolated vertex a bucket of its own
+    # an isolated vertex has a zero row in B, so its value in an eigenvector
+    # of a nonzero eigenvalue is 0; rounding noise would split its bucket
     vec[np.ix_(lam != 0, ~graph.adj.any(axis=1))] = 0.0
     # each row's first largest-magnitude entry is made positive (argmax
     # fails on the 0x0 matrix of an empty graph, which has no rows)
@@ -677,13 +676,11 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
     flags[1:, 1:] = True
     np.fill_diagonal(flags, False)
     if forced:
-        # part i is point i - 1, so a density is an adjacency entry, and
-        # no part has two points
+        # part i is point i - 1, so a density is an adjacency entry
         densities[1:, 1:] = graph.adj
         parts_ids = ((),) + tuple(zip(graph.vertices))
     else:
-        index_parts = [list(refined.exceptional)] \
-            + [list(p) for p in refined.parts]
+        index_parts = [list(refined.exceptional), *map(list, refined.parts)]
         sizes = np.array([len(part) for part in index_parts])
         membership = np.zeros((graph.n, q + 1))
         membership[[v for part in index_parts for v in part],

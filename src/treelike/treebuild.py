@@ -92,9 +92,8 @@ def _class_pairs(space: SimilaritySpace, tree: CompatibleTree,
     parents = list(map(tree.parent.get, map(tree.leaf_of, space.points)))
     # a parent is named by the last point below it, then paired with a row
     last = dict(zip(parents, range(space.n)))
-    group = _first_labels(row_of * space.n + np.fromiter(
+    group, reps = _first_labels(row_of * space.n + np.fromiter(
         map(last.__getitem__, parents), dtype=int, count=space.n))
-    reps = np.unique(group, return_index=True)[1]
     p = space.weights
     if len(reps) == space.n:
         weight, sim = p, space.sim
@@ -308,7 +307,6 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     structure = clique_closure(family, pg, params.epsilon)
     repaired, log = clique_repair(graph, partition, structure, params.epsilon,
                                   None if sizes is None else sizes[idxs])
-    # the log names its points; each stage holds its pairs in order
     index = dict(zip(graph.vertices, idxs))
     pairs = sum(log.stages.values(), ())
     us, vs = zip(*pairs) if pairs else ((), ())
@@ -317,13 +315,11 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     # isolated points, so each point's clique is its closed neighbourhood and
     # the first member of that neighbourhood labels the cluster; idxs ascend,
     # so ordering by that label sorts the clusters
-    closed = repaired.adj.copy()
-    closed.flat[::repaired.n + 1] = True
-    first = closed.argmax(axis=1)
+    first = (repaired.adj | np.eye(repaired.n, dtype=bool)).argmax(axis=1)
     order = first.argsort(kind="stable")
-    first = first[order]
     flat = np.asarray(idxs)[order].tolist()
-    ends = ((first[1:] != first[:-1]).nonzero()[0] + 1).tolist() + [len(flat)]
+    heads = first == np.arange(len(first))  # a vertex that labels its clique
+    ends = np.bincount(first, minlength=len(first))[heads].cumsum().tolist()
     children = [flat[a:b] for a, b in zip([0] + ends, ends)]
     return children, edited
 
@@ -343,11 +339,10 @@ def _twin_classes(space: SimilaritySpace,
     """
     w, s, row_of = rows
     twins = s.diagonal() >= s.max(axis=1)
-    cls = _first_labels(
+    cls, reps = _first_labels(
         np.where(twins[row_of], row_of, len(w) + np.arange(space.n)))
-    if cls[-1] == space.n - 1:  # every point is a class of its own
+    if len(reps) == space.n:
         return space, cls
-    reps = np.unique(cls, return_index=True)[1]
     return SimilaritySpace(
         points=tuple(space.points[i] for i in reps),
         weights=_merge_weights(space.weights, cls),

@@ -369,6 +369,42 @@ class TestVerifyCliques:
         assert check.ok
         assert len(check.cliques) == 2
 
+    def test_matches_search_loop(self):
+        # components found by search from each unseen vertex in turn, and
+        # the first missing pair of the first incomplete one
+        rng = np.random.default_rng(11)
+        gaps = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 14))
+            labels = rng.integers(0, max(1, n // 2), size=n)
+            adj = labels[:, None] == labels
+            drop = np.triu(rng.random((n, n)) < rng.choice([0.0, 0.1]), 1)
+            adj &= ~(drop | drop.T)
+            np.fill_diagonal(adj, False)
+            comps, seen = [], set()
+            for s in range(n):
+                if s in seen:
+                    continue
+                stack, members = [s], {s}
+                while stack:
+                    u = stack.pop()
+                    for v in np.nonzero(adj[u])[0].tolist():
+                        if v not in members:
+                            members.add(v)
+                            stack.append(v)
+                seen |= members
+                comps.append(sorted(members))
+            missing = [(a, b) for c in comps for a in c for b in c
+                       if a < b and not adj[a, b]]
+            check = verify_cliques(self.graph(adj))
+            assert check.cliques == tuple(tuple(f"v{i}" for i in c)
+                                          for c in comps)
+            want = (f"v{missing[0][0]}", f"v{missing[0][1]}") \
+                if missing else None
+            assert check.witness == want
+            gaps += bool(missing)
+        assert gaps > 20
+
     def test_path_witness(self):
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
