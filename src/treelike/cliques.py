@@ -380,9 +380,11 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
         rows, cols = upper_pairs(mk)
         if len(rows):
             # each pair in both orientations, (i, j) then (j, i)
-            names = list(map(vertices.__getitem__, np.array(
-                [rows, cols, cols, rows]).T.ravel().tolist()))
-            stages[name] = tuple(zip(names[0::2], names[1::2]))
+            first = list(map(vertices.__getitem__, rows.tolist()))
+            second = list(map(vertices.__getitem__, cols.tolist()))
+            pairs = [None] * (2 * len(first))
+            pairs[0::2], pairs[1::2] = zip(first, second), zip(second, first)
+            stages[name] = tuple(pairs)
             stage_measures[name] = float(mass @ mk @ mass)
             edited.append(mk)
     total = float(mass @ np.logical_or.reduce(edited) @ mass) if edited else 0.0

@@ -47,12 +47,14 @@ def _dedupe_points(space: SimilaritySpace
     copies round-trips exactly when the weight is a power of two.
     """
     s = space.sim
-    # rows with one bit pattern share its hash (odd multipliers, mod 2^64);
-    # if a row differs from the first row of its hash, bytes key the rows
+    # rows with one bit pattern share its hash (random odd multipliers, mod
+    # 2^64; evenly spaced ones gave every row of a spin-glass overlap space
+    # one hash); if a row differs from the first row of its hash, bytes key
+    # the rows
     bits = s.view(np.uint64)
-    inv, keep = _first_labels(bits.dot(
-        np.arange(1, 2 * space.n, 2, dtype=np.uint64)
-        * np.uint64(0x9E3779B97F4A7C15)))
+    mult = np.random.default_rng(0).integers(2 ** 63, size=space.n,
+                                             dtype=np.uint64)
+    inv, keep = _first_labels(bits.dot(mult * np.uint64(2) + np.uint64(1)))
     if any((bits[i:i + BLOCK] != bits[keep[inv[i:i + BLOCK]]]).any()
            for i in range(0, space.n, BLOCK)):
         inv, keep = _first_labels(np.array([row.tobytes() for row in s]))

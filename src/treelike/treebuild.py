@@ -308,9 +308,8 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     repaired, log = clique_repair(graph, partition, structure, params.epsilon,
                                   None if sizes is None else sizes[idxs])
     index = dict(zip(graph.vertices, idxs))
-    pairs = sum(log.stages.values(), ())
-    us, vs = zip(*pairs) if pairs else ((), ())
-    edited = list(zip(map(index.__getitem__, us), map(index.__getitem__, vs)))
+    edited = [(index[u], index[v])
+              for pairs in log.stages.values() for u, v in pairs]
     # clique_repair raises unless the graph is exactly the group cliques plus
     # isolated points, so each point's clique is its closed neighbourhood and
     # the first member of that neighbourhood labels the cluster; idxs ascend,
@@ -444,8 +443,8 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
                 else:
                     children, pairs = _repair_cluster(
                         quotient, item, t, params, (seed, depth, k), sizes)
-                    if pairs:
-                        edited[tuple(zip(*pairs))] = True
+                    for a, b in pairs:
+                        edited[a, b] = True
                 clusters = []
                 for child in children:
                     if len(child) == 1 and top[child[0]] < t:
