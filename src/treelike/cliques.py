@@ -91,8 +91,8 @@ def part_neighbor_graph(partition: PartitionResult, epsilon: float
     """Classify part pairs as neighbor / regular-non-neighbor / irregular."""
     q = partition.q
     r = np.arange(q + 1)
-    # the pairs 1 <= i < j of non-exceptional parts
-    upper = (r[:, None] < r) & (r[:, None] > 0)
+    upper = r[:, None] < r
+    upper[0] = False  # the pairs 1 <= i < j of non-exceptional parts
     d = partition.densities
     regular = upper & partition.regular_flags
     dense = regular & (d >= 1.0 - 2.0 * epsilon)
@@ -122,20 +122,19 @@ def neighborhood_family(pg: PartNeighborGraph, epsilon: float
     cutoff = epsilon ** 0.25 * q
     closed = pg.neighbor[1:, 1:].copy()
     closed.flat[::q + 1] = True
-    unused = np.ones(q, dtype=bool)
-    # closed-neighborhood sizes among unused parts; a used part's size is
-    # negative, below every unused part's (each counts itself)
+    # closed-neighborhood sizes among unused parts; an unused part counts
+    # itself, and a used part's size is negative
     size = closed.sum(axis=1)
     family: list[tuple[int, ...]] = []
-    while unused.any():
+    while size.size:
         best = size.argmax()  # first maximum: lowest index on ties
         if size[best] < cutoff:
             break
-        members = (closed[best] & unused).nonzero()[0]
+        members = (closed[best] & (size >= 0)).nonzero()[0]
         family.append(tuple((members + 1).tolist()))
-        unused[members] = False
         size -= closed[members].sum(axis=0)  # closed is symmetric
         size[members] = -1
+    unused = size >= 0
     if unused.any() and np.where(
             unused, (closed & unused).sum(axis=1), -1).max() >= cutoff:
         raise PostconditionFailure("greedy neighborhood family not maximal")
@@ -181,15 +180,17 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
     q = pg.q
     t = len(family)
     parts = np.array([p for f in family for p in f], dtype=int)
-    owner = np.arange(t).repeat([len(f) for f in family])
-    member = np.zeros((t, q + 1))
-    member[owner, parts] = 1.0
     r = np.arange(t)
-    adj = (member @ pg.neighbor @ member.T > 0) & (r[:, None] < r)
-    adj |= adj.T
-    linked = adj | (r[:, None] == r)
-    root = linked.argmax(axis=1) if t else r
-    if not (linked == (root[:, None] == root)).all():
+    owner = r.repeat(list(map(len, family)))
+    root = r
+    if t > 1:  # a lone family links to nothing
+        member = np.zeros((t, q + 1))
+        member[owner, parts] = 1.0
+        adj = (member @ pg.neighbor @ member.T > 0) & (r[:, None] < r)
+        adj |= adj.T
+        linked = adj | (r[:, None] == r)
+        root = linked.argmax(axis=1)
+    if t > 1 and not (linked == (root[:, None] == root)).all():
         root = _components(linked)
         reach = root[:, None] == root
         # the first gap in component order, as a component-by-component
@@ -329,20 +330,19 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     # of a sum of k nonnegative terms agree within 2.1 k u of it (u = 2^-53),
     # so a group whose screened mass clears the floor by 8 n u passes, and
     # only the others are summed as the message reports them.
-    label = group_v + 1
-    count = np.bincount(label, sizes, minlength=len(groups) + 1)[1:]
-    screened = np.bincount(label, mass, minlength=len(groups) + 1)[1:]
-    doubtful = (count >= 2) & (screened * (1.0 - 8.0 * n * 2.0 ** -53)
-                                < mass_floor)
-    for gi in doubtful.nonzero()[0].tolist():
-        gmass = float(mass[group_v == gi].sum())
-        if gmass < mass_floor:
-            raise LightClique(
-                f"clique {gi} of {int(count[gi])} points has mass "
-                f"{gmass!r}, below the floor {mass_floor!r}; its "
-                "neighborhoods passed by part count, but their points "
-                "are too light"
-            )
+    screened = np.bincount(group_v + 1, mass, minlength=len(groups) + 1)[1:]
+    doubtful = screened * (1.0 - 8.0 * n * 2.0 ** -53) < mass_floor
+    if doubtful.any():
+        count = np.bincount(group_v + 1, sizes, minlength=len(groups) + 1)
+        for gi in (doubtful & (count[1:] >= 2)).nonzero()[0].tolist():
+            gmass = float(mass[group_v == gi].sum())
+            if gmass < mass_floor:
+                raise LightClique(
+                    f"clique {gi} of {int(count[gi + 1])} points has mass "
+                    f"{gmass!r}, below the floor {mass_floor!r}; its "
+                    "neighborhoods passed by part count, but their points "
+                    "are too light"
+                )
 
     adj = graph.adj.copy()
     grouped = group_v >= 0

@@ -288,7 +288,7 @@ def threshold_graph(space: SimilaritySpace, t: float,
     """
     idx = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
     adj = space.sim[idx[:, None], idx] >= t
-    np.fill_diagonal(adj, False)
+    adj.flat[::len(idx) + 1] = False
     # a validated space has distinct ids, valid weights and a symmetric sim
     return WeightedGraph._symmetric_by_construction(
         tuple(map(space.points.__getitem__, idx.tolist())), space.weights[idx],

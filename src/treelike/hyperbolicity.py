@@ -48,9 +48,8 @@ def _dedupe_points(space: SimilaritySpace
     """
     s = space.sim
     # rows with one bit pattern share its hash (random odd multipliers, mod
-    # 2^64; evenly spaced ones gave every row of a spin-glass overlap space
-    # one hash); if a row differs from the first row of its hash, bytes key
-    # the rows
+    # 2^64: evenly spaced ones hashed a spin-glass space to one value); if a
+    # row differs from the first row of its hash, bytes key the rows
     bits = s.view(np.uint64)
     mult = np.random.default_rng(0).integers(2 ** 63, size=space.n,
                                              dtype=np.uint64)

@@ -670,11 +670,11 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
         refined = equitable_refine(buckets, graph.mass, params)
 
     q = len(refined.parts)
-    densities = np.full((q + 1, q + 1), math.nan)
+    densities = np.empty((q + 1, q + 1))
     # a single-point pair is regular; the tester settles every other pair
     flags = np.zeros((q + 1, q + 1), dtype=bool)
     flags[1:, 1:] = True
-    np.fill_diagonal(flags, False)
+    flags.flat[::q + 2] = False
     if forced:
         # part i is point i - 1, so a density is an adjacency entry
         densities[1:, 1:] = graph.adj
@@ -703,7 +703,7 @@ def regularity_pipeline(graph: WeightedGraph, params: RegularityParams,
             flags[a, b] = flags[b, a] = verdict.regular
         parts_ids = tuple(tuple(map(graph.vertices.__getitem__, part))
                           for part in index_parts)
-    np.fill_diagonal(densities, math.nan)
+    densities[0] = densities[:, 0] = densities.flat[::q + 2] = math.nan
     meta = {
         "epsilon": params.epsilon,
         "m": params.m,
