@@ -32,6 +32,7 @@ from .errors import (
 )
 
 MACHINE_EPS = float(np.finfo(float).eps)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # odd; mixes the row hash multipliers
 
 
 def _dedupe_points(space: SimilaritySpace
@@ -47,13 +48,13 @@ def _dedupe_points(space: SimilaritySpace
     copies round-trips exactly when the weight is a power of two.
     """
     s = space.sim
-    # rows with one bit pattern share its hash (random odd multipliers, mod
+    # rows with one bit pattern share its hash (mixed odd multipliers, mod
     # 2^64: evenly spaced ones hashed a spin-glass space to one value); if a
     # row differs from the first row of its hash, bytes key the rows
     bits = s.view(np.uint64)
-    mult = np.random.default_rng(0).integers(2 ** 63, size=space.n,
-                                             dtype=np.uint64)
-    inv, keep = _first_labels(bits.dot(mult * np.uint64(2) + np.uint64(1)))
+    mult = np.arange(1, space.n + 1, dtype=np.uint64) * _GOLDEN
+    mult ^= mult >> np.uint64(31)
+    inv, keep = _first_labels(bits.dot(mult * _GOLDEN | np.uint64(1)))
     if any((bits[i:i + BLOCK] != bits[keep[inv[i:i + BLOCK]]]).any()
            for i in range(0, space.n, BLOCK)):
         inv, keep = _first_labels(np.array([row.tobytes() for row in s]))

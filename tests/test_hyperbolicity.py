@@ -840,8 +840,9 @@ class TestDistinctRowKernels:
         # rows 0 and 1 differ in columns 0 and 1 by bit patterns whose
         # weighted sum vanishes mod 2^64, so their row hashes agree
         n = 3
-        mult = [2 * int(r) + 1 for r in np.random.default_rng(0).integers(
-            2 ** 63, size=n, dtype=np.uint64)]
+        golden = 0x9E3779B97F4A7C15
+        mult = [(j + 1) * golden % 2 ** 64 for j in range(n)]
+        mult = [(m ^ m >> 31) * golden % 2 ** 64 | 1 for m in mult]
         delta1 = 1
         delta0 = -delta1 * mult[1] * pow(mult[0], -1, 2 ** 64) % 2 ** 64
         half = 0x3FE0000000000000  # the bits of 0.5
