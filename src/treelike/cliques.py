@@ -98,7 +98,8 @@ def part_neighbor_graph(partition: PartitionResult, epsilon: float
     dense = regular & (d >= 1.0 - 2.0 * epsilon)
     middle = regular & ~dense & (d >= 3.0 * epsilon)
     irregular = upper & ~partition.regular_flags
-    rows, cols = middle.nonzero()  # row-major, above the diagonal
+    # middle lies above the diagonal, where upper_pairs keeps every entry
+    rows, cols = upper_pairs(middle)
     return PartNeighborGraph(
         q=q,
         neighbor=dense | dense.T,
