@@ -191,23 +191,22 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
         adj |= adj.T
         linked = adj | (r[:, None] == r)
         root = linked.argmax(axis=1)
-    if t > 1 and not (linked == (root[:, None] == root)).all():
-        root = _components(linked)
-        reach = root[:, None] == root
-        # the first gap in component order, as a component-by-component
-        # scan of member pairs would meet it
-        rows, cols = upper_pairs(reach & ~adj)
-        gap = np.lexsort((cols, rows, root[rows]))[0]
-        a, b = int(rows[gap]), int(cols[gap])
-        members = np.nonzero(root == root[a])[0].tolist()
-        triple = _shortest_gap_triple(adj, members, a, b)
-        raise NotAClique(
-            "neighborhood component is not complete: families "
-            f"{triple[0]} ~ {triple[1]} ~ {triple[2]} but the "
-            "ends are not linked; the hyperbolicity "
-            "preconditions do not hold for these parameters",
-            witness=triple,
-        )
+        if not (linked == (root[:, None] == root)).all():
+            root = _components(linked)
+            # the first gap in component order, as a component-by-component
+            # scan of member pairs would meet it
+            rows, cols = upper_pairs((root[:, None] == root) & ~adj)
+            gap = np.lexsort((cols, rows, root[rows]))[0]
+            a, b = int(rows[gap]), int(cols[gap])
+            members = np.nonzero(root == root[a])[0].tolist()
+            triple = _shortest_gap_triple(adj, members, a, b)
+            raise NotAClique(
+                "neighborhood component is not complete: families "
+                f"{triple[0]} ~ {triple[1]} ~ {triple[2]} but the "
+                "ends are not linked; the hyperbolicity "
+                "preconditions do not hold for these parameters",
+                witness=triple,
+            )
     # components in order of their lowest family, which is their root
     head = root == r
     n_groups = int(head.sum())
