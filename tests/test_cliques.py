@@ -274,6 +274,31 @@ class TestCliqueRepair:
         with pytest.raises(LightClique, match="of 2 points has mass 0.01"):
             clique_repair(graph, partition, structure, epsilon, sizes)
 
+    @pytest.mark.parametrize("below", [0.0, 2.0 ** -30])
+    def test_group_mass_at_the_floor(self, below):
+        # epsilon 1/16 puts the floor at a quarter of the mass, 0.25, which
+        # the dyadic group masses meet exactly or miss by 2^-30
+        mass = np.array([0.125, 0.0625, 0.0625 - below, 0.25, 0.25,
+                         0.25 + below])
+        adj = np.zeros((6, 6), dtype=bool)
+        adj[:3, :3] = True
+        np.fill_diagonal(adj, False)
+        graph = WeightedGraph(tuple(f"v{i}" for i in range(1, 7)), mass, adj)
+        partition = manual_partition(6, {})
+        structure = CliqueStructure(
+            families=((1, 2, 3),), part_groups=((1, 2, 3),),
+            extended_groups=((1, 2, 3),), leftover_parts=(4, 5, 6),
+            bad_pairs=())
+        if not below:
+            repaired, _ = clique_repair(graph, partition, structure, 1 / 16)
+            assert np.array_equal(repaired.adj, adj)
+            return
+        with pytest.raises(LightClique) as info:
+            clique_repair(graph, partition, structure, 1 / 16)
+        assert str(info.value).startswith(
+            f"clique 0 of 3 points has mass {0.25 - below!r}, below the "
+            "floor 0.25;")
+
     def test_no_neighbors_across_core_groups(self):
         fx = planted_blocks_fixture(36, 3, seed=5)
         graph, partition, structure, _, _ = self.run_repair(
@@ -323,6 +348,27 @@ class TestStageLog:
         assert np.array_equal(repaired.adj, adj)
         assert log.total_measure == float(mass @ union @ mass)
         assert log.total_measure > 0.0
+
+
+    def test_cross_edge_between_two_groups_is_cut(self):
+        # groups {v1, v2} and {v3, v4} joined by the edge v2 ~ v3, which an
+        # attached part can leave between two clusters
+        adj = np.zeros((4, 4), dtype=bool)
+        for i, j in ((0, 1), (2, 3), (1, 2)):
+            adj[i, j] = adj[j, i] = True
+        graph = WeightedGraph(tuple(f"v{i}" for i in range(1, 5)),
+                              np.full(4, 0.25), adj)
+        structure = CliqueStructure(
+            families=((1, 2), (3, 4)), part_groups=((1, 2), (3, 4)),
+            extended_groups=((1, 2), (3, 4)), leftover_parts=(),
+            bad_pairs=((2, 3),))
+        repaired, log = clique_repair(graph, manual_partition(4, {}),
+                                      structure, 1e-3)
+        assert log.stages["delete_cross_group"] == (("v2", "v3"),
+                                                    ("v3", "v2"))
+        assert log.stage_measures["delete_cross_group"] == 0.125
+        assert not repaired.adj[1, 2] and repaired.adj[0, 1] \
+            and repaired.adj[2, 3]
 
 
 class TestEditMeasureTrend:

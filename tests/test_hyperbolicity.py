@@ -21,10 +21,13 @@ from treelike import (
     space_from_tree,
     threshold_ladder,
 )
+from treelike import hyperbolicity
 from treelike.cli import main
 from treelike.errors import Delta0TooLarge, NoGoodThreshold, \
     ThresholdOutOfRange, ZeroSamples
 from treelike.hyperbolicity import BLOCK, _dedupe_points
+from treelike.spinglass import gibbs_exact, overlap_map, overlap_space, \
+    sk_couplings
 from treelike.io import space_to_dict, write_json
 from treelike.fixtures import (
     noisy_tree_fixture,
@@ -856,6 +859,25 @@ class TestDistinctRowKernels:
                              bits.view(np.float64))
         _, _, inv = _dedupe_points(sp)
         assert inv.tolist() == dedupe_by_bytes(sp).tolist() == [0, 1, 0]
+
+    def test_overlap_space_rows_need_no_byte_keys(self, monkeypatch):
+        # every row of an exact-enumeration overlap space holds the same
+        # values in another order, which evenly spaced hash multipliers
+        # summed to one hash; the mixed ones tell its distinct rows apart
+        calls = []
+        labels = hyperbolicity._first_labels
+
+        def counting(keys):
+            calls.append(keys.dtype)
+            return labels(keys)
+
+        monkeypatch.setattr(hyperbolicity, "_first_labels", counting)
+        model = sk_couplings(7, beta=2.0, seed=3)
+        configs, probs = gibbs_exact(model)
+        space = overlap_space(configs, probs, overlap_map("abs"))
+        w, _, _ = _dedupe_points(space)
+        assert len(w) == space.n // 2  # a state and its flip share a row
+        assert calls == [np.uint64]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_duplicated_space_has_the_hard_cases(self, seed):
