@@ -12,10 +12,9 @@ keep every returned object bit for bit and raise the same error first.
 
 The digests in ``chain_digests.json`` were recorded with OpenBLAS on
 x86-64; ``PYTHONPATH=src python tests/test_chain_digests.py`` records them
-again.
-The epsilon-0.2 cases depend on the eigensolver only through the cells of
-points whose coordinates differ by rounding noise.  Seven of them were
-re-pinned when an isolated vertex's coordinates in the eigenvectors of
+again.  The epsilon-0.2 cases depend on the eigensolver only through the
+cells of points whose coordinates differ by rounding noise.  Seven of them
+were re-pinned when an isolated vertex's coordinates in the eigenvectors of
 nonzero eigenvalues were set to exactly 0: ``er-12-0.1``, ``er-64-0.05``,
 ``cliques-1-2-3-5-1`` and ``cliques-6-6-1-1-1-1`` (uniform and weighted) and
 ``noisy-48-t3-sizes``.  Their isolated vertices, each in a bucket of its own
