@@ -151,17 +151,6 @@ def _groups_of(label: np.ndarray, count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
 
 
-def _components(linked: np.ndarray) -> np.ndarray:
-    """The lowest index each index reaches through a symmetric relation that
-    holds on the diagonal, spread across links until nothing changes."""
-    root = np.arange(len(linked))
-    while True:
-        low = np.where(linked, root, len(root)).min(axis=1, initial=len(root))
-        if (low == root).all():
-            return root
-        root = low
-
-
 def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
                    epsilon: float) -> CliqueStructure:
     """Group the neighborhoods into clusters and attach nearby leftovers.
@@ -172,11 +161,9 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
     that cluster; finding two such clusters contradicts the construction and
     raises instead of picking one arbitrarily.
 
-    The components are complete exactly when each family's linked families
-    (itself included) are those sharing its lowest linked family, so one
-    test settles them; only a gap needs the components.  Attachments are
-    sought only for parts in no cluster, and bad pairs only once a part has
-    attached: neighbors in two clusters would link their families.
+    Components are complete exactly when each family's linked families share
+    its lowest one, so only a gap needs the closure.  Attachments are sought
+    only for unclustered parts, and bad pairs only once a part attached.
     """
     q = pg.q
     t = len(family)
@@ -192,10 +179,14 @@ def clique_closure(family: tuple[tuple[int, ...], ...], pg: PartNeighborGraph,
         linked = adj | (r[:, None] == r)
         root = linked.argmax(axis=1)
         if not (linked == (root[:, None] == root)).all():
-            root = _components(linked)
+            # transitive closure; a component's root is its lowest family
+            reach, wider = linked, linked.astype(float) @ linked > 0
+            while not np.array_equal(wider, reach):
+                reach, wider = wider, wider.astype(float) @ wider > 0
+            root = reach.argmax(axis=1)
             # the first gap in component order, as a component-by-component
             # scan of member pairs would meet it
-            rows, cols = upper_pairs((root[:, None] == root) & ~adj)
+            rows, cols = upper_pairs(reach & ~adj)
             gap = np.lexsort((cols, rows, root[rows]))[0]
             a, b = int(rows[gap]), int(cols[gap])
             members = np.nonzero(root == root[a])[0].tolist()
@@ -412,21 +403,41 @@ class CliqueCheck:
 def verify_cliques(graph: WeightedGraph) -> CliqueCheck:
     """Connected components with a completeness check.
 
-    Returns the components, in order of their first vertex, and, when some
-    component is not complete, the first non-adjacent pair inside one as a
-    witness: in the first such component, the first pair in row-major order.
+    Returns the components and, when some component is not complete, the
+    first non-adjacent pair inside one as a witness.
     """
-    linked = graph.adj | np.eye(graph.n, dtype=bool)
-    root = _components(linked)
-    names = list(map(graph.vertices.__getitem__,
-                     root.argsort(kind="stable").tolist()))
-    # a component's lowest vertex is its root
-    head = root == np.arange(graph.n)
-    ends = np.bincount(root, minlength=graph.n)[head].cumsum().tolist()
-    cliques = tuple(tuple(names[a:b]) for a, b in zip([0] + ends, ends))
-    rows, cols = upper_pairs((root[:, None] == root) & ~linked)
+    n = graph.n
+    seen = np.zeros(n, dtype=bool)
+    comps: list[list[int]] = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        stack = [s]
+        seen[s] = True
+        members = []
+        while stack:
+            u = stack.pop()
+            members.append(u)
+            for v in np.nonzero(graph.adj[u])[0]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(int(v))
+        comps.append(sorted(members))
     witness = None
-    if rows.size:
-        first = np.lexsort((cols, rows, root[rows]))[0]
-        witness = (graph.vertices[rows[first]], graph.vertices[cols[first]])
-    return CliqueCheck(cliques=cliques, witness=witness)
+    for members in comps:
+        for ai in range(len(members)):
+            for bi in range(ai + 1, len(members)):
+                if not graph.adj[members[ai], members[bi]]:
+                    witness = (
+                        graph.vertices[members[ai]],
+                        graph.vertices[members[bi]],
+                    )
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    return CliqueCheck(
+        cliques=tuple(tuple(graph.vertices[i] for i in c) for c in comps),
+        witness=witness,
+    )

@@ -32,7 +32,6 @@ from .errors import (
 )
 
 MACHINE_EPS = float(np.finfo(float).eps)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # odd; mixes the row hash multipliers
 
 
 def _dedupe_points(space: SimilaritySpace
@@ -48,28 +47,13 @@ def _dedupe_points(space: SimilaritySpace
     copies round-trips exactly when the weight is a power of two.
     """
     s = space.sim
-    # rows with one bit pattern share its hash (mixed odd multipliers, mod
-    # 2^64: evenly spaced ones hashed a spin-glass space to one value); if a
-    # row differs from the first row of its hash, bytes key the rows
-    bits = s.view(np.uint64)
-    mult = np.arange(1, space.n + 1, dtype=np.uint64) * _GOLDEN
-    mult ^= mult >> np.uint64(31)
-    inv, keep = _first_labels(bits.dot(mult * _GOLDEN | np.uint64(1)))
-    if any((bits[i:i + BLOCK] != bits[keep[inv[i:i + BLOCK]]]).any()
-           for i in range(0, space.n, BLOCK)):
-        inv, keep = _first_labels(np.array([row.tobytes() for row in s]))
-    if len(keep) == space.n:
+    first: dict[bytes, int] = {}
+    inv = np.array([first.setdefault(row.tobytes(), len(first)) for row in s],
+                   dtype=int)
+    if len(first) == space.n:
         return space.weights, s, inv
+    keep = np.unique(inv, return_index=True)[1]
     return _merge_weights(space.weights, inv), s[np.ix_(keep, keep)], inv
-
-
-def _first_labels(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equal keys numbered 0, 1, ... in order of their first occurrence, and
-    the index where each number first occurs."""
-    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=int)
-    rank[first.argsort()] = np.arange(len(first))
-    return rank[label], np.sort(first)
 
 
 def _merge_weights(p: np.ndarray, group: np.ndarray) -> np.ndarray:

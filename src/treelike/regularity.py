@@ -20,10 +20,9 @@ whenever epsilon <= 1 / max_blowup and every relative weight is at least
 epsilon / 4; the pipeline then skips the eigensolve, the cut and the
 buckets.  The pipeline settles every pair of single-point parts directly
 (the tester can only call them regular) and runs the tester on the rest.
-The denominator scan is thinned by the smallest weight in one array pass
-and its survivors meet every weight at once; an isolated point's values in
-eigenvectors of nonzero eigenvalues are exactly 0, so such points share a
-bucket.
+The denominator scan is thinned by the smallest weight, then its survivors
+meet every weight at once.  An isolated point's value in an eigenvector of
+a nonzero eigenvalue is exactly 0, so such points share a bucket.
 """
 
 from __future__ import annotations

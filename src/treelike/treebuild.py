@@ -26,8 +26,7 @@ from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix, \
     threshold_graph, tree_from_levels, validate_space
 from .errors import BadParams, LeafMismatch, MapMismatch
 from .hyperbolicity import ThresholdLadder, _dedupe_points, \
-    _exceptional_rows, _first_labels, _merge_weights, _threshold_ladder, \
-    hyp_exact
+    _exceptional_rows, _merge_weights, _threshold_ladder, hyp_exact
 from .regularity import RegularityParams, regularity_pipeline
 
 
@@ -82,6 +81,15 @@ class _ClassPairs:
     sim: np.ndarray
     meet: np.ndarray
     leaf: np.ndarray
+
+
+def _first_labels(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal keys numbered 0, 1, ... in order of their first occurrence, and
+    the index where each number first occurs."""
+    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[first.argsort()] = np.arange(len(first))
+    return rank[label], np.sort(first)
 
 
 def _class_pairs(space: SimilaritySpace, tree: CompatibleTree,
@@ -431,8 +439,7 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     # each pending cluster as (its points, its classes)
     pending = [(points_of(kept) if kept else [], kept)]
     for depth in range(1, n_levels + 2):
-        # each cluster of the row likewise; a single point never pends, so
-        # it needs no classes
+        # the row's clusters likewise; a lone point never pends: classes None
         row: list[tuple[list[int] | tuple[int], list[int] | None]] = []
         for k, (points, item) in enumerate(pending):
             if depth <= n_levels and len(points) >= 2:
@@ -496,7 +503,6 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         best_alpha=alpha_star,
         best_cost=cost_star,
         delta_e_total=delta_e_total,
-        # most clusters of the last rows are single points
         levels=tuple(tuple((space.points[c[0]],) if len(c) == 1
                            else tuple(map(space.points.__getitem__, c))
                            for c in row) for row in [[range(n)]] + rows),

@@ -21,13 +21,10 @@ from treelike import (
     space_from_tree,
     threshold_ladder,
 )
-from treelike import hyperbolicity
 from treelike.cli import main
 from treelike.errors import Delta0TooLarge, NoGoodThreshold, \
     ThresholdOutOfRange, ZeroSamples
 from treelike.hyperbolicity import BLOCK, _dedupe_points
-from treelike.spinglass import gibbs_exact, overlap_map, overlap_space, \
-    sk_couplings
 from treelike.io import space_to_dict, write_json
 from treelike.fixtures import (
     noisy_tree_fixture,
@@ -821,63 +818,20 @@ def window_candidates(space, ladder):
     return rows
 
 
-def dedupe_by_bytes(space):
-    """Row labels in order of first occurrence, keyed by each row's bytes."""
-    first = {}
-    return np.array([first.setdefault(row.tobytes(), len(first))
-                     for row in space.sim], dtype=int)
-
-
 class TestDistinctRowKernels:
     @pytest.mark.parametrize("seed", range(4))
-    def test_row_labels_match_bytes_keys(self, seed):
+    def test_rows_and_merged_weights(self, seed):
+        # one label per distinct row, numbered in order of first occurrence,
+        # and each label's weight the fsum of its points' weights
         sp = duplicated_space(40, seed)
         w, s, inv = _dedupe_points(sp)
-        assert np.array_equal(inv, dedupe_by_bytes(sp))
         keep = np.unique(inv, return_index=True)[1]
+        assert np.array_equal(inv[keep], np.arange(len(keep)))
+        assert len(keep) == len(np.unique(sp.sim, axis=0)) < sp.n
+        assert_same_array(sp.sim[keep[inv]], sp.sim)
         assert_same_array(s, sp.sim[np.ix_(keep, keep)])
         assert np.array_equal(w, [math.fsum(sp.weights[inv == c])
                                   for c in range(len(keep))])
-
-    def test_rows_with_one_hash_are_told_apart(self):
-        # rows 0 and 1 differ in columns 0 and 1 by bit patterns whose
-        # weighted sum vanishes mod 2^64, so their row hashes agree
-        n = 3
-        golden = 0x9E3779B97F4A7C15
-        mult = [(j + 1) * golden % 2 ** 64 for j in range(n)]
-        mult = [(m ^ m >> 31) * golden % 2 ** 64 | 1 for m in mult]
-        delta1 = 1
-        delta0 = -delta1 * mult[1] * pow(mult[0], -1, 2 ** 64) % 2 ** 64
-        half = 0x3FE0000000000000  # the bits of 0.5
-        bits = np.full((n, n), half, dtype=np.uint64)
-        bits[1, 0] = (half + delta0) % 2 ** 64
-        bits[1, 1] = half + delta1
-        hashes = [sum(int(b) * m for b, m in zip(row, mult)) % 2 ** 64
-                  for row in bits]
-        assert hashes[0] == hashes[1]
-        sp = SimilaritySpace(("a", "b", "c"), np.full(3, 1 / 3),
-                             bits.view(np.float64))
-        _, _, inv = _dedupe_points(sp)
-        assert inv.tolist() == dedupe_by_bytes(sp).tolist() == [0, 1, 0]
-
-    def test_overlap_space_rows_need_no_byte_keys(self, monkeypatch):
-        # every row of an exact-enumeration overlap space holds the same
-        # values in another order, which evenly spaced hash multipliers
-        # summed to one hash; the mixed ones tell its distinct rows apart
-        calls = []
-        labels = hyperbolicity._first_labels
-
-        def counting(keys):
-            calls.append(keys.dtype)
-            return labels(keys)
-
-        monkeypatch.setattr(hyperbolicity, "_first_labels", counting)
-        model = sk_couplings(7, beta=2.0, seed=3)
-        configs, probs = gibbs_exact(model)
-        space = overlap_space(configs, probs, overlap_map("abs"))
-        w, _, _ = _dedupe_points(space)
-        assert len(w) == space.n // 2  # a state and its flip share a row
-        assert calls == [np.uint64]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_duplicated_space_has_the_hard_cases(self, seed):
