@@ -7,12 +7,12 @@ graph is then repaired in five staged edit passes whose pairs and measures
 are all logged.
 
 Every stage works on boolean part-by-part matrices, in a bounded number of
-array operations with no loop over parts or pairs, and skips work whose
-result is provably empty.  The parts are single points, so that the part
-neighbor relation is the thresholded vertex graph itself and q is the
-vertex count, whenever the partition is forced: (a) epsilon N <= 1 for the
-rationalized denominator N, and (b) every point's mass is at least
-epsilon mu / (2 (1 + m*)) (see ``regularity``).
+array operations with no loop over parts (edited pairs are named one by
+one), and skips work whose result is provably empty.  The parts are single
+points, so that the part neighbor relation is the thresholded vertex graph
+itself and q is the vertex count, whenever the partition is forced: (a)
+epsilon N <= 1 for the rationalized denominator N, and (b) every point's
+mass is at least epsilon mu / (2 (1 + m*)) (see ``regularity``).
 """
 
 from __future__ import annotations

@@ -126,6 +126,15 @@ class TestCliqueClosure:
         assert exc.value.witness is not None
         assert len(exc.value.witness) == 3
 
+    def test_gap_three_links_from_the_lowest_family(self):
+        # family links 0~3~4~1 and 0~5~2: the first gap, (0, 1), spans three
+        # links, so only the whole closure finds it ahead of (0, 2)
+        pg = manual_pg(6, [(1, 4), (4, 5), (5, 2), (1, 6), (6, 3)])
+        with pytest.raises(NotAClique) as exc:
+            clique_closure(tuple((p,) for p in range(1, 7)), pg, 1e-3)
+        assert exc.value.witness == (0, 3, 4)
+        assert "families 0 ~ 3 ~ 4" in str(exc.value)
+
     def test_unique_group_violation(self):
         # part 5 attaches heavily to both groups; epsilon keeps the
         # attachment cutoff at two neighbors
