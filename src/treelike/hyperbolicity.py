@@ -7,6 +7,12 @@ sets) is driven by the piecewise-constant map ``t -> mass of R_t`` where
 ``R_t`` is the set of triples whose pair similarity drops below ``t`` while
 both similarities to the third point stay at or above it.
 
+For three distinct points at most one of the three choices of third point
+gives a positive defect, the median minus the minimum of their three
+similarities.  So the average defect is the sum of the triples (x, x, z)
+plus twice that of p(x) p(y) p(z) (median - minimum) over x < y < z: about
+d^3 / 6 cells for d rows, walked in tiles with two BLOCK x d buffers.
+
 Triple masses depend on a point only through its similarity row, so the
 kernels run on the d distinct rows with merged weights (``_dedupe_points``).
 The ladder evaluates the mass of R_t only at its C window candidates, one
@@ -17,6 +23,7 @@ every distinct value in O(n^3) scatter work; it serves ``treelike ladder
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,53 +76,96 @@ def _merge_weights(p: np.ndarray, group: np.ndarray) -> np.ndarray:
                      for a, b in zip([0] + ends, ends)])
 
 
-# Rows per tile of the triple defect: a BLOCK x n float64 tile stays in cache
-# where a full n x n temporary per third point would stream through memory.
+# Rows per tile of the defect walks, for a d-point space: a tile of at most
+# BLOCK x d float64 cells stays in cache where a whole d x d temporary per
+# point would stream through memory.
 BLOCK = 64
 
 
-def _defect_tiles(sim: np.ndarray, z: int, buf: np.ndarray):
-    """Yield (i0, i1, tile) with tile = min(s(x,z), s(y,z)) - s(x,y) for
-    rows x in [i0, i1) and columns y in [i0, n).
+def _self_gaps(sim: np.ndarray, buf: np.ndarray):
+    """Yield (i0, i1, tile) with tile = s(x,z) - s(x,x) for rows x in
+    [i0, i1) and every column z: the defect of the triples (x, x, z).
 
-    The defect is symmetric in x and y, so these tiles cover the x <= y half:
-    the square [i0, i1) x [i0, i1) holds each of its pairs in both orders,
-    and the columns from i1 on hold pairs whose mirror no tile repeats.
-    Every tile is a view of ``buf`` (BLOCK * n floats), valid until the next.
+    No other triple with a repeated point has a positive defect: (x, y, x)
+    and (x, y, y) give min(s(x,x), s(x,y)) - s(x,y) <= 0.  Every tile is a
+    view of ``buf`` (BLOCK * d floats), valid until the next.
     """
-    n = len(sim)
-    col = sim[z]
-    for i0 in range(0, n, BLOCK):
-        i1 = min(i0 + BLOCK, n)
-        tile = buf[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
-        np.minimum(col[i0:i1, None], col[None, i0:], out=tile)
-        tile -= sim[i0:i1, i0:]
+    d = len(sim)
+    diag = sim.diagonal()
+    for i0 in range(0, d, BLOCK):
+        i1 = min(i0 + BLOCK, d)
+        tile = buf[:(i1 - i0) * d].reshape(i1 - i0, d)
+        np.subtract(sim[i0:i1], diag[i0:i1, None], out=tile)
+        yield i0, i1, tile
+
+
+def _median_gaps(sim: np.ndarray, y: int, lo: np.ndarray, hi: np.ndarray):
+    """Yield (i0, i1, tile) with tile[x - i0, z - y - 1] = median - minimum
+    of s(x,y), s(y,z) and s(x,z), for rows x in [i0, i1) below y and every
+    column z above y; 0 < y < d - 1.
+
+    Over x < y < z each set of three distinct points comes once, as the
+    rectangle of its middle point y.  Of its three choices of third point,
+    only the one opposite the least similarity can give a positive defect,
+    the median minus the minimum.  With a = s(x,y), b = s(y,z), c = s(x,z),
+    |min(max(a, b), c) - min(a, b)| subtracts the median and the minimum in
+    some order, so it is the same float as that defect.  A tile holds at
+    most BLOCK * d cells, taking as many rows as fit, and is a view of
+    ``hi`` (BLOCK * d floats, as is ``lo``), valid until the next.
+    """
+    d = len(sim)
+    w = d - 1 - y
+    u = sim[y]
+    b = u[None, y + 1:]
+    rows = BLOCK * d // w
+    for i0 in range(0, y, rows):
+        i1 = min(i0 + rows, y)
+        k = (i1 - i0) * w
+        low = lo[:k].reshape(i1 - i0, w)
+        tile = hi[:k].reshape(i1 - i0, w)
+        # numpy's min and max run slowly on an operand that is constant
+        # along rows, so the column u[i0:i1] is first written out
+        tile[...] = u[i0:i1, None]
+        np.minimum(tile, b, out=low)
+        np.maximum(tile, b, out=tile)
+        np.minimum(tile, sim[i0:i1, y + 1:], out=tile)
+        tile -= low
+        np.abs(tile, out=tile)
         yield i0, i1, tile
 
 
 def _defect_sum(weights: np.ndarray, sim: np.ndarray) -> float:
+    """The sum over ordered triples of p(x) p(y) p(z) times the positive
+    part of the defect: the (x, x, z) terms once, plus twice the sum over
+    x < y < z of p(x) p(y) p(z) (median - minimum), since each set of three
+    distinct points is two ordered triples with a positive defect."""
     p = weights
-    buf = np.empty(BLOCK * len(p))
-    total = 0.0
-    for z in range(len(p)):
-        if p[z] == 0.0:
+    d = len(p)
+    lo, hi = np.empty(BLOCK * d), np.empty(BLOCK * d)
+    pairs = 0.0
+    for i0, i1, tile in _self_gaps(sim, hi):
+        np.maximum(tile, 0.0, out=tile)
+        pairs += float((p[i0:i1] * p[i0:i1]) @ (tile @ p))
+    triples = 0.0
+    for y in range(1, d - 1):
+        if p[y] == 0.0:
             continue
         acc = 0.0
-        for i0, i1, tile in _defect_tiles(sim, z, buf):
-            np.maximum(tile, 0.0, out=tile)
-            v = p[i0:i1] @ tile
-            b = i1 - i0
-            acc += float(v[:b] @ p[i0:i1]) + 2.0 * float(v[b:] @ p[i1:])
-        total += float(p[z]) * acc
-    return total
+        for i0, i1, tile in _median_gaps(sim, y, lo, hi):
+            acc += float(p[i0:i1] @ tile @ p[y + 1:])
+        triples += float(p[y]) * acc
+    return pairs + 2.0 * triples
 
 
 def hyp_exact(space: SimilaritySpace) -> float:
     """Expected triple defect, computed exactly.
 
-    Takes O(n^3) time for n distinct rows, and O(BLOCK * n) working memory
-    beyond the (deduplicated) similarity matrix: each third point's defect
-    matrix is walked in row tiles over its x <= y half.
+    For three distinct points at most one choice of the third point gives a
+    positive defect, and that defect is the median minus the minimum of
+    their three similarities.  So the sum visits each set of three distinct
+    rows once, about d^3 / 6 cells for d distinct rows, and adds the d^2
+    triples (x, x, z) apart.  Working memory beyond the (deduplicated)
+    similarity matrix is two BLOCK x d tile buffers and O(d) vectors.
     """
     validate_space(space)
     w, s, _ = _dedupe_points(space)
@@ -123,17 +173,23 @@ def hyp_exact(space: SimilaritySpace) -> float:
 
 
 def gromov_delta_worst_case(space: SimilaritySpace) -> float:
-    """Maximum triple defect; an upper bound for the average."""
+    """Maximum triple defect; an upper bound for the average.
+
+    The maximum over the walk that ``hyp_exact`` sums: s(x,z) - s(x,x) for
+    the triples (x, x, z), and median - minimum once for each set of three
+    distinct rows, about d^3 / 6 cells.  Each cell is the same float as the
+    largest defect of its triples, so the result is the maximum over all
+    ordered triples (or 0.0), bit for bit.  Weights play no part: every
+    middle point is visited, whatever its weight.  Working memory is two
+    BLOCK x d tile buffers.
+    """
     validate_space(space)
-    w, s, _ = _dedupe_points(space)
-    buf = np.empty(BLOCK * len(w))
-    best = 0.0
-    for z in range(len(w)):
-        for _, _, tile in _defect_tiles(s, z, buf):
-            m = float(tile.max())
-            if m > best:
-                best = m
-    return best
+    s = _dedupe_points(space)[1]
+    d = len(s)
+    lo, hi = np.empty(BLOCK * d), np.empty(BLOCK * d)
+    tiles = itertools.chain(_self_gaps(s, hi), itertools.chain.from_iterable(
+        _median_gaps(s, y, lo, hi) for y in range(1, d - 1)))
+    return max([0.0] + [float(tile.max()) for _, _, tile in tiles])
 
 
 def hyp_monte_carlo(space: SimilaritySpace, samples: int, seed: int

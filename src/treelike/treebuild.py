@@ -25,8 +25,8 @@ from .cliques import clique_closure, clique_repair, neighborhood_family, \
 from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix, \
     threshold_graph, tree_from_levels, validate_space
 from .errors import BadParams, LeafMismatch, MapMismatch
-from .hyperbolicity import ThresholdLadder, _dedupe_points, \
-    _exceptional_rows, _merge_weights, _threshold_ladder, hyp_exact
+from .hyperbolicity import ThresholdLadder, _dedupe_points, _defect_sum, \
+    _exceptional_rows, _merge_weights, _threshold_ladder
 from .regularity import RegularityParams, regularity_pipeline
 
 
@@ -168,11 +168,16 @@ def tree_cost(space: SimilaritySpace, tree: CompatibleTree, alpha: float
               ) -> float:
     """Expected absolute error between similarity and alpha times products."""
     validate_space(space)
+    return _tree_cost(space, tree, alpha, _dedupe_points(space)[2])
+
+
+def _tree_cost(space: SimilaritySpace, tree: CompatibleTree, alpha: float,
+               row_of: np.ndarray) -> float:
     if not 0 <= alpha < math.inf:
         raise BadParams(f"alpha must be finite and nonnegative, got {alpha!r}")
     if set(tree.leaf_points.values()) != set(space.points):
         raise LeafMismatch("tree leaves do not match the space points")
-    return _cost(_class_pairs(space, tree, _dedupe_points(space)[2]), alpha)
+    return _cost(_class_pairs(space, tree, row_of), alpha)
 
 
 def best_alpha(space: SimilaritySpace, tree: CompatibleTree
@@ -280,10 +285,12 @@ def converse_check(space: SimilaritySpace, tree: CompatibleTree, alpha: float
     The check passes when the defect is at most the bound plus a fixed
     1e-12 slack for rounding.
     """
-    cost = tree_cost(space, tree, alpha)
+    validate_space(space)
+    w, s, row_of = _dedupe_points(space)
+    cost = _tree_cost(space, tree, alpha, row_of)
     if space.bound != 1.0:
         raise BadParams("converse check requires a space with bound 1")
-    hyp = hyp_exact(space)
+    hyp = _defect_sum(w, s)
     bound = 5.0 * math.sqrt(max(cost, 0.0))
     margin = bound - hyp
     return ConverseReport(

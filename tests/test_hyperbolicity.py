@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from treelike import (
 from treelike.cli import main
 from treelike.errors import Delta0TooLarge, NoGoodThreshold, \
     ThresholdOutOfRange, ZeroSamples
+from treelike import hyperbolicity
 from treelike.hyperbolicity import BLOCK, _dedupe_points
 from treelike.io import space_to_dict, write_json
 from treelike.fixtures import (
@@ -200,27 +202,39 @@ def fsum_hyp(space):
         for z, d in defect_slabs(space)))
 
 
-def blocked_sum_tolerance(n, oracle):
-    """Error bound of hyp_exact's blocked sum against fsum_hyp.
+def blocked_sum_tolerance(n, oracle, block=BLOCK):
+    """Error bound of hyp_exact's sum against fsum_hyp, for n distinct rows
+    and tiles of ``block`` rows.
 
-    Each nonnegative term passes through at most k roundings in the kernel:
-    the product with p(x) and the sum over <= BLOCK tile rows, the product
-    with p(y) and the sum over < n columns, the addition of the diagonal
-    block's dot, <= ceil(n / BLOCK) tile additions, the product with p(z)
-    and < n additions over z.  The computed defect d is the same float in
-    both, so the kernel is within gamma_k and the oracle (three products,
-    then one rounding) within gamma_4 of the exact sum; together that is
-    within gamma_(k+5) of the oracle, gamma_j = j u / (1 - j u).
+    Each nonnegative term passes through at most k roundings in the kernel.
+    A term of x < y < z takes the products with p(x), p(z) and p(y); the
+    sums over a tile's rows, over its w = n - 1 - y columns and over the
+    tiles of y, (y - 1) + (w - 1) = n - 3 additions together; at most
+    n - 2 additions over the middle points y; and the final addition (the
+    doubling is exact): 2n - 1 in all.  A term (x, x, z) takes p(x) p(x),
+    the product with p(z) and the sum over n columns, the product of the two
+    and the sum over <= block tile rows, ceil(n / block) tile additions and
+    the final addition: n + block + ceil(n / block) + 2.  The computed
+    defect is the same float in both, so the kernel is within gamma_k and
+    the oracle (three products, then one rounding) within gamma_4 of the
+    exact sum; together that is within gamma_(k+5) of the oracle,
+    gamma_j = j u / (1 - j u).
     """
     u = 2.0 ** -53
-    k = BLOCK + 2 * n + -(-n // BLOCK) + 2 + 5
+    k = max(2 * n - 1, n + block + -(-n // block) + 2) + 5
     return k * u / (1.0 - k * u) * oracle
 
 
+def split_middles(n, block):
+    """The middle points y whose walk takes more than one tile of rows."""
+    return [y for y in range(1, n - 1) if y > block * n // (n - 1 - y)]
+
+
 class TestDefectTiles:
-    """hyp_exact and gromov_delta_worst_case walk each third point's defect
-    matrix in BLOCK-row tiles over the x <= y half; sizes straddle the block
-    boundary."""
+    """hyp_exact and gromov_delta_worst_case add the triples (x, x, z) in
+    tiles of BLOCK rows and walk each middle point y over the rectangle
+    x < y < z in tiles of at most BLOCK * n cells.  Sizes straddle BLOCK,
+    and a smaller BLOCK splits the rectangles into several tiles."""
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_hyp_matches_fsum_oracle(self, n):
@@ -231,6 +245,73 @@ class TestDefectTiles:
         assert oracle > 0.0
         assert abs(hyp_exact(space) - oracle) <= \
             blocked_sum_tolerance(n, oracle)
+
+    @pytest.mark.parametrize("block, n", [(1, 7), (2, 12), (3, 23), (5, 40)])
+    def test_split_tiles_match_fsum_oracle(self, block, n, monkeypatch):
+        monkeypatch.setattr(hyperbolicity, "BLOCK", block)
+        assert split_middles(n, block) and n > block
+        space = tile_edge_space(n, seed=block)
+        oracle = fsum_hyp(space)
+        assert abs(hyp_exact(space) - oracle) <= \
+            blocked_sum_tolerance(n, oracle, block)
+        worst = max(float(d.max()) for _, d in defect_slabs(space))
+        assert gromov_delta_worst_case(space) == worst
+
+    def test_self_triples_alone(self):
+        # s(x,y) = 1 off the diagonal and diagonals below 1: every triple of
+        # distinct points has defect 0, so the whole sum is the (x, x, z)
+        # terms, counted once
+        n = BLOCK + 3
+        rng = np.random.default_rng(4)
+        sim = np.ones((n, n))
+        np.fill_diagonal(sim, rng.integers(0, 4, size=n) / 4.0)
+        w = rng.random(n)
+        w[:3] = 0.0
+        space = SimilaritySpace(points=tuple(f"p{i}" for i in range(n)),
+                                weights=w / w.sum(), sim=sim, bound=1.0)
+        oracle = fsum_hyp(space)
+        assert oracle > 0.0
+        assert abs(hyp_exact(space) - oracle) <= \
+            blocked_sum_tolerance(n, oracle)
+        assert gromov_delta_worst_case(space) == 1.0
+
+    def test_each_triple_once_as_median_minus_minimum(self):
+        # the walk's cell for x < y < z is, as the same float, the largest
+        # defect over the six orderings of the triple; the self tiles hold
+        # s(x,z) - s(x,x)
+        n = 9
+        space = tile_edge_space(n, seed=3)
+        s = space.sim
+        lo, hi = np.empty(BLOCK * n), np.empty(BLOCK * n)
+        seen = 0
+        for y in range(1, n - 1):
+            for i0, i1, tile in hyperbolicity._median_gaps(s, y, lo, hi):
+                assert tile.shape == (i1 - i0, n - 1 - y)
+                for x, z in itertools.product(range(i0, i1),
+                                              range(y + 1, n)):
+                    want = max(min(s[a, c], s[b, c]) - s[a, b] for a, b, c
+                               in itertools.permutations((x, y, z)))
+                    got = tile[x - i0, z - y - 1]
+                    assert got == want and math.copysign(1.0, got) == 1.0
+                    seen += 1
+        assert seen == math.comb(n, 3)
+        gaps = np.vstack([t.copy() for _, _, t in
+                          hyperbolicity._self_gaps(s, np.empty(BLOCK * n))])
+        assert np.array_equal(gaps, s - s.diagonal()[:, None])
+
+    def test_working_memory_is_two_tiles(self):
+        # beyond the input, the sum allocates two BLOCK x n buffers and O(n)
+        # vectors; one n x n temporary would be 2.3 times that
+        n = 5 * BLOCK
+        space = tile_edge_space(n, seed=6)
+        p, s = space.weights, space.sim
+        tracemalloc.start()
+        try:
+            hyperbolicity._defect_sum(p, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * BLOCK * n * 8 <= peak <= 2 * BLOCK * n * 8 + 64 * n * 8
 
     def test_hyp_permutation_invariance(self):
         n = 2 * BLOCK + 1
@@ -261,18 +342,21 @@ class TestDefectTiles:
         space = tile_edge_space(n, seed=n)
         worst = max(float(d.max()) for _, d in defect_slabs(space))
         assert gromov_delta_worst_case(space) == worst
-        # plant the only pair of defect 1, at the last row of the first tile
-        # and the last column, with a third point of weight 0: every other
-        # similarity is below 1, so that point must still be counted
+        # plant the only triple of defect 1, across the first tile's last
+        # row and the last column, and give each of its points in turn
+        # weight 0: every other similarity is below 1, so the walk must
+        # still visit that triple, whichever point is its middle
+        x, y, z = min(BLOCK, n - 1) - 1, n // 2, n - 1
         sim = 0.875 * space.sim
-        x, y, z = min(BLOCK, n - 1) - 1, n - 1, 1
-        sim[x, y] = sim[y, x] = 0.0
-        sim[[x, y], z] = sim[z, [x, y]] = 1.0
-        w = space.weights.copy()
-        w[z] = 0.0
-        planted = dataclasses.replace(space, weights=w / w.sum(), sim=sim)
-        assert max(float(d.max()) for _, d in defect_slabs(planted)) == 1.0
-        assert gromov_delta_worst_case(planted) == 1.0
+        sim[x, z] = sim[z, x] = 0.0
+        sim[[x, z], y] = sim[y, [x, z]] = 1.0
+        for zero in (x, y, z):
+            w = space.weights.copy()
+            w[zero] = 0.0
+            planted = dataclasses.replace(space, weights=w / w.sum(), sim=sim)
+            assert max(float(d.max()) for _, d in defect_slabs(planted)) \
+                == 1.0
+            assert gromov_delta_worst_case(planted) == 1.0
 
     def test_delta_command_matches_brute_force(self, tmp_path, capsys):
         space = tile_edge_space(BLOCK + 1, seed=5)

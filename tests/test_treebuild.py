@@ -648,6 +648,23 @@ class TestConverse:
         assert report.passed
         assert report.margin > 0
 
+    def test_space_validated_once(self, monkeypatch):
+        from treelike.fixtures import noisy_tree_fixture
+        fx = noisy_tree_fixture(20, depth=2, alpha=0.3, noise=0.01, seed=6,
+                                weights="random")
+        cost, hyp = tree_cost(fx.space, fx.tree, 0.3), hyp_exact(fx.space)
+        calls = []
+
+        def counting(space):
+            calls.append(space)
+            validate_space(space)
+
+        for module in (core, hyperbolicity, treebuild):
+            monkeypatch.setattr(module, "validate_space", counting)
+        report = converse_check(fx.space, fx.tree, 0.3)
+        assert len(calls) == 1
+        assert report.cost == cost and report.hyp == hyp
+
     def test_every_build_passes(self):
         for seed in range(3):
             fx = ultrametric_fixture(24, [KAPPA, 2 * KAPPA, 3 * KAPPA],
