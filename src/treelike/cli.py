@@ -50,7 +50,6 @@ from .io import (
     tree_from_dict,
     tree_to_dict,
     tree_to_newick,
-    write_json,
 )
 from .regularity import RegularityParams, regularity_pipeline
 from .spinglass import (
@@ -82,15 +81,17 @@ EXIT_CODES = (
 )
 
 
-def _exit_code(exc: Exception) -> int:
-    for klass, code in EXIT_CODES:
-        if isinstance(exc, klass):
-            return code
-    return 1
+def _load(path: str, parse):
+    """parse(read_json(path)), with the path in an IOFailure of parse."""
+    data = read_json(path)
+    try:
+        return parse(data)
+    except err.IOFailure as exc:
+        raise err.IOFailure(f"{path}: {exc}") from exc
 
 
 def _load_space(path: str) -> SimilaritySpace:
-    space = space_from_dict(read_json(path))
+    space = _load(path, space_from_dict)
     validate_space(space)
     return space
 
@@ -165,14 +166,13 @@ def cmd_hyp(args) -> int:
         est, se = hyp_monte_carlo(space, args.mc, args.seed)
         out["mc_estimate"] = est
         out["mc_stderr"] = se
+    _write_all([(args.out, json_pieces(out))] if args.out else [])
     if args.format == "json":
         print(dump_json(out))
     else:
         print(f"{value:.6f}")
         if args.mc:
             print(f"mc {out['mc_estimate']:.6f} stderr {out['mc_stderr']:.2e}")
-    if args.out:
-        write_json(args.out, out)
     return 0
 
 
@@ -181,13 +181,12 @@ def cmd_delta(args) -> int:
         raise err.BadParams("delta: --base is read only with --metric and "
                             "without --four-point")
     if args.metric:
-        dist, points, weights = metric_from_dict(read_json(args.metric))
+        dist, points, weights = _load(args.metric, metric_from_dict)
         if args.four_point:
             value = gromov_delta_four_point(dist)
         else:
-            base = 0 if args.base is None else args.base
-            space = gromov_product_similarity(dist, base, points, weights)
-            value = gromov_delta_worst_case(space)
+            value = gromov_delta_worst_case(gromov_product_similarity(
+                dist, args.base or 0, points, weights))
     else:
         if args.four_point:
             raise err.BadParams("--four-point needs --metric input")
@@ -228,7 +227,7 @@ def cmd_ladder(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    graph = graph_from_dict(read_json(args.graph))
+    graph = _load(args.graph, graph_from_dict)
     params = RegularityParams(epsilon=args.epsilon, m=args.m)
     result = regularity_pipeline(graph, params, seed=args.seed)
     out = partition_to_dict(result)
@@ -317,7 +316,7 @@ def cmd_tree(args) -> int:
 
 def cmd_eval(args) -> int:
     space = _load_space(args.space)
-    tree = tree_from_dict(read_json(args.tree))
+    tree = _load(args.tree, tree_from_dict)
     out = {"config": _config(args)}
     if args.converse:
         rep = converse_check(space, tree, args.alpha)
@@ -334,7 +333,7 @@ def cmd_eval(args) -> int:
 
 def cmd_alpha(args) -> int:
     space = _load_space(args.space)
-    tree = tree_from_dict(read_json(args.tree))
+    tree = _load(args.tree, tree_from_dict)
     alpha, cost = best_alpha(space, tree)
     print(dump_json({"config": _config(args), "alpha": alpha, "cost": cost}))
     return 0
@@ -442,7 +441,7 @@ def cmd_convert(args) -> int:
         writes.append((args.rescale_out,
                        json_pieces(space_to_dict(rescale_to_unit(space)))))
     if args.space_out is not None:
-        dist, points, weights = metric_from_dict(read_json(args.metric))
+        dist, points, weights = _load(args.metric, metric_from_dict)
         base = 0 if args.base is None else args.base
         converted = gromov_product_similarity(dist, base, points, weights)
         validate_space(converted)
@@ -455,14 +454,14 @@ def cmd_convert(args) -> int:
     if args.graph_out is not None:
         writes.append((args.graph_out, json_pieces(graph_to_dict(graph))))
     if args.newick is not None:
-        tree = tree_from_dict(read_json(args.tree))
+        tree = _load(args.tree, tree_from_dict)
         writes.append((args.newick, [tree_to_newick(tree) + "\n"]))
     _write_all(writes)
     return 0
 
 
 def cmd_product(args) -> int:
-    tree = tree_from_dict(read_json(args.tree))
+    tree = _load(args.tree, tree_from_dict)
     value = tree_gromov_product(tree, args.x, args.y)
     print(dump_json({"config": _config(args), "product": value}))
     return 0
@@ -622,7 +621,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except err.TreelikeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return next(code for klass, code in EXIT_CODES
+                    if isinstance(exc, klass))
 
 
 if __name__ == "__main__":

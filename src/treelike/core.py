@@ -15,8 +15,10 @@ from .errors import (
     BadParams,
     DuplicatePoint,
     InvalidDiagonal,
+    InvalidMetric,
     NegativeDistance,
     OutOfRangeEntry,
+    SpaceValidationError,
     TreelikeError,
     TreeStructureError,
     TriangleViolation,
@@ -116,13 +118,11 @@ def validate_space(space: SimilaritySpace) -> None:
     _check_distinct(space.points)
     n = space.n
     if space.weights.shape != (n,):
-        raise TreelikeError(
-            f"weights shape {space.weights.shape} does not match {n} points"
-        )
+        raise SpaceValidationError(
+            f"weights shape {space.weights.shape} does not match {n} points")
     if space.sim.shape != (n, n):
-        raise TreelikeError(
-            f"sim shape {space.sim.shape} does not match {n} points"
-        )
+        raise SpaceValidationError(
+            f"sim shape {space.sim.shape} does not match {n} points")
     if not 0 < space.bound < np.inf:
         raise OutOfRangeEntry("bound", space.bound)
     w = space.weights
@@ -157,20 +157,13 @@ def rescale_to_unit(space: SimilaritySpace) -> SimilaritySpace:
     )
 
 
-def gromov_product_similarity(
-    dist: np.ndarray, base: int, points: list[str] | None = None,
-    weights: np.ndarray | None = None,
-) -> SimilaritySpace:
-    """Turn a finite metric into a similarity space of products against a base.
-
-    ``sim[x][y] = (d(x, base) + d(y, base) - d(x, y)) / 2`` with the diagonal
-    equal to ``d(x, base)``; the bound is the diameter.  The metric axioms
-    (symmetry, zero diagonal, nonnegativity, triangle inequality) are checked.
-    """
+def validate_metric(dist) -> np.ndarray:
+    """dist as a float array, once it is square, nonnegative, with a zero
+    diagonal, symmetric (a NaN off the diagonal is an asymmetry) and meets
+    the triangle inequality (O(n^3)); raise on the first violation."""
     d = np.asarray(dist, dtype=float)
-    n = d.shape[0]
-    if d.shape != (n, n):
-        raise TreelikeError(f"distance matrix must be square, got {d.shape}")
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise InvalidMetric(f"distance matrix must be square, got {d.shape}")
     neg = d < 0
     if neg.any():
         i, j = (int(v) for v in np.argwhere(neg)[0])
@@ -184,23 +177,40 @@ def gromov_product_similarity(
         i, j = pair
         raise AsymmetricSimilarity(i, j, float(d[i, j]), float(d[j, i]))
     # d[i,j] <= d[i,k] + d[k,j] for all triples
-    for k in range(n):
+    for k in range(len(d)):
         slack = d - (d[:, k][:, None] + d[k, :][None, :])
         bad = slack > 0
         if bad.any():
             i, j = (int(v) for v in np.argwhere(bad)[0])
             raise TriangleViolation((i, k, j), float(slack[i, j]))
-    if not (0 <= base < n):
-        raise BadParams(f"base index {base} out of range")
+    return d
+
+
+def gromov_products(d: np.ndarray, base: int) -> np.ndarray:
+    """Gromov products (x|y) = (d(x, base) + d(y, base) - d(x, y)) / 2 of a
+    validated metric, with the diagonal set to d(x, base)."""
     prod = 0.5 * (d[:, base][:, None] + d[:, base][None, :] - d)
     np.fill_diagonal(prod, d[:, base])
-    diameter = float(d.max()) if n else 0.0
-    bound = diameter if diameter > 0 else 1.0
+    return prod
+
+
+def gromov_product_similarity(
+    dist: np.ndarray, base: int, points: list[str] | None = None,
+    weights: np.ndarray | None = None,
+) -> SimilaritySpace:
+    """The similarity space of a checked metric's ``gromov_products`` at
+    base, bounded by its diameter."""
+    d = validate_metric(dist)
+    n = len(d)
+    if not (0 <= base < n):
+        raise BadParams(f"base index {base} out of range")
+    bound = float(d.max()) if n and d.max() > 0 else 1.0
     if points is None:
         points = [str(i) for i in range(n)]
     if weights is None:
         weights = np.full(n, 1.0 / n)
-    return SimilaritySpace(points=tuple(points), weights=weights, sim=prod, bound=bound)
+    return SimilaritySpace(points=tuple(points), weights=weights,
+                           sim=gromov_products(d, base), bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +237,7 @@ class WeightedGraph:
         _check_distinct(self.vertices)
         n = len(self.vertices)
         if mass.shape != (n,):
-            raise TreelikeError("mass vector does not match vertex count")
+            raise SpaceValidationError("mass does not match vertex count")
         if adj.shape != (n, n):
             raise TreelikeError("adjacency does not match vertex count")
         bad = np.flatnonzero((mass < 0) | ~np.isfinite(mass))
@@ -318,6 +328,8 @@ class CompatibleTree:
     def __post_init__(self):
         children: dict[str, list[str]] = {node: [] for node in self.level}
         for child, par in self.parent.items():
+            if par not in children:
+                raise TreeStructureError(f"parent of {child!r} is not a node")
             children[par].append(child)
         object.__setattr__(self, "_children", children)
         object.__setattr__(
@@ -385,20 +397,9 @@ def validate_tree(tree: CompatibleTree) -> None:
             continue
         if node not in tree.parent:
             raise TreeStructureError(f"non-root node {node!r} has no parent")
-        par = tree.parent[node]
-        if par not in tree.level:
-            raise TreeStructureError(f"parent of {node!r} is not a node")
-        if tree.level[node] != tree.level[par] + 1:
+        if tree.level[node] != tree.level[tree.parent[node]] + 1:
             raise TreeStructureError(f"level of {node!r} is not parent level + 1")
-    # every non-root path reaches the root (no cycles, single tree)
-    for node in tree.level:
-        seen = set()
-        cur = node
-        while cur != tree.root:
-            if cur in seen:
-                raise TreeStructureError(f"cycle through {cur!r}")
-            seen.add(cur)
-            cur = tree.parent[cur]
+    # levels fall by one along parent links, so every path ends at the root
     # leaves are exactly the childless non-root nodes
     for node in tree.level:
         childless = not tree.children(node) and node != tree.root

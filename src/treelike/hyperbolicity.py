@@ -11,7 +11,9 @@ For three distinct points at most one of the three choices of third point
 gives a positive defect, the median minus the minimum of their three
 similarities.  So the average defect is the sum of the triples (x, x, z)
 plus twice that of p(x) p(y) p(z) (median - minimum) over x < y < z: about
-d^3 / 6 cells for d rows, walked in tiles with two BLOCK x d buffers.
+d^3 / 6 cells for d rows, walked in tiles with two BLOCK x d buffers.  The
+worst-case defect is the maximum over that walk, and the four-point defect
+of a metric is that maximum over the Gromov products at each base point.
 
 Triple masses depend on a point only through its similarity row, so the
 kernels run on the d distinct rows with merged weights (``_dedupe_points``).
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimilaritySpace, validate_space
+from .core import SimilaritySpace, gromov_products, validate_metric, \
+    validate_space
 from .errors import (
     BadParams,
     Delta0TooLarge,
@@ -158,38 +161,30 @@ def _defect_sum(weights: np.ndarray, sim: np.ndarray) -> float:
 
 
 def hyp_exact(space: SimilaritySpace) -> float:
-    """Expected triple defect, computed exactly.
-
-    For three distinct points at most one choice of the third point gives a
-    positive defect, and that defect is the median minus the minimum of
-    their three similarities.  So the sum visits each set of three distinct
-    rows once, about d^3 / 6 cells for d distinct rows, and adds the d^2
-    triples (x, x, z) apart.  Working memory beyond the (deduplicated)
-    similarity matrix is two BLOCK x d tile buffers and O(d) vectors.
-    """
+    """Expected triple defect, computed exactly on the d distinct rows:
+    each set of three distinct rows once, as median - minimum, plus the d^2
+    triples (x, x, z), about d^3 / 6 cells.  Working memory beyond the rows
+    is two BLOCK x d tile buffers and O(d) vectors."""
     validate_space(space)
     w, s, _ = _dedupe_points(space)
     return _defect_sum(w, s)
 
 
-def gromov_delta_worst_case(space: SimilaritySpace) -> float:
-    """Maximum triple defect; an upper bound for the average.
-
-    The maximum over the walk that ``hyp_exact`` sums: s(x,z) - s(x,x) for
-    the triples (x, x, z), and median - minimum once for each set of three
-    distinct rows, about d^3 / 6 cells.  Each cell is the same float as the
-    largest defect of its triples, so the result is the maximum over all
-    ordered triples (or 0.0), bit for bit.  Weights play no part: every
-    middle point is visited, whatever its weight.  Working memory is two
-    BLOCK x d tile buffers.
-    """
-    validate_space(space)
-    s = _dedupe_points(space)[1]
-    d = len(s)
+def _defect_max(sim: np.ndarray) -> float:
+    """The largest defect of an ordered triple, or 0.0, bit for bit: the
+    maximum of the tiles that ``_defect_sum`` sums, each cell the largest
+    defect of its triples; every middle point is visited, weight 0 too."""
+    d = len(sim)
     lo, hi = np.empty(BLOCK * d), np.empty(BLOCK * d)
-    tiles = itertools.chain(_self_gaps(s, hi), itertools.chain.from_iterable(
-        _median_gaps(s, y, lo, hi) for y in range(1, d - 1)))
+    tiles = itertools.chain(_self_gaps(sim, hi), itertools.chain.from_iterable(
+        _median_gaps(sim, y, lo, hi) for y in range(1, d - 1)))
     return max([0.0] + [float(tile.max()) for _, _, tile in tiles])
+
+
+def gromov_delta_worst_case(space: SimilaritySpace) -> float:
+    """Maximum triple defect, an upper bound for the average: d^3 / 6 cells."""
+    validate_space(space)
+    return _defect_max(_dedupe_points(space)[1])
 
 
 def hyp_monte_carlo(space: SimilaritySpace, samples: int, seed: int
@@ -212,22 +207,16 @@ def hyp_monte_carlo(space: SimilaritySpace, samples: int, seed: int
 
 
 def gromov_delta_four_point(dist: np.ndarray) -> float:
-    """Worst-case four point defect over all base points (O(n^4)).
+    """Worst-case four-point defect of a metric over all base points.
 
-    Not part of the pipeline; exposed behind an explicit CLI flag only.
+    The defect at base w is the worst-case defect of the Gromov products at
+    w, so the metric is checked once, as ``gromov_product_similarity`` does,
+    and the walk runs on the products at each base: O(n^4), about n^4 / 6
+    cells, one n x n product matrix at a time.  Not part of the pipeline.
     """
-    d = np.asarray(dist, dtype=float)
-    n = d.shape[0]
-    best = 0.0
-    for w in range(n):
-        prod = 0.5 * (d[:, w][:, None] + d[:, w][None, :] - d)
-        for z in range(n):
-            col = prod[:, z]
-            defect = np.minimum(col[:, None], col[None, :]) - prod
-            m = float(defect.max())
-            if m > best:
-                best = m
-    return best
+    d = validate_metric(dist)
+    return max((_defect_max(gromov_products(d, w)) for w in range(len(d))),
+               default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,16 @@ def read_json(path):
         raise IOFailure(f"cannot parse {p}: {exc}") from exc
 
 
+# what reading a parsed document without the structure of its format raises
+MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _malformed(kind: str, exc: Exception) -> IOFailure:
+    if isinstance(exc, KeyError):
+        return IOFailure(f"{kind} file missing key {exc}")
+    return IOFailure(f"malformed {kind} file: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # similarity spaces and metrics
 
@@ -159,18 +169,22 @@ def space_from_dict(data: dict) -> SimilaritySpace:
             sim=np.array(data["sim"], dtype=float),
             bound=float(data.get("b", 1.0)),
         )
-    except KeyError as exc:
-        raise IOFailure(f"space file missing key {exc}") from exc
+    except MALFORMED as exc:
+        raise _malformed("space", exc) from exc
 
 
-def metric_from_dict(data: dict) -> tuple[np.ndarray, list[str], np.ndarray]:
+def metric_from_dict(data: dict) -> tuple[np.ndarray, list | None,
+                                          np.ndarray | None]:
+    """Distances, point ids and weights; ids or weights not given are None."""
     try:
         dist = np.array(data["dist"], dtype=float)
-    except KeyError as exc:
-        raise IOFailure(f"metric file missing key {exc}") from exc
-    n = len(dist)
-    points = [str(p) for p in data.get("points", range(n))]
-    weights = np.array(data.get("weights", np.full(n, 1.0 / n)), dtype=float)
+        points, weights = data.get("points"), data.get("weights")
+        if points is not None:
+            points = [str(p) for p in points]
+        if weights is not None:
+            weights = np.array(weights, dtype=float)
+    except MALFORMED as exc:
+        raise _malformed("metric", exc) from exc
     return dist, points, weights
 
 
@@ -190,14 +204,14 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     try:
         vertices = [str(v) for v in data["vertices"]]
         mass = np.array(data["measure"], dtype=float)
-        edge_list = data["edges"]
-    except KeyError as exc:
-        raise IOFailure(f"graph file missing key {exc}") from exc
+        edge_list = [(str(u), str(v)) for u, v in data["edges"]]
+    except MALFORMED as exc:
+        raise _malformed("graph", exc) from exc
     index = {v: i for i, v in enumerate(vertices)}
     adj = np.zeros((len(vertices), len(vertices)), dtype=bool)
     for u, v in edge_list:
         try:
-            i, j = index[str(u)], index[str(v)]
+            i, j = index[u], index[v]
         except KeyError as exc:
             raise IOFailure(f"edge references unknown vertex {exc}") from exc
         adj[i, j] = adj[j, i] = True
@@ -245,25 +259,20 @@ def tree_to_dict(tree: CompatibleTree) -> dict:
 
 
 def tree_from_dict(data: dict) -> CompatibleTree:
-    try:
-        root = str(data["root"])
-        nodes = data["nodes"]
-        leaves = data["leaves"]
-    except KeyError as exc:
-        raise IOFailure(f"tree file missing key {exc}") from exc
     parent: dict[str, str] = {}
     level: dict[str, int] = {}
-    for rec in nodes:
-        node = str(rec["id"])
-        level[node] = int(rec["level"])
-        if rec.get("parent") is not None:
-            parent[node] = str(rec["parent"])
-    tree = CompatibleTree(
-        root=root,
-        parent=parent,
-        level=level,
-        leaf_points={str(k): str(v) for k, v in leaves.items()},
-    )
+    try:
+        root = str(data["root"])
+        for rec in data["nodes"]:
+            node = str(rec["id"])
+            level[node] = int(rec["level"])
+            if rec.get("parent") is not None:
+                parent[node] = str(rec["parent"])
+        leaf_points = {str(k): str(v) for k, v in data["leaves"].items()}
+    except MALFORMED as exc:
+        raise _malformed("tree", exc) from exc
+    tree = CompatibleTree(root=root, parent=parent, level=level,
+                          leaf_points=leaf_points)
     validate_tree(tree)
     return tree
 

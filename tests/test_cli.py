@@ -349,7 +349,13 @@ EDGE_SPACES = {
     "weight-sum-off": (edge_space(set_key("weights", [0.35] + [0.25] * 3)), 2),
     "asymmetric": (edge_space(set_sim(0, 2, 0.5, both=False)), 2),
     "above-bound": (edge_space(set_sim(1, 2, 1.5)), 2),
+    "sim-shape": (edge_space(set_key("sim", [[0.5] * 3] * 4)), 2),
+    "weights-shape": (edge_space(set_key("weights", [1 / 3] * 3)), 2),
+    # faults of the file's structure exit 8 and name the file
     "missing-sim": (edge_space(lambda d: d.pop("sim")), 8),
+    "ragged-sim": (edge_space(lambda d: d["sim"][1].pop()), 8),
+    "sim-of-strings": (edge_space(set_sim(0, 1, "x")), 8),
+    "array-not-object": ([edge_space()], 8),
 }
 EDGE_COMMANDS = {
     "hyp": lambda space, out: ["hyp", "--space", space],
@@ -372,6 +378,8 @@ def test_edge_input_exit_codes(case, command, tmp_path, capsys):
     assert main(EDGE_COMMANDS[command](str(space_path), str(out))) == code
     if command == "rescale":
         assert out.exists() == (code == 0)
+    if code == 8:
+        assert str(space_path) in capsys.readouterr().err
 
 
 SPINGLASS_ARGS = ["spinglass", "--n", "8", "--beta", "0.5", "--seed", "3",
@@ -578,8 +586,60 @@ def test_io_edge_exit_codes(case, param_files, capsys):
     flags, named = IO_EDGES[case]
     argv = [flag.format(**param_files) for flag in flags]
     assert main(argv) == 8
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and named.format(**param_files) in err
+    assert list(Path(param_files["out"]).iterdir()) == []
+
+
+# tree, graph and metric files that are JSON but lack the structure of
+# their format exit 8 and name the file; a parent that is not a node is a
+# tree error, exit 6
+ROOT_NODE = {"id": "r", "parent": None, "level": 0}
+BAD_FILES = {
+    "three_end_graph": {"vertices": ["a", "b", "c"],
+                        "measure": [0.3, 0.3, 0.4],
+                        "edges": [["a", "b", "c"]]},
+    "idless_tree": {"root": "r", "leaves": {"a": "a"},
+                    "nodes": [ROOT_NODE, {"parent": "r", "level": 1}]},
+    "orphan_tree": {"root": "r", "leaves": {"a": "a"},
+                    "nodes": [ROOT_NODE,
+                              {"id": "a", "parent": "zz", "level": 1}]},
+    "ragged_metric": {"dist": [[0.0, 1.0], [1.0]]},
+}
+ALPHA = ["--alpha", "0.3"]
+FILE_EDGES = {
+    "partition-edge-of-three-ends": (["partition", "--graph",
+                                      "{three_end_graph}", *REGULARITY,
+                                      "--out", "{out}/parts.json"], 8),
+    "product-node-without-id": (["product", "--tree", "{idless_tree}",
+                                 "--x", "a", "--y", "a"], 8),
+    "eval-node-without-id": (["eval", "--space", "{tree_space}", "--tree",
+                              "{idless_tree}", *ALPHA], 8),
+    "convert-newick-node-without-id": (["convert", "--tree", "{idless_tree}",
+                                        "--newick", "{out}/tree.nwk"], 8),
+    "product-unknown-parent": (["product", "--tree", "{orphan_tree}",
+                                "--x", "a", "--y", "a"], 6),
+    "alpha-unknown-parent": (["alpha", "--space", "{tree_space}", "--tree",
+                              "{orphan_tree}"], 6),
+    "delta-ragged-metric": (["delta", "--metric", "{ragged_metric}"], 8),
+    "delta-four-point-ragged-metric": (["delta", "--metric",
+                                        "{ragged_metric}", "--four-point"],
+                                       8),
+    "convert-space-out-ragged-metric": (["convert", "--metric",
+                                         "{ragged_metric}", "--space-out",
+                                         "{out}/space.json"], 8),
+}
+
+
+@pytest.mark.parametrize("case", list(FILE_EDGES))
+def test_malformed_file_exit_codes(case, param_files, capsys):
+    flags, code = FILE_EDGES[case]
+    argv = [flag.format(**param_files) for flag in flags]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert any(param_files[name] in err for name in BAD_FILES) == (code == 8)
     assert list(Path(param_files["out"]).iterdir()) == []
 
 
@@ -587,38 +647,50 @@ FIXTURE_ARGS = ["fixture", "--kind", "ultrametric", "--size", "4"]
 
 
 class TestOutputTargets:
-    """Targets that are not plain new files in a writable folder."""
+    """Targets that are not plain new files in a writable folder, for fixture
+    and for hyp, whose --out goes through the same writer."""
 
-    def test_symlinked_target_is_written_through(self, tmp_path, capsys):
+    @pytest.fixture(params=["fixture", "hyp"])
+    def command(self, request, tmp_path_factory):
+        """The argv of a command without --out, and a key of its output."""
+        if request.param == "fixture":
+            return FIXTURE_ARGS, "points"
+        space = tmp_path_factory.mktemp("input") / "space.json"
+        write_json(space, edge_space())
+        return ["hyp", "--space", str(space)], "hyp"
+
+    def test_symlinked_target_is_written_through(self, command, tmp_path,
+                                                 capsys):
+        argv, key = command
         real = tmp_path / "real"
         real.mkdir()
-        (real / "space.json").write_text("old\n")
-        link = tmp_path / "space.json"
-        link.symlink_to(real / "space.json")
-        assert main(FIXTURE_ARGS + ["--out", str(link)]) == 0
+        (real / "out.json").write_text("old\n")
+        link = tmp_path / "out.json"
+        link.symlink_to(real / "out.json")
+        assert main(argv + ["--out", str(link)]) == 0
         assert link.is_symlink()
-        assert read_json(real / "space.json")["points"]
-        assert [p.name for p in real.iterdir()] == ["space.json"]
+        assert key in read_json(real / "out.json")
+        assert [p.name for p in real.iterdir()] == ["out.json"]
 
-    def test_existing_target_keeps_its_mode(self, tmp_path, capsys):
-        out = tmp_path / "space.json"
+    def test_existing_target_keeps_its_mode(self, command, tmp_path, capsys):
+        argv, key = command
+        out = tmp_path / "out.json"
         out.write_text("old\n")
         out.chmod(0o640)
-        assert main(FIXTURE_ARGS + ["--out", str(out)]) == 0
+        assert main(argv + ["--out", str(out)]) == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
-        assert read_json(out)["points"]
+        assert key in read_json(out)
 
     @staticmethod
-    def write_to_pipe(tmp_path, tree):
-        """Run fixture with --out a pipe; return the exit code and the bytes
+    def write_to_pipe(tmp_path, argv):
+        """Run argv with --out a pipe; return the exit code and the bytes
         the pipe received."""
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
         # a reader that does not block lets the command open the pipe
         reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            code = main(FIXTURE_ARGS + ["--out", str(pipe),
-                                        "--tree-out", str(tree)])
+            code = main(argv + ["--out", str(pipe)])
             try:
                 data = os.read(reader, 1 << 16)
             except BlockingIOError:
@@ -628,16 +700,24 @@ class TestOutputTargets:
         assert stat.S_ISFIFO(pipe.stat().st_mode)
         return code, data
 
-    def test_pipe_target_is_written_in_place(self, tmp_path, capsys):
-        code, data = self.write_to_pipe(tmp_path, tmp_path / "tree.json")
+    def test_pipe_target_is_written_in_place(self, command, tmp_path, capsys):
+        argv, key = command
+        code, data = self.write_to_pipe(tmp_path, argv)
+        assert code == 0
+        assert key in json.loads(data)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_pipe_target_is_written_beside_a_file(self, tmp_path, capsys):
+        code, data = self.write_to_pipe(tmp_path, FIXTURE_ARGS + [
+            "--tree-out", str(tmp_path / "tree.json")])
         assert code == 0
         assert json.loads(data)["points"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe",
                                                               "tree.json"]
 
     def test_pipe_target_is_written_after_the_files(self, tmp_path, capsys):
-        code, data = self.write_to_pipe(tmp_path,
-                                        tmp_path / "missing" / "tree.json")
+        code, data = self.write_to_pipe(tmp_path, FIXTURE_ARGS + [
+            "--tree-out", str(tmp_path / "missing" / "tree.json")])
         assert code == 8
         assert data == b""
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
@@ -665,6 +745,9 @@ def param_files(tmp_path):
                                     "edges": [["a", "b"]]}))
     write_json(files["tree"], tree_to_dict(fx.tree))
     write_json(files["tree_space"], space_to_dict(fx.space))
+    for name, data in BAD_FILES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
     files["latin1"] = tmp_path / "latin1.json"
     files["latin1"].write_bytes('{"points": ["\xe9"]}'.encode("latin-1"))
     files["out"] = tmp_path / "out"
@@ -826,3 +909,31 @@ def test_output_paths(case, run_files, capsys):
     out = run_files["out"]
     assert {p.name for p in Path(out).iterdir()} == written
     check(capsys.readouterr().out, Path(out), run_files)
+
+
+def bad_metric(i, j, value, both=True):
+    """The four-cycle with one entry (and its mirror) replaced."""
+    dist = [row[:] for row in SQUARE]
+    dist[i][j] = value
+    if both:
+        dist[j][i] = value
+    return {"dist": dist}
+
+
+METRIC_EDGES = {
+    "asymmetric": bad_metric(0, 1, 1.5, both=False),
+    "triangle-violating": bad_metric(0, 2, 3.0),
+    "negative": bad_metric(1, 3, -1.0),
+    "nonzero-diagonal": bad_metric(2, 2, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(METRIC_EDGES))
+def test_four_point_checks_the_metric(case, tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(METRIC_EDGES[case]))
+    assert main(["delta", "--metric", str(path)]) == 2
+    plain = capsys.readouterr()
+    assert main(["delta", "--metric", str(path), "--four-point"]) == 2
+    assert capsys.readouterr() == plain
+    assert plain.out == "" and plain.err.startswith("error: ")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,12 @@ from treelike.errors import (
     BadParams,
     DuplicatePoint,
     InvalidDiagonal,
+    InvalidMetric,
     NegativeDistance,
     OutOfRangeEntry,
+    SpaceValidationError,
     TreelikeError,
+    TreeStructureError,
     TriangleViolation,
     UnknownLeaf,
     WeightSumMismatch,
@@ -232,6 +237,38 @@ class TestTreeValidation:
         from treelike.errors import TreeStructureError
         with pytest.raises(TreeStructureError):
             validate_tree(t)
+
+    def test_cycle_fails_the_level_check(self):
+        t = CompatibleTree(root="r", parent={"x": "y", "y": "x", "u": "r"},
+                           level={"r": 0, "x": 1, "y": 2, "u": 1},
+                           leaf_points={"u": "u"})
+        with pytest.raises(TreeStructureError, match="level of 'x'"):
+            validate_tree(t)
+
+    def test_unknown_parent_rejected_at_construction(self):
+        with pytest.raises(TreeStructureError,
+                           match="parent of 'x' is not a node"):
+            CompatibleTree(root="r", parent={"u": "r", "x": "zz"},
+                           level={"r": 0, "u": 1, "x": 1},
+                           leaf_points={"u": "u", "x": "x"})
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("weights", np.full(3, 0.25), "weights shape"),
+    ("sim", np.full((4, 3), 0.5), "sim shape"),
+    ("sim", np.full(4, 0.5), "sim shape"),
+])
+def test_shape_mismatch_is_a_validation_error(field, value, what):
+    space = dataclasses.replace(random_fixture(4, seed=1).space,
+                                **{field: value})
+    with pytest.raises(SpaceValidationError, match=what):
+        validate_space(space)
+
+
+def test_graph_mass_mismatch_is_a_validation_error():
+    with pytest.raises(SpaceValidationError, match="mass does not match"):
+        WeightedGraph(vertices=("a", "b"), mass=[1.0],
+                      adj=np.zeros((2, 2), dtype=bool))
 
 
 def test_space_from_tree_has_zero_defect():
@@ -444,7 +481,7 @@ def metric_check_loop(dist, base, points=None, weights=None):
     d = np.asarray(dist, dtype=float)
     n = d.shape[0]
     if d.shape != (n, n):
-        raise TreelikeError(f"distance matrix must be square, got {d.shape}")
+        raise InvalidMetric(f"distance matrix must be square, got {d.shape}")
     neg = np.argwhere(d < 0)
     if neg.size:
         i, j = (int(v) for v in neg[0])
@@ -563,6 +600,12 @@ class TestMetricCheckAgainstLoop:
             gromov_product_similarity(d, base=0)
         assert metric_outcome(gromov_product_similarity, d, 0) == \
             metric_outcome(metric_check_loop, d, 0)
+
+    @pytest.mark.parametrize("dist", [[], [0.0, 1.0], [[0.0, 1.0]], 5.0,
+                                      np.zeros((2, 2, 2))])
+    def test_non_square_is_an_invalid_metric(self, dist):
+        with pytest.raises(InvalidMetric, match="must be square"):
+            gromov_product_similarity(dist, base=0)
 
     @pytest.mark.parametrize("base", [-1, 7, 9])
     def test_base_out_of_range_is_bad_params(self, base):

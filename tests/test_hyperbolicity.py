@@ -23,10 +23,13 @@ from treelike import (
     threshold_ladder,
 )
 from treelike.cli import main
-from treelike.errors import Delta0TooLarge, NoGoodThreshold, \
-    ThresholdOutOfRange, ZeroSamples
+from treelike.core import gromov_product_matrix
+from treelike.errors import AsymmetricSimilarity, Delta0TooLarge, \
+    InvalidDiagonal, NegativeDistance, NoGoodThreshold, ThresholdOutOfRange, \
+    TriangleViolation, ZeroSamples
 from treelike import hyperbolicity
-from treelike.hyperbolicity import BLOCK, _dedupe_points
+from treelike.hyperbolicity import BLOCK, _dedupe_points, \
+    gromov_delta_four_point
 from treelike.io import space_to_dict, write_json
 from treelike.fixtures import (
     noisy_tree_fixture,
@@ -144,8 +147,6 @@ class TestWorstCase:
         assert gromov_delta_worst_case(space) == 1.0
 
     def test_four_point_zero_on_tree_metric(self):
-        from treelike.hyperbolicity import gromov_delta_four_point
-        from treelike.core import gromov_product_matrix
         fx = tree_scaled_fixture(8, depth=2, alpha=1.0, seed=2)
         prod = gromov_product_matrix(fx.tree, fx.space.points)
         depth = np.diag(prod)
@@ -166,6 +167,97 @@ class TestWorstCase:
         )
         assert worst <= 0.0
         assert gromov_delta_worst_case(space) == 0.0
+
+
+def four_point_loop(dist, bases=None):
+    """The four-point delta as a loop over base points w (all of them, or
+    ``bases``) and third points z of the products at w: for each (w, z),
+    min((x|z)_w, (y|z)_w) - (x|y)_w over all pairs (x, y)."""
+    d = np.asarray(dist, dtype=float)
+    n = d.shape[0]
+    best = 0.0
+    for w in range(n) if bases is None else bases:
+        prod = 0.5 * (d[:, w][:, None] + d[:, w][None, :] - d)
+        for z in range(n):
+            col = prod[:, z]
+            defect = np.minimum(col[:, None], col[None, :]) - prod
+            m = float(defect.max())
+            if m > best:
+                best = m
+    return best
+
+
+def euclidean_metric(n, seed, dim=3):
+    x = np.random.default_rng(seed).normal(size=(n, dim))
+    return np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
+
+
+def graph_metric(n, seed):
+    """Path lengths of a seeded sparse connected graph: a handful of
+    distinct values, so products and defects tie often."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < 3.0 / n, 1)
+    adj[np.arange(n - 1), np.arange(1, n)] = True
+    d = np.where(adj | adj.T, 1.0, np.inf)
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
+
+
+METRICS = {
+    "euclidean": euclidean_metric,
+    "graph": graph_metric,
+    # tenths are not dyadic, so the products round
+    "graph-tenths": lambda n, seed: 0.1 * graph_metric(n, seed),
+}
+
+
+class TestFourPoint:
+    """gromov_delta_four_point runs the worst-case walk on the products at
+    each base and must equal the (w, z) loop bit for bit."""
+
+    # 65 rows take two tiles of BLOCK = 64
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 33, 65])
+    @pytest.mark.parametrize("kind", sorted(METRICS))
+    def test_matches_loop_bit_for_bit(self, kind, n):
+        d = METRICS[kind](n, seed=n)
+        want = four_point_loop(d)
+        assert want > 0.0 or n < 16
+        assert gromov_delta_four_point(d) == want
+
+    def test_worst_base_is_the_last(self):
+        # every set of four points is seen from each of them as base, so
+        # the bases differ only in rounding; in this planar metric the last
+        # base rounds highest
+        d = euclidean_metric(4, seed=3, dim=2)
+        want = four_point_loop(d)
+        assert four_point_loop(d, [0]) < want
+        assert four_point_loop(d, range(3)) < want
+        assert gromov_delta_four_point(d) == want
+
+    def test_four_cycle_is_one(self):
+        d = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
+                     dtype=float)
+        assert four_point_loop(d) == gromov_delta_four_point(d) == 1.0
+
+    @pytest.mark.parametrize("i, j, value, both, error", [
+        (0, 1, 2.5, False, AsymmetricSimilarity),
+        (0, 2, -1.0, True, NegativeDistance),
+        (1, 1, 0.5, True, InvalidDiagonal),
+        (0, 2, 5.0, True, TriangleViolation),
+    ])
+    def test_checks_the_metric_as_the_products_do(self, i, j, value, both,
+                                                  error):
+        d = graph_metric(5, seed=1)
+        d[i, j] = value
+        if both:
+            d[j, i] = value
+        with pytest.raises(error) as four_point:
+            gromov_delta_four_point(d)
+        with pytest.raises(error) as products:
+            gromov_product_similarity(d, base=0)
+        assert str(four_point.value) == str(products.value)
 
 
 def tile_edge_space(n, seed):
