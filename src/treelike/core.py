@@ -159,8 +159,9 @@ def rescale_to_unit(space: SimilaritySpace) -> SimilaritySpace:
 
 def validate_metric(dist) -> np.ndarray:
     """dist as a float array, once it is square, nonnegative, with a zero
-    diagonal, symmetric (a NaN off the diagonal is an asymmetry) and meets
-    the triangle inequality (O(n^3)); raise on the first violation."""
+    diagonal, symmetric (a NaN off the diagonal is an asymmetry), finite
+    and meets the triangle inequality (O(n^3)); raise on the first
+    violation."""
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InvalidMetric(f"distance matrix must be square, got {d.shape}")
@@ -176,6 +177,12 @@ def validate_metric(dist) -> np.ndarray:
     if pair is not None:
         i, j = pair
         raise AsymmetricSimilarity(i, j, float(d[i, j]), float(d[j, i]))
+    # NaN and -inf failed above; inf - inf would be a NaN slack, never > 0
+    inf = np.isinf(d)
+    if inf.any():
+        i, j = (int(v) for v in np.argwhere(inf)[0])
+        raise InvalidMetric(f"distance {float(d[i, j])!r} at ({i},{j}) "
+                            "is not finite")
     # d[i,j] <= d[i,k] + d[k,j] for all triples
     for k in range(len(d)):
         slack = d - (d[:, k][:, None] + d[k, :][None, :])
@@ -400,6 +407,9 @@ def validate_tree(tree: CompatibleTree) -> None:
         if tree.level[node] != tree.level[tree.parent[node]] + 1:
             raise TreeStructureError(f"level of {node!r} is not parent level + 1")
     # levels fall by one along parent links, so every path ends at the root
+    for node in tree.leaf_points:
+        if node not in tree.level:
+            raise TreeStructureError(f"leaf {node!r} is not a node")
     # leaves are exactly the childless non-root nodes
     for node in tree.level:
         childless = not tree.children(node) and node != tree.root

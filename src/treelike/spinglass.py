@@ -15,7 +15,7 @@ from operator import add
 
 import numpy as np
 
-from .core import SimilaritySpace, gromov_product_matrix
+from .core import SimilaritySpace
 from .errors import (
     BadParams,
     BadSchedule,
@@ -24,7 +24,8 @@ from .errors import (
     SizeTooSmall,
     TooLargeForEnumeration,
 )
-from .treebuild import TreeBuildReport, build_tree
+from .hyperbolicity import _dedupe_points
+from .treebuild import TreeBuildReport, _class_pairs, _price, build_tree
 
 ENUMERATION_CAP = 20
 MCMC_BLOCK = 1 << 14  # chain steps held as Python scalars at a time
@@ -199,9 +200,9 @@ def _per_value(fn, values: np.ndarray) -> np.ndarray:
     fn sees the same Python floats as an entrywise call would (numpy merges
     -0.0 with 0.0, which both built-in maps send to equal floats).
     """
-    uniq, inverse = np.unique(values, return_inverse=True)
+    uniq = np.unique(values)
     mapped = np.array([fn(u) for u in uniq.tolist()], dtype=float)
-    return mapped[inverse].reshape(values.shape)
+    return mapped[np.searchsorted(uniq, values)]
 
 
 def overlap_space(configs: np.ndarray, weights: np.ndarray | None,
@@ -210,40 +211,33 @@ def overlap_space(configs: np.ndarray, weights: np.ndarray | None,
 
     ``weights`` are Gibbs masses (exact mode) or None for empirical
     frequencies over the sample list.  Duplicate configurations are merged,
-    accumulating their weight.
+    their weights added in index order.  The map is called once per overlap
+    k / n_spins, k in [-n_spins, n_spins], and the similarities read off.
     """
     arr = np.asarray(configs)
-    if arr.ndim != 2:
+    if arr.ndim != 2 or not (np.abs(arr) == 1).all():
         raise BadParams("configs must be a 2d array of +-1 rows")
-    n_rows = arr.shape[0]
+    n_rows, n_spins = arr.shape
     if weights is None:
         weights = np.full(n_rows, 1.0 / n_rows)
-    else:
-        weights = np.asarray(weights, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n_rows,):
+        raise BadParams(f"weights shape {weights.shape} for {n_rows} rows")
     keys: dict[bytes, int] = {}
-    order: list[int] = []
-    mass: list[float] = []
-    for k in range(n_rows):
-        key = arr[k].tobytes()
-        if key in keys:
-            mass[keys[key]] += float(weights[k])
-        else:
-            keys[key] = len(order)
-            order.append(k)
-            mass.append(float(weights[k]))
-    if len(order) < 2:
+    label = np.array([keys.setdefault(row.tobytes(), len(keys))
+                      for row in arr], dtype=int)
+    if len(keys) < 2:
         raise DegenerateSample("need at least 2 distinct configurations")
-    distinct = arr[order].astype(float)
-    n_spins = arr.shape[1]
-    ov = distinct @ distinct.T / n_spins
-    sim = _per_value(lambda u: mapping.rho(mapping.f(u)), ov)
-    sim = (sim + sim.T) / 2.0  # symmetrize float dust from the transform
-    points = tuple(
-        "".join("+" if v > 0 else "-" for v in arr[k]) for k in order
-    )
-    w = np.array(mass)
-    w = w / w.sum()
-    return SimilaritySpace(points=points, weights=w, sim=sim, bound=1.0)
+    distinct = arr[np.unique(label, return_index=True)[1]]
+    table = np.array([mapping.rho(mapping.f(k / n_spins))
+                      for k in range(-n_spins, n_spins + 1)], dtype=float)
+    spins = distinct.astype(float)
+    counts = (spins @ spins.T).astype(int)  # exact: sums of +-1 products
+    counts += n_spins
+    points = np.where(distinct > 0, "+", "-").view(f"<U{n_spins}").ravel()
+    w = np.bincount(label, weights=weights)
+    return SimilaritySpace(points=tuple(points.tolist()), weights=w / w.sum(),
+                           sim=table[counts], bound=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +273,9 @@ def pure_state_tree(space: SimilaritySpace, mapping: OverlapMap,
     rho's range; the depths clamped are listed in ``clamped_levels``.
     ``delta0`` overrides the measured window width, which finite samples
     usually need: their defect is far from zero even when the cluster
-    structure is clean.
+    structure is clean.  The mean error is priced as the tree cost is, on
+    groups of points with one row and one leaf parent, with the level
+    values in place of alpha times the products.
     """
     report = build_tree(space, epsilon, m, seed=seed, delta0=delta0)
     scale = report.best_alpha
@@ -293,13 +289,11 @@ def pure_state_tree(space: SimilaritySpace, mapping: OverlapMap,
             clamped.append(d)
             v = min(max(v, lo), hi)
         values.append(float(mapping.rho_inverse(v)))
-    prod = gromov_product_matrix(report.tree, space.points)
-    # space.sim is rho(f(overlap)), so rho^{-1} recovers f(overlap)
-    f_vals = _per_value(lambda v: mapping.f(mapping.rho_inverse(v)),
-                        space.sim)
-    q_of_pair = np.array(values)[prod]
-    p = space.weights
-    mean_error = float(p @ np.abs(f_vals - q_of_pair) @ p)
+    w, s, row_of = _dedupe_points(space)
+    # a similarity is rho(f(overlap)), so rho^{-1} recovers f(overlap)
+    s = _per_value(lambda v: mapping.f(mapping.rho_inverse(v)), s)
+    mean_error = _price(_class_pairs(space, report.tree, (w, s, row_of)),
+                        np.array(values))
     return PureStateReport(
         build=report,
         scale=scale,

@@ -93,20 +93,26 @@ def _first_labels(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _class_pairs(space: SimilaritySpace, tree: CompatibleTree,
-                 row_of: np.ndarray) -> _ClassPairs:
-    """Group the points by (similarity row, leaf parent); row_of numbers
-    the rows, as ``_dedupe_points`` does.  The products are formed once,
-    on the first point of each group."""
+                 rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+                 ) -> _ClassPairs:
+    """Group the points by (similarity row, leaf parent); rows is what
+    ``_dedupe_points`` gives.  The groups' similarities are read from its
+    distinct rows, so a function of them given in their place is priced
+    alike.  The products are formed once, on the first point of each group."""
+    if set(tree.leaf_points.values()) != set(space.points):
+        raise LeafMismatch("tree leaves do not match the space points")
     parents = list(map(tree.parent.get, map(tree.leaf_of, space.points)))
     # a parent is named by the last point below it, then paired with a row
     last = dict(zip(parents, range(space.n)))
+    w, s, row_of = rows
     group, reps = _first_labels(row_of * space.n + np.fromiter(
         map(last.__getitem__, parents), dtype=int, count=space.n))
     p = space.weights
-    if len(reps) == space.n:
-        weight, sim = p, space.sim
+    if len(reps) == len(w):  # one group per row, numbered alike
+        weight, sim = w, s
     else:
-        weight, sim = _merge_weights(p, group), space.sim[np.ix_(reps, reps)]
+        weight, sim = _merge_weights(p, group), s[np.ix_(row_of[reps],
+                                                         row_of[reps])]
     shared = np.bincount(group) >= 2
     prod = gromov_product_matrix(tree, tuple(space.points[i] for i in reps))
     leaf = prod.diagonal().copy()
@@ -125,12 +131,20 @@ def _class_pairs(space: SimilaritySpace, tree: CompatibleTree,
     )
 
 
-def _cost(cp: _ClassPairs, alpha: float) -> float:
-    total = float(cp.weight @ np.abs(cp.sim - alpha * cp.meet) @ cp.weight)
+def _price(cp: _ClassPairs, level: np.ndarray) -> float:
+    """The expected |s - level[g]| over pairs, of similarity s, product g."""
+    gap = level[cp.meet]
+    np.subtract(cp.sim, gap, out=gap)
+    total = float(cp.weight @ np.abs(gap, out=gap) @ cp.weight)
     # the sum priced the pairs (x, x) of a shared group at the parent
     s, leaf = cp.sim.diagonal()[cp.shared], cp.leaf[cp.shared]
-    moved = np.abs(s - alpha * leaf) - np.abs(s - alpha * (leaf - 1))
+    moved = np.abs(s - level[leaf]) - np.abs(s - level[leaf - 1])
     return total + float(cp.self_weight[cp.shared] @ moved)
+
+
+def _cost(cp: _ClassPairs, alpha: float) -> float:
+    """The tree cost at alpha: level g is alpha * g, as in alpha * products."""
+    return _price(cp, alpha * np.arange(cp.leaf.max() + 1))
 
 
 def _kinks(cp: _ClassPairs) -> tuple[np.ndarray, np.ndarray]:
@@ -168,16 +182,14 @@ def tree_cost(space: SimilaritySpace, tree: CompatibleTree, alpha: float
               ) -> float:
     """Expected absolute error between similarity and alpha times products."""
     validate_space(space)
-    return _tree_cost(space, tree, alpha, _dedupe_points(space)[2])
+    return _tree_cost(space, tree, alpha, _dedupe_points(space))
 
 
 def _tree_cost(space: SimilaritySpace, tree: CompatibleTree, alpha: float,
-               row_of: np.ndarray) -> float:
+               rows: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
     if not 0 <= alpha < math.inf:
         raise BadParams(f"alpha must be finite and nonnegative, got {alpha!r}")
-    if set(tree.leaf_points.values()) != set(space.points):
-        raise LeafMismatch("tree leaves do not match the space points")
-    return _cost(_class_pairs(space, tree, row_of), alpha)
+    return _cost(_class_pairs(space, tree, rows), alpha)
 
 
 def best_alpha(space: SimilaritySpace, tree: CompatibleTree
@@ -189,9 +201,7 @@ def best_alpha(space: SimilaritySpace, tree: CompatibleTree
     weight reaches half the total (a weighted median).
     """
     validate_space(space)
-    if set(tree.leaf_points.values()) != set(space.points):
-        raise LeafMismatch("tree leaves do not match the space points")
-    return _best_alpha(_class_pairs(space, tree, _dedupe_points(space)[2]))
+    return _best_alpha(_class_pairs(space, tree, _dedupe_points(space)))
 
 
 def split_atoms(space: SimilaritySpace, delta: float
@@ -206,35 +216,29 @@ def split_atoms(space: SimilaritySpace, delta: float
     validate_space(space)
     if not delta > 0:
         raise BadParams(f"delta must be positive, got {delta!r}")
-    existing = set(space.points)
+    used = set(space.points)  # a copy's names avoid every name taken
     new_points: list[str] = []
-    copy_map: dict[str, str] = {}
-    src: list[int] = []
-    new_weights: list[float] = []
-    for i, p in enumerate(space.points):
-        k = int(math.floor(space.weights[i] / delta)) + 1
-        if k == 1:
-            names = [p]
-        else:
+    counts: list[int] = []
+    for p, w in zip(space.points, space.weights.tolist()):
+        k = int(math.floor(w / delta)) + 1
+        names = [p]
+        if k > 1:
             stem = p
             names = [f"{stem}#{c}" for c in range(k)]
-            while any(nm in existing for nm in names):
+            while not used.isdisjoint(names):
                 stem += "#"
                 names = [f"{stem}#{c}" for c in range(k)]
-        for nm in names:
-            new_points.append(nm)
-            copy_map[nm] = p
-            src.append(i)
-            new_weights.append(space.weights[i] / k)
-    src_idx = np.array(src, dtype=int)
-    sim = space.sim[np.ix_(src_idx, src_idx)]
+            used.update(names)
+        new_points += names
+        counts.append(k)
+    src = np.repeat(np.arange(space.n), counts)
     out = SimilaritySpace(
         points=tuple(new_points),
-        weights=np.array(new_weights),
-        sim=sim,
+        weights=np.repeat(space.weights / counts, counts),
+        sim=space.sim[np.ix_(src, src)],
         bound=space.bound,
     )
-    return out, copy_map
+    return out, dict(zip(new_points, [space.points[i] for i in src.tolist()]))
 
 
 def merge_tree_leaves(tree: CompatibleTree, copy_map: dict[str, str], seed: int
@@ -286,11 +290,11 @@ def converse_check(space: SimilaritySpace, tree: CompatibleTree, alpha: float
     1e-12 slack for rounding.
     """
     validate_space(space)
-    w, s, row_of = _dedupe_points(space)
-    cost = _tree_cost(space, tree, alpha, row_of)
+    rows = _dedupe_points(space)
+    cost = _tree_cost(space, tree, alpha, rows)
     if space.bound != 1.0:
         raise BadParams("converse check requires a space with bound 1")
-    hyp = _defect_sum(w, s)
+    hyp = _defect_sum(*rows[:2])
     bound = 5.0 * math.sqrt(max(cost, 0.0))
     margin = bound - hyp
     return ConverseReport(
@@ -480,7 +484,7 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
 
     # the points of a class are sibling leaves with one row, so each class
     # lies in one pricing group; two of its points meet at their parent
-    prices = _class_pairs(space, tree, distinct[2])
+    prices = _class_pairs(space, tree, distinct)
     group = prices.group[[c[0] for c in members]]
     prod = prices.meet[np.ix_(group, group)]
     s = quotient.sim

@@ -312,7 +312,7 @@ def test_criterion_9_best_alpha_optimality():
                                 sfx.space.sim, 1.0)
         alpha, cost = best_alpha(space, base.tree)
         grid = np.linspace(0.0, 2.0, 10_000)
-        pairs = _class_pairs(space, base.tree, _dedupe_points(space)[2])
+        pairs = _class_pairs(space, base.tree, _dedupe_points(space))
         costs = [_cost(pairs, a) for a in grid]
         at = int(np.argmin(costs))
         grid_min = costs[at]

@@ -331,6 +331,7 @@ def set_key(key, value):
 
 
 NAN = float("nan")
+INF = float("inf")
 EDGE_SPACES = {
     "negative-zero": (edge_space(lambda d: (set_sim(0, 2, -0.0)(d),
                                             set_sim(1, 3, -0.0)(d))), 0),
@@ -606,6 +607,10 @@ BAD_FILES = {
                     "nodes": [ROOT_NODE,
                               {"id": "a", "parent": "zz", "level": 1}]},
     "ragged_metric": {"dist": [[0.0, 1.0], [1.0]]},
+    "stray_leaf_tree": {"root": "r", "leaves": {"a": "a", "b": "b", "zz": "c"},
+                        "nodes": [ROOT_NODE,
+                                  {"id": "a", "parent": "r", "level": 1},
+                                  {"id": "b", "parent": "r", "level": 1}]},
 }
 ALPHA = ["--alpha", "0.3"]
 FILE_EDGES = {
@@ -622,6 +627,9 @@ FILE_EDGES = {
                                 "--x", "a", "--y", "a"], 6),
     "alpha-unknown-parent": (["alpha", "--space", "{tree_space}", "--tree",
                               "{orphan_tree}"], 6),
+    # a leaf key that is no node would otherwise end in a KeyError
+    "product-leaf-not-a-node": (["product", "--tree", "{stray_leaf_tree}",
+                                 "--x", "c", "--y", "a"], 6),
     "delta-ragged-metric": (["delta", "--metric", "{ragged_metric}"], 8),
     "delta-four-point-ragged-metric": (["delta", "--metric",
                                         "{ragged_metric}", "--four-point"],
@@ -831,6 +839,15 @@ def check_space_out(stdout, out, files):
     assert space.n == 4
 
 
+def check_split_copy_names(stdout, out, files):
+    split = space_from_dict(read_json(out / "split.json"))
+    validate_space(split)
+    assert split.points == ("a##0", "a##1", "a#0", "a###0", "a###1")
+    assert read_json(out / "map.json") == {
+        "a##0": "a", "a##1": "a", "a#0": "a#0", "a###0": "a#", "a###1": "a#"}
+    assert main(["hyp", "--space", str(out / "split.json")]) == 0
+
+
 def check_graph_outs(stdout, out, files):
     graph = threshold_graph(space_from_dict(read_json(files["space"])), K)
     assert (out / "graph.dot").read_text() == graph_to_dot(graph)
@@ -871,6 +888,11 @@ OUTPUT_RUNS = {
                        "100", "--f", "abs", "--epsilon", "5.96e-8", "--m",
                        "4", "--delta0", "0.2", "--out", "{out}/tree.json"],
                       {"tree.json"}, check_spinglass_tree),
+    # the copies of "a" skip the id "a#0", and those of "a#" skip theirs
+    "split-copy-names": (["split", "--space", "{copy_names}", "--delta",
+                          "0.3", "--out", "{out}/split.json", "--map",
+                          "{out}/map.json"], {"split.json", "map.json"},
+                         check_split_copy_names),
     "convert-space-out": (["convert", "--metric", "{square}", "--space-out",
                            "{out}/space.json"], {"space.json"},
                           check_space_out),
@@ -890,9 +912,13 @@ def run_files(tmp_path):
         sim=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
     )
     files = {name: tmp_path / f"{name}.json"
-             for name in ("space", "three", "ultrametric", "graph", "square")}
+             for name in ("space", "three", "ultrametric", "graph", "square",
+                          "copy_names")}
     write_json(files["space"], space_to_dict(space))
     write_json(files["three"], space_to_dict(three))
+    write_json(files["copy_names"], space_to_dict(SimilaritySpace(
+        points=("a", "a#0", "a#"), weights=np.array([0.4, 0.2, 0.4]),
+        sim=np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]))))
     write_json(files["ultrametric"], space_to_dict(
         generate_fixture("ultrametric", 16, {}, 3).space))
     write_json(files["graph"], graph_to_dict(threshold_graph(space, K)))
@@ -925,6 +951,12 @@ METRIC_EDGES = {
     "triangle-violating": bad_metric(0, 2, 3.0),
     "negative": bad_metric(1, 3, -1.0),
     "nonzero-diagonal": bad_metric(2, 2, 0.5),
+    # json.dumps writes Infinity, which the reader takes; an infinite
+    # distance is reported before the triangle check, whose slack would be
+    # inf - inf, a NaN that fails no comparison
+    "infinite": bad_metric(0, 1, INF),
+    "infinite-three-point": {"dist": [[0.0, INF, INF], [INF, 0.0, INF],
+                                      [INF, INF, 0.0]]},
 }
 
 
@@ -936,4 +968,10 @@ def test_four_point_checks_the_metric(case, tmp_path, capsys):
     plain = capsys.readouterr()
     assert main(["delta", "--metric", str(path), "--four-point"]) == 2
     assert capsys.readouterr() == plain
+    assert main(["convert", "--metric", str(path), "--space-out",
+                 str(tmp_path / "space.json")]) == 2
+    assert capsys.readouterr() == plain
+    assert not (tmp_path / "space.json").exists()
     assert plain.out == "" and plain.err.startswith("error: ")
+    if case.startswith("infinite"):
+        assert plain.err == "error: distance inf at (0,1) is not finite\n"

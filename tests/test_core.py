@@ -238,6 +238,13 @@ class TestTreeValidation:
         with pytest.raises(TreeStructureError):
             validate_tree(t)
 
+    def test_leaf_key_that_is_no_node(self):
+        t = CompatibleTree(root="r", parent={"a": "r", "b": "r"},
+                           level={"r": 0, "a": 1, "b": 1},
+                           leaf_points={"a": "a", "b": "b", "zz": "c"})
+        with pytest.raises(TreeStructureError, match="'zz' is not a node"):
+            validate_tree(t)
+
     def test_cycle_fails_the_level_check(self):
         t = CompatibleTree(root="r", parent={"x": "y", "y": "x", "u": "r"},
                            level={"r": 0, "x": 1, "y": 2, "u": 1},
@@ -493,6 +500,10 @@ def metric_check_loop(dist, base, points=None, weights=None):
         for j in range(i + 1, n):
             if d[i, j] != d[j, i]:
                 raise AsymmetricSimilarity(i, j, float(d[i, j]), float(d[j, i]))
+    for i in range(n):
+        for j in range(n):
+            if d[i, j] == np.inf:
+                raise InvalidMetric(f"distance inf at ({i},{j}) is not finite")
     for k in range(n):
         slack = d - (d[:, k][:, None] + d[k, :][None, :])
         bad = np.argwhere(slack > 0)
@@ -588,6 +599,23 @@ class TestMetricCheckAgainstLoop:
         with pytest.raises(AsymmetricSimilarity) as exc:
             gromov_product_similarity(d, base=0)
         assert exc.value.index == (1, 3)
+        assert metric_outcome(gromov_product_similarity, d, 0) == \
+            metric_outcome(metric_check_loop, d, 0)
+
+    @pytest.mark.parametrize("kind", ["all", "one-pair"])
+    def test_first_infinite_distance(self, kind):
+        if kind == "all":
+            # every slack is inf - inf or -inf here, so the triangle check
+            # alone would pass this metric
+            d = np.full((3, 3), np.inf)
+            np.fill_diagonal(d, 0.0)
+            where = r"\(0,1\)"
+        else:
+            d = tree_metric(np.random.default_rng(3))
+            d[4, 2] = d[2, 4] = np.inf
+            where = r"\(2,4\)"
+        with pytest.raises(InvalidMetric, match=f"inf at {where} is not"):
+            gromov_product_similarity(d, base=0)
         assert metric_outcome(gromov_product_similarity, d, 0) == \
             metric_outcome(metric_check_loop, d, 0)
 

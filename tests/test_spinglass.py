@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,12 +20,14 @@ from treelike import (
     sk_couplings,
 )
 from treelike.errors import (
+    BadParams,
     BadSchedule,
     DegenerateSample,
     LengthMismatch,
     SizeTooSmall,
     TooLargeForEnumeration,
 )
+from treelike.hyperbolicity import _gamma
 
 
 def planted_two_cluster(n_spins, per_cluster, seed):
@@ -382,3 +386,162 @@ class TestMapsPerDistinctValue:
         p = space.weights
         assert report.mean_error \
             == float(p @ np.abs(f_vals - q_of_pair) @ p)
+
+
+def overlap_space_loop(configs, weights, mapping):
+    """The per-row reference: running weight sums in index order, and the
+    map applied to every overlap entry."""
+    arr = np.asarray(configs)
+    if weights is None:
+        weights = np.full(len(arr), 1.0 / len(arr))
+    keys, order, mass = {}, [], []
+    for k in range(len(arr)):
+        key = arr[k].tobytes()
+        if key in keys:
+            mass[keys[key]] += float(weights[k])
+        else:
+            keys[key] = len(order)
+            order.append(k)
+            mass.append(float(weights[k]))
+    distinct = arr[order].astype(float)
+    sim = entrywise(mapping.rho, entrywise(
+        mapping.f, distinct @ distinct.T / arr.shape[1]))
+    points = tuple("".join("+" if v > 0 else "-" for v in arr[k])
+                   for k in order)
+    w = np.array(mass)
+    return points, w / w.sum(), (sim + sim.T) / 2.0
+
+
+def sources(kind):
+    """configs and weights: MCMC samples with repeats, the same with uneven
+    weights, or an exact enumeration with its Gibbs weights.  Nine spins,
+    so that most overlaps k / 9 are not exact binary fractions."""
+    model = sk_couplings(9, beta=1.0, seed=5)
+    if kind == "exact":
+        return gibbs_exact(model)
+    samples = gibbs_mcmc(model, steps=6000, burn_in=500, thin=5, seed=6)
+    assert len(np.unique(samples, axis=0)) < len(samples)
+    if kind == "mcmc":
+        return samples, None
+    weights = np.random.default_rng(7).random(len(samples))
+    return samples, weights / weights.sum()
+
+
+class TestOverlapSpaceFromCounts:
+    @pytest.mark.parametrize("kind", ["mcmc", "mcmc-weighted", "exact"])
+    @pytest.mark.parametrize("name", ["id", "abs"])
+    def test_matches_row_loop(self, name, kind):
+        mapping = overlap_map(name)
+        configs, weights = sources(kind)
+        space = overlap_space(configs, weights, mapping)
+        points, w, sim = overlap_space_loop(configs, weights, mapping)
+        assert space.points == points
+        assert space.weights.tobytes() == w.tobytes()
+        assert space.sim.tobytes() == sim.tobytes()
+
+    @pytest.mark.parametrize("name", ["id", "abs"])
+    def test_map_called_once_per_overlap(self, name):
+        base = overlap_map(name)
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return base.f(u)
+
+        configs, weights = sources("mcmc")
+        space = overlap_space(configs, weights,
+                              dataclasses.replace(base, f=counted))
+        assert len(calls) <= 2 * configs.shape[1] + 1
+        assert space.sim.tobytes() \
+            == overlap_space(configs, weights, base).sim.tobytes()
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_weights_of_another_length(self, length):
+        configs = np.array([[1, 1], [1, -1], [-1, 1], [1, 1]], dtype=np.int8)
+        with pytest.raises(BadParams, match="for 4 rows"):
+            overlap_space(configs, np.full(length, 1.0 / length),
+                          overlap_map("abs"))
+
+    @pytest.mark.parametrize("value", [0, 2, -3])
+    def test_entries_other_than_plus_minus_one(self, value):
+        configs = np.array([[1, 1], [1, -1], [-1, value]], dtype=np.int8)
+        with pytest.raises(BadParams, match="of \\+-1 rows"):
+            overlap_space(configs, None, overlap_map("id"))
+
+
+def mean_error_loop(space, mapping, report):
+    """The point-by-point mean error, on n x n matrices."""
+    f_vals = entrywise(mapping.f, entrywise(mapping.rho_inverse, space.sim))
+    prod = gromov_product_matrix(report.build.tree, space.points)
+    q_of_pair = np.array(report.level_values)[prod]
+    p = space.weights
+    return float(p @ np.abs(f_vals - q_of_pair) @ p)
+
+
+@pytest.fixture(scope="module")
+def enumerated():
+    """(space, report) of an exact enumeration, built once per case."""
+    cache = {}
+
+    def get(name, spins, beta, seed):
+        key = (name, spins, beta, seed)
+        if key not in cache:
+            mapping = overlap_map(name)
+            configs, probs = gibbs_exact(sk_couplings(spins, beta, seed))
+            space = overlap_space(configs, probs, mapping)
+            cache[key] = space, pure_state_tree(space, mapping, 5.96e-8, 4,
+                                                seed=1, delta0=0.2)
+        return cache[key]
+
+    return get
+
+
+class TestPureStatePricing:
+    def test_exact_without_shared_groups(self, enumerated):
+        # under the identity map a state and its sign flip have other rows,
+        # so every group is one point
+        space, report = enumerated("id", 8, 2.0, 8)
+        assert report.mean_error \
+            == mean_error_loop(space, overlap_map("id"), report)
+
+    # exact abs enumerations whose builds succeed; a state and its sign
+    # flip share a row and a leaf parent, so they form one group
+    @pytest.mark.parametrize("case", [(9, 3.0, 0), (9, 3.0, 6), (10, 2.0, 4)])
+    def test_within_rounding_on_twins(self, enumerated, case):
+        space, report = enumerated("abs", *case)
+        n = space.n
+        assert len(set(map(bytes, space.sim))) == n // 2
+        want = mean_error_loop(space, overlap_map("abs"), report)
+        # Both sides form each pair's |f - q| from the same two floats, and
+        # only sum the nonnegative terms p(x) p(y) |f - q| apart.  The loop
+        # takes two length-n dot products: within gamma(2n) of the exact
+        # sum S.  The groups round each merged weight once, then take two
+        # dot products of at most n terms: gamma(2n + 2) of a sum at most
+        # S + 2 sum p^2, as it prices the pairs (x, x) at their parent
+        # (every |f - q| <= 2).  The correction moves them to the leaf: sum
+        # p^2 times a difference of two prices, at most 4 sum p^2 in all,
+        # within gamma(2n + 2) (the squares, their sums, the difference,
+        # the product and the dot product); then one rounding adds the two.
+        # So the two values differ by at most
+        # gamma(2n + 3) (2 S + 6 sum p^2); S <= want (1 + gamma(2n)).
+        collision = float((space.weights ** 2).sum())
+        bound = _gamma(2 * n + 4) * (2 * want + 6 * collision)
+        assert abs(report.mean_error - want) <= bound
+
+    def test_evaluation_forms_no_n_by_n_array(self, enumerated,
+                                              monkeypatch):
+        space, report = enumerated("abs", 10, 2.0, 4)
+        assert space.n == 1024
+        monkeypatch.setattr(spinglass, "build_tree",
+                            lambda *args, **kwargs: report.build)
+        tracemalloc.start()
+        try:
+            again = pure_state_tree(space, overlap_map("abs"), 5.96e-8, 4,
+                                    seed=1, delta0=0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.mean_error == report.mean_error
+        # one n x n float64 array is 8 MiB; a d x d one, d = n / 2 groups,
+        # is a quarter of that
+        assert peak < space.n ** 2 * 8

@@ -459,6 +459,17 @@ class TestSplitAtoms:
         assert split.weights.max() == pytest.approx(0.225, abs=1e-15)
         assert split.weights.max() < 0.25
 
+    def test_copy_names_avoid_every_name_taken(self):
+        # "a" skips "a#0", an original id, and "a#" then skips the names
+        # of the copies of "a"
+        space = SimilaritySpace(("a", "a#0", "a#"), np.array([0.4, 0.2, 0.4]),
+                                np.full((3, 3), 0.5) + 0.5 * np.eye(3), 1.0)
+        split, mapping = split_atoms(space, 0.3)
+        assert split.points == ("a##0", "a##1", "a#0", "a###0", "a###1")
+        assert mapping == {"a##0": "a", "a##1": "a", "a#0": "a#0",
+                           "a###0": "a#", "a###1": "a#"}
+        assert split.weights.tolist() == [0.2, 0.2, 0.2, 0.2, 0.2]
+
     def test_identity_split(self):
         fx = random_fixture(6, seed=1)
         split, mapping = split_atoms(fx.space, 0.5)
