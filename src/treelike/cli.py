@@ -391,8 +391,12 @@ def cmd_spinglass(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise err.BadParams(f"--params is not JSON: {exc}") from None
     fx = generate_fixture(args.kind, args.size, params, args.seed)
+    validate_space(fx.space)
     writes = [(args.out, json_pieces(space_to_dict(fx.space)))]
     if args.tree_out and fx.tree is not None:
         writes.append((args.tree_out, json_pieces(tree_to_dict(fx.tree))))

@@ -7,8 +7,8 @@ graph is then repaired in five staged edit passes whose pairs and measures
 are all logged.
 
 Every stage works on boolean part-by-part matrices, in a bounded number of
-array operations with no loop over parts (edited pairs are named one by
-one), and skips work whose result is provably empty.  The parts are single
+array operations with no loop over parts or pairs, and skips work whose
+result is provably empty.  The parts are single
 points, so that the part neighbor relation is the thresholded vertex graph
 itself and q is the vertex count, whenever the partition is forced: (a)
 epsilon N <= 1 for the rationalized denominator N, and (b) every point's
@@ -74,16 +74,26 @@ class CliqueStructure:
 class ModificationLog:
     """Staged edge edits of one repair run.
 
-    Every pair is stored in both orientations.  A pair may be added in one
-    stage and deleted by a later one (leftover parts are completed and then
-    cleared); stage consistency means each stage's edits were valid against
-    the graph state it saw.  ``total_measure`` weighs the union of all
-    stages once.
+    ``edits`` holds each stage's pairs i < j of ``vertices`` as row-major
+    index arrays.  A pair may be added in one stage and deleted by a later
+    one (leftover parts are completed and then cleared); stage consistency
+    means each stage's edits were valid against the graph state it saw.
+    ``total_measure`` weighs the union of all stages once.
     """
 
-    stages: dict[str, tuple[tuple[str, str], ...]]
+    vertices: tuple[str, ...]
+    edits: dict[str, tuple[np.ndarray, np.ndarray]]
     stage_measures: dict[str, float]
     total_measure: float
+
+    @property
+    def stages(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Each stage's pairs by vertex name, formed on every read, each in
+        both orientations: (u, v) then (v, u)."""
+        v = self.vertices
+        return {name: tuple(pair for i, j in zip(rows.tolist(), cols.tolist())
+                            for pair in ((v[i], v[j]), (v[j], v[i])))
+                for name, (rows, cols) in self.edits.items()}
 
 
 def part_neighbor_graph(partition: PartitionResult, epsilon: float
@@ -363,27 +373,18 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     if (adj != same_group).any():
         raise PostconditionFailure("repair did not produce the group cliques")
 
-    stages: dict[str, tuple[tuple[str, str], ...]] = dict.fromkeys(
-        STAGE_NAMES, ())
+    empty = np.empty(0, dtype=np.intp)
+    edits = dict.fromkeys(STAGE_NAMES, (empty, empty))
     stage_measures = dict.fromkeys(STAGE_NAMES, 0.0)
     edited: list[np.ndarray] = []
     for name, mk in masks.items():
-        rows, cols = upper_pairs(mk)
-        if len(rows):
-            # each pair in both orientations, (i, j) then (j, i)
-            first = list(map(vertices.__getitem__, rows.tolist()))
-            second = list(map(vertices.__getitem__, cols.tolist()))
-            pairs = [None] * (2 * len(first))
-            pairs[0::2], pairs[1::2] = zip(first, second), zip(second, first)
-            stages[name] = tuple(pairs)
+        edits[name] = upper_pairs(mk)
+        if len(edits[name][0]):
             stage_measures[name] = float(mass @ mk @ mass)
             edited.append(mk)
     total = float(mass @ np.logical_or.reduce(edited) @ mass) if edited else 0.0
-    log = ModificationLog(
-        stages=stages,
-        stage_measures=stage_measures,
-        total_measure=total,
-    )
+    log = ModificationLog(vertices=vertices, edits=edits,
+                          stage_measures=stage_measures, total_measure=total)
     # adj equals the symmetric, zero-diagonal group mask checked above
     repaired = WeightedGraph._symmetric_by_construction(
         graph.vertices, graph.mass, adj)

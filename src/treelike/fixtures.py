@@ -130,6 +130,8 @@ def tree_scaled_fixture(n: int, depth: int, alpha: float, seed: int,
     """Random compatible tree, similarity = alpha times the leaf products."""
     if n < 2:
         raise BadParams("need at least 2 points")
+    if not 0.0 <= alpha < np.inf:
+        raise BadParams(f"alpha must be finite and nonnegative, not {alpha!r}")
     rng = np.random.default_rng(seed)
     levels = _random_hierarchy(n, depth, rng)
     points = tuple(f"p{i}" for i in range(n))
@@ -146,6 +148,8 @@ def noisy_tree_fixture(n: int, depth: int, alpha: float, noise: float,
                        seed: int, weights: str = "uniform") -> PlantedFixture:
     """Tree-scaled space plus symmetric uniform noise of the given magnitude,
     clipped into [0, bound]; the average defect is at most twice the noise."""
+    if not 0.0 <= noise < np.inf:
+        raise BadParams(f"noise must be finite and nonnegative, not {noise!r}")
     base = tree_scaled_fixture(n, depth, alpha, seed, weights)
     rng = np.random.default_rng((seed, 1))
     raw = rng.uniform(-noise, noise, size=(n, n))
@@ -163,6 +167,8 @@ def random_fixture(n: int, seed: int, weights: str = "uniform",
     """Symmetric uniform similarities in [0, bound], diagonal included."""
     if n < 2:
         raise BadParams("need at least 2 points")
+    if not 0.0 < bound < np.inf:
+        raise BadParams(f"bound must be finite and positive, not {bound!r}")
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.0, bound, size=(n, n))
     sim = np.triu(raw) + np.triu(raw, 1).T
@@ -199,33 +205,57 @@ def planted_blocks_fixture(n: int, blocks: int, seed: int,
 
 def generate_fixture(kind: str, size: int, params: dict, seed: int
                      ) -> PlantedFixture:
-    """Dispatch by kind; see KINDS.  Deterministic per seed."""
+    """Dispatch by kind; see KINDS.  Deterministic per seed.
+
+    ``params`` maps parameter names to values as JSON gives them.  Each
+    value is converted here, and one that does not convert, or a name the
+    kind does not take, raises BadParams naming it.
+    """
+    if not isinstance(params or {}, dict):
+        raise BadParams("fixture parameters must be an object of names and "
+                        f"values, not {params!r}")
     params = dict(params or {})
     weights = params.pop("weights", "uniform")
     if kind == "ultrametric":
-        levels = params.pop("levels", [0.25, 0.5, 0.75])
+        levels = _param(params, "levels", [0.25, 0.5, 0.75], _floats)
         _reject_extra(params)
         return ultrametric_fixture(size, levels, seed, weights)
     if kind == "tree-scaled":
-        depth = int(params.pop("depth", 3))
-        alpha = float(params.pop("alpha", 0.25))
+        depth = _param(params, "depth", 3, int)
+        alpha = _param(params, "alpha", 0.25, float)
         _reject_extra(params)
         return tree_scaled_fixture(size, depth, alpha, seed, weights)
     if kind == "noisy-tree":
-        depth = int(params.pop("depth", 3))
-        alpha = float(params.pop("alpha", 0.25))
-        noise = float(params.pop("noise", 0.02))
+        depth = _param(params, "depth", 3, int)
+        alpha = _param(params, "alpha", 0.25, float)
+        noise = _param(params, "noise", 0.02, float)
         _reject_extra(params)
         return noisy_tree_fixture(size, depth, alpha, noise, seed, weights)
     if kind == "random":
-        bound = float(params.pop("bound", 1.0))
+        bound = _param(params, "bound", 1.0, float)
         _reject_extra(params)
         return random_fixture(size, seed, weights, bound)
     if kind == "planted-blocks":
-        blocks = int(params.pop("blocks", 3))
+        blocks = _param(params, "blocks", 3, int)
         _reject_extra(params)
         return planted_blocks_fixture(size, blocks, seed, weights=weights)
     raise BadParams(f"unknown fixture kind {kind!r} (choose from {KINDS})")
+
+
+def _floats(value) -> list[float]:
+    if not isinstance(value, list):
+        raise TypeError("it is not a list")
+    return [float(v) for v in value]
+
+
+def _param(params: dict, name: str, default, convert):
+    """Remove params[name], default if absent, and convert it."""
+    value = params.pop(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParams(f"fixture parameter {name!r} = {value!r}: {exc}"
+                        ) from None
 
 
 def _reject_extra(params: dict) -> None:

@@ -254,7 +254,9 @@ def weighted_adjacency_spectrum(graph: WeightedGraph, kmult: np.ndarray
         vec *= np.where(lead < 0, -1.0, 1.0)[:, None]
     lam.setflags(write=False)
     vec.setflags(write=False)
-    edge_weight = float((np.outer(k, k) * graph.adj).sum())
+    # in floats: an int64 sum of K(x) K(y) wraps past 2^63
+    kf = k.astype(float)
+    edge_weight = float(kf @ graph.adj @ kf)
     if abs(float(np.sum(lam ** 2)) - edge_weight) > 1e-9 * max(n_total ** 2, 1):
         raise PostconditionFailure(
             "trace identity violated: sum of squared eigenvalues does not "

@@ -310,14 +310,14 @@ def converse_check(space: SimilaritySpace, tree: CompatibleTree, alpha: float
 def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
                     params: RegularityParams, seed: tuple,
                     sizes: np.ndarray | None = None
-                    ) -> tuple[list[list[int]], list[tuple[int, int]]]:
+                    ) -> tuple[list[list[int]], tuple[np.ndarray, ...]]:
     """Partition one cluster at threshold t into cliques and singletons.
 
     ``sizes`` holds the number of points each space point stands for (one
     each by default); the clique-mass floor counts a clique's points by it.
     Returns the child clusters (as global point-index lists, singletons
-    included, in order of their first member) and the edited pairs in
-    global indices.
+    included, in order of their first member) and the log's edited pairs
+    i < j, stage by stage, as (rows, cols) arrays of global indices.
     """
     graph = threshold_graph(space, t, subset=idxs)
     partition = regularity_pipeline(graph, params, seed=seed)
@@ -326,20 +326,19 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     structure = clique_closure(family, pg, params.epsilon)
     repaired, log = clique_repair(graph, partition, structure, params.epsilon,
                                   None if sizes is None else sizes[idxs])
-    index = dict(zip(graph.vertices, idxs))
-    edited = [(index[u], index[v])
-              for pairs in log.stages.values() for u, v in pairs]
+    take = np.asarray(idxs)
     # clique_repair raises unless the graph is exactly the group cliques plus
     # isolated points, so each point's clique is its closed neighbourhood and
     # the first member of that neighbourhood labels the cluster; idxs ascend,
     # so ordering by that label sorts the clusters
     first = (repaired.adj | np.eye(repaired.n, dtype=bool)).argmax(axis=1)
     order = first.argsort(kind="stable")
-    flat = np.asarray(idxs)[order].tolist()
+    flat = take[order].tolist()
     heads = first == np.arange(len(first))  # a vertex that labels its clique
     ends = np.bincount(first, minlength=len(first))[heads].cumsum().tolist()
     children = [flat[a:b] for a, b in zip([0] + ends, ends)]
-    return children, edited
+    rows, cols = map(np.concatenate, zip(*log.edits.values()))
+    return children, (take[rows], take[cols])
 
 
 def _twin_classes(space: SimilaritySpace,
@@ -461,8 +460,7 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
                 else:
                     children, pairs = _repair_cluster(
                         quotient, item, t, params, (seed, depth, k), sizes)
-                    for a, b in pairs:
-                        edited[a, b] = True
+                    edited[pairs] = True
                 clusters = []
                 for child in children:
                     if len(child) == 1 and top[child[0]] < t:
@@ -480,6 +478,7 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         if row:
             rows.append([c for c, _ in row])
         pending = [cluster for cluster in row if len(cluster[0]) >= 2]
+    edited |= edited.T  # the repairs marked each pair above the diagonal
     tree = tree_from_levels(space.points, rows)
 
     # the points of a class are sibling leaves with one row, so each class

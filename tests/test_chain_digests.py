@@ -237,7 +237,11 @@ def space_digests(space, idxs, t, epsilon, m, seed, sizes) -> dict:
     try:
         children, edited = treebuild._repair_cluster(
             space, idxs, t, RegularityParams(epsilon, m), seed, sizes)
-        out["cluster"] = _digest(children, edited)
+        # the recorded digests hold each pair as (i, j) then (j, i)
+        rows, cols = edited
+        pairs = [pair for i, j in zip(rows.tolist(), cols.tolist())
+                 for pair in ((i, j), (j, i))]
+        out["cluster"] = _digest(children, pairs)
     except Exception as exc:  # noqa: BLE001 - the error is the output
         out["cluster"] = _digest(type(exc).__name__, str(exc))
     return out

@@ -409,7 +409,29 @@ TREE_OUTS = ["--out", "{out}/tree.json", "--report", "{out}/report.json",
              "--newick", "{out}/tree.nwk"]
 EVAL = ["eval", "--space", "{tree_space}", "--tree", "{tree}"]
 REGULARITY = ["--epsilon", "0.2", "--m", "4"]
+# fixture parameters that do not parse, do not convert or are out of range:
+# each exits 2 and writes no space
+FIXTURE_PARAMS = {
+    "not-json": ("random", '{bad'),
+    "not-an-object": ("random", '[1]'),
+    "depth-not-a-number": ("tree-scaled", '{"depth": "x"}'),
+    "bound-negative": ("random", '{"bound": -1}'),
+    "bound-null": ("random", '{"bound": null}'),
+    "bound-inf": ("random", '{"bound": "inf"}'),
+    "bound-zero": ("random", '{"bound": 0}'),
+    "noise-negative": ("noisy-tree", '{"noise": -0.1}'),
+    "levels-not-a-list": ("ultrametric", '{"levels": "abc"}'),
+    # JSON reads 1e400 as infinity, which only the check of the space sees
+    "levels-infinite": ("ultrametric", '{"levels": [0.5, 1e400]}'),
+    "alpha-negative": ("tree-scaled", '{"alpha": -0.5}'),
+}
 PARAM_EDGES = {
+    # braces are doubled for the str.format that fills in the paths
+    **{f"fixture-{case}": (["fixture", "--kind", kind, "--size", "6",
+                            "--params",
+                            params.replace("{", "{{").replace("}", "}}"),
+                            "--out", "{out}/space.json"], 2)
+       for case, (kind, params) in FIXTURE_PARAMS.items()},
     "ladder-delta0-negative": (["ladder", "--space", "{space}", *UNIT,
                                 "--delta0", "-0.1", "--out",
                                 "{out}/ladder.json"], 2),

@@ -341,12 +341,24 @@ class TestStageLog:
         mass = graph.mass
         adj = graph.adj.copy()
         union = np.zeros_like(adj)
+        assert log.vertices == graph.vertices
+        assert list(log.edits) == list(STAGE_NAMES)
+        stages = log.stages
         for name in STAGE_NAMES:
-            pairs = log.stages[name]
+            pairs = stages[name]
             assert len(pairs) // 2 == counts.get(name, 0)
+            if name not in counts:
+                assert pairs == ()
             forward = [(index[u], index[v]) for u, v in pairs[::2]]
             assert [(index[v], index[u]) for u, v in pairs[1::2]] == forward
             assert forward == sorted(forward)  # row-major, i < j
+            # the log keeps the same pairs as index arrays above the
+            # diagonal, in row-major order
+            rows, cols = log.edits[name]
+            assert rows.dtype == cols.dtype == np.intp
+            assert (rows < cols).all()
+            assert (np.diff(rows * graph.n + cols) > 0).all()
+            assert list(zip(rows.tolist(), cols.tolist())) == forward
             mask = np.zeros_like(adj)
             for i, j in forward:
                 assert i < j

@@ -307,6 +307,14 @@ class TestSpectrum:
         nonzero = sorted(v for v in lam if abs(v) > 1e-12)
         assert np.allclose(nonzero, sorted(spec.eigenvalues))
 
+    def test_single_edge_with_huge_multiplicities(self):
+        # the blow-up has 2 * 2^62 = 2^63 directed edges: an int64 sum of
+        # K(x) K(y) over the edges wraps to -2^63
+        g = graph_from_adj([[0, 1], [1, 0]])
+        spec = weighted_adjacency_spectrum(g, np.array([2 ** 31, 2 ** 31]))
+        assert np.allclose(spec.eigenvalues, [2.0 ** 31, -2.0 ** 31],
+                           rtol=1e-12, atol=0.0)
+
     def test_triangle(self):
         g = graph_from_adj([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         spec = weighted_adjacency_spectrum(g, np.array([1, 1, 1]))

@@ -276,6 +276,22 @@ class TestPureStates:
                 hits += 1
         assert hits >= 9
 
+    def test_each_state_and_its_sign_flip_form_one_cluster(self):
+        # under abs a state and its sign flip share one row whose diagonal
+        # is its maximum, so the build on the twin quotient keeps the two
+        # together until they split at the last level
+        mapping = overlap_map("abs")
+        space = overlap_space(*gibbs_exact(sk_couplings(6, 1.0, 0)), mapping)
+        report = pure_state_tree(space, mapping, epsilon=1e-5, m=4, seed=0,
+                                 delta0=0.1)
+        levels = report.build.levels
+        assert [len(row) for row in levels] == [1, 32, 64]
+        assert report.build.excluded_points == ()
+        flip = str.maketrans("+-", "-+")
+        assert all(b == a.translate(flip) for a, b in levels[1])
+        assert sorted(p for c in levels[1] for p in c) == sorted(space.points)
+        assert sorted(levels[2]) == sorted((p,) for p in space.points)
+
     def test_within_cluster_value_deeper_than_root(self):
         mapping = overlap_map("abs")
         configs, labels = planted_two_cluster(48, 16, seed=0)

@@ -28,6 +28,8 @@ from treelike.errors import BadParams, Delta0TooLarge, LeafMismatch, \
     MapMismatch, WeightSumMismatch
 from treelike.io import dump_json, tree_to_dict
 from treelike.regularity import RegularityParams
+from treelike.spinglass import gibbs_exact, overlap_map, overlap_space, \
+    pure_state_tree, sk_couplings
 from treelike.fixtures import (
     noisy_tree_fixture,
     planted_blocks_fixture,
@@ -223,8 +225,7 @@ def full_build_reference(space, epsilon, m, seed=0, delta0=None):
                     space, idxs, ladder.thresholds[depth - 1], params,
                     (seed, depth, k))
                 n_repairs += 1
-                for a, b in pairs:
-                    edited[a, b] = True
+                edited[pairs] = edited[pairs[::-1]] = True
             else:
                 clusters = [[i] for i in idxs]
             row += clusters
@@ -846,7 +847,12 @@ class TestClustersAgainstLoop:
             adj = (labels[:, None] == labels[None, :]) & (labels[:, None] >= 0)
             np.fill_diagonal(adj, False)
             made.append(WeightedGraph(graph.vertices, graph.mass, adj))
-            return made[-1], ModificationLog({}, {}, 0.0)
+            empty = np.empty(0, dtype=np.intp)
+            log = ModificationLog(
+                graph.vertices,
+                dict.fromkeys(cliques.STAGE_NAMES, (empty, empty)),
+                dict.fromkeys(cliques.STAGE_NAMES, 0.0), 0.0)
+            return made[-1], log
 
         for stage in ("regularity_pipeline", "part_neighbor_graph",
                       "neighborhood_family", "clique_closure"):
@@ -861,6 +867,35 @@ class TestClustersAgainstLoop:
             children, edited = treebuild._repair_cluster(
                 space, idxs, 0.5, params, (0, 1, trial))
             assert children == clusters_loop(made[-1], idxs)
-            assert edited == []
+            assert [e.tolist() for e in edited] == [[], []]
             isolated += sum(len(c) == 1 for c in children)
         assert isolated > 0
+
+
+def test_the_build_names_no_edited_pairs(monkeypatch):
+    # an 8-spin exact abs space whose one repair edits thousands of pairs
+    mapping = overlap_map("abs")
+    space = overlap_space(*gibbs_exact(sk_couplings(8, beta=4.0, seed=0)),
+                          mapping)
+    edited = []
+    repair = treebuild.clique_repair
+
+    def counting(*args, **kwargs):
+        graph, log = repair(*args, **kwargs)
+        edited.append(sum(len(rows) for rows, _ in log.edits.values()))
+        return graph, log
+
+    def run():
+        return pickle.dumps((
+            build_tree(space, 5.96e-8, 4, seed=0, delta0=0.24),
+            pure_state_tree(space, mapping, 5.96e-8, 4, seed=0, delta0=0.24)))
+
+    monkeypatch.setattr(treebuild, "clique_repair", counting)
+    plain = run()
+    assert sum(edited) > 0
+
+    def no_names(log):
+        raise AssertionError("the build read the edited pairs by name")
+
+    monkeypatch.setattr(ModificationLog, "stages", property(no_names))
+    assert run() == plain
