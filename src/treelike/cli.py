@@ -1,10 +1,18 @@
 """Command-line surface.
 
-Every subcommand validates its inputs, dispatches to the library, writes
-all of its requested artifacts or none of them, and exits 0 on success or a
-family-specific nonzero code on error.  Reports embed the full configuration
-and seeds, and repeated runs with the same configuration produce
-byte-identical files.
+Every subcommand checks its flags, dispatches to the library and returns
+the files it asks for and the text it prints.  ``main`` writes all of those
+files or none of them, then prints the text and exits 0, or exits with a
+family-specific nonzero code on the first error.  Each input space is
+checked once, by the library call that reads it; ``cliques`` and
+``convert`` check theirs on loading, since ``threshold_graph`` does not.
+``hyp --mc``, ``ladder --profile-csv`` and ``convert --rescale-out`` make
+two library calls on one space and so check it twice.  A flag that a run
+would not read exits 2 unless it keeps its default: ``delta --base``
+with ``--space`` or ``--four-point``, unread ``convert`` inputs,
+``hyp --seed`` without ``--mc`` and ``spinglass --burn-in`` or ``--thin``
+without ``--mcmc``.  Reports embed the full configuration and seeds, and
+repeated runs with the same configuration produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from . import errors as err
 from .cliques import clique_closure, clique_repair, neighborhood_family, \
     part_neighbor_graph, verify_cliques
 from .core import (
-    SimilaritySpace,
     gromov_product_similarity,
     rescale_to_unit,
     threshold_graph,
@@ -90,12 +97,6 @@ def _load(path: str, parse):
         raise err.IOFailure(f"{path}: {exc}") from exc
 
 
-def _load_space(path: str) -> SimilaritySpace:
-    space = _load(path, space_from_dict)
-    validate_space(space)
-    return space
-
-
 def _new_file_beside(target: str) -> str:
     """Create an empty file, with the mode open() would give it, in the
     folder of target under a name no file there has yet."""
@@ -158,25 +159,23 @@ def _config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def cmd_hyp(args) -> int:
-    space = _load_space(args.space)
+def cmd_hyp(args):
+    if args.seed != 0 and not args.mc:
+        raise err.BadParams("hyp: --seed is read only with --mc")
+    space = _load(args.space, space_from_dict)
     value = hyp_exact(space)
     out = {"config": _config(args), "hyp": value}
+    text = f"{value:.6f}"
     if args.mc:
         est, se = hyp_monte_carlo(space, args.mc, args.seed)
         out["mc_estimate"] = est
         out["mc_stderr"] = se
-    _write_all([(args.out, json_pieces(out))] if args.out else [])
-    if args.format == "json":
-        print(dump_json(out))
-    else:
-        print(f"{value:.6f}")
-        if args.mc:
-            print(f"mc {out['mc_estimate']:.6f} stderr {out['mc_stderr']:.2e}")
-    return 0
+        text += f"\nmc {est:.6f} stderr {se:.2e}"
+    writes = [(args.out, json_pieces(out))] if args.out else []
+    return writes, dump_json(out) if args.format == "json" else text
 
 
-def cmd_delta(args) -> int:
+def cmd_delta(args):
     if args.base is not None and (args.space or args.four_point):
         raise err.BadParams("delta: --base is read only with --metric and "
                             "without --four-point")
@@ -190,16 +189,13 @@ def cmd_delta(args) -> int:
     else:
         if args.four_point:
             raise err.BadParams("--four-point needs --metric input")
-        value = gromov_delta_worst_case(_load_space(args.space))
-    if args.format == "json":
-        print(dump_json({"config": _config(args), "delta": value}))
-    else:
-        print(f"{value:.6f}")
-    return 0
+        value = gromov_delta_worst_case(_load(args.space, space_from_dict))
+    return [], (dump_json({"config": _config(args), "delta": value})
+                if args.format == "json" else f"{value:.6f}")
 
 
-def cmd_ladder(args) -> int:
-    space = _load_space(args.space)
+def cmd_ladder(args):
+    space = _load(args.space, space_from_dict)
     ladder = threshold_ladder(space, args.epsilon, args.m, delta0=args.delta0)
     out = {
         "config": _config(args),
@@ -218,15 +214,13 @@ def cmd_ladder(args) -> int:
         lines = ["t,mass"]
         lines += [f"{t:.17g},{m:.17g}" for t, m in zip(ts, masses)]
         writes.append((args.profile_csv, ["\n".join(lines) + "\n"]))
-    _write_all(writes)
-    print(dump_json(out) if args.format == "json" else
-          f"kappa {ladder.kappa:.6f} delta0 {ladder.delta0:.6f} "
-          f"levels {ladder.n_levels} thresholds "
-          + " ".join(f"{t:.6f}" for t in ladder.thresholds))
-    return 0
+    return writes, (dump_json(out) if args.format == "json" else
+                    f"kappa {ladder.kappa:.6f} delta0 {ladder.delta0:.6f} "
+                    f"levels {ladder.n_levels} thresholds "
+                    + " ".join(f"{t:.6f}" for t in ladder.thresholds))
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args):
     graph = _load(args.graph, graph_from_dict)
     params = RegularityParams(epsilon=args.epsilon, m=args.m)
     result = regularity_pipeline(graph, params, seed=args.seed)
@@ -241,14 +235,12 @@ def cmd_partition(args) -> int:
             for v in part:
                 part_of[v] = pi
         writes.append((args.dot, [graph_to_dot(graph, part_of)]))
-    _write_all(writes)
-    if not args.out:
-        print(dump_json(out))
-    return 0
+    return writes, None if args.out else dump_json(out)
 
 
-def cmd_cliques(args) -> int:
-    space = _load_space(args.space)
+def cmd_cliques(args):
+    space = _load(args.space, space_from_dict)
+    validate_space(space)
     graph = threshold_graph(space, args.t)
     params = RegularityParams(epsilon=args.epsilon, m=args.m)
     partition = regularity_pipeline(graph, params, seed=args.seed)
@@ -276,14 +268,11 @@ def cmd_cliques(args) -> int:
         writes.append((args.dot_before, [graph_to_dot(graph)]))
     if args.dot_after:
         writes.append((args.dot_after, [graph_to_dot(repaired)]))
-    _write_all(writes)
-    if not args.out:
-        print(dump_json(out))
-    return 0
+    return writes, None if args.out else dump_json(out)
 
 
-def cmd_tree(args) -> int:
-    space = _load_space(args.space)
+def cmd_tree(args):
+    space = _load(args.space, space_from_dict)
     report = build_tree(space, args.epsilon, args.m, seed=args.seed,
                         delta0=args.delta0)
     out = {
@@ -307,15 +296,13 @@ def cmd_tree(args) -> int:
         writes.append((args.out, json_pieces(tree_to_dict(report.tree))))
     if args.newick:
         writes.append((args.newick, [tree_to_newick(report.tree) + "\n"]))
-    _write_all(writes)
-    print(dump_json({k: out[k] for k in
-                     ("kappa", "delta0", "cost_at_kappa", "best_alpha",
-                      "best_cost", "delta_e_total")}))
-    return 0
+    return writes, dump_json({k: out[k] for k in
+                              ("kappa", "delta0", "cost_at_kappa",
+                               "best_alpha", "best_cost", "delta_e_total")})
 
 
-def cmd_eval(args) -> int:
-    space = _load_space(args.space)
+def cmd_eval(args):
+    space = _load(args.space, space_from_dict)
     tree = _load(args.tree, tree_from_dict)
     out = {"config": _config(args)}
     if args.converse:
@@ -327,37 +314,38 @@ def cmd_eval(args) -> int:
         out["passed"] = rep.passed
     else:
         out["cost"] = tree_cost(space, tree, args.alpha)
-    print(dump_json(out))
-    return 0
+    return [], dump_json(out)
 
 
-def cmd_alpha(args) -> int:
-    space = _load_space(args.space)
+def cmd_alpha(args):
+    space = _load(args.space, space_from_dict)
     tree = _load(args.tree, tree_from_dict)
     alpha, cost = best_alpha(space, tree)
-    print(dump_json({"config": _config(args), "alpha": alpha, "cost": cost}))
-    return 0
+    return [], dump_json({"config": _config(args), "alpha": alpha,
+                          "cost": cost})
 
 
-def cmd_split(args) -> int:
-    space = _load_space(args.space)
+def cmd_split(args):
+    space = _load(args.space, space_from_dict)
     split, mapping = split_atoms(space, args.delta)
     writes = []
     if args.out:
         writes.append((args.out, json_pieces(space_to_dict(split))))
     if args.map:
         writes.append((args.map, json_pieces(mapping)))
-    _write_all(writes)
-    print(dump_json({
+    return writes, dump_json({
         "config": _config(args),
         "points_before": space.n,
         "points_after": split.n,
         "max_atom": float(split.weights.max()),
-    }))
-    return 0
+    })
 
 
-def cmd_spinglass(args) -> int:
+def cmd_spinglass(args):
+    # exact enumeration reads no schedule, so it takes only the defaults
+    if not args.mcmc and (args.burn_in, args.thin) != (1000, 100):
+        raise err.BadParams("spinglass: --burn-in and --thin are read only "
+                            "with --mcmc")
     model = sk_couplings(args.n, beta=args.beta, seed=args.seed)
     mapping = overlap_map(args.f)
     if args.mcmc:
@@ -385,12 +373,10 @@ def cmd_spinglass(args) -> int:
     if args.out:
         writes.append((args.out,
                        json_pieces(tree_to_dict(report.build.tree))))
-    _write_all(writes)
-    print(dump_json(out))
-    return 0
+    return writes, dump_json(out)
 
 
-def cmd_fixture(args) -> int:
+def cmd_fixture(args):
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
@@ -400,13 +386,11 @@ def cmd_fixture(args) -> int:
     writes = [(args.out, json_pieces(space_to_dict(fx.space)))]
     if args.tree_out and fx.tree is not None:
         writes.append((args.tree_out, json_pieces(tree_to_dict(fx.tree))))
-    _write_all(writes)
-    print(dump_json({
+    return writes, dump_json({
         "config": _config(args),
         "points": fx.space.n,
         "bound": fx.space.bound,
-    }))
-    return 0
+    })
 
 
 # each convert output, the inputs it needs and the inputs it may also read
@@ -420,7 +404,7 @@ CONVERT_OUTPUTS = (
 CONVERT_INPUTS = ("space", "metric", "tree", "base", "t")
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args):
     given = [(out, needs, extra) for out, needs, extra in CONVERT_OUTPUTS
              if getattr(args, out) is not None]
     if not given:
@@ -439,7 +423,8 @@ def cmd_convert(args) -> int:
     # every output is built before the first one is written
     needed = {n for _, needs, _ in given for n in needs}
     if "space" in needed:
-        space = _load_space(args.space)
+        space = _load(args.space, space_from_dict)
+        validate_space(space)
     writes = []
     if args.rescale_out is not None:
         writes.append((args.rescale_out,
@@ -460,15 +445,13 @@ def cmd_convert(args) -> int:
     if args.newick is not None:
         tree = _load(args.tree, tree_from_dict)
         writes.append((args.newick, [tree_to_newick(tree) + "\n"]))
-    _write_all(writes)
-    return 0
+    return writes, None
 
 
-def cmd_product(args) -> int:
+def cmd_product(args):
     tree = _load(args.tree, tree_from_dict)
     value = tree_gromov_product(tree, args.x, args.y)
-    print(dump_json({"config": _config(args), "product": value}))
-    return 0
+    return [], dump_json({"config": _config(args), "product": value})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,11 +605,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        writes, text = args.func(args)
+        _write_all(writes)
     except err.TreelikeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for klass, code in EXIT_CODES
                     if isinstance(exc, klass))
+    if text is not None:
+        print(text)
+    return 0
 
 
 if __name__ == "__main__":

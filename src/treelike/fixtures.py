@@ -104,6 +104,8 @@ def ultrametric_fixture(n: int, level_values: list[float], seed: int,
     """
     if n < 2:
         raise BadParams("need at least 2 points")
+    if not level_values:
+        raise BadParams("need at least one level value")
     vals = [0.0] + [float(v) for v in level_values]
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise BadParams("level values must be strictly increasing")
@@ -130,6 +132,8 @@ def tree_scaled_fixture(n: int, depth: int, alpha: float, seed: int,
     """Random compatible tree, similarity = alpha times the leaf products."""
     if n < 2:
         raise BadParams("need at least 2 points")
+    if depth < 1:
+        raise BadParams(f"depth must be at least 1, not {depth!r}")
     if not 0.0 <= alpha < np.inf:
         raise BadParams(f"alpha must be finite and nonnegative, not {alpha!r}")
     rng = np.random.default_rng(seed)

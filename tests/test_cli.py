@@ -1,11 +1,15 @@
 import json
 import os
+import shlex
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treelike
 from treelike import generate_fixture, profile_integral, treebuild, \
     validate_space
 from treelike.cli import main
@@ -392,14 +396,20 @@ SCHEDULE_EDGES = {
     "zero-thin": (["--mcmc", "300", "--burn-in", "50", "--thin", "0"], 7),
     "negative-thin": (["--mcmc", "300", "--burn-in", "50", "--thin", "-1"],
                       7),
+    # exact enumeration reads no schedule, so one given to it exits 2
+    "burn-in-and-thin-without-mcmc": (["--mcmc", "0", "--burn-in", "9",
+                                       "--thin", "3"], 2),
+    "thin-without-mcmc": (["--burn-in", "1000", "--thin", "3"], 2),
 }
+SCHEDULE_ERRORS = {7: "need steps > burn_in >= 0 and thin >= 1",
+                   2: "--burn-in and --thin are read only with --mcmc"}
 
 
 @pytest.mark.parametrize("case", list(SCHEDULE_EDGES))
 def test_spinglass_schedule_exit_codes(case, capsys):
     flags, code = SCHEDULE_EDGES[case]
     assert main(SPINGLASS_ARGS + flags) == code
-    assert "need steps > burn_in >= 0 and thin >= 1" in capsys.readouterr().err
+    assert SCHEDULE_ERRORS[code] in capsys.readouterr().err
 
 
 UNIT = ["--epsilon", "1e-12", "--m", "16"]
@@ -424,6 +434,12 @@ FIXTURE_PARAMS = {
     # JSON reads 1e400 as infinity, which only the check of the space sees
     "levels-infinite": ("ultrametric", '{"levels": [0.5, 1e400]}'),
     "alpha-negative": ("tree-scaled", '{"alpha": -0.5}'),
+    "levels-empty": ("ultrametric", '{"levels": []}'),
+    # a depth below 1 would plant no level and give a star
+    "tree-scaled-depth-zero": ("tree-scaled", '{"depth": 0}'),
+    "tree-scaled-depth-negative": ("tree-scaled", '{"depth": -1}'),
+    "noisy-tree-depth-zero": ("noisy-tree", '{"depth": 0}'),
+    "noisy-tree-depth-negative": ("noisy-tree", '{"depth": -1}'),
 }
 PARAM_EDGES = {
     # braces are doubled for the str.format that fills in the paths
@@ -449,6 +465,14 @@ PARAM_EDGES = {
     "spinglass-delta0-zero": (SPINGLASS_ARGS + [
         "--delta0", "0", "--out", "{out}/tree.json",
         "--report", "{out}/report.json"], 2),
+    "spinglass-exact-ignores-burn-in": (SPINGLASS_ARGS + [
+        "--burn-in", "9", "--out", "{out}/tree.json",
+        "--report", "{out}/report.json"], 2),
+    "hyp-ignores-seed": (["hyp", "--space", "{space}", "--seed", "7",
+                          "--out", "{out}/hyp.json"], 2),
+    "hyp-mc-zero-ignores-seed": (["hyp", "--space", "{space}", "--mc", "0",
+                                  "--seed", "7", "--out", "{out}/hyp.json"],
+                                 2),
     # Gibbs weights leave a two-state clique below the group-mass floor
     "spinglass-light-clique": (["spinglass", "--n", "6", "--beta", "1.0",
                                 "--seed", "2", "--epsilon", "5.96e-8",
@@ -997,3 +1021,90 @@ def test_four_point_checks_the_metric(case, tmp_path, capsys):
     assert plain.out == "" and plain.err.startswith("error: ")
     if case.startswith("infinite"):
         assert plain.err == "error: distance inf at (0,1) is not finite\n"
+
+
+# runs that read one space each, and how often they check it: once, but
+# the last three make two library calls on it and so check it twice
+VALIDATIONS = {
+    "hyp": (["hyp", "--space", "{space}"], 1),
+    "delta-space": (["delta", "--space", "{space}"], 1),
+    "ladder": (["ladder", "--space", "{space}", *UNIT], 1),
+    "cliques": (["cliques", "--space", "{space}", "--t", repr(K),
+                 *REGULARITY], 1),
+    "tree": (["tree", "--space", "{space}", *UNIT], 1),
+    "eval": (EVAL + ALPHA, 1),
+    "eval-converse": (EVAL + ALPHA + ["--converse"], 1),
+    "alpha": (["alpha", "--space", "{tree_space}", "--tree", "{tree}"], 1),
+    "split": (["split", "--space", "{space}", "--delta", "0.1"], 1),
+    "convert-graph-out": (["convert", "--space", "{space}", "--t", repr(K),
+                           "--graph-out", "{out}/graph.json"], 1),
+    "hyp-mc": (["hyp", "--space", "{space}", "--mc", "100"], 2),
+    "ladder-profile-csv": (["ladder", "--space", "{space}", *UNIT,
+                            "--profile-csv", "{out}/profile.csv"], 2),
+    "convert-rescale-out": (["convert", "--space", "{space}",
+                             "--rescale-out", "{out}/unit.json"], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATIONS))
+def test_each_space_is_validated_once(case, param_files, monkeypatch,
+                                      capsys):
+    flags, expected = VALIDATIONS[case]
+    calls = []
+
+    def counting(space):
+        calls.append(space)
+        return validate_space(space)
+
+    # every module that imported the function holds its own reference
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "treelike"
+                and getattr(module, "validate_space", None) is validate_space):
+            monkeypatch.setattr(module, "validate_space", counting)
+    assert main([flag.format(**param_files) for flag in flags]) == 0
+    assert len(calls) == expected
+
+
+def test_module_entry_point(three_point_file, tmp_path):
+    src = os.path.dirname(os.path.dirname(treelike.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(space):
+        return subprocess.run(
+            [sys.executable, "-m", "treelike.cli", "hyp", "--space", space],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    good = run(str(three_point_file))
+    assert (good.returncode, good.stdout, good.stderr) == (0, "0.074074\n", "")
+    missing = str(tmp_path / "absent.json")
+    bad = run(missing)
+    assert (bad.returncode, bad.stdout) == (8, "")
+    assert bad.stderr.startswith("error: ") and missing in bad.stderr
+
+
+def test_readme_example_runs(tmp_path, monkeypatch, capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [argv for argv in (shlex.split(line, comments=True)
+                                  for line in lines) if argv]
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "treelike"
+        assert main(argv[1:]) == 0, argv
+
+
+@pytest.mark.parametrize("tree, code", [("idless_tree", 8),
+                                        ("orphan_tree", 6)])
+def test_tree_file_error_comes_before_space_check(tree, code, param_files,
+                                                  tmp_path, capsys):
+    # the library call checks the space, after both files are read
+    invalid = tmp_path / "invalid.json"
+    write_json(invalid, edge_space(set_key("b", 0.0)))
+    for command in (["alpha"], ["eval", *ALPHA]):
+        assert main([*command, "--space", str(invalid),
+                     "--tree", param_files[tree]]) == code
+        assert capsys.readouterr().err.startswith("error: ")
