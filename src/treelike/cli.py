@@ -3,16 +3,14 @@
 Every subcommand checks its flags, dispatches to the library and returns
 the files it asks for and the text it prints.  ``main`` writes all of those
 files or none of them, then prints the text and exits 0, or exits with a
-family-specific nonzero code on the first error.  Each input space is
-checked once, by the library call that reads it; ``cliques`` and
-``convert`` check theirs on loading, since ``threshold_graph`` does not.
-``hyp --mc``, ``ladder --profile-csv`` and ``convert --rescale-out`` make
-two library calls on one space and so check it twice.  A flag that a run
-would not read exits 2 unless it keeps its default: ``delta --base``
-with ``--space`` or ``--four-point``, unread ``convert`` inputs,
-``hyp --seed`` without ``--mc`` and ``spinglass --burn-in`` or ``--thin``
-without ``--mcmc``.  Reports embed the full configuration and seeds, and
-repeated runs with the same configuration produce byte-identical files.
+family-specific nonzero code on the first error.  A space is checked as
+it is read or made, after the tree file in ``eval`` and ``alpha``.  A flag
+that a run would not read exits 2 unless it keeps its default: ``delta
+--base`` with ``--space`` or ``--four-point``, unread ``convert`` inputs,
+``hyp --seed`` without ``--mc``, ``fixture --tree-out`` for a kind that
+plants no tree, and ``spinglass --burn-in`` or ``--thin`` without
+``--mcmc``.  Reports embed the full configuration and seeds, and repeated
+runs with the same configuration produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .core import (
     rescale_to_unit,
     threshold_graph,
     tree_gromov_product,
-    validate_space,
 )
 from .fixtures import KINDS, generate_fixture
 from .hyperbolicity import (
@@ -240,7 +237,6 @@ def cmd_partition(args):
 
 def cmd_cliques(args):
     space = _load(args.space, space_from_dict)
-    validate_space(space)
     graph = threshold_graph(space, args.t)
     params = RegularityParams(epsilon=args.epsilon, m=args.m)
     partition = regularity_pipeline(graph, params, seed=args.seed)
@@ -302,8 +298,8 @@ def cmd_tree(args):
 
 
 def cmd_eval(args):
-    space = _load(args.space, space_from_dict)
     tree = _load(args.tree, tree_from_dict)
+    space = _load(args.space, space_from_dict)
     out = {"config": _config(args)}
     if args.converse:
         rep = converse_check(space, tree, args.alpha)
@@ -318,8 +314,8 @@ def cmd_eval(args):
 
 
 def cmd_alpha(args):
-    space = _load(args.space, space_from_dict)
     tree = _load(args.tree, tree_from_dict)
+    space = _load(args.space, space_from_dict)
     alpha, cost = best_alpha(space, tree)
     return [], dump_json({"config": _config(args), "alpha": alpha,
                           "cost": cost})
@@ -382,9 +378,11 @@ def cmd_fixture(args):
     except json.JSONDecodeError as exc:
         raise err.BadParams(f"--params is not JSON: {exc}") from None
     fx = generate_fixture(args.kind, args.size, params, args.seed)
-    validate_space(fx.space)
+    if args.tree_out and fx.tree is None:
+        raise err.BadParams(f"fixture: --tree-out is read only for kinds "
+                            f"that plant a tree, not {args.kind!r}")
     writes = [(args.out, json_pieces(space_to_dict(fx.space)))]
-    if args.tree_out and fx.tree is not None:
+    if args.tree_out:
         writes.append((args.tree_out, json_pieces(tree_to_dict(fx.tree))))
     return writes, dump_json({
         "config": _config(args),
@@ -424,7 +422,6 @@ def cmd_convert(args):
     needed = {n for _, needs, _ in given for n in needs}
     if "space" in needed:
         space = _load(args.space, space_from_dict)
-        validate_space(space)
     writes = []
     if args.rescale_out is not None:
         writes.append((args.rescale_out,
@@ -433,7 +430,6 @@ def cmd_convert(args):
         dist, points, weights = _load(args.metric, metric_from_dict)
         base = 0 if args.base is None else args.base
         converted = gromov_product_similarity(dist, base, points, weights)
-        validate_space(converted)
         writes.append((args.space_out,
                        json_pieces(space_to_dict(converted))))
     if "t" in needed:

@@ -19,6 +19,7 @@ from .errors import (
     NegativeDistance,
     OutOfRangeEntry,
     SpaceValidationError,
+    ThresholdOutOfRange,
     TreelikeError,
     TreeStructureError,
     TriangleViolation,
@@ -38,6 +39,8 @@ class SimilaritySpace:
     sim      -- symmetric matrix with entries in [0, bound]; the diagonal is
                 meaningful input (identical draws contribute to expectations)
     bound    -- upper bound b > 0 for the similarity values
+
+    A space checks itself as it is made (``validate_space``).
     """
 
     points: tuple[str, ...]
@@ -52,6 +55,7 @@ class SimilaritySpace:
         object.__setattr__(self, "bound", float(self.bound))
         self.weights.setflags(write=False)
         self.sim.setflags(write=False)
+        validate_space(self)
 
     @property
     def n(self) -> int:
@@ -146,7 +150,6 @@ def validate_space(space: SimilaritySpace) -> None:
 
 def rescale_to_unit(space: SimilaritySpace) -> SimilaritySpace:
     """Divide the similarity by its bound so the result lives in [0, 1]."""
-    validate_space(space)
     if space.bound == 1.0:
         return space
     return SimilaritySpace(
@@ -300,13 +303,15 @@ def threshold_graph(space: SimilaritySpace, t: float,
 
     The vertex measure is the restriction of the space weights (not
     renormalized).  The diagonal is always dropped: the graph is simple.
-    The space must be valid (see ``validate_space``): the graph inherits its
-    invariants and does not check them again.
+    The graph inherits the space's invariants and does not check them again.
+    Raises ThresholdOutOfRange unless 0 < t <= bound.
     """
+    if not 0.0 < t <= space.bound:
+        raise ThresholdOutOfRange(t, space.bound)
     idx = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
     adj = space.sim[idx[:, None], idx] >= t
     adj.flat[::len(idx) + 1] = False
-    # a validated space has distinct ids, valid weights and a symmetric sim
+    # a space has distinct ids, valid weights and a symmetric sim
     return WeightedGraph._symmetric_by_construction(
         tuple(map(space.points.__getitem__, idx.tolist())), space.weights[idx],
         adj)

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimilaritySpace, gromov_products, validate_metric, \
-    validate_space
+from .core import SimilaritySpace, gromov_products, validate_metric
 from .errors import (
     BadParams,
     Delta0TooLarge,
@@ -165,7 +164,6 @@ def hyp_exact(space: SimilaritySpace) -> float:
     each set of three distinct rows once, as median - minimum, plus the d^2
     triples (x, x, z), about d^3 / 6 cells.  Working memory beyond the rows
     is two BLOCK x d tile buffers and O(d) vectors."""
-    validate_space(space)
     w, s, _ = _dedupe_points(space)
     return _defect_sum(w, s)
 
@@ -183,14 +181,12 @@ def _defect_max(sim: np.ndarray) -> float:
 
 def gromov_delta_worst_case(space: SimilaritySpace) -> float:
     """Maximum triple defect, an upper bound for the average: d^3 / 6 cells."""
-    validate_space(space)
     return _defect_max(_dedupe_points(space)[1])
 
 
 def hyp_monte_carlo(space: SimilaritySpace, samples: int, seed: int
                     ) -> tuple[float, float]:
     """Sample mean and standard error of the triple defect, seeded."""
-    validate_space(space)
     if samples < 1:
         raise ZeroSamples(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
@@ -239,7 +235,6 @@ def bad_set_measure(space: SimilaritySpace, t: float) -> float:
     One d x d BLAS product on the d distinct rows; exactly 0.0 when R_t
     holds no triple of positive mass.
     """
-    validate_space(space)
     if not (0.0 < t <= space.bound):
         raise ThresholdOutOfRange(t, space.bound)
     w, s, _ = _dedupe_points(space)
@@ -256,7 +251,6 @@ def bad_set_profile(space: SimilaritySpace) -> tuple[np.ndarray, np.ndarray]:
     signed scatters, so an empty R_t may come out as a rounding residue such
     as -5.5e-16 where ``bad_set_measure`` gives 0.0.
     """
-    validate_space(space)
     s = space.sim
     p = space.weights
     vals = np.unique(s)
@@ -344,7 +338,6 @@ def threshold_ladder(space: SimilaritySpace, epsilon: float, m: int,
     n = 256 and delta0 = 0.05 evaluates 3,295 candidates (about 6 s on one
     OpenBLAS thread) before it fails with NoGoodThreshold.
     """
-    validate_space(space)
     if space.bound != 1.0:
         raise BadParams("threshold ladder requires a space rescaled to bound 1")
     return _threshold_ladder(_dedupe_points(space), epsilon, m, delta0)
@@ -457,7 +450,6 @@ def exceptional_sets(space: SimilaritySpace, ladder: ThresholdLadder
     the error bound of its sum, so a mass equal to delta0 in exact
     arithmetic is never above it, whatever order the sum was taken in.
     """
-    validate_space(space)
     rows = _dedupe_points(space)
     w, _, inv = rows
     n1, b, in_a = _exceptional_rows(rows, ladder)

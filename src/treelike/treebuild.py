@@ -23,7 +23,7 @@ import numpy as np
 from .cliques import clique_closure, clique_repair, neighborhood_family, \
     part_neighbor_graph
 from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix, \
-    threshold_graph, tree_from_levels, validate_space
+    threshold_graph, tree_from_levels
 from .errors import BadParams, LeafMismatch, MapMismatch
 from .hyperbolicity import ThresholdLadder, _dedupe_points, _defect_sum, \
     _exceptional_rows, _merge_weights, _threshold_ladder
@@ -181,7 +181,6 @@ def _best_alpha(cp: _ClassPairs) -> tuple[float, float]:
 def tree_cost(space: SimilaritySpace, tree: CompatibleTree, alpha: float
               ) -> float:
     """Expected absolute error between similarity and alpha times products."""
-    validate_space(space)
     return _tree_cost(space, tree, alpha, _dedupe_points(space))
 
 
@@ -200,7 +199,6 @@ def best_alpha(space: SimilaritySpace, tree: CompatibleTree
     the smallest minimizer is the first breakpoint where the cumulative kink
     weight reaches half the total (a weighted median).
     """
-    validate_space(space)
     return _best_alpha(_class_pairs(space, tree, _dedupe_points(space)))
 
 
@@ -213,7 +211,6 @@ def split_atoms(space: SimilaritySpace, delta: float
     copies of the same point).  Returns the new space and the copy-to-origin
     map.  Points that need no splitting keep their identifier.
     """
-    validate_space(space)
     if not delta > 0:
         raise BadParams(f"delta must be positive, got {delta!r}")
     used = set(space.points)  # a copy's names avoid every name taken
@@ -289,7 +286,6 @@ def converse_check(space: SimilaritySpace, tree: CompatibleTree, alpha: float
     The check passes when the defect is at most the bound plus a fixed
     1e-12 slack for rounding.
     """
-    validate_space(space)
     rows = _dedupe_points(space)
     cost = _tree_cost(space, tree, alpha, rows)
     if space.bound != 1.0:
@@ -411,11 +407,9 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     are priced on groups of sibling twins (``_ClassPairs``), as
     ``tree_cost`` and ``best_alpha`` price them.
     """
-    validate_space(space)
     if space.bound != 1.0:
         raise BadParams("build_tree requires a space rescaled to bound 1")
     params = RegularityParams(epsilon=epsilon, m=m)
-    # the space is valid from here on, so the kernels skip the checks
     distinct = _dedupe_points(space)
     ladder = _threshold_ladder(distinct, epsilon, m, delta0)
     # the exceptional set depends on a point only through its row

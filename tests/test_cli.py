@@ -441,6 +441,8 @@ FIXTURE_PARAMS = {
     "noisy-tree-depth-zero": ("noisy-tree", '{"depth": 0}'),
     "noisy-tree-depth-negative": ("noisy-tree", '{"depth": -1}'),
 }
+THRESHOLDS = {"nan": "nan", "zero": "0", "negative": "-1",
+              "above-bound": "2", "inf": "inf"}
 PARAM_EDGES = {
     # braces are doubled for the str.format that fills in the paths
     **{f"fixture-{case}": (["fixture", "--kind", kind, "--size", "6",
@@ -570,6 +572,19 @@ PARAM_EDGES = {
                       "--out", "{out}/cliques.json"], 2),
     "tree-mode": (["tree", "--space", "{space}", *UNIT,
                    "--mode", "practical", *TREE_OUTS], 2),
+    # a threshold outside (0, b] would give an edgeless or a complete graph
+    **{f"cliques-t-{name}": (["cliques", "--space", "{space}", "--t", t,
+                              *REGULARITY, "--out", "{out}/cliques.json"], 3)
+       for name, t in THRESHOLDS.items()},
+    **{f"convert-graph-out-t-{name}": (["convert", "--space", "{space}",
+                                        "--t", t, "--graph-out",
+                                        "{out}/graph.json"], 3)
+       for name, t in THRESHOLDS.items()},
+    # kinds that plant no tree have none to write
+    **{f"fixture-{kind}-tree-out": (["fixture", "--kind", kind, "--size", "6",
+                                     "--out", "{out}/space.json",
+                                     "--tree-out", "{out}/tree.json"], 2)
+       for kind in ("random", "planted-blocks")},
 }
 
 
@@ -799,6 +814,9 @@ def param_files(tmp_path):
                                     "edges": [["a", "b"]]}))
     write_json(files["tree"], tree_to_dict(fx.tree))
     write_json(files["tree_space"], space_to_dict(fx.space))
+    files["bound_2"] = tmp_path / "bound_2.json"
+    write_json(files["bound_2"], edge_space(lambda d: (
+        d.update(b=2.0, sim=[[2 * v for v in row] for row in d["sim"]]))))
     for name, data in BAD_FILES.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(data))
@@ -820,6 +838,18 @@ def test_param_edge_exit_codes(case, param_files, tmp_path, capsys):
     assert got == code
     assert capsys.readouterr().out == ""
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("case, message", [
+    ("fixture-random-tree-out", "fixture: --tree-out is read only for kinds "
+     "that plant a tree, not 'random'"),
+    ("cliques-t-nan", "threshold nan outside (0, 1.0]"),
+    ("convert-graph-out-t-zero", "threshold 0.0 outside (0, 1.0]"),
+])
+def test_rejection_names_its_cause(case, message, param_files, capsys):
+    flags, code = PARAM_EDGES[case]
+    assert main([flag.format(**param_files) for flag in flags]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def check_hyp_mc(stdout, out, files):
@@ -880,14 +910,11 @@ def check_spinglass_tree(stdout, out, files):
 
 
 def check_space_out(stdout, out, files):
-    space = space_from_dict(read_json(out / "space.json"))
-    validate_space(space)
-    assert space.n == 4
+    assert space_from_dict(read_json(out / "space.json")).n == 4
 
 
 def check_split_copy_names(stdout, out, files):
     split = space_from_dict(read_json(out / "split.json"))
-    validate_space(split)
     assert split.points == ("a##0", "a##1", "a#0", "a###0", "a###1")
     assert read_json(out / "map.json") == {
         "a##0": "a", "a##1": "a", "a#0": "a#0", "a###0": "a#", "a###1": "a#"}
@@ -1023,26 +1050,35 @@ def test_four_point_checks_the_metric(case, tmp_path, capsys):
         assert plain.err == "error: distance inf at (0,1) is not finite\n"
 
 
-# runs that read one space each, and how often they check it: once, but
-# the last three make two library calls on it and so check it twice
+# runs and how often they check a space: once for each space read or made.
+# A split or a rescale to another bound makes a second space, and so does
+# a build on a space with twins (``edge_space`` has two pairs), its quotient
 VALIDATIONS = {
     "hyp": (["hyp", "--space", "{space}"], 1),
+    "hyp-mc": (["hyp", "--space", "{space}", "--mc", "100"], 1),
     "delta-space": (["delta", "--space", "{space}"], 1),
+    "delta-metric": (["delta", "--metric", "{metric}"], 1),
     "ladder": (["ladder", "--space", "{space}", *UNIT], 1),
+    "ladder-profile-csv": (["ladder", "--space", "{space}", *UNIT,
+                            "--profile-csv", "{out}/profile.csv"], 1),
     "cliques": (["cliques", "--space", "{space}", "--t", repr(K),
                  *REGULARITY], 1),
-    "tree": (["tree", "--space", "{space}", *UNIT], 1),
+    "tree": (["tree", "--space", "{space}", *UNIT], 2),
     "eval": (EVAL + ALPHA, 1),
     "eval-converse": (EVAL + ALPHA + ["--converse"], 1),
     "alpha": (["alpha", "--space", "{tree_space}", "--tree", "{tree}"], 1),
-    "split": (["split", "--space", "{space}", "--delta", "0.1"], 1),
+    "split": (["split", "--space", "{space}", "--delta", "0.1"], 2),
     "convert-graph-out": (["convert", "--space", "{space}", "--t", repr(K),
                            "--graph-out", "{out}/graph.json"], 1),
-    "hyp-mc": (["hyp", "--space", "{space}", "--mc", "100"], 2),
-    "ladder-profile-csv": (["ladder", "--space", "{space}", *UNIT,
-                            "--profile-csv", "{out}/profile.csv"], 2),
+    # a space of bound 1 is its own rescale
     "convert-rescale-out": (["convert", "--space", "{space}",
-                             "--rescale-out", "{out}/unit.json"], 2),
+                             "--rescale-out", "{out}/unit.json"], 1),
+    "convert-rescale-out-bound-2": (["convert", "--space", "{bound_2}",
+                                     "--rescale-out", "{out}/unit.json"], 2),
+    "convert-space-out": (["convert", "--metric", "{metric}", "--space-out",
+                           "{out}/space.json"], 1),
+    "fixture": (["fixture", "--kind", "ultrametric", "--size", "6",
+                 "--out", "{out}/space.json"], 1),
 }
 
 
@@ -1056,11 +1092,8 @@ def test_each_space_is_validated_once(case, param_files, monkeypatch,
         calls.append(space)
         return validate_space(space)
 
-    # every module that imported the function holds its own reference
-    for name, module in list(sys.modules.items()):
-        if (name.partition(".")[0] == "treelike"
-                and getattr(module, "validate_space", None) is validate_space):
-            monkeypatch.setattr(module, "validate_space", counting)
+    # a space checks itself as it is made, through the name in core
+    monkeypatch.setattr(treelike.core, "validate_space", counting)
     assert main([flag.format(**param_files) for flag in flags]) == 0
     assert len(calls) == expected
 
@@ -1101,10 +1134,13 @@ def test_readme_example_runs(tmp_path, monkeypatch, capsys):
                                         ("orphan_tree", 6)])
 def test_tree_file_error_comes_before_space_check(tree, code, param_files,
                                                   tmp_path, capsys):
-    # the library call checks the space, after both files are read
+    # the tree file is read first, and a space is checked as it is read,
+    # so the tree's error comes before an invalid or a missing space's
     invalid = tmp_path / "invalid.json"
     write_json(invalid, edge_space(set_key("b", 0.0)))
-    for command in (["alpha"], ["eval", *ALPHA]):
-        assert main([*command, "--space", str(invalid),
-                     "--tree", param_files[tree]]) == code
-        assert capsys.readouterr().err.startswith("error: ")
+    for space in (invalid, tmp_path / "missing.json"):
+        for command in (["alpha"], ["eval", *ALPHA]):
+            assert main([*command, "--space", str(space),
+                         "--tree", param_files[tree]]) == code
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(space) not in err

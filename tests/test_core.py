@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from treelike.errors import (
     OutOfRangeEntry,
     SpaceValidationError,
     TreelikeError,
+    ThresholdOutOfRange,
     TreeStructureError,
     TriangleViolation,
     UnknownLeaf,
@@ -57,30 +59,31 @@ class TestValidateSpace:
         validate_space(two_point_space())
 
     def test_weight_sum_mismatch(self):
-        sp = SimilaritySpace(("a", "b"), np.array([0.6, 0.6]),
-                             np.array([[1.0, 0.3], [0.3, 1.0]]), 1.0)
         with pytest.raises(WeightSumMismatch):
-            validate_space(sp)
+            SimilaritySpace(("a", "b"), np.array([0.6, 0.6]),
+                            np.array([[1.0, 0.3], [0.3, 1.0]]), 1.0)
 
     def test_asymmetric(self):
-        sp = SimilaritySpace(("a", "b"), np.array([0.5, 0.5]),
-                             np.array([[1.0, 0.3], [0.4, 1.0]]), 1.0)
         with pytest.raises(AsymmetricSimilarity) as exc:
-            validate_space(sp)
+            SimilaritySpace(("a", "b"), np.array([0.5, 0.5]),
+                            np.array([[1.0, 0.3], [0.4, 1.0]]), 1.0)
         assert exc.value.index == (0, 1)
 
     def test_duplicate_point(self):
-        sp = SimilaritySpace(("a", "a"), np.array([0.5, 0.5]),
-                             np.array([[1.0, 0.3], [0.3, 1.0]]), 1.0)
         with pytest.raises(DuplicatePoint):
-            validate_space(sp)
+            SimilaritySpace(("a", "a"), np.array([0.5, 0.5]),
+                            np.array([[1.0, 0.3], [0.3, 1.0]]), 1.0)
 
     def test_out_of_range(self):
-        from treelike.errors import OutOfRangeEntry
-        sp = SimilaritySpace(("a", "b"), np.array([0.5, 0.5]),
-                             np.array([[1.0, 1.3], [1.3, 1.0]]), 1.0)
         with pytest.raises(OutOfRangeEntry):
-            validate_space(sp)
+            SimilaritySpace(("a", "b"), np.array([0.5, 0.5]),
+                            np.array([[1.0, 1.3], [1.3, 1.0]]), 1.0)
+
+    def test_replace_checks_the_new_space(self):
+        sp = two_point_space()
+        with pytest.raises(AsymmetricSimilarity) as exc:
+            dataclasses.replace(sp, sim=np.array([[1.0, 0.3], [0.4, 1.0]]))
+        assert exc.value.index == (0, 1)
 
 
 class TestRescale:
@@ -266,10 +269,8 @@ class TestTreeValidation:
     ("sim", np.full(4, 0.5), "sim shape"),
 ])
 def test_shape_mismatch_is_a_validation_error(field, value, what):
-    space = dataclasses.replace(random_fixture(4, seed=1).space,
-                                **{field: value})
     with pytest.raises(SpaceValidationError, match=what):
-        validate_space(space)
+        dataclasses.replace(random_fixture(4, seed=1).space, **{field: value})
 
 
 def test_graph_mass_mismatch_is_a_validation_error():
@@ -344,9 +345,23 @@ def raised(fn, space):
     return None
 
 
+def unchecked(points, weights, sim, bound):
+    """The fields of a space, and its n, with no check run on them: a
+    stand-in that both validators can be handed."""
+    return types.SimpleNamespace(points=tuple(points), weights=weights,
+                                 sim=sim, bound=bound, n=len(points))
+
+
+def construct(fields):
+    """The space made from a stand-in's fields."""
+    return SimilaritySpace(fields.points, fields.weights, fields.sim,
+                           fields.bound)
+
+
 def corrupted_spaces(seed, count):
-    """Random spaces with a few random faults: asymmetric, NaN or out-of-range
-    entries, and negative, NaN or infinite weights."""
+    """Unchecked stand-ins of random spaces with a few random faults:
+    asymmetric, NaN or out-of-range entries, and negative, NaN or infinite
+    weights."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.integers(2, 9))
@@ -358,14 +373,14 @@ def corrupted_spaces(seed, count):
             sim[i, j] = rng.choice([np.nan, -0.5, 1.5, sim[i, j] + 0.25, -0.0])
         for _ in range(int(rng.integers(0, 3))):
             w[int(rng.integers(n))] = rng.choice([np.nan, -0.1, np.inf, -0.0])
-        yield SimilaritySpace(sp.points, w, sim, 1.0)
+        yield unchecked(sp.points, w, sim, 1.0)
 
 
 class TestValidateAgainstLoop:
     def test_first_witness_matches_loop(self):
         outcomes = set()
         for sp in corrupted_spaces(seed=0, count=300):
-            got = raised(validate_space, sp)
+            got = raised(construct, sp)
             assert got == raised(validate_loop, sp)
             outcomes.add(got[0] if got else None)
         assert {None, OutOfRangeEntry, AsymmetricSimilarity,
@@ -376,22 +391,22 @@ class TestValidateAgainstLoop:
         sim = sp.sim.copy()
         sim[5, 2] += 0.01  # row-major upper-triangle order finds (1, 6) first
         sim[6, 1] += 0.01
-        bad = SimilaritySpace(sp.points, sp.weights, sim, 1.0)
+        bad = unchecked(sp.points, sp.weights, sim, 1.0)
         with pytest.raises(AsymmetricSimilarity) as exc:
-            validate_space(bad)
+            construct(bad)
         assert exc.value.index == (1, 6)
-        assert raised(validate_space, bad) == raised(validate_loop, bad)
+        assert raised(construct, bad) == raised(validate_loop, bad)
 
     def test_nan_weight_is_the_first_witness(self):
         sp = random_fixture(6, seed=2).space
         w = sp.weights.copy()
         w[2], w[4] = np.nan, -0.1
-        bad = SimilaritySpace(sp.points, w, sp.sim, 1.0)
+        bad = unchecked(sp.points, w, sp.sim, 1.0)
         with pytest.raises(OutOfRangeEntry) as exc:
-            validate_space(bad)
+            construct(bad)
         assert exc.value.where == ("weight", 2)
         assert np.isnan(exc.value.value)
-        assert raised(validate_space, bad) == raised(validate_loop, bad)
+        assert raised(construct, bad) == raised(validate_loop, bad)
 
     @pytest.mark.parametrize("value, where", [
         (-0.25, (1, 6)),     # negative, mirrored to stay symmetric
@@ -404,21 +419,21 @@ class TestValidateAgainstLoop:
         i, j = where
         sim[i, j] = sim[j, i] = value
         sim[7, 8] = sim[8, 7] = -1.0  # a later bad entry is not reported
-        bad = SimilaritySpace(sp.points, sp.weights, sim, 1.0)
+        bad = unchecked(sp.points, sp.weights, sim, 1.0)
         with pytest.raises(OutOfRangeEntry) as exc:
-            validate_space(bad)
+            construct(bad)
         assert exc.value.where == where
         np.testing.assert_equal(exc.value.value, value)
-        assert raised(validate_space, bad) == raised(validate_loop, bad)
+        assert raised(construct, bad) == raised(validate_loop, bad)
 
     @pytest.mark.parametrize("bound", [0.0, -1.0, np.inf, -np.inf, np.nan])
     def test_bad_bound(self, bound):
         sp = random_fixture(5, seed=4).space
-        bad = SimilaritySpace(sp.points, sp.weights, sp.sim, bound)
+        bad = unchecked(sp.points, sp.weights, sp.sim, bound)
         with pytest.raises(OutOfRangeEntry) as exc:
-            validate_space(bad)
+            construct(bad)
         assert exc.value.where == "bound"
-        assert raised(validate_space, bad) == raised(validate_loop, bad)
+        assert raised(construct, bad) == raised(validate_loop, bad)
 
     @pytest.mark.parametrize("both", [False, True])
     def test_nan_off_diagonal_is_asymmetric(self, both):
@@ -427,11 +442,11 @@ class TestValidateAgainstLoop:
         sim[4, 1] = np.nan
         if both:
             sim[1, 4] = np.nan
-        bad = SimilaritySpace(sp.points, sp.weights, sim, 1.0)
+        bad = unchecked(sp.points, sp.weights, sim, 1.0)
         with pytest.raises(AsymmetricSimilarity) as exc:
-            validate_space(bad)
+            construct(bad)
         assert exc.value.index == (1, 4)
-        assert raised(validate_space, bad) == raised(validate_loop, bad)
+        assert raised(construct, bad) == raised(validate_loop, bad)
 
 
 def uneven_tree():
@@ -898,6 +913,20 @@ class TestDuplicateVertices:
         with pytest.raises(DuplicatePoint) as exc:
             threshold_graph(sp, 0.5, subset=[0, 0, 1])
         assert (exc.value.index, exc.value.point) == (1, "p0")
+
+
+class TestThresholdRange:
+    @pytest.mark.parametrize("t", [np.nan, 0.0, -0.0, -1.0, 2.0 + 1e-12,
+                                   np.inf])
+    def test_outside_zero_to_bound_is_rejected(self, t):
+        sp = random_fixture(4, seed=0, bound=2.0).space
+        with pytest.raises(ThresholdOutOfRange, match="outside"):
+            threshold_graph(sp, t)
+
+    def test_bound_itself_is_a_threshold(self):
+        sim = np.array([[2.0, 2.0, 0.5], [2.0, 2.0, 0.5], [0.5, 0.5, 1.0]])
+        sp = SimilaritySpace(("a", "b", "c"), np.full(3, 1 / 3), sim, 2.0)
+        assert threshold_graph(sp, 2.0).edges() == [("a", "b")]
 
 
 class TestVertexMasses:

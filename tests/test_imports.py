@@ -1,4 +1,5 @@
-"""Every package module uses each name it imports."""
+"""Every package module uses each name it imports, and a space is checked
+only where it is made."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,23 @@ def test_guard_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def validate_space_calls(source: str) -> int:
+    return sum(isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "validate_space"
+        or getattr(node.func, "attr", None) == "validate_space")
+        for node in ast.walk(ast.parse(source)))
+
+
+def test_guard_counts_both_call_forms():
+    source = "validate_space(s)\ncore.validate_space(s)\nvalidate_space\n"
+    assert validate_space_calls(source) == 2
+
+
+@pytest.mark.parametrize("path", sorted(
+    Path(treelike.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_space_constructor_checks_a_space(path):
+    # SimilaritySpace.__post_init__ checks each space as it is made
+    expected = 1 if path.name == "core.py" else 0
+    assert validate_space_calls(path.read_text()) == expected

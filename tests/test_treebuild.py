@@ -42,6 +42,18 @@ EPS, M = 1e-12, 16
 KAPPA = max(EPS ** (1 / 24), M ** -0.5)
 
 
+def checked_spaces(monkeypatch):
+    """The list of spaces checked from now on, in the order checked."""
+    calls = []
+
+    def counting(space):
+        calls.append(space)
+        validate_space(space)
+
+    monkeypatch.setattr(core, "validate_space", counting)
+    return calls
+
+
 def direct_cost(space, tree, alpha):
     prod = gromov_product_matrix(tree, space.points)
     total = 0.0
@@ -112,21 +124,19 @@ class TestBuildTree:
         assert report.n_repairs > 0
 
     def test_space_validated_once(self, monkeypatch):
-        calls = []
-
-        def counting(space):
-            calls.append(space)
-            validate_space(space)
-
-        for module in (core, hyperbolicity, treebuild, regularity, cliques):
-            if hasattr(module, "validate_space"):
-                monkeypatch.setattr(module, "validate_space", counting)
+        # the space is checked as it is made, and the build checks only the
+        # quotient of twins that it makes
+        calls = checked_spaces(monkeypatch)
         fx = ultrametric_fixture(27, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=7)
+        made = len(calls)
         build_tree(fx.space, EPS, M, seed=0)
-        assert len(calls) == 1
+        built = [space.n for space in calls[made:]]
+        assert sum(space is fx.space for space in calls) == 1
+        assert built == [twin_class_count(fx.space)] and built[0] < fx.space.n
 
     @pytest.mark.parametrize("change, kwargs, error, message", [
-        # each case breaks two checks; the first in the old order wins
+        # each case breaks two checks; the first in the old order wins, and
+        # an invalid space fails as it is made, before the build runs
         ({"weights": np.full(27, 0.5)}, {"delta0": -1.0}, WeightSumMismatch,
          "weights sum to"),
         ({"bound": 2.0}, {"epsilon": -1.0}, BadParams, "rescaled to bound 1"),
@@ -137,10 +147,9 @@ class TestBuildTree:
     ])
     def test_errors_keep_their_order(self, change, kwargs, error, message):
         fx = ultrametric_fixture(27, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=7)
-        space = dataclasses.replace(fx.space, **change)
         args = {"epsilon": EPS, "m": M, "seed": 0, **kwargs}
         with pytest.raises(error, match=message):
-            build_tree(space, **args)
+            build_tree(dataclasses.replace(fx.space, **change), **args)
 
     def test_products_within_level_range(self):
         fx = tree_scaled_fixture(30, depth=2, alpha=KAPPA, seed=3)
@@ -372,11 +381,13 @@ class TestQuotientBuild:
             checked.append(m.shape)
             return check(m)
 
-        monkeypatch.setattr(core, "first_asymmetry", space_only)
         fx = ultrametric_fixture(64, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=1)
+        d = twin_class_count(fx.space)
+        monkeypatch.setattr(core, "first_asymmetry", space_only)
         report = build_tree(fx.space, EPS, M, seed=0)
         assert report.n_repairs > 0
-        assert checked == [(64, 64)]
+        # the one symmetry check is of the quotient of twins, as it is made
+        assert checked == [(d, d)] and d < 64
 
 
 class TestTreeCost:
@@ -665,16 +676,10 @@ class TestConverse:
         fx = noisy_tree_fixture(20, depth=2, alpha=0.3, noise=0.01, seed=6,
                                 weights="random")
         cost, hyp = tree_cost(fx.space, fx.tree, 0.3), hyp_exact(fx.space)
-        calls = []
-
-        def counting(space):
-            calls.append(space)
-            validate_space(space)
-
-        for module in (core, hyperbolicity, treebuild):
-            monkeypatch.setattr(module, "validate_space", counting)
+        # the space was checked as it was made; the check makes no space
+        calls = checked_spaces(monkeypatch)
         report = converse_check(fx.space, fx.tree, 0.3)
-        assert len(calls) == 1
+        assert calls == []
         assert report.cost == cost and report.hyp == hyp
 
     def test_every_build_passes(self):
