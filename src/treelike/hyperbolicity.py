@@ -16,7 +16,8 @@ worst-case defect is the maximum over that walk, and the four-point defect
 of a metric is that maximum over the Gromov products at each base point.
 
 Triple masses depend on a point only through its similarity row, so the
-kernels run on the d distinct rows with merged weights (``_dedupe_points``).
+kernels run on the d distinct rows with merged weights, which a space
+groups once as it is made (``SimilaritySpace.distinct``).
 The ladder evaluates the mass of R_t only at its C window candidates, one
 d x d BLAS product each: O(C d^3).  ``exceptional_sets`` is N products for N
 ladder thresholds: O(N d^3).  ``bad_set_profile`` computes the mass at
@@ -41,41 +42,6 @@ from .errors import (
 )
 
 MACHINE_EPS = float(np.finfo(float).eps)
-
-
-def _dedupe_points(space: SimilaritySpace
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse points with identical similarity rows, merging their weights.
-
-    Returns the merged weights, the similarity between the distinct rows (in
-    order of first occurrence) and each point's row index, so that a
-    per-row result r expands to the points as ``r[inv]``.  Triple
-    expectations depend on a point only through its row (including the
-    diagonal), so grouping identical rows is an exact reduction.  Weight
-    merging uses ``math.fsum`` so that re-splitting a point into equal-mass
-    copies round-trips exactly when the weight is a power of two.
-    """
-    s = space.sim
-    first: dict[bytes, int] = {}
-    inv = np.array([first.setdefault(row.tobytes(), len(first)) for row in s],
-                   dtype=int)
-    if len(first) == space.n:
-        return space.weights, s, inv
-    keep = np.unique(inv, return_index=True)[1]
-    return _merge_weights(space.weights, inv), s[np.ix_(keep, keep)], inv
-
-
-def _merge_weights(p: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """The ``math.fsum`` of p over each group 0, 1, ..., none of them empty.
-
-    fsum rounds the exact sum once, so a merged weight does not depend on
-    the order of its points, and it is at least each of its terms.
-    """
-    order = np.argsort(group, kind="stable")
-    terms = p[order].tolist()
-    ends = np.bincount(group).cumsum().tolist()
-    return np.array([math.fsum(terms[a:b])
-                     for a, b in zip([0] + ends, ends)])
 
 
 # Rows per tile of the defect walks, for a d-point space: a tile of at most
@@ -164,8 +130,7 @@ def hyp_exact(space: SimilaritySpace) -> float:
     each set of three distinct rows once, as median - minimum, plus the d^2
     triples (x, x, z), about d^3 / 6 cells.  Working memory beyond the rows
     is two BLOCK x d tile buffers and O(d) vectors."""
-    w, s, _ = _dedupe_points(space)
-    return _defect_sum(w, s)
+    return _defect_sum(*space.distinct[:2])
 
 
 def _defect_max(sim: np.ndarray) -> float:
@@ -181,7 +146,7 @@ def _defect_max(sim: np.ndarray) -> float:
 
 def gromov_delta_worst_case(space: SimilaritySpace) -> float:
     """Maximum triple defect, an upper bound for the average: d^3 / 6 cells."""
-    return _defect_max(_dedupe_points(space)[1])
+    return _defect_max(space.distinct[1])
 
 
 def hyp_monte_carlo(space: SimilaritySpace, samples: int, seed: int
@@ -237,8 +202,7 @@ def bad_set_measure(space: SimilaritySpace, t: float) -> float:
     """
     if not (0.0 < t <= space.bound):
         raise ThresholdOutOfRange(t, space.bound)
-    w, s, _ = _dedupe_points(space)
-    return _mass(w, s, t)
+    return _mass(*space.distinct[:2], t)
 
 
 def bad_set_profile(space: SimilaritySpace) -> tuple[np.ndarray, np.ndarray]:
@@ -340,20 +304,13 @@ def threshold_ladder(space: SimilaritySpace, epsilon: float, m: int,
     """
     if space.bound != 1.0:
         raise BadParams("threshold ladder requires a space rescaled to bound 1")
-    return _threshold_ladder(_dedupe_points(space), epsilon, m, delta0)
-
-
-def _threshold_ladder(rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-                      epsilon: float, m: int, delta0: float | None
-                      ) -> ThresholdLadder:
     if not (epsilon > 0):
         raise BadParams(f"epsilon must be positive, got {epsilon}")
     if m < 2:
         raise BadParams(f"m must be an integer >= 2, got {m}")
     if delta0 is not None and not delta0 > 0:
         raise BadParams(f"delta0 must be positive, got {delta0}")
-    w, s, _ = rows
-    hyp = _defect_sum(w, s)
+    hyp = hyp_exact(space)
     if delta0 is None:
         # the floor applies when the measured hyperbolicity is exactly zero;
         # without it every window constraint degenerates
@@ -367,6 +324,7 @@ def _threshold_ladder(rows: tuple[np.ndarray, np.ndarray, np.ndarray],
     while (n_levels + 1) * kappa < 1.0:
         n_levels += 1
 
+    w, s, _ = space.distinct
     vals = np.unique(s)
     budget = delta0 ** 4
     thresholds: list[float] = []
@@ -450,9 +408,8 @@ def exceptional_sets(space: SimilaritySpace, ladder: ThresholdLadder
     the error bound of its sum, so a mass equal to delta0 in exact
     arithmetic is never above it, whatever order the sum was taken in.
     """
-    rows = _dedupe_points(space)
-    w, _, inv = rows
-    n1, b, in_a = _exceptional_rows(rows, ladder)
+    w, _, inv = space.distinct
+    n1, b, in_a = _exceptional_rows(space, ladder)
     a_indices = tuple(int(z) for z in np.nonzero(in_a[inv])[0])
     a_mass = float(space.weights[list(a_indices)].sum()) if a_indices else 0.0
     return ExceptionalSets(
@@ -470,11 +427,10 @@ def _gamma(k: int) -> float:
     return k * u / (1.0 - k * u)
 
 
-def _exceptional_rows(rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-                      ladder: ThresholdLadder
+def _exceptional_rows(space: SimilaritySpace, ladder: ThresholdLadder
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n1 and b on the d distinct rows, and which rows are in A."""
-    w, s, _ = rows
+    w, s, _ = space.distinct
     d = len(w)
     ts = np.sort(ladder.thresholds)
     count = np.searchsorted(ts, s, side="right").astype(

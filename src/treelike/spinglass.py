@@ -10,7 +10,7 @@ values depend on depth only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import (
     SizeTooSmall,
     TooLargeForEnumeration,
 )
-from .hyperbolicity import _dedupe_points
 from .treebuild import TreeBuildReport, _class_pairs, _price, build_tree
 
 ENUMERATION_CAP = 20
@@ -218,6 +217,8 @@ def overlap_space(configs: np.ndarray, weights: np.ndarray | None,
     if arr.ndim != 2 or not (np.abs(arr) == 1).all():
         raise BadParams("configs must be a 2d array of +-1 rows")
     n_rows, n_spins = arr.shape
+    if n_spins >= 1 << 24:  # float32 holds every integer below 2^24
+        raise BadParams(f"{n_spins} spins are too many to sum exactly")
     if weights is None:
         weights = np.full(n_rows, 1.0 / n_rows)
     weights = np.asarray(weights, dtype=float)
@@ -231,9 +232,13 @@ def overlap_space(configs: np.ndarray, weights: np.ndarray | None,
     distinct = arr[np.unique(label, return_index=True)[1]]
     table = np.array([mapping.rho(mapping.f(k / n_spins))
                       for k in range(-n_spins, n_spins + 1)], dtype=float)
-    spins = distinct.astype(float)
-    counts = (spins @ spins.T).astype(int)  # exact: sums of +-1 products
+    spins = distinct.astype(np.float32)
+    # float32 sums are exact: every partial sum is an integer of size at most
+    # n_spins, and k + n_spins is even and below 2^25; the counts are then
+    # small integers, so one n x n 8-byte array, the result, is formed
+    counts = spins @ spins.T
     counts += n_spins
+    counts = counts.astype(np.min_scalar_type(2 * n_spins))
     points = np.where(distinct > 0, "+", "-").view(f"<U{n_spins}").ravel()
     w = np.bincount(label, weights=weights)
     return SimilaritySpace(points=tuple(points.tolist()), weights=w / w.sum(),
@@ -289,11 +294,10 @@ def pure_state_tree(space: SimilaritySpace, mapping: OverlapMap,
             clamped.append(d)
             v = min(max(v, lo), hi)
         values.append(float(mapping.rho_inverse(v)))
-    w, s, row_of = _dedupe_points(space)
+    cp = _class_pairs(space, report.tree)
     # a similarity is rho(f(overlap)), so rho^{-1} recovers f(overlap)
-    s = _per_value(lambda v: mapping.f(mapping.rho_inverse(v)), s)
-    mean_error = _price(_class_pairs(space, report.tree, (w, s, row_of)),
-                        np.array(values))
+    f_overlap = _per_value(lambda v: mapping.f(mapping.rho_inverse(v)), cp.sim)
+    mean_error = _price(replace(cp, sim=f_overlap), np.array(values))
     return PureStateReport(
         build=report,
         scale=scale,

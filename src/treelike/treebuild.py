@@ -22,11 +22,11 @@ import numpy as np
 
 from .cliques import clique_closure, clique_repair, neighborhood_family, \
     part_neighbor_graph
-from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix, \
-    threshold_graph, tree_from_levels
+from .core import CompatibleTree, SimilaritySpace, _merge_weights, \
+    gromov_product_matrix, threshold_graph, tree_from_levels
 from .errors import BadParams, LeafMismatch, MapMismatch
-from .hyperbolicity import ThresholdLadder, _dedupe_points, _defect_sum, \
-    _exceptional_rows, _merge_weights, _threshold_ladder
+from .hyperbolicity import ThresholdLadder, _exceptional_rows, hyp_exact, \
+    threshold_ladder
 from .regularity import RegularityParams, regularity_pipeline
 
 
@@ -92,19 +92,17 @@ def _first_labels(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[label], np.sort(first)
 
 
-def _class_pairs(space: SimilaritySpace, tree: CompatibleTree,
-                 rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-                 ) -> _ClassPairs:
-    """Group the points by (similarity row, leaf parent); rows is what
-    ``_dedupe_points`` gives.  The groups' similarities are read from its
-    distinct rows, so a function of them given in their place is priced
+def _class_pairs(space: SimilaritySpace, tree: CompatibleTree) -> _ClassPairs:
+    """Group the points by (similarity row, leaf parent), the rows being the
+    space's ``distinct`` ones.  The groups' similarities are read from the
+    distinct rows, so a function of them put in their place is priced
     alike.  The products are formed once, on the first point of each group."""
     if set(tree.leaf_points.values()) != set(space.points):
         raise LeafMismatch("tree leaves do not match the space points")
     parents = list(map(tree.parent.get, map(tree.leaf_of, space.points)))
     # a parent is named by the last point below it, then paired with a row
     last = dict(zip(parents, range(space.n)))
-    w, s, row_of = rows
+    w, s, row_of = space.distinct
     group, reps = _first_labels(row_of * space.n + np.fromiter(
         map(last.__getitem__, parents), dtype=int, count=space.n))
     p = space.weights
@@ -181,14 +179,9 @@ def _best_alpha(cp: _ClassPairs) -> tuple[float, float]:
 def tree_cost(space: SimilaritySpace, tree: CompatibleTree, alpha: float
               ) -> float:
     """Expected absolute error between similarity and alpha times products."""
-    return _tree_cost(space, tree, alpha, _dedupe_points(space))
-
-
-def _tree_cost(space: SimilaritySpace, tree: CompatibleTree, alpha: float,
-               rows: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
     if not 0 <= alpha < math.inf:
         raise BadParams(f"alpha must be finite and nonnegative, got {alpha!r}")
-    return _cost(_class_pairs(space, tree, rows), alpha)
+    return _cost(_class_pairs(space, tree), alpha)
 
 
 def best_alpha(space: SimilaritySpace, tree: CompatibleTree
@@ -199,7 +192,7 @@ def best_alpha(space: SimilaritySpace, tree: CompatibleTree
     the smallest minimizer is the first breakpoint where the cumulative kink
     weight reaches half the total (a weighted median).
     """
-    return _best_alpha(_class_pairs(space, tree, _dedupe_points(space)))
+    return _best_alpha(_class_pairs(space, tree))
 
 
 def split_atoms(space: SimilaritySpace, delta: float
@@ -286,11 +279,10 @@ def converse_check(space: SimilaritySpace, tree: CompatibleTree, alpha: float
     The check passes when the defect is at most the bound plus a fixed
     1e-12 slack for rounding.
     """
-    rows = _dedupe_points(space)
-    cost = _tree_cost(space, tree, alpha, rows)
+    cost = tree_cost(space, tree, alpha)
     if space.bound != 1.0:
         raise BadParams("converse check requires a space with bound 1")
-    hyp = _defect_sum(*rows[:2])
+    hyp = hyp_exact(space)
     bound = 5.0 * math.sqrt(max(cost, 0.0))
     margin = bound - hyp
     return ConverseReport(
@@ -337,8 +329,7 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     return children, (take[rows], take[cols])
 
 
-def _twin_classes(space: SimilaritySpace,
-                  rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+def _twin_classes(space: SimilaritySpace
                   ) -> tuple[SimilaritySpace, np.ndarray]:
     """The quotient space of true twins, and the class of each point.
 
@@ -346,11 +337,11 @@ def _twin_classes(space: SimilaritySpace,
     maximum are true twins: at any threshold they are either joined to each
     other with the same neighbours, or joined to nothing.  Each set of them
     is one quotient point, named by its first point and weighted by the
-    ``math.fsum`` of its points, as ``_dedupe_points`` merges rows (rows
-    holds its output).  Every other point is a class of its own.  Classes
-    are numbered in order of their first points.
+    ``math.fsum`` of its points, as the space's ``distinct`` rows merge
+    them.  Every other point is a class of its own.  Classes are numbered
+    in order of their first points.
     """
-    w, s, row_of = rows
+    w, s, row_of = space.distinct
     twins = s.diagonal() >= s.max(axis=1)
     cls, reps = _first_labels(
         np.where(twins[row_of], row_of, len(w) + np.arange(space.n)))
@@ -410,17 +401,16 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     if space.bound != 1.0:
         raise BadParams("build_tree requires a space rescaled to bound 1")
     params = RegularityParams(epsilon=epsilon, m=m)
-    distinct = _dedupe_points(space)
-    ladder = _threshold_ladder(distinct, epsilon, m, delta0)
+    ladder = threshold_ladder(space, epsilon, m, delta0)
     # the exceptional set depends on a point only through its row
     excluded = np.flatnonzero(
-        _exceptional_rows(distinct, ladder)[2][distinct[2]]).tolist()
+        _exceptional_rows(space, ladder)[2][space.distinct[2]]).tolist()
     n = space.n
     kappa = ladder.kappa
     d0 = ladder.delta0
     n_levels = ladder.n_levels
 
-    quotient, cls = _twin_classes(space, distinct)
+    quotient, cls = _twin_classes(space)
     d = quotient.n
     members = np.split(np.argsort(cls, kind="stable"),
                        np.flatnonzero(np.diff(np.sort(cls))) + 1)
@@ -477,7 +467,7 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
 
     # the points of a class are sibling leaves with one row, so each class
     # lies in one pricing group; two of its points meet at their parent
-    prices = _class_pairs(space, tree, distinct)
+    prices = _class_pairs(space, tree)
     group = prices.group[[c[0] for c in members]]
     prod = prices.meet[np.ix_(group, group)]
     s = quotient.sim

@@ -46,7 +46,6 @@ from treelike.fixtures import (
     tree_scaled_fixture,
     ultrametric_fixture,
 )
-from treelike.hyperbolicity import _dedupe_points
 from treelike.treebuild import _class_pairs, _cost
 
 EPS, M = 1e-12, 16
@@ -312,7 +311,7 @@ def test_criterion_9_best_alpha_optimality():
                                 sfx.space.sim, 1.0)
         alpha, cost = best_alpha(space, base.tree)
         grid = np.linspace(0.0, 2.0, 10_000)
-        pairs = _class_pairs(space, base.tree, _dedupe_points(space))
+        pairs = _class_pairs(space, base.tree)
         costs = [_cost(pairs, a) for a in grid]
         at = int(np.argmin(costs))
         grid_min = costs[at]

@@ -1086,16 +1086,25 @@ VALIDATIONS = {
 def test_each_space_is_validated_once(case, param_files, monkeypatch,
                                       capsys):
     flags, expected = VALIDATIONS[case]
-    calls = []
+    calls, groupings = [], []
+    dedupe = treelike.core._dedupe_points
 
     def counting(space):
         calls.append(space)
         return validate_space(space)
 
-    # a space checks itself as it is made, through the name in core
+    def grouping(space):
+        groupings.append(space)
+        return dedupe(space)
+
+    # a space checks itself and groups its rows as it is made, through the
+    # names in core
     monkeypatch.setattr(treelike.core, "validate_space", counting)
+    monkeypatch.setattr(treelike.core, "_dedupe_points", grouping)
     assert main([flag.format(**param_files) for flag in flags]) == 0
     assert len(calls) == expected
+    assert len(groupings) == expected
+    assert all(g is c for g, c in zip(groupings, calls))
 
 
 def test_module_entry_point(three_point_file, tmp_path):

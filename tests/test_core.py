@@ -1,4 +1,6 @@
 import dataclasses
+import pickle
+import sys
 import types
 
 import numpy as np
@@ -17,6 +19,7 @@ from treelike import (
     validate_space,
     validate_tree,
 )
+from treelike import core
 from treelike.core import WeightedGraph, first_asymmetry, threshold_graph, \
     tree_from_levels, upper_pairs
 from treelike.errors import (
@@ -41,8 +44,13 @@ from treelike.fixtures import (
     generate_fixture,
     random_fixture,
     tree_scaled_fixture,
+    ultrametric_fixture,
 )
+from treelike.hyperbolicity import exceptional_sets, threshold_ladder
 from treelike.io import dump_json, tree_to_dict
+from treelike.spinglass import gibbs_exact, overlap_map, overlap_space, \
+    pure_state_tree, sk_couplings
+from treelike.treebuild import best_alpha, converse_check, tree_cost
 
 
 def two_point_space():
@@ -942,3 +950,98 @@ class TestVertexMasses:
                           np.zeros((3, 3), dtype=bool))
         assert exc.value.where == ("mass", index)
         np.testing.assert_equal(exc.value.value, mass[index])
+
+
+# ---------------------------------------------------------------------------
+# the distinct rows a space groups as it is made
+
+KAPPA = 1e-12 ** (1 / 24)
+
+
+def count_groupings(monkeypatch):
+    """Record each space that ``_dedupe_points`` groups, through every
+    treelike module that binds it."""
+    original, grouped = core._dedupe_points, []
+
+    def counting(space):
+        grouped.append(space)
+        return original(space)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("treelike") and \
+                getattr(module, "_dedupe_points", None) is original:
+            monkeypatch.setattr(module, "_dedupe_points", counting)
+    return grouped
+
+
+def abs_overlap_space():
+    return overlap_space(*gibbs_exact(sk_couplings(6, 1.0, 0)),
+                         overlap_map("abs"))
+
+
+# each kernel on a made space with repeated rows, and with its planted tree
+KERNELS = {
+    "hyp_exact": lambda fx: hyp_exact(fx.space),
+    "threshold_ladder": lambda fx: threshold_ladder(fx.space, 1e-12, 16),
+    "exceptional_sets": lambda fx: exceptional_sets(
+        fx.space, threshold_ladder(fx.space, 1e-12, 16)),
+    "tree_cost": lambda fx: tree_cost(fx.space, fx.tree, KAPPA),
+    "best_alpha": lambda fx: best_alpha(fx.space, fx.tree),
+    "converse_check": lambda fx: converse_check(fx.space, fx.tree, KAPPA),
+    "build_tree": lambda fx: build_tree(fx.space, 1e-12, 16),
+}
+
+
+class TestDistinctRows:
+    def test_arrays_are_read_only(self):
+        repeated = ultrametric_fixture(20, [KAPPA, 2 * KAPPA], seed=4).space
+        assert len(repeated.distinct[0]) < repeated.n
+        for space in (two_point_space(), repeated):
+            assert not any(a.flags.writeable for a in space.distinct)
+
+    def test_all_distinct_rows_hold_the_space_itself(self):
+        space = two_point_space()
+        w, s, inv = space.distinct
+        assert w is space.weights and s is space.sim
+        assert inv.tolist() == [0, 1]
+
+    def test_replace_groups_the_new_rows(self):
+        space = two_point_space()
+        one_row = dataclasses.replace(space, sim=np.full((2, 2), 0.5))
+        w, s, inv = one_row.distinct
+        assert (w.tolist(), s.tolist(), inv.tolist()) == ([1.0], [[0.5]],
+                                                          [0, 0])
+        assert len(space.distinct[0]) == 2
+
+    def test_rows_differing_in_the_sign_of_a_zero_are_one_row(self):
+        # negating one symmetric pair of zeros split a row in two, so the
+        # builds priced the tree on other groups and differed in the last bit
+        space = ultrametric_fixture(64, [0.3, 0.6, 0.9], 1).space
+        sim = space.sim.copy()
+        i, j = np.argwhere(sim == 0.0)[0]
+        sim[i, j] = sim[j, i] = -0.0
+        signed = SimilaritySpace(space.points, space.weights, sim)
+        assert len(signed.distinct[0]) == len(space.distinct[0]) == 14
+        assert np.array_equal(signed.distinct[2], space.distinct[2])
+        assert hyp_exact(signed).hex() == hyp_exact(space).hex()
+        assert pickle.dumps(build_tree(signed, 1e-12, 16)) == \
+            pickle.dumps(build_tree(space, 1e-12, 16))
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_kernels_group_no_space_they_are_given(self, kernel,
+                                                   monkeypatch):
+        fx = ultrametric_fixture(20, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=4)
+        assert len(fx.space.distinct[0]) < fx.space.n
+        grouped = count_groupings(monkeypatch)
+        KERNELS[kernel](fx)
+        # a build groups only the twin quotient it makes
+        assert all(space is not fx.space for space in grouped)
+        assert len(grouped) == (kernel == "build_tree")
+
+    def test_pure_state_tree_groups_only_its_quotient(self, monkeypatch):
+        space = abs_overlap_space()
+        grouped = count_groupings(monkeypatch)
+        pure_state_tree(space, overlap_map("abs"), epsilon=1e-5, m=4,
+                        delta0=0.1)
+        assert len(grouped) == 1 and grouped[0] is not space
+        assert grouped[0].n == space.n // 2

@@ -28,8 +28,7 @@ from treelike.errors import AsymmetricSimilarity, Delta0TooLarge, \
     InvalidDiagonal, NegativeDistance, NoGoodThreshold, ThresholdOutOfRange, \
     TriangleViolation, ZeroSamples
 from treelike import hyperbolicity
-from treelike.hyperbolicity import BLOCK, _dedupe_points, \
-    gromov_delta_four_point
+from treelike.hyperbolicity import BLOCK, gromov_delta_four_point
 from treelike.io import space_to_dict, write_json
 from treelike.fixtures import (
     noisy_tree_fixture,
@@ -425,7 +424,7 @@ class TestDefectTiles:
         tree = space_from_tree(tree_scaled_fixture(
             n, depth=4, alpha=0.2, seed=3, weights="random").tree)
         for space in (ultra, tree):
-            assert len(_dedupe_points(space)[0]) > BLOCK
+            assert len(space.distinct[0]) > BLOCK
             assert hyp_exact(space) == 0.0
             assert gromov_delta_worst_case(space) == 0.0
 
@@ -759,7 +758,7 @@ def assert_same_decisions(space, ladder, exc, n1, tol_n1):
         return False
     p = space.weights
     b_measure = p @ (n1 > d0)
-    if len(_dedupe_points(space)[0]) == n:
+    if len(space.distinct[0]) == n:
         tol_b = np.zeros(n)
         assert_same_array(exc.b_measure, b_measure)
     else:
@@ -1000,7 +999,7 @@ class TestDistinctRowKernels:
         # one label per distinct row, numbered in order of first occurrence,
         # and each label's weight the fsum of its points' weights
         sp = duplicated_space(40, seed)
-        w, s, inv = _dedupe_points(sp)
+        w, s, inv = sp.distinct
         keep = np.unique(inv, return_index=True)[1]
         assert np.array_equal(inv[keep], np.arange(len(keep)))
         assert len(keep) == len(np.unique(sp.sim, axis=0)) < sp.n
@@ -1012,7 +1011,7 @@ class TestDistinctRowKernels:
     @pytest.mark.parametrize("seed", range(4))
     def test_duplicated_space_has_the_hard_cases(self, seed):
         sp = duplicated_space(14, seed)
-        assert len(_dedupe_points(sp)[0]) < sp.n
+        assert len(sp.distinct[0]) < sp.n
         assert (sp.weights == 0.0).any()
         assert np.signbit(sp.sim[sp.sim == 0.0]).any()
 
@@ -1026,7 +1025,7 @@ class TestDistinctRowKernels:
         # ultrametric space has repeated rows and no triple in any R_t.
         ultra = ultrametric_fixture(14, [0.25, 0.5, 0.75], seed=seed,
                                     weights="random").space
-        assert len(_dedupe_points(ultra)[0]) < ultra.n
+        assert len(ultra.distinct[0]) < ultra.n
         for sp in (duplicated_space(14, seed), ultra):
             for t in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0):
                 want = fsum_bad_set_measure(sp, t)
@@ -1089,7 +1088,7 @@ class TestDistinctRowKernels:
                                                      thresholds, delta0):
         # both sides are within exceptional_tolerances of the exact masses
         sp = duplicated_space(n, seed)
-        assert len(_dedupe_points(sp)[0]) < n
+        assert len(sp.distinct[0]) < n
         ladder = ladder_with(thresholds, delta0)
         exc = exceptional_sets(sp, ladder)
         n1, r2 = exceptional_points(sp, ladder)
@@ -1098,7 +1097,7 @@ class TestDistinctRowKernels:
         assert (np.abs(exc.r2_measure - r2) <= 2 * tol_r2).all()
         assert assert_same_decisions(sp, ladder, exc, n1, 2 * tol_n1)
         # points sharing a row share every result
-        _, _, inv = _dedupe_points(sp)
+        _, _, inv = sp.distinct
         first = np.unique(inv, return_index=True)[1][inv]
         assert_same_array(exc.n1_measure,
                           exc.n1_measure[np.ix_(first, first)])
@@ -1136,7 +1135,7 @@ class TestDistinctRowKernels:
             perm = np.random.default_rng(100 + k).permutation(n)
             sp = SimilaritySpace(tuple(f"t{i}" for i in perm), w[perm],
                                  sim[np.ix_(perm, perm)])
-            assert len(_dedupe_points(sp)[0]) == n
+            assert len(sp.distinct[0]) == n
             exc = exceptional_sets(sp, ladder)
             assert (np.abs(exc.b_measure - b_exact[perm])
                     <= gamma(n + 1) * b_exact[perm]).all()

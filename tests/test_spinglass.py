@@ -455,6 +455,30 @@ class TestOverlapSpaceFromCounts:
         assert space.weights.tobytes() == w.tobytes()
         assert space.sim.tobytes() == sim.tobytes()
 
+    @pytest.mark.parametrize("n_spins", [7, 8, 299, 300])
+    @pytest.mark.parametrize("name", ["id", "abs"])
+    def test_float32_counts_match_float64(self, name, n_spins):
+        # the overlap counts summed in float32 and held as small integers
+        # index the same table entries as float64 products cast to int
+        mapping = overlap_map(name)
+        rng = np.random.default_rng(n_spins)
+        configs = 2 * rng.integers(0, 2, size=(90, n_spins)) - 1
+        space = overlap_space(configs, None, mapping)
+        distinct = np.array([[1.0 if c == "+" else -1.0 for c in p]
+                             for p in space.points])
+        table = np.array([mapping.rho(mapping.f(k / n_spins))
+                          for k in range(-n_spins, n_spins + 1)])
+        counts = (distinct @ distinct.T).astype(int) + n_spins
+        assert space.sim.tobytes() == table[counts].tobytes()
+
+    @pytest.mark.parametrize("n_spins, error", [
+        ((1 << 24) - 1, DegenerateSample), (1 << 24, BadParams)])
+    def test_spins_beyond_exact_float32_sums(self, n_spins, error):
+        # one configuration: below the limit it fails for want of a second
+        configs = np.broadcast_to(np.int8(1), (1, n_spins))
+        with pytest.raises(error):
+            overlap_space(configs, None, overlap_map("id"))
+
     @pytest.mark.parametrize("name", ["id", "abs"])
     def test_map_called_once_per_overlap(self, name):
         base = overlap_map(name)

@@ -217,8 +217,7 @@ def full_build_reference(space, epsilon, m, seed=0, delta0=None):
     """The level loop on all n points, with n x n edits and products: every
     pending cluster of two or more points is repaired, twins included."""
     params = RegularityParams(epsilon=epsilon, m=m)
-    distinct = hyperbolicity._dedupe_points(space)
-    ladder = hyperbolicity._threshold_ladder(distinct, epsilon, m, delta0)
+    ladder = hyperbolicity.threshold_ladder(space, epsilon, m, delta0)
     excluded = list(hyperbolicity.exceptional_sets(space, ladder).a_indices)
     n = space.n
     edited = np.zeros((n, n), dtype=bool)
@@ -282,8 +281,7 @@ def assert_matches_full_build(space, **kwargs):
 
 
 def twin_class_count(space):
-    return treebuild._twin_classes(
-        space, hyperbolicity._dedupe_points(space))[0].n
+    return treebuild._twin_classes(space)[0].n
 
 
 def with_false_twins(n, seed):
