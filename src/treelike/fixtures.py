@@ -127,9 +127,11 @@ def ultrametric_fixture(n: int, level_values: list[float], seed: int,
                           labels=tuple(int(v) for v in levels[0]))
 
 
-def tree_scaled_fixture(n: int, depth: int, alpha: float, seed: int,
-                        weights: str = "uniform") -> PlantedFixture:
-    """Random compatible tree, similarity = alpha times the leaf products."""
+def _tree_scaled(n: int, depth: int, alpha: float, seed: int, weights: str
+                 ) -> tuple[tuple[str, ...], CompatibleTree, np.ndarray, float,
+                            np.ndarray]:
+    """The points, tree, similarity, bound and weights of a tree-scaled
+    space, before the space is made."""
     if n < 2:
         raise BadParams("need at least 2 points")
     if depth < 1:
@@ -140,11 +142,16 @@ def tree_scaled_fixture(n: int, depth: int, alpha: float, seed: int,
     levels = _random_hierarchy(n, depth, rng)
     points = tuple(f"p{i}" for i in range(n))
     tree = _tree_from_hierarchy(points, levels)
-    prod = gromov_product_matrix(tree, points)
-    sim = alpha * prod.astype(float)
+    sim = alpha * gromov_product_matrix(tree, points).astype(float)
     bound = max(float(sim.max()), 1.0)
-    space = SimilaritySpace(points=points, weights=_weights(n, rng, weights),
-                            sim=sim, bound=bound)
+    return points, tree, sim, bound, _weights(n, rng, weights)
+
+
+def tree_scaled_fixture(n: int, depth: int, alpha: float, seed: int,
+                        weights: str = "uniform") -> PlantedFixture:
+    """Random compatible tree, similarity = alpha times the leaf products."""
+    points, tree, sim, bound, w = _tree_scaled(n, depth, alpha, seed, weights)
+    space = SimilaritySpace(points=points, weights=w, sim=sim, bound=bound)
     return PlantedFixture(space=space, tree=tree, alpha=alpha)
 
 
@@ -154,16 +161,13 @@ def noisy_tree_fixture(n: int, depth: int, alpha: float, noise: float,
     clipped into [0, bound]; the average defect is at most twice the noise."""
     if not 0.0 <= noise < np.inf:
         raise BadParams(f"noise must be finite and nonnegative, not {noise!r}")
-    base = tree_scaled_fixture(n, depth, alpha, seed, weights)
+    points, tree, sim, bound, w = _tree_scaled(n, depth, alpha, seed, weights)
     rng = np.random.default_rng((seed, 1))
     raw = rng.uniform(-noise, noise, size=(n, n))
     sym = np.triu(raw) + np.triu(raw, 1).T
-    sim = np.clip(base.space.sim + sym, 0.0, base.space.bound)
-    space = SimilaritySpace(points=base.space.points,
-                            weights=base.space.weights,
-                            sim=sim, bound=base.space.bound)
-    return PlantedFixture(space=space, tree=base.tree, alpha=alpha,
-                          noise=noise)
+    space = SimilaritySpace(points=points, weights=w,
+                            sim=np.clip(sim + sym, 0.0, bound), bound=bound)
+    return PlantedFixture(space=space, tree=tree, alpha=alpha, noise=noise)
 
 
 def random_fixture(n: int, seed: int, weights: str = "uniform",

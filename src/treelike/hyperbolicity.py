@@ -241,20 +241,18 @@ def bad_set_profile(space: SimilaritySpace) -> tuple[np.ndarray, np.ndarray]:
     return vals, np.cumsum(diff[:-1])
 
 
-def profile_integral(ts: np.ndarray, masses: np.ndarray, upper: float = 1.0) -> float:
-    """Exact integral of the profile over (0, upper]."""
-    total = 0.0
-    prev = 0.0
-    for t, m in zip(ts, masses):
-        if t <= 0.0:
-            prev = 0.0
-            continue
-        hi = min(float(t), upper)
-        if hi > prev:
-            total += float(m) * (hi - prev)
-            prev = hi
-        if prev >= upper:
-            break
+def profile_integral(ts: np.ndarray, masses: np.ndarray) -> float:
+    """Exact integral of the profile over t > 0.
+
+    ``masses[i]`` is the mass on (ts[i - 1], ts[i]] for ascending ``ts``, as
+    ``bad_set_profile`` gives them; the bad set is empty above the largest
+    value, so the integral ends there, whatever the space's bound.
+    """
+    total = prev = 0.0
+    for t, m in zip(map(float, ts), map(float, masses)):
+        if t > prev:
+            total += m * (t - prev)
+            prev = t
     return total
 
 

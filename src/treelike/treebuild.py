@@ -83,13 +83,23 @@ class _ClassPairs:
     leaf: np.ndarray
 
 
-def _first_labels(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equal keys numbered 0, 1, ... in order of their first occurrence, and
-    the index where each number first occurs."""
-    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+def _groups(space: SimilaritySpace, within: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the points by (distinct row, ``within``), numbered in order of
+    their first points: each point's group, the first points, the groups'
+    ``math.fsum``-merged weights and their similarity, all read from
+    ``space.distinct`` and, when the groups are the rows, not copied."""
+    w, s, row_of = space.distinct
+    _, first, label = np.unique(row_of * space.n + within, return_index=True,
+                                return_inverse=True)
     rank = np.empty(len(first), dtype=int)
     rank[first.argsort()] = np.arange(len(first))
-    return rank[label], np.sort(first)
+    group, reps = rank[label], np.sort(first)
+    if len(reps) == len(w):  # one group per row, numbered alike
+        return group, reps, w, s
+    rows = row_of[reps]
+    return group, reps, _merge_weights(space.weights, group), \
+        s[np.ix_(rows, rows)]
 
 
 def _class_pairs(space: SimilaritySpace, tree: CompatibleTree) -> _ClassPairs:
@@ -100,17 +110,11 @@ def _class_pairs(space: SimilaritySpace, tree: CompatibleTree) -> _ClassPairs:
     if set(tree.leaf_points.values()) != set(space.points):
         raise LeafMismatch("tree leaves do not match the space points")
     parents = list(map(tree.parent.get, map(tree.leaf_of, space.points)))
-    # a parent is named by the last point below it, then paired with a row
+    # a parent is named by the last point below it
     last = dict(zip(parents, range(space.n)))
-    w, s, row_of = space.distinct
-    group, reps = _first_labels(row_of * space.n + np.fromiter(
+    group, reps, weight, sim = _groups(space, np.fromiter(
         map(last.__getitem__, parents), dtype=int, count=space.n))
     p = space.weights
-    if len(reps) == len(w):  # one group per row, numbered alike
-        weight, sim = w, s
-    else:
-        weight, sim = _merge_weights(p, group), s[np.ix_(row_of[reps],
-                                                         row_of[reps])]
     shared = np.bincount(group) >= 2
     prod = gromov_product_matrix(tree, tuple(space.points[i] for i in reps))
     leaf = prod.diagonal().copy()
@@ -329,31 +333,6 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     return children, (take[rows], take[cols])
 
 
-def _twin_classes(space: SimilaritySpace
-                  ) -> tuple[SimilaritySpace, np.ndarray]:
-    """The quotient space of true twins, and the class of each point.
-
-    Points with one similarity row whose diagonal s(x, x) is the row
-    maximum are true twins: at any threshold they are either joined to each
-    other with the same neighbours, or joined to nothing.  Each set of them
-    is one quotient point, named by its first point and weighted by the
-    ``math.fsum`` of its points, as the space's ``distinct`` rows merge
-    them.  Every other point is a class of its own.  Classes are numbered
-    in order of their first points.
-    """
-    w, s, row_of = space.distinct
-    twins = s.diagonal() >= s.max(axis=1)
-    cls, reps = _first_labels(
-        np.where(twins[row_of], row_of, len(w) + np.arange(space.n)))
-    if len(reps) == space.n:
-        return space, cls
-    return SimilaritySpace(
-        points=tuple(space.points[i] for i in reps),
-        weights=_merge_weights(space.weights, cls),
-        sim=space.sim[np.ix_(reps, reps)],
-    ), cls
-
-
 def _violations(bad: np.ndarray, members: list[np.ndarray]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Point pairs x != y whose classes are a pair where bad holds, in
@@ -385,12 +364,17 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     bound is enforced: each partition lowers m until its heaviest point
     fits (see ``atom_bound_theory`` for the paper's worst-case bound).
 
-    The clusters are built on the quotient of true twins (``_twin_classes``)
-    and expanded to points as each row is written.  At threshold t, the
-    graph on a class of twins is complete when s(x, x) >= t and edgeless
-    otherwise, so a class that is a child of its own at depth d <= n_levels
-    stays one cluster if s(x, x) >= t_d and splits into single points if
-    not; a pending cluster of one class costs a repair that edits nothing.
+    Points with one similarity row whose diagonal s(x, x) is the row
+    maximum are true twins: at any threshold they are either joined to each
+    other with the same neighbours, or joined to nothing.  So the clusters
+    are built on the quotient in which each set of true twins is one point,
+    named by its first point, and every other point is a class of its own;
+    the classes are expanded to points as each row is written.  At
+    threshold t, the graph on a class of twins is complete when
+    s(x, x) >= t and edgeless otherwise, so a class that is a child of its
+    own at depth d <= n_levels stays one cluster if s(x, x) >= t_d and
+    splits into single points if not; a pending cluster of one class costs
+    a repair that edits nothing.
     Seeds count every pending cluster, one-class ones included, and the
     clique-mass floor counts each class as its points.  The
     threshold graphs, partitions and clique repairs, the edit set and the
@@ -402,19 +386,24 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         raise BadParams("build_tree requires a space rescaled to bound 1")
     params = RegularityParams(epsilon=epsilon, m=m)
     ladder = threshold_ladder(space, epsilon, m, delta0)
+    _, row_sim, row_of = space.distinct
     # the exceptional set depends on a point only through its row
     excluded = np.flatnonzero(
-        _exceptional_rows(space, ladder)[2][space.distinct[2]]).tolist()
+        _exceptional_rows(space, ladder)[2][row_of]).tolist()
     n = space.n
     kappa = ladder.kappa
     d0 = ladder.delta0
     n_levels = ladder.n_levels
 
-    quotient, cls = _twin_classes(space)
-    d = quotient.n
-    members = np.split(np.argsort(cls, kind="stable"),
-                       np.flatnonzero(np.diff(np.sort(cls))) + 1)
+    # the points of a twin row are one class; any other point is its own
+    twin = row_sim.diagonal() >= row_sim.max(axis=1)
+    cls, reps, weights, sim = _groups(
+        space, np.where(twin[row_of], 0, np.arange(n)))
+    d = len(reps)
+    quotient = space if d == n else SimilaritySpace(
+        points=tuple(space.points[i] for i in reps), weights=weights, sim=sim)
     sizes = np.bincount(cls)
+    members = np.split(np.argsort(cls, kind="stable"), sizes.cumsum()[:-1])
     top = quotient.sim.diagonal()
 
     def points_of(classes: list[int]) -> list[int]:
@@ -477,7 +466,7 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     upper_ok = s <= (prod + 1) * kappa + d0
     bad = ~edited & ~(lower_ok & upper_ok)
     # the pairs of a class with itself are pairs of distinct points only
-    bad[np.diag_indices(d)] &= np.bincount(cls) >= 2
+    bad[np.diag_indices(d)] &= sizes >= 2
     xs, ys = _violations(bad, members)
     violations = tuple((space.points[i], space.points[j])
                        for i, j in zip(xs.tolist(), ys.tolist()))

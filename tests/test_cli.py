@@ -26,7 +26,7 @@ from treelike.io import (
     write_json,
 )
 from treelike.core import SimilaritySpace, gromov_product_matrix, \
-    threshold_graph
+    threshold_graph, tree_from_levels
 from treelike.fixtures import noisy_tree_fixture, tree_scaled_fixture
 
 
@@ -489,6 +489,12 @@ PARAM_EDGES = {
                                          "0.2", "--out", "{out}/tree.json",
                                          "--report", "{out}/report.json"],
                                         10),
+    # the ladder and the converse check need a space of bound 1
+    "ladder-bound-2": (["ladder", "--space", "{bound_2}", *UNIT, "--out",
+                        "{out}/ladder.json"], 2),
+    "eval-converse-bound-2": (["eval", "--space", "{bound_2}", "--tree",
+                               "{bound_2_tree}", "--alpha", "0.3",
+                               "--converse"], 2),
     "eval-alpha-nan": (EVAL + ["--alpha", "nan"], 2),
     "eval-alpha-nan-converse": (EVAL + ["--alpha", "nan", "--converse"], 2),
     "eval-alpha-inf": (EVAL + ["--alpha", "inf"], 2),
@@ -668,6 +674,11 @@ BAD_FILES = {
                     "nodes": [ROOT_NODE,
                               {"id": "a", "parent": "zz", "level": 1}]},
     "ragged_metric": {"dist": [[0.0, 1.0], [1.0]]},
+    "rooted_root_tree": {"root": "r", "leaves": {"a": "a"},
+                         "nodes": [{"id": "r", "parent": "a", "level": 0},
+                                   {"id": "a", "parent": "r", "level": 1}]},
+    "unknown_vertex_graph": {"vertices": ["a", "b"], "measure": [0.5, 0.5],
+                             "edges": [["a", "zz"]]},
     "stray_leaf_tree": {"root": "r", "leaves": {"a": "a", "b": "b", "zz": "c"},
                         "nodes": [ROOT_NODE,
                                   {"id": "a", "parent": "r", "level": 1},
@@ -684,6 +695,12 @@ FILE_EDGES = {
                               "{idless_tree}", *ALPHA], 8),
     "convert-newick-node-without-id": (["convert", "--tree", "{idless_tree}",
                                         "--newick", "{out}/tree.nwk"], 8),
+    "partition-edge-to-unknown-vertex": (["partition", "--graph",
+                                          "{unknown_vertex_graph}",
+                                          *REGULARITY, "--out",
+                                          "{out}/parts.json"], 8),
+    "product-root-with-a-parent": (["product", "--tree", "{rooted_root_tree}",
+                                    "--x", "a", "--y", "a"], 6),
     "product-unknown-parent": (["product", "--tree", "{orphan_tree}",
                                 "--x", "a", "--y", "a"], 6),
     "alpha-unknown-parent": (["alpha", "--space", "{tree_space}", "--tree",
@@ -817,6 +834,9 @@ def param_files(tmp_path):
     files["bound_2"] = tmp_path / "bound_2.json"
     write_json(files["bound_2"], edge_space(lambda d: (
         d.update(b=2.0, sim=[[2 * v for v in row] for row in d["sim"]]))))
+    files["bound_2_tree"] = tmp_path / "bound_2_tree.json"
+    write_json(files["bound_2_tree"], tree_to_dict(tree_from_levels(
+        ("a", "b", "c", "d"), [[[0, 1], [2, 3]], [[0], [1], [2], [3]]])))
     for name, data in BAD_FILES.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(data))
@@ -845,6 +865,9 @@ def test_param_edge_exit_codes(case, param_files, tmp_path, capsys):
      "that plant a tree, not 'random'"),
     ("cliques-t-nan", "threshold nan outside (0, 1.0]"),
     ("convert-graph-out-t-zero", "threshold 0.0 outside (0, 1.0]"),
+    ("ladder-bound-2", "threshold ladder requires a space rescaled to bound "
+     "1"),
+    ("eval-converse-bound-2", "converse check requires a space with bound 1"),
 ])
 def test_rejection_names_its_cause(case, message, param_files, capsys):
     flags, code = PARAM_EDGES[case]

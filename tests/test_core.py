@@ -42,6 +42,7 @@ from treelike.fixtures import (
     _random_hierarchy,
     _tree_from_hierarchy,
     generate_fixture,
+    noisy_tree_fixture,
     random_fixture,
     tree_scaled_fixture,
     ultrametric_fixture,
@@ -261,6 +262,27 @@ class TestTreeValidation:
                            level={"r": 0, "x": 1, "y": 2, "u": 1},
                            leaf_points={"u": "u"})
         with pytest.raises(TreeStructureError, match="level of 'x'"):
+            validate_tree(t)
+
+    @pytest.mark.parametrize("root, parent, level, leaves, message", [
+        ("zz", {"a": "r"}, {"r": 0, "a": 1}, {"a": "a"},
+         "root is not a node"),
+        ("r", {"r": "a", "a": "r"}, {"r": 0, "a": 1}, {"a": "a"},
+         "root must not have a parent"),
+        ("r", {"a": "r"}, {"r": 1, "a": 2}, {"a": "a"},
+         "root level must be 0"),
+        ("r", {"a": "r"}, {"r": 0, "a": 1, "b": 1}, {"a": "a", "b": "b"},
+         "non-root node 'b' has no parent"),
+        ("r", {"a": "r", "b": "a"}, {"r": 0, "a": 1, "b": 2},
+         {"a": "a", "b": "b"}, "leaf 'a' has children"),
+        ("r", {"a": "r", "b": "r"}, {"r": 0, "a": 1, "b": 1},
+         {"a": "x", "b": "x"}, "leaf-to-point map is not injective"),
+    ])
+    def test_structure_faults_are_named(self, root, parent, level, leaves,
+                                        message):
+        t = CompatibleTree(root=root, parent=parent, level=level,
+                           leaf_points=leaves)
+        with pytest.raises(TreeStructureError, match=message):
             validate_tree(t)
 
     def test_unknown_parent_rejected_at_construction(self):
@@ -1037,6 +1059,17 @@ class TestDistinctRows:
         # a build groups only the twin quotient it makes
         assert all(space is not fx.space for space in grouped)
         assert len(grouped) == (kernel == "build_tree")
+
+    @pytest.mark.parametrize("weights", ["uniform", "random"])
+    def test_a_noisy_fixture_makes_one_space(self, weights, monkeypatch):
+        grouped = count_groupings(monkeypatch)
+        fx = noisy_tree_fixture(16, 2, KAPPA, 1e-3, seed=3, weights=weights)
+        assert len(grouped) == 1 and grouped[0] is fx.space
+        # the noise is drawn on the tree-scaled space of the same seed
+        base = tree_scaled_fixture(16, 2, KAPPA, seed=3, weights=weights)
+        assert fx.tree == base.tree and fx.space.bound == base.space.bound
+        assert np.array_equal(fx.space.weights, base.space.weights)
+        assert 0 < np.abs(fx.space.sim - base.space.sim).max() <= 1e-3
 
     def test_pure_state_tree_groups_only_its_quotient(self, monkeypatch):
         space = abs_overlap_space()

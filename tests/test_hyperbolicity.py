@@ -516,6 +516,14 @@ class TestBadSet:
             assert profile_integral(ts, masses) == pytest.approx(
                 hyp_exact(fx.space), abs=1e-10)
 
+    def test_integral_identity_above_bound_one(self):
+        # the values reach 1.947, so the integral runs past t = 1
+        fx = random_fixture(12, 3, bound=2.0)
+        ts, masses = bad_set_profile(fx.space)
+        assert ts[-1] > 1.9
+        assert profile_integral(ts, masses) == pytest.approx(
+            hyp_exact(fx.space), rel=1e-12)
+
 
 class TestThresholdLadder:
     def test_kappa_arithmetic(self):

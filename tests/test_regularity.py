@@ -563,6 +563,40 @@ class TestRegularityTester:
         with pytest.raises(EmptyPart):
             regularity_test(g, [], [1, 2], 0.2)
 
+    def test_overlapping_parts_rejected(self):
+        g = er_graph(6, 0.5, 0)
+        with pytest.raises(BadParams, match="parts must be disjoint"):
+            regularity_test(g, [0, 1, 2], [2, 3], 0.2)
+
+    def test_part_without_mass_rejected(self):
+        g = graph_from_adj(er_graph(6, 0.5, 0).adj,
+                           mass=[0.0, 0.0, 0.25, 0.25, 0.25, 0.25])
+        with pytest.raises(EmptyPart, match="parts must carry positive mass"):
+            regularity_test(g, [0, 1], [2, 3], 0.2)
+
+    def test_uniform_blocks_are_settled_without_a_tester(self, monkeypatch):
+        # a complete or empty block has density 1 or 0 on every subset
+        # pair, at any part size and any epsilon
+        def refuse(*args):
+            raise AssertionError("a uniform block reached a subset tester")
+
+        monkeypatch.setattr(regularity, "_exhaustive_test", refuse)
+        monkeypatch.setattr(regularity, "_sampled_test", refuse)
+        complete = np.zeros((40, 40), dtype=bool)
+        complete[:20, 20:] = complete[20:, :20] = True
+        for adj, base in ((complete, 1.0), (np.zeros((40, 40)), 0.0)):
+            g = graph_from_adj(adj)
+            for left, right in (([0], [20]), (range(6), range(20, 26)),
+                                (range(20), range(20, 40))):
+                for epsilon in (1e-9, 0.2):
+                    assert regularity_test(g, left, right, epsilon) \
+                        == regularity.RegularityVerdict(True, True, 0.0, base, None)
+        for case in ("empty120", "matched400"):
+            result = regularity_pipeline(oracle_graph(case),
+                                         RegularityParams(0.2, 2), seed=1)
+            q = result.q
+            assert result.regular_flags[1:, 1:].sum() == q * (q - 1)
+
 
 class TestPipeline:
     def test_complete_graph_all_densities_one(self):
@@ -682,10 +716,22 @@ def oracle_graph(case):
     return graph_from_adj(adj, mass / mass.sum())
 
 
+def light_edge_graph(n_light, heavy, edge):
+    """A point of weight ``heavy``, then ``n_light`` points of weight 1, with
+    one edge between two of them.  The heavy point makes the blow-up large
+    enough that the spectral cut is 1 at epsilon 0.24, so the light points
+    form one cell cut into parts in index order."""
+    n = n_light + 1
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edge] = adj[edge[::-1]] = True
+    mass = np.concatenate([[heavy], np.ones(n_light)])
+    return graph_from_adj(adj, mass / mass.sum())
+
+
 class TestPipelineOracle:
     @pytest.mark.parametrize("case, sizes", [
-        ("empty120", {4}),        # exhaustive tester
-        ("matched400", {14}),     # sampled tester
+        ("empty120", {4}),        # empty blocks, settled without a tester
+        ("matched400", {14}),     # likewise, the edges being in V_0
         ("heavy200", {1, 9, 10}),  # single points meet multi-point parts
     ])
     def test_pair_stage_matches_per_pair_loop(self, case, sizes):
@@ -695,6 +741,34 @@ class TestPipelineOracle:
         densities, flags = pair_stage_loop(g, result, 0.2, seed=1)
         assert np.array_equal(result.densities, densities, equal_nan=True)
         assert np.array_equal(result.regular_flags, flags)
+
+    @pytest.mark.parametrize("n_light, heavy, edge, size, tester, regular", [
+        (330, 270, (1, 9), 4, "_exhaustive_test", False),
+        (450, 150, (1, 30), 15, "_sampled_test", True),
+    ])
+    def test_a_mixed_block_reaches_the_tester(self, monkeypatch, n_light,
+                                              heavy, edge, size, tester,
+                                              regular):
+        seen = []
+        call = getattr(regularity, tester)
+
+        def counting(graph, left, right, *args):
+            seen.append((left, right))
+            return call(graph, left, right, *args)
+
+        monkeypatch.setattr(regularity, tester, counting)
+        g = light_edge_graph(n_light, heavy, edge)
+        result = regularity_pipeline(g, RegularityParams(0.24, 2), seed=1)
+        assert result.params["cut"] == 1
+        assert {len(part) for part in result.parts[1:]} == {1, size}
+        # only the block that holds the edge is neither complete nor empty
+        [(left, right)] = seen
+        assert {edge[0] in left, edge[1] in right} == {True}
+        densities, flags = pair_stage_loop(g, result, 0.24, seed=1)
+        assert np.array_equal(result.densities, densities, equal_nan=True)
+        assert np.array_equal(result.regular_flags, flags)
+        assert flags[1:, 1:].sum() == result.q * (result.q - 1) \
+            - 2 * (not regular)
 
     def test_tester_calls_follow_the_seed_stream(self, monkeypatch):
         # every tester verdict above is regular, so a stand-in tester that

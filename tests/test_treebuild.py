@@ -134,6 +134,19 @@ class TestBuildTree:
         assert sum(space is fx.space for space in calls) == 1
         assert built == [twin_class_count(fx.space)] and built[0] < fx.space.n
 
+    def test_quotient_shares_the_distinct_similarity(self, monkeypatch):
+        # every distinct row is a twin row, so the quotient's points are the
+        # distinct rows and its similarity is theirs, not a copy
+        calls = checked_spaces(monkeypatch)
+        fx = ultrametric_fixture(27, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=7)
+        made = len(calls)
+        build_tree(fx.space, EPS, M, seed=0)
+        [quotient] = calls[made:]
+        w, s, _ = fx.space.distinct
+        assert quotient.n == len(w) < fx.space.n
+        assert np.shares_memory(quotient.sim, s)
+        assert np.array_equal(quotient.weights, w)
+
     @pytest.mark.parametrize("change, kwargs, error, message", [
         # each case breaks two checks; the first in the old order wins, and
         # an invalid space fails as it is made, before the build runs
@@ -281,7 +294,11 @@ def assert_matches_full_build(space, **kwargs):
 
 
 def twin_class_count(space):
-    return treebuild._twin_classes(space)[0].n
+    """The classes a build runs on: one per distinct row whose diagonal
+    s(x, x) is the row maximum, and one per point of any other row."""
+    _, s, row_of = space.distinct
+    twin = s.diagonal() == s.max(axis=1)
+    return int(twin.sum() + (~twin[row_of]).sum())
 
 
 def with_false_twins(n, seed):
