@@ -72,8 +72,24 @@ class SimilaritySpace:
         return len(self.points)
 
 
-# Rows per band that ``_dedupe_points`` adds 0.0 to, instead of an n x n copy
+# Rows per band that ``_row_labels`` adds 0 to, instead of copying all rows
 KEY_ROWS = 64
+
+
+def _row_labels(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the rows of a 2-D array 0, 1, ... in order of first occurrence.
+
+    Returns each row's number and the index of the first row of each
+    number.  Rows are keyed by their bytes after adding 0, which keeps the
+    array's dtype and turns -0.0 into 0.0, so rows of finite floats are
+    one number exactly when they are equal as numbers, and integer rows
+    are keyed by their own bytes.
+    """
+    keys: dict[bytes, int] = {}
+    label = np.array([keys.setdefault(row.tobytes(), len(keys))
+                      for i in range(0, len(m), KEY_ROWS)
+                      for row in m[i:i + KEY_ROWS] + 0], dtype=int)
+    return label, np.unique(label, return_index=True)[1]
 
 
 def _dedupe_points(space: SimilaritySpace
@@ -84,23 +100,17 @@ def _dedupe_points(space: SimilaritySpace
     order of first occurrence) and each point's row index, so that a
     per-row result r expands to the points as ``r[inv]``, all read-only.
     Triple expectations depend on a point only through its row (including
-    the diagonal), so grouping identical rows is an exact reduction.  Rows
-    are keyed by their bytes after adding 0.0, which turns -0.0 into 0.0,
-    so rows equal as numbers are one row.  Weight merging uses
-    ``math.fsum`` so that re-splitting a point into equal-mass copies
-    round-trips exactly when the weight is a power of two.
+    the diagonal), so grouping identical rows is an exact reduction.
+    ``_row_labels`` decides which rows are equal; it keys them by their
+    bytes after adding 0, which turns -0.0 into 0.0, so rows equal as
+    numbers are one row.  Weight merging uses ``math.fsum`` so that
+    re-splitting a point into equal-mass copies round-trips exactly when
+    the weight is a power of two.
     """
-    s = space.sim
-    first: dict[bytes, int] = {}
-    inv = np.empty(space.n, dtype=int)
-    for i in range(0, space.n, KEY_ROWS):
-        inv[i:i + KEY_ROWS] = [first.setdefault(row.tobytes(), len(first))
-                               for row in s[i:i + KEY_ROWS] + 0.0]
-    if len(first) == space.n:
-        w = space.weights
-    else:
-        keep = np.unique(inv, return_index=True)[1]
-        w, s = _merge_weights(space.weights, inv), s[np.ix_(keep, keep)]
+    inv, keep = _row_labels(space.sim)
+    w, s = space.weights, space.sim
+    if len(keep) < space.n:
+        w, s = _merge_weights(w, inv), s[np.ix_(keep, keep)]
     for a in (w, s, inv):
         a.setflags(write=False)
     return w, s, inv

@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import WeightedGraph, upper_pairs
+from .core import WeightedGraph, _row_labels, upper_pairs
 from .errors import (
     BadParams,
     BlowupTooLarge,
@@ -312,7 +312,12 @@ def spectral_bucket_partition(spectrum: SpectralData, cut: int, epsilon: float
     A point is exceptional when some coordinate magnitude exceeds
     sqrt(2J / (epsilon N)); the rest are grouped by which width
     epsilon^(3/2) / (16 sqrt(2 J^3 N)) interval each coordinate falls in,
-    with interval boundaries going to the lower bucket.
+    with interval boundaries going to the lower bucket.  Cells are keyed as
+    a space keys its rows: ``core._row_labels`` numbers the points' rows of
+    interval labels, so labels -0.0 and 0.0 agree, the cells come in order
+    of first occurrence and each lists its points in ascending order.  An
+    epsilon so small that the width is below 2 / DBL_MAX, where a label
+    would not be a finite float, raises BadParams.
     """
     if cut < 1:
         raise BadParams("cut must be >= 1")
@@ -320,31 +325,33 @@ def spectral_bucket_partition(spectrum: SpectralData, cut: int, epsilon: float
     big_n = spectrum.blowup_size
     threshold = math.sqrt(2.0 * cut / (epsilon * big_n))
     width = epsilon ** 1.5 / (16.0 * math.sqrt(2.0 * cut ** 3 * big_n))
+    # a blow-up coordinate is at most 1 in magnitude, so every label is a
+    # finite float unless the width is below 2 / DBL_MAX, or 0.0
+    if not width * np.finfo(float).max >= 2.0:
+        raise BadParams(f"epsilon {epsilon!r} is too small: width {width!r}")
     # blow-up coordinates, one row per eigenvector before the cut
     coords = spectrum.vectors[:cut - 1] / np.sqrt(k)
     outlier = (np.abs(coords) > threshold).any(axis=0)
-    exc_blowup = int(k[outlier].sum())
-    if exc_blowup > epsilon * big_n / 2.0:
+    if int(k[outlier].sum()) > epsilon * big_n / 2.0:
         raise PostconditionFailure(
             "exceptional bucket exceeds half the allowed exceptional mass"
         )
     inside = np.nonzero(~outlier)[0]
     # integral floats: labels can pass 2^63, so they are not cast to int64;
-    # dict order keeps the cells in first-occurrence order
-    labels = np.ceil(coords[:, inside] / width).T.tolist()
-    cells: dict[tuple[float, ...], list[int]] = {}
-    for x, label in zip(inside.tolist(), labels):
-        cells.setdefault(tuple(label), []).append(x)
-    r = len(cells)
+    # a cell is a row number, so cells come in first-occurrence order
+    cell, _ = _row_labels(np.ceil(coords[:, inside].T / width))
+    members = inside[np.argsort(cell, kind="stable")].tolist()
+    ends = np.bincount(cell).cumsum().tolist()
+    # epsilon^2 underflows to 0 below about 1e-162: no bound is then finite
     try:
         r_bound = (64.0 * cut * cut / epsilon ** 2 + 3.0) ** cut
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         r_bound = math.inf
-    if r > r_bound:
+    if len(ends) > r_bound:
         raise PostconditionFailure("bucket count exceeds its structural bound")
     return Buckets(
         exceptional=tuple(int(x) for x in np.nonzero(outlier)[0]),
-        cells=tuple(tuple(cell) for cell in cells.values()),
+        cells=tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
         coordinate_width=width,
         outlier_threshold=threshold,
     )

@@ -15,7 +15,7 @@ from operator import add
 
 import numpy as np
 
-from .core import SimilaritySpace
+from .core import SimilaritySpace, _row_labels
 from .errors import (
     BadParams,
     BadSchedule,
@@ -209,9 +209,12 @@ def overlap_space(configs: np.ndarray, weights: np.ndarray | None,
     """Similarity space of distinct configurations under rho(f(overlap)).
 
     ``weights`` are Gibbs masses (exact mode) or None for empirical
-    frequencies over the sample list.  Duplicate configurations are merged,
-    their weights added in index order.  The map is called once per overlap
-    k / n_spins, k in [-n_spins, n_spins], and the similarities read off.
+    frequencies over the sample list.  Duplicate configurations, as
+    ``core._row_labels`` finds them, are merged in order of first
+    occurrence, their weights added in index order; weights whose sum is
+    not a positive finite number raise BadParams before they are
+    normalized.  The map is called once per overlap k / n_spins, k in
+    [-n_spins, n_spins], and the similarities read off.
     """
     arr = np.asarray(configs)
     if arr.ndim != 2 or not (np.abs(arr) == 1).all():
@@ -224,12 +227,17 @@ def overlap_space(configs: np.ndarray, weights: np.ndarray | None,
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (n_rows,):
         raise BadParams(f"weights shape {weights.shape} for {n_rows} rows")
-    keys: dict[bytes, int] = {}
-    label = np.array([keys.setdefault(row.tobytes(), len(keys))
-                      for row in arr], dtype=int)
-    if len(keys) < 2:
+    label, first = _row_labels(arr)
+    if len(first) < 2:
         raise DegenerateSample("need at least 2 distinct configurations")
-    distinct = arr[np.unique(label, return_index=True)[1]]
+    w = np.bincount(label, weights=weights)
+    # the sum is finite only when every weight is, and finite weights can
+    # overflow it
+    with np.errstate(all="ignore"):
+        total = float(w.sum())
+    if not 0.0 < total < math.inf:
+        raise BadParams(f"weights sum to {total!r}; need a finite sum > 0")
+    distinct = arr[first]
     table = np.array([mapping.rho(mapping.f(k / n_spins))
                       for k in range(-n_spins, n_spins + 1)], dtype=float)
     spins = distinct.astype(np.float32)
@@ -240,8 +248,7 @@ def overlap_space(configs: np.ndarray, weights: np.ndarray | None,
     counts += n_spins
     counts = counts.astype(np.min_scalar_type(2 * n_spins))
     points = np.where(distinct > 0, "+", "-").view(f"<U{n_spins}").ravel()
-    w = np.bincount(label, weights=weights)
-    return SimilaritySpace(points=tuple(points.tolist()), weights=w / w.sum(),
+    return SimilaritySpace(points=tuple(points.tolist()), weights=w / total,
                            sim=table[counts], bound=1.0)
 
 

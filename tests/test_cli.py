@@ -184,6 +184,18 @@ class TestCommands:
         assert data["parts"][0] == []
         assert (tmp_path / "g.dot").read_text().startswith("graph")
 
+    def test_partition_at_an_epsilon_whose_square_underflows(self, tmp_path,
+                                                             capsys):
+        # 1e-200 ** 2 is 0.0; the zero-mass vertex d keeps the partition
+        # off the forced path, so the cells are bucketed
+        graph_path = tmp_path / "graph.json"
+        write_json(graph_path, ZERO_MASS_PATH)
+        assert main(["partition", "--graph", str(graph_path), "--epsilon",
+                     "1e-200", "--m", "2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["parts"] == [["d"], ["a"], ["b"], ["c"]]
+        assert not data["params"]["forced"]
+
     def test_cliques_command(self, tmp_path, capsys):
         space_path = tmp_path / "space.json"
         assert main(["fixture", "--kind", "planted-blocks", "--size", "24",
@@ -413,6 +425,10 @@ def test_spinglass_schedule_exit_codes(case, capsys):
 
 
 UNIT = ["--epsilon", "1e-12", "--m", "16"]
+# a path a-b-c and a vertex d of mass 0, which keeps a partition spectral
+ZERO_MASS_PATH = {"vertices": ["a", "b", "c", "d"],
+                  "measure": [0.5, 0.25, 0.25, 0.0],
+                  "edges": [["a", "b"], ["b", "c"]]}
 MASS_GRAPHS = {"nan": [NAN, 0.5, 0.5], "inf": [float("inf"), 0.5, 0.5],
                "negative": [-0.1, 0.6, 0.5]}
 TREE_OUTS = ["--out", "{out}/tree.json", "--report", "{out}/report.json",
@@ -570,6 +586,12 @@ PARAM_EDGES = {
                                    "0.1", "--m", "2", "--out",
                                    "{out}/parts.json"], 2)
        for kind in MASS_GRAPHS},
+    # the bucket width epsilon^1.5 / (16 sqrt(2 J^3 N)) underflows to 0.0
+    "partition-epsilon-without-a-bucket-width": (["partition", "--graph",
+                                                  "{zero_mass_path}",
+                                                  "--epsilon", "1e-230",
+                                                  "--m", "2", "--out",
+                                                  "{out}/parts.json"], 2),
     "partition-mode": (["partition", "--graph", "{graph}", *REGULARITY,
                         "--mode", "practical", "--out", "{out}/parts.json",
                         "--dot", "{out}/parts.dot"], 2),
@@ -820,6 +842,8 @@ def param_files(tmp_path):
     write_json(files["metric"], {"dist": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
                                           [1.0, 1.0, 0.0]]})
     write_json(files["graph"], graph_to_dict(threshold_graph(space, K)))
+    files["zero_mass_path"] = tmp_path / "zero_mass_path.json"
+    write_json(files["zero_mass_path"], ZERO_MASS_PATH)
     write_json(files["dup_graph"], {"vertices": ["a", "b", "a"],
                                     "measure": [0.3, 0.3, 0.4],
                                     "edges": [["a", "b"]]})
@@ -865,6 +889,8 @@ def test_param_edge_exit_codes(case, param_files, tmp_path, capsys):
      "that plant a tree, not 'random'"),
     ("cliques-t-nan", "threshold nan outside (0, 1.0]"),
     ("convert-graph-out-t-zero", "threshold 0.0 outside (0, 1.0]"),
+    ("partition-epsilon-without-a-bucket-width",
+     "epsilon 1e-230 is too small: width 0.0"),
     ("ladder-bound-2", "threshold ladder requires a space rescaled to bound "
      "1"),
     ("eval-converse-bound-2", "converse check requires a space with bound 1"),

@@ -23,7 +23,10 @@ each; every other key is unchanged.  The ``fixture-random`` and
 ``fixture-planted-blocks`` stdout was re-pinned when ``fixture`` began to
 reject ``--tree-out`` for kinds that plant no tree: the cases dropped the
 flag, so ``tree_out`` in the printed config went from ``"tree.json"`` to
-null; their space files are unchanged.
+null; their space files are unchanged.  The ``spinglass-spectral`` digests
+were recorded before the spectral cells came to be numbered by the routine
+that numbers a space's distinct rows, and pin that the cells kept their
+members and order.
 """
 
 import hashlib
@@ -97,6 +100,12 @@ CASES = {
         "split.json", "--map", "map.json"]],
     "hyp-json": [*NOISY, [
         "hyp", "--space", "space.json", "--mc", "100", "--format", "json"]],
+    # the only case whose build takes the spectral path: its one repair
+    # buckets 512 states at cut 513, and its eigenvectors come from LAPACK
+    "spinglass-spectral": [[
+        "spinglass", "--n", "10", "--mcmc", "0", "--beta", "3.0", "--seed",
+        "3", "--epsilon", "5.96e-8", "--m", "4", "--delta0", "0.24", "--f",
+        "abs", "--report", "report.json", "--out", "tree.json"]],
 }
 
 
@@ -257,6 +266,14 @@ GOLDEN = {
             "7474b7068a61e12b7212914002f7543d064b2c206170dc5b4987837886f23136",
         "stdout":
             "9e0067ffa15cf48b20c8e53f76c73c477b3ae8657120e11a8ad56637c23f1e5f",
+    },
+    "spinglass-spectral": {
+        "report.json":
+            "7b9770a3d19f4a70c15918de12fab64b3385743641cebdc762fc98f04aff6807",
+        "stdout":
+            "7b9770a3d19f4a70c15918de12fab64b3385743641cebdc762fc98f04aff6807",
+        "tree.json":
+            "79551fe34c000c73326dc16cb0581d9ce4125b14b7303a2d40714fda33926f1f",
     },
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -459,6 +460,50 @@ class TestBuckets:
         buckets = spectral_bucket_partition(spec, cut, params.epsilon)
         assert buckets.exceptional == ()
         assert tuple(isolated) in buckets.cells
+
+    def test_signed_zero_labels_share_a_cell(self):
+        # the labels of points 0 and 1 are ceil(-0.5) = -0.0 and ceil(0.0) =
+        # 0.0: equal as numbers, so the points share a cell, as they did
+        # when cells were keyed by tuples of Python floats
+        spec = spike_spectrum([1.0, 0.0, 0.0])
+        width = 0.2 ** 1.5 / (16.0 * math.sqrt(2.0 * 2 ** 3 * 3))
+        vectors = spec.vectors.copy()
+        vectors[0] = [-0.5 * width, 0.0, 0.5]
+        assert np.signbit(np.ceil(vectors[0, :2] / width)).tolist() \
+            == [True, False]
+        buckets = spectral_bucket_partition(
+            dataclasses.replace(spec, vectors=vectors), 2, 0.2)
+        assert buckets.coordinate_width == width
+        assert buckets.exceptional == ()
+        assert buckets.cells == ((0, 1), (2,))
+
+
+def zero_mass_path():
+    """A path a-b-c and a vertex d of mass 0, which fails the forced
+    partition's mass condition, so the pipeline takes the spectral path."""
+    adj = np.zeros((4, 4), dtype=bool)
+    adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
+    return graph_from_adj(adj, [0.5, 0.25, 0.25, 0.0])
+
+
+class TestTinyEpsilon:
+    def test_underflowed_square_leaves_the_cell_count_unbounded(self):
+        # epsilon^2 is 0.0 below about 1e-162, and the bucket width is still
+        # a normal float at 1e-200
+        assert 1e-200 ** 2 == 0.0
+        result = regularity_pipeline(zero_mass_path(),
+                                     RegularityParams(1e-200, 2))
+        assert not result.params["forced"]
+        assert result.params["bucket_count"] == 4
+        assert result.parts == (("v3",), ("v0",), ("v1",), ("v2",))
+
+    @pytest.mark.parametrize("epsilon", [1e-206, 1e-230, 5e-324])
+    def test_width_without_finite_labels_is_rejected(self, epsilon):
+        # the width is subnormal at 1e-206, where a label ceil(1 / width)
+        # would overflow, and 0.0 from 1e-230 on
+        with pytest.raises(BadParams, match=f"epsilon {epsilon!r} is too "
+                           "small: width "):
+            regularity_pipeline(zero_mass_path(), RegularityParams(epsilon, 2))
 
 
 class TestEquitableRefine:

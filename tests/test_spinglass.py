@@ -502,6 +502,16 @@ class TestOverlapSpaceFromCounts:
             overlap_space(configs, np.full(length, 1.0 / length),
                           overlap_map("abs"))
 
+    @pytest.mark.parametrize("weights", [
+        [0.0, 0.0, 0.0], [math.inf, 1.0, 1.0], [1e308] * 3,
+        [math.nan, 1.0, 1.0], [math.inf, -math.inf, 1.0]])
+    def test_weights_without_a_finite_positive_sum(self, weights):
+        # normalizing by a sum of 0, inf (an overflow too) or NaN gave NaN
+        # or zero weights
+        configs = np.array([[1, 1], [1, -1], [-1, 1]], dtype=np.int8)
+        with pytest.raises(BadParams, match="need a finite sum > 0"):
+            overlap_space(configs, np.array(weights), overlap_map("abs"))
+
     @pytest.mark.parametrize("value", [0, 2, -3])
     def test_entries_other_than_plus_minus_one(self, value):
         configs = np.array([[1, 1], [1, -1], [-1, value]], dtype=np.int8)
