@@ -12,7 +12,11 @@ result is provably empty.  The parts are single
 points, so that the part neighbor relation is the thresholded vertex graph
 itself and q is the vertex count, whenever the partition is forced: (a)
 epsilon N <= 1 for the rationalized denominator N, and (b) every point's
-mass is at least epsilon mu / (2 (1 + m*)) (see ``regularity``).
+mass is at least epsilon mu / (2 (1 + m*)) (see ``regularity``).  On such a
+partition ``_settles`` decides, without running the stages, whether they
+would leave the graph as it is: a union of cliques that the family keeps
+whole and whose groups clear the mass floor.  It shares the family cutoff
+and the mass screen with the stages that apply them.
 """
 
 from __future__ import annotations
@@ -119,6 +123,12 @@ def part_neighbor_graph(partition: PartitionResult, epsilon: float
     )
 
 
+def _family_cutoff(epsilon: float, q: int) -> float:
+    """The fewest members, epsilon^(1/4) q, that a neighborhood among q
+    parts needs to join the family."""
+    return epsilon ** 0.25 * q
+
+
 def neighborhood_family(pg: PartNeighborGraph, epsilon: float
                         ) -> tuple[tuple[int, ...], ...]:
     """Greedy maximal collection of disjoint neighborhoods of adequate size.
@@ -130,7 +140,7 @@ def neighborhood_family(pg: PartNeighborGraph, epsilon: float
     and then lowered by each accepted neighborhood's members.
     """
     q = pg.q
-    cutoff = epsilon ** 0.25 * q
+    cutoff = _family_cutoff(epsilon, q)
     closed = pg.neighbor[1:, 1:].copy()
     closed.flat[::q + 1] = True
     # closed-neighborhood sizes among unused parts; an unused part counts
@@ -281,6 +291,31 @@ def _shortest_gap_triple(adj: np.ndarray, members: list[int], a: int, b: int
     return (a, path[-2], path[-3])
 
 
+def _light_groups(graph: WeightedGraph, group_v: np.ndarray, n_groups: int,
+                  epsilon: float, sizes: np.ndarray | None
+                  ) -> tuple[float, list[tuple[int, int]]]:
+    """The clique-mass floor (1/2) epsilon^(1/4) mu and the groups that may
+    fall below it, each with its point count: the groups of two or more
+    points (counted by ``sizes``, one per vertex by default) whose mass,
+    summed in index order, does not clear the floor by a margin.
+
+    ``group_v`` labels each vertex with its group 0..n_groups - 1, or -1.
+    Any two orders of a sum of k nonnegative terms agree within 2.1 k u of
+    it (u = 2^-53), so a group whose screened mass clears the floor by
+    8 n u passes, and only the others need their mass summed again.
+    """
+    mass_floor = 0.5 * epsilon ** 0.25 * graph.total_mass()
+    screened = np.bincount(group_v + 1, graph.mass,
+                           minlength=n_groups + 1)[1:]
+    doubtful = screened * (1.0 - 8.0 * graph.n * 2.0 ** -53) < mass_floor
+    if not doubtful.any():
+        return mass_floor, []
+    count = np.bincount(group_v + 1, sizes, minlength=n_groups + 1)[1:]
+    light = (doubtful & (count >= 2)).nonzero()[0]
+    return mass_floor, list(zip(light.tolist(),
+                                count[light].astype(int).tolist()))
+
+
 def clique_repair(graph: WeightedGraph, partition: PartitionResult,
                   structure: CliqueStructure, epsilon: float,
                   sizes: np.ndarray | None = None
@@ -326,24 +361,16 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     leftover_v = leftover_part[part_v]
 
     mass = graph.mass
-    mass_floor = 0.5 * epsilon ** 0.25 * graph.total_mass()
-    # Group masses summed in index order screen the groups.  Any two orders
-    # of a sum of k nonnegative terms agree within 2.1 k u of it (u = 2^-53),
-    # so a group whose screened mass clears the floor by 8 n u passes, and
-    # only the others are summed as the message reports them.
-    screened = np.bincount(group_v + 1, mass, minlength=len(groups) + 1)[1:]
-    doubtful = screened * (1.0 - 8.0 * n * 2.0 ** -53) < mass_floor
-    if doubtful.any():
-        count = np.bincount(group_v + 1, sizes, minlength=len(groups) + 1)
-        for gi in (doubtful & (count[1:] >= 2)).nonzero()[0].tolist():
-            gmass = float(mass[group_v == gi].sum())
-            if gmass < mass_floor:
-                raise LightClique(
-                    f"clique {gi} of {int(count[gi + 1])} points has mass "
-                    f"{gmass!r}, below the floor {mass_floor!r}; its "
-                    "neighborhoods passed by part count, but their points "
-                    "are too light"
-                )
+    mass_floor, light = _light_groups(graph, group_v, len(groups), epsilon,
+                                      sizes)
+    for gi, count in light:
+        gmass = float(mass[group_v == gi].sum())
+        if gmass < mass_floor:
+            raise LightClique(
+                f"clique {gi} of {count} points has mass {gmass!r}, below "
+                f"the floor {mass_floor!r}; its neighborhoods passed by part "
+                "count, but their points are too light"
+            )
 
     adj = graph.adj.copy()
     grouped = group_v >= 0
@@ -389,6 +416,41 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     repaired = WeightedGraph._symmetric_by_construction(
         graph.vertices, graph.mass, adj)
     return repaired, log
+
+
+def _settles(graph: WeightedGraph, epsilon: float,
+             sizes: np.ndarray | None = None) -> bool:
+    """Whether the clique stages, run on the forced partition of ``graph``,
+    would return it unchanged, edit no pair and raise nothing.
+
+    On a forced partition every part is one point, every pair is regular
+    and each density is its adjacency entry, 0 or 1; as epsilon < 1/4, a 1
+    is dense and a 0 lies below the middle band, so the part neighbor graph
+    is ``graph`` itself.  The graph is a union of cliques exactly when each
+    vertex shares its closed neighborhood with the first member of that
+    neighborhood.  If, moreover, every clique of two or more vertices has
+    at least the family cutoff epsilon^(1/4) q members, then
+    ``neighborhood_family`` takes the cliques at or above the cutoff,
+    largest first, and leaves only isolated vertices, which attach to no
+    group; ``clique_closure`` links no two cliques and finds no bad pair;
+    and r groups of at least epsilon^(1/4) q members among q give
+    r epsilon^(1/4) q <= q, so the bound of epsilon^(-1/4) groups holds
+    without a check.  Every stage mask of ``clique_repair`` is then empty
+    and its postcondition holds.  What remains is its mass floor: a group
+    that the screen does not clear is left to the stages, which raise
+    ``LightClique`` or pass it.
+    """
+    closed = graph.adj | np.eye(graph.n, dtype=bool)
+    first = closed.argmax(axis=1)
+    if not (closed == closed[first]).all():
+        return False
+    size = closed.sum(axis=1)
+    grouped = size >= _family_cutoff(epsilon, graph.n)
+    if not (grouped | (size == 1)).all():
+        return False
+    _, light = _light_groups(graph, np.where(grouped, first, -1), graph.n,
+                             epsilon, sizes)
+    return not light
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,18 @@ class SpinGlassModel:
 
     Couplings are independent standard normals, reproducible from the seed.
     Gibbs weights are proportional to exp(beta * H); the sign convention is
-    immaterial because the coupling law is symmetric.
+    immaterial because the coupling law is symmetric.  beta may be infinite
+    (a zero-temperature chain) but not NaN.
     """
 
     n: int
     beta: float
     seed: int
     couplings: np.ndarray  # upper-triangle entries g_ij, i < j, row-major
+
+    def __post_init__(self):
+        if math.isnan(self.beta):
+            raise BadParams(f"beta must be a number, got {self.beta!r}")
 
     def coupling_matrix(self) -> np.ndarray:
         g = np.zeros((self.n, self.n))
@@ -70,8 +75,12 @@ def gibbs_exact(model: SpinGlassModel) -> tuple[np.ndarray, np.ndarray]:
     """Full Gibbs distribution over all 2^n configurations.
 
     Returns (configs, probabilities); configs[k] is a +-1 vector.  Weights
-    are exponentiated around the maximum energy for stability.
+    are exponentiated around the maximum energy for stability, which needs
+    a finite beta.
     """
+    if not math.isfinite(model.beta):
+        raise BadParams(f"exact enumeration needs a finite beta, got "
+                        f"{model.beta!r}")
     if model.n > ENUMERATION_CAP:
         raise TooLargeForEnumeration(
             f"n={model.n} exceeds the enumeration cap {ENUMERATION_CAP}"

@@ -2,7 +2,9 @@
 
 Level by level, the current clusters are thresholded at the next ladder
 value, partitioned, and repaired into cliques; the cliques become the next
-level's clusters and the edits are logged.  Leaves attach at the level where
+level's clusters and the edits are logged.  A cluster whose partition is
+forced and whose threshold graph is already a union of cliques that the
+clique stages would keep is its own repair, and skips those stages.  Leaves attach at the level where
 their cluster first becomes a singleton.  The report carries the tree, the
 edit measure, the evaluated cost, and exhaustive checks of the two-sided
 bound linking similarity values to tree levels.
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliques import clique_closure, clique_repair, neighborhood_family, \
-    part_neighbor_graph
+from .cliques import _settles, clique_closure, clique_repair, \
+    neighborhood_family, part_neighbor_graph
 from .core import CompatibleTree, SimilaritySpace, _merge_weights, \
     gromov_product_matrix, threshold_graph, tree_from_levels
 from .errors import BadParams, LeafMismatch, MapMismatch
@@ -152,20 +154,28 @@ def _cost(cp: _ClassPairs, alpha: float) -> float:
 def _kinks(cp: _ClassPairs) -> tuple[np.ndarray, np.ndarray]:
     """The breakpoint s / g and kink weight w g of every term of the cost
     with product g > 0 and weight w > 0, in row-major order and then the
-    pairs (x, x) of the shared groups, which have their leaf's product."""
-    w = np.outer(cp.weight, cp.weight)
-    np.fill_diagonal(w, np.where(cp.shared, cp.inner, cp.self_weight))
-    g = cp.meet.astype(float)
-    sel = (g > 0) & (w > 0)
+    pairs (x, x) of the shared groups, which have their leaf's product.
+
+    The pair weights are formed 64 rows at a time, so that no d x d float
+    array is held; each entry is the same product as in the whole matrix.
+    """
+    diagonal = np.where(cp.shared, cp.inner, cp.self_weight)
+    ratios, kink = [], []
+    for a in range(0, len(cp.weight), 64):
+        w = np.outer(cp.weight[a:a + 64], cp.weight)
+        ends = np.arange(len(w))
+        w[ends, a + ends] = diagonal[a:a + 64]
+        g = cp.meet[a:a + 64]
+        sel = (g > 0) & (w > 0)
+        prod = g[sel].astype(float)
+        ratios.append(cp.sim[a:a + 64][sel] / prod)
+        kink.append(w[sel] * prod)
     leaf = cp.leaf[cp.shared].astype(float)
     mass = cp.self_weight[cp.shared]
     own = (leaf > 0) & (mass > 0)
-    prod = np.concatenate([g[sel], leaf[own]])
-    ratios = np.concatenate([cp.sim[sel], cp.sim.diagonal()[cp.shared][own]])
-    ratios /= prod
-    kink = np.concatenate([w[sel], mass[own]])
-    kink *= prod
-    return ratios, kink
+    ratios.append(cp.sim.diagonal()[cp.shared][own] / leaf[own])
+    kink.append(mass[own] * leaf[own])
+    return np.concatenate(ratios), np.concatenate(kink)
 
 
 def _best_alpha(cp: _ClassPairs) -> tuple[float, float]:
@@ -175,7 +185,8 @@ def _best_alpha(cp: _ClassPairs) -> tuple[float, float]:
         order = np.argsort(ratios, kind="stable")
         ratios, kink = ratios[order], kink[order]
         total = float(kink.sum())
-        idx = int(np.searchsorted(np.cumsum(kink), total / 2.0, side="left"))
+        idx = int(np.searchsorted(np.cumsum(kink, out=kink), total / 2.0,
+                                  side="left"))
         alpha = max(float(ratios[min(idx, len(ratios) - 1)]), 0.0)
     return alpha, _cost(cp, alpha)
 
@@ -310,27 +321,37 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
     Returns the child clusters (as global point-index lists, singletons
     included, in order of their first member) and the log's edited pairs
     i < j, stage by stage, as (rows, cols) arrays of global indices.
+
+    A forced partition of a threshold graph that the clique stages would
+    leave as it is (``cliques._settles``) skips them: the graph is then its
+    own repair, and no pair is edited.
     """
     graph = threshold_graph(space, t, subset=idxs)
     partition = regularity_pipeline(graph, params, seed=seed)
-    pg = part_neighbor_graph(partition, params.epsilon)
-    family = neighborhood_family(pg, params.epsilon)
-    structure = clique_closure(family, pg, params.epsilon)
-    repaired, log = clique_repair(graph, partition, structure, params.epsilon,
-                                  None if sizes is None else sizes[idxs])
     take = np.asarray(idxs)
-    # clique_repair raises unless the graph is exactly the group cliques plus
-    # isolated points, so each point's clique is its closed neighbourhood and
-    # the first member of that neighbourhood labels the cluster; idxs ascend,
-    # so ordering by that label sorts the clusters
-    first = (repaired.adj | np.eye(repaired.n, dtype=bool)).argmax(axis=1)
+    sizes = None if sizes is None else sizes[idxs]
+    if partition.params["forced"] and _settles(graph, params.epsilon, sizes):
+        adj, rows, cols = graph.adj, take[:0], take[:0]
+    else:
+        pg = part_neighbor_graph(partition, params.epsilon)
+        family = neighborhood_family(pg, params.epsilon)
+        structure = clique_closure(family, pg, params.epsilon)
+        repaired, log = clique_repair(graph, partition, structure,
+                                      params.epsilon, sizes)
+        adj = repaired.adj
+        rows, cols = map(np.concatenate, zip(*log.edits.values()))
+        rows, cols = take[rows], take[cols]
+    # the graph is exactly the cliques plus isolated points, so each point's
+    # clique is its closed neighbourhood and the first member of that
+    # neighbourhood labels the cluster; idxs ascend, so ordering by that
+    # label sorts the clusters
+    first = (adj | np.eye(len(idxs), dtype=bool)).argmax(axis=1)
     order = first.argsort(kind="stable")
     flat = take[order].tolist()
     heads = first == np.arange(len(first))  # a vertex that labels its clique
     ends = np.bincount(first, minlength=len(first))[heads].cumsum().tolist()
     children = [flat[a:b] for a, b in zip([0] + ends, ends)]
-    rows, cols = map(np.concatenate, zip(*log.edits.values()))
-    return children, (take[rows], take[cols])
+    return children, (rows, cols)
 
 
 def _violations(bad: np.ndarray, members: list[np.ndarray]

@@ -486,6 +486,17 @@ PARAM_EDGES = {
     "spinglass-exact-ignores-burn-in": (SPINGLASS_ARGS + [
         "--burn-in", "9", "--out", "{out}/tree.json",
         "--report", "{out}/report.json"], 2),
+    # a NaN beta makes no model; exact enumeration also needs a finite one
+    "spinglass-mcmc-beta-nan": (["spinglass", "--n", "6", "--mcmc", "3000",
+                                 "--burn-in", "100", "--thin", "10",
+                                 "--beta", "nan", "--epsilon", "1e-5",
+                                 "--m", "4", "--out", "{out}/tree.json"], 2),
+    **{f"spinglass-exact-beta-{name}": (["spinglass", "--n", "6",
+                                         f"--beta={beta}", "--epsilon",
+                                         "1e-5", "--m", "4", "--out",
+                                         "{out}/tree.json"], 2)
+       for name, beta in [("nan", "nan"), ("inf", "inf"),
+                          ("minus-inf", "-inf")]},
     "hyp-ignores-seed": (["hyp", "--space", "{space}", "--seed", "7",
                           "--out", "{out}/hyp.json"], 2),
     "hyp-mc-zero-ignores-seed": (["hyp", "--space", "{space}", "--mc", "0",
@@ -894,6 +905,10 @@ def test_param_edge_exit_codes(case, param_files, tmp_path, capsys):
     ("ladder-bound-2", "threshold ladder requires a space rescaled to bound "
      "1"),
     ("eval-converse-bound-2", "converse check requires a space with bound 1"),
+    ("spinglass-mcmc-beta-nan", "beta must be a number, got nan"),
+    ("spinglass-exact-beta-nan", "beta must be a number, got nan"),
+    ("spinglass-exact-beta-inf", "exact enumeration needs a finite beta, "
+     "got inf"),
 ])
 def test_rejection_names_its_cause(case, message, param_files, capsys):
     flags, code = PARAM_EDGES[case]

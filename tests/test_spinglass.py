@@ -66,6 +66,12 @@ class TestCouplings:
         with pytest.raises(SizeTooSmall):
             sk_couplings(1)
 
+    def test_nan_beta(self):
+        with pytest.raises(BadParams, match="beta must be a number"):
+            sk_couplings(6, beta=math.nan)
+        with pytest.raises(BadParams, match="beta must be a number"):
+            SpinGlassModel(n=2, beta=math.nan, seed=0, couplings=np.ones(1))
+
 
 class TestGibbsExact:
     def test_infinite_temperature_uniform(self):
@@ -92,6 +98,14 @@ class TestGibbsExact:
     def test_enumeration_cap(self):
         with pytest.raises(TooLargeForEnumeration):
             gibbs_exact(sk_couplings(21, seed=0))
+
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf])
+    def test_infinite_beta(self, beta):
+        # the chain takes an infinite beta; the enumeration would weigh
+        # its ground states inf - inf
+        model = sk_couplings(6, beta=beta, seed=2)
+        with pytest.raises(BadParams, match="needs a finite beta"):
+            gibbs_exact(model)
 
 
 def gibbs_loop(model, steps, burn_in, thin, seed):

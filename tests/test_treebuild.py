@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import pickle
+import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from treelike.core import rescale_to_unit, validate_space
 from treelike.cliques import ModificationLog
 from treelike.core import WeightedGraph
 from treelike.errors import BadParams, Delta0TooLarge, LeafMismatch, \
-    MapMismatch, WeightSumMismatch
+    LightClique, MapMismatch, TreelikeError, WeightSumMismatch
 from treelike.io import dump_json, tree_to_dict
 from treelike.regularity import RegularityParams
 from treelike.spinglass import gibbs_exact, overlap_map, overlap_space, \
@@ -856,17 +858,49 @@ def clusters_loop(repaired, idxs):
     return children
 
 
+def clique_union(rng, graph):
+    """The graph with random cliques, some of one point, plus isolated
+    points in place of its edges."""
+    labels = rng.integers(-1, max(1, graph.n // 3), size=graph.n)
+    adj = (labels[:, None] == labels[None, :]) & (labels[:, None] >= 0)
+    np.fill_diagonal(adj, False)
+    return WeightedGraph(graph.vertices, graph.mass, adj)
+
+
+def repair_trials(rng, made):
+    """Repair 200 random clusters of a 60-point space; each cluster's
+    children are the components of the last graph in ``made``."""
+    space = random_fixture(60, seed=1).space
+    params = RegularityParams(epsilon=EPS, m=M)
+    isolated = 0
+    for trial in range(200):
+        size = int(rng.integers(1, 61))
+        idxs = sorted(rng.choice(60, size=size, replace=False).tolist())
+        children, edited = treebuild._repair_cluster(
+            space, idxs, 0.5, params, (0, 1, trial))
+        assert children == clusters_loop(made[-1], idxs)
+        assert [e.tolist() for e in edited] == [[], []]
+        isolated += sum(len(c) == 1 for c in children)
+    assert isolated > 0
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("a settled cluster ran a clique stage")
+
+
+CLIQUE_STAGES = ("part_neighbor_graph", "neighborhood_family",
+                 "clique_closure", "clique_repair")
+
+
 class TestClustersAgainstLoop:
     def test_seeded_clique_unions(self, monkeypatch):
+        # the full path: the clique stages run, and the last one returns a
+        # random union of cliques
         rng = np.random.default_rng(0)
         made = []
 
-        def clique_union(graph, partition, structure, epsilon, sizes=None):
-            # random groups, some of one point, plus isolated points
-            labels = rng.integers(-1, max(1, graph.n // 3), size=graph.n)
-            adj = (labels[:, None] == labels[None, :]) & (labels[:, None] >= 0)
-            np.fill_diagonal(adj, False)
-            made.append(WeightedGraph(graph.vertices, graph.mass, adj))
+        def repair(graph, partition, structure, epsilon, sizes=None):
+            made.append(clique_union(rng, graph))
             empty = np.empty(0, dtype=np.intp)
             log = ModificationLog(
                 graph.vertices,
@@ -874,22 +908,180 @@ class TestClustersAgainstLoop:
                 dict.fromkeys(cliques.STAGE_NAMES, 0.0), 0.0)
             return made[-1], log
 
-        for stage in ("regularity_pipeline", "part_neighbor_graph",
-                      "neighborhood_family", "clique_closure"):
+        spectral = types.SimpleNamespace(params={"forced": False})
+        monkeypatch.setattr(treebuild, "regularity_pipeline",
+                            lambda *a, **k: spectral)
+        for stage in CLIQUE_STAGES[:3]:
             monkeypatch.setattr(treebuild, stage, lambda *a, **k: None)
-        monkeypatch.setattr(treebuild, "clique_repair", clique_union)
-        space = random_fixture(60, seed=1).space
+        monkeypatch.setattr(treebuild, "clique_repair", repair)
+        repair_trials(rng, made)
+
+    def test_settled_clique_unions(self, monkeypatch):
+        # the settled path: the threshold graph is a random union of
+        # cliques on a forced partition, and no clique stage runs
+        rng = np.random.default_rng(0)
+        made = []
+        threshold = treebuild.threshold_graph
+
+        def union(space, t, subset):
+            made.append(clique_union(rng, threshold(space, t, subset=subset)))
+            return made[-1]
+
+        forced = types.SimpleNamespace(params={"forced": True})
+        monkeypatch.setattr(treebuild, "threshold_graph", union)
+        monkeypatch.setattr(treebuild, "regularity_pipeline",
+                            lambda *a, **k: forced)
+        for stage in CLIQUE_STAGES:
+            monkeypatch.setattr(treebuild, stage, unreachable)
+        repair_trials(rng, made)
+
+
+def blocks_space(labels, weights):
+    """Points in blocks by label, with similarity 0.8 inside a block, 0.2
+    across and 1 on the diagonal: at 0.5 the threshold graph is the union
+    of the blocks' cliques."""
+    sim = np.where(labels[:, None] == labels, 0.8, 0.2)
+    np.fill_diagonal(sim, 1.0)
+    return SimilaritySpace(points=tuple(f"p{i}" for i in range(len(labels))),
+                           weights=weights / weights.sum(), sim=sim)
+
+
+def uniform_blocks(counts):
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return blocks_space(labels, np.ones(len(labels)))
+
+
+def stages_directly(space, params, seed, sizes):
+    """``_repair_cluster`` on all points of the space at 0.5, with the four
+    clique stages always run."""
+    idxs = list(range(space.n))
+    graph = core.threshold_graph(space, 0.5, subset=idxs)
+    partition = regularity.regularity_pipeline(graph, params, seed=seed)
+    pg = cliques.part_neighbor_graph(partition, params.epsilon)
+    family = cliques.neighborhood_family(pg, params.epsilon)
+    structure = cliques.clique_closure(family, pg, params.epsilon)
+    repaired, log = cliques.clique_repair(graph, partition, structure,
+                                          params.epsilon, sizes)
+    return clusters_loop(repaired, idxs), tuple(
+        map(np.concatenate, zip(*log.edits.values())))
+
+
+def outcome(repair, space, params, seed=(0, 1, 0), sizes=None):
+    """The children and edited pairs of a repair, or its error."""
+    try:
+        children, edited = repair(space, params, seed, sizes)
+    except TreelikeError as exc:
+        return type(exc), str(exc)
+    return children, [e.tolist() for e in edited]
+
+
+def settle_rule(space, params, seed, sizes):
+    return treebuild._repair_cluster(space, list(range(space.n)), 0.5,
+                                     params, seed, sizes)
+
+
+class TestSettledClusters:
+    """A forced cluster whose threshold graph is a union of cliques that
+    the clique stages keep skips them, with the result they would give."""
+
+    @pytest.mark.parametrize("epsilon", [1e-12, 2.0 ** -24, 1 / 16])
+    def test_matches_the_stages(self, monkeypatch, epsilon):
+        rng = np.random.default_rng(3)
+        params = RegularityParams(epsilon=epsilon, m=4)
+        staged = []
+        repair = treebuild.clique_repair
+        monkeypatch.setattr(treebuild, "clique_repair", lambda *a, **k: (
+            staged.append(1), repair(*a, **k))[1])
+        paths = Counter()
+        for trial in range(90):
+            n = int(rng.integers(2, 40))
+            labels = rng.integers(0, int(rng.integers(1, 8)), size=n)
+            weights = [np.ones(n), rng.random(n) + 0.05,
+                       rng.random(n) ** 6][trial % 3]
+            sizes = rng.integers(1, 4, size=n)
+            space = blocks_space(labels, weights)
+            before = len(staged)
+            got = outcome(settle_rule, space, params, (0, 1, trial), sizes)
+            assert got == outcome(stages_directly, space, params,
+                                  (0, 1, trial), sizes)
+            paths["staged" if len(staged) > before else
+                  "raised" if isinstance(got[0], type) else "settled"] += 1
+        assert paths["settled"] > 0 and paths["staged"] > 0, paths
+
+    def test_a_clique_under_the_cutoff_dissolves(self):
+        # 16 points at epsilon 1/16: the cutoff is 8 members
+        params = RegularityParams(epsilon=1 / 16, m=4)
+        space = uniform_blocks([10, 6])
+        children, edited = outcome(settle_rule, space, params)
+        assert children == [list(range(10))] + [[i] for i in range(10, 16)]
+        assert len(edited[0]) == 15
+        assert outcome(stages_directly, space, params) == (children, edited)
+
+    def test_cliques_under_the_cutoff_all_dissolve(self):
+        params = RegularityParams(epsilon=1 / 16, m=4)
+        space = uniform_blocks([6, 5, 5])
+        children, edited = outcome(settle_rule, space, params)
+        assert children == [[i] for i in range(16)]
+        assert len(edited[0]) == 35
+        assert outcome(stages_directly, space, params) == (children, edited)
+
+    def test_cliques_at_the_cutoff_settle(self, monkeypatch):
+        params = RegularityParams(epsilon=1 / 16, m=4)
+        space = uniform_blocks([8, 8])
+        expected = outcome(stages_directly, space, params)
+        for stage in CLIQUE_STAGES:
+            monkeypatch.setattr(treebuild, stage, unreachable)
+        assert outcome(settle_rule, space, params) == expected
+        assert expected == ([list(range(8)), list(range(8, 16))], [[], []])
+
+    @pytest.mark.parametrize("epsilon", [2.0 ** -24, 1e-12])
+    def test_a_light_clique_raises(self, epsilon):
+        # the two-point clique carries a mass of about 6.7e-8
+        params = RegularityParams(epsilon=epsilon, m=4)
+        space = blocks_space(np.repeat([0, 1], [30, 2]),
+                             np.r_[np.full(30, 1e6), 1.0, 1.0])
+        with pytest.raises(LightClique, match="clique 1 of 2 points"):
+            settle_rule(space, params, (0, 1, 0), None)
+        assert outcome(settle_rule, space, params) == outcome(
+            stages_directly, space, params)
+
+    def test_a_light_point_of_twins_raises(self):
+        # the lone point stands for two points, so the floor holds it
+        params = RegularityParams(epsilon=1e-12, m=4)
+        space = blocks_space(np.repeat([0, 1], [30, 1]),
+                             np.r_[np.full(30, 1e6), 1.0])
+        sizes = np.r_[np.ones(30, dtype=int), 2]
+        with pytest.raises(LightClique, match="clique 1 of 2 points"):
+            settle_rule(space, params, (0, 1, 0), sizes)
+        assert outcome(settle_rule, space, params, sizes=sizes) == outcome(
+            stages_directly, space, params, sizes=sizes)
+        children, edited = outcome(settle_rule, space, params)
+        assert children == [list(range(30)), [30]]
+
+    def test_a_path_takes_the_stages(self, monkeypatch):
+        sim = np.array([[1.0, 0.8, 0.2], [0.8, 1.0, 0.8], [0.2, 0.8, 1.0]])
+        space = SimilaritySpace(points=("x", "y", "z"),
+                                weights=np.full(3, 1 / 3), sim=sim)
         params = RegularityParams(epsilon=EPS, m=M)
-        isolated = 0
-        for trial in range(200):
-            size = int(rng.integers(1, 61))
-            idxs = sorted(rng.choice(60, size=size, replace=False).tolist())
-            children, edited = treebuild._repair_cluster(
-                space, idxs, 0.5, params, (0, 1, trial))
-            assert children == clusters_loop(made[-1], idxs)
-            assert [e.tolist() for e in edited] == [[], []]
-            isolated += sum(len(c) == 1 for c in children)
-        assert isolated > 0
+        expected = outcome(stages_directly, space, params)
+        staged = []
+        repair = treebuild.clique_repair
+        monkeypatch.setattr(treebuild, "clique_repair", lambda *a, **k: (
+            staged.append(1), repair(*a, **k))[1])
+        assert outcome(settle_rule, space, params) == expected
+        assert staged == [1]
+
+    def test_a_build_settles_every_repair(self, monkeypatch):
+        space = ultrametric_fixture(64, [KAPPA, 2 * KAPPA, 3 * KAPPA],
+                                    seed=1).space
+        with monkeypatch.context() as patch:
+            patch.setattr(treebuild, "_settles", lambda *a, **k: False)
+            staged = build_tree(space, EPS, M, seed=0)
+        for stage in CLIQUE_STAGES:
+            monkeypatch.setattr(treebuild, stage, unreachable)
+        settled = build_tree(space, EPS, M, seed=0)
+        assert settled.n_repairs > 0
+        assert pickle.dumps(settled) == pickle.dumps(staged)
 
 
 def test_the_build_names_no_edited_pairs(monkeypatch):
