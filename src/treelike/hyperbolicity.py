@@ -21,12 +21,11 @@ groups once as it is made (``SimilaritySpace.distinct``).
 The ladder evaluates the mass of R_t only at its C window candidates, one
 d x d BLAS product each: O(C d^3).  ``exceptional_sets`` is N products for N
 ladder thresholds: O(N d^3).  ``bad_set_profile`` computes the mass at
-every distinct value in O(n^3) scatter work; it serves ``treelike ladder
---profile-csv`` and the tests, and no build calls it."""
+every distinct value with one walk on value ranks, O(d^3); it serves
+``treelike ladder --profile-csv`` and the tests, and no build calls it."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,78 +49,69 @@ MACHINE_EPS = float(np.finfo(float).eps)
 BLOCK = 64
 
 
-def _self_gaps(sim: np.ndarray, buf: np.ndarray):
-    """Yield (i0, i1, tile) with tile = s(x,z) - s(x,x) for rows x in
-    [i0, i1) and every column z: the defect of the triples (x, x, z).
+def _tiles(sim: np.ndarray, p: np.ndarray | None = None):
+    """Yield (y, i0, i1, low, high), the ends of the triples (x, y, z) for
+    rows x in [i0, i1) and columns z > y, or of (x, x, z) when y = -1.
 
-    No other triple with a repeated point has a positive defect: (x, y, x)
-    and (x, y, y) give min(s(x,x), s(x,y)) - s(x,y) <= 0.  Every tile is a
-    view of ``buf`` (BLOCK * d floats), valid until the next.
+    (x, x, z) has ends min(s(x,x), s(x,z)) and s(x,z); no (x, y, x) or
+    (x, y, y) lies in any R_t.  Each set of three distinct points comes once,
+    as x < y < z in the rectangle of its middle point.  With a = s(x,y),
+    b = s(y,z), c = s(x,z), the ends min(a, b) and min(max(a, b), c) are the
+    minimum and the median, in some order: the set's two ordered triples on
+    its least pair lie in R_t for t in (minimum, median], and |high - low|
+    is its largest defect as the same float.  Tiles hold BLOCK rows, or at
+    most BLOCK * d cells of a rectangle; middle rows of weight 0 in ``p``
+    are skipped.  The ends are views of two BLOCK * d buffers (``high`` of
+    ``sim`` when y = -1), valid until the next tile.
     """
     d = len(sim)
-    diag = sim.diagonal()
+    lo, hi = np.empty(BLOCK * d, sim.dtype), np.empty(BLOCK * d, sim.dtype)
     for i0 in range(0, d, BLOCK):
         i1 = min(i0 + BLOCK, d)
-        tile = buf[:(i1 - i0) * d].reshape(i1 - i0, d)
-        np.subtract(sim[i0:i1], diag[i0:i1, None], out=tile)
-        yield i0, i1, tile
+        low = lo[:(i1 - i0) * d].reshape(i1 - i0, d)
+        np.minimum(sim[i0:i1], sim.diagonal()[i0:i1, None], out=low)
+        yield -1, i0, i1, low, sim[i0:i1]
+    for y in range(1, d - 1):
+        if p is not None and p[y] == 0.0:
+            continue
+        w = d - 1 - y
+        u = sim[y]
+        b = u[None, y + 1:]
+        rows = BLOCK * d // w
+        for i0 in range(0, y, rows):
+            i1 = min(i0 + rows, y)
+            k = (i1 - i0) * w
+            low = lo[:k].reshape(i1 - i0, w)
+            high = hi[:k].reshape(i1 - i0, w)
+            # numpy's min and max run slowly on an operand that is constant
+            # along rows, so the column u[i0:i1] is first written out
+            high[...] = u[i0:i1, None]
+            np.minimum(high, b, out=low)
+            np.maximum(high, b, out=high)
+            np.minimum(high, sim[i0:i1, y + 1:], out=high)
+            yield y, i0, i1, low, high
 
 
-def _median_gaps(sim: np.ndarray, y: int, lo: np.ndarray, hi: np.ndarray):
-    """Yield (i0, i1, tile) with tile[x - i0, z - y - 1] = median - minimum
-    of s(x,y), s(y,z) and s(x,z), for rows x in [i0, i1) below y and every
-    column z above y; 0 < y < d - 1.
-
-    Over x < y < z each set of three distinct points comes once, as the
-    rectangle of its middle point y.  Of its three choices of third point,
-    only the one opposite the least similarity can give a positive defect,
-    the median minus the minimum.  With a = s(x,y), b = s(y,z), c = s(x,z),
-    |min(max(a, b), c) - min(a, b)| subtracts the median and the minimum in
-    some order, so it is the same float as that defect.  A tile holds at
-    most BLOCK * d cells, taking as many rows as fit, and is a view of
-    ``hi`` (BLOCK * d floats, as is ``lo``), valid until the next.
-    """
-    d = len(sim)
-    w = d - 1 - y
-    u = sim[y]
-    b = u[None, y + 1:]
-    rows = BLOCK * d // w
-    for i0 in range(0, y, rows):
-        i1 = min(i0 + rows, y)
-        k = (i1 - i0) * w
-        low = lo[:k].reshape(i1 - i0, w)
-        tile = hi[:k].reshape(i1 - i0, w)
-        # numpy's min and max run slowly on an operand that is constant
-        # along rows, so the column u[i0:i1] is first written out
-        tile[...] = u[i0:i1, None]
-        np.minimum(tile, b, out=low)
-        np.maximum(tile, b, out=tile)
-        np.minimum(tile, sim[i0:i1, y + 1:], out=tile)
-        tile -= low
-        np.abs(tile, out=tile)
-        yield i0, i1, tile
+def _gaps(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """|high - low|, each triple's largest defect, written over ``low``."""
+    np.subtract(high, low, out=low)
+    return np.abs(low, out=low)
 
 
-def _defect_sum(weights: np.ndarray, sim: np.ndarray) -> float:
+def _defect_sum(p: np.ndarray, sim: np.ndarray) -> float:
     """The sum over ordered triples of p(x) p(y) p(z) times the positive
     part of the defect: the (x, x, z) terms once, plus twice the sum over
     x < y < z of p(x) p(y) p(z) (median - minimum), since each set of three
     distinct points is two ordered triples with a positive defect."""
-    p = weights
-    d = len(p)
-    lo, hi = np.empty(BLOCK * d), np.empty(BLOCK * d)
-    pairs = 0.0
-    for i0, i1, tile in _self_gaps(sim, hi):
-        np.maximum(tile, 0.0, out=tile)
-        pairs += float((p[i0:i1] * p[i0:i1]) @ (tile @ p))
-    triples = 0.0
-    for y in range(1, d - 1):
-        if p[y] == 0.0:
-            continue
-        acc = 0.0
-        for i0, i1, tile in _median_gaps(sim, y, lo, hi):
-            acc += float(p[i0:i1] @ tile @ p[y + 1:])
-        triples += float(p[y]) * acc
+    pairs, acc = 0.0, np.zeros(len(p))
+    for y, i0, i1, low, high in _tiles(sim, p):
+        gap = _gaps(low, high)
+        if y < 0:
+            pairs += float((p[i0:i1] * p[i0:i1]) @ (gap @ p))
+        else:
+            acc[y] += float(p[i0:i1] @ gap @ p[y + 1:])
+    # each y's tiles are summed, then weighted and added in order of y
+    triples = float(np.add.accumulate(p * acc)[-1])
     return pairs + 2.0 * triples
 
 
@@ -137,11 +127,8 @@ def _defect_max(sim: np.ndarray) -> float:
     """The largest defect of an ordered triple, or 0.0, bit for bit: the
     maximum of the tiles that ``_defect_sum`` sums, each cell the largest
     defect of its triples; every middle point is visited, weight 0 too."""
-    d = len(sim)
-    lo, hi = np.empty(BLOCK * d), np.empty(BLOCK * d)
-    tiles = itertools.chain(_self_gaps(sim, hi), itertools.chain.from_iterable(
-        _median_gaps(sim, y, lo, hi) for y in range(1, d - 1)))
-    return max([0.0] + [float(tile.max()) for _, _, tile in tiles])
+    return max([0.0] + [float(_gaps(low, high).max())
+                        for *_, low, high in _tiles(sim)])
 
 
 def gromov_delta_worst_case(space: SimilaritySpace) -> float:
@@ -205,40 +192,58 @@ def bad_set_measure(space: SimilaritySpace, t: float) -> float:
     return _mass(*space.distinct[:2], t)
 
 
+def _rank_batches(rank: np.ndarray, p: np.ndarray, v: int):
+    """Yield (ends, terms) for the walk on ranks below v with row weights
+    p: each triple's minimum rank and v plus its median rank, and its weight
+    for each, p(x)^2 p(z) for (x, x, z) and 2 p(x) p(y) p(z) for a set.
+    A batch but the last joins tiles of at least v cells, so that counting
+    it into 2v bins costs no more than forming it, even for v ~ d^2 / 2."""
+    batch, cells = [], 0
+    for y, i0, i1, low, high in _tiles(rank):
+        terms = np.multiply.outer(
+            p[i0:i1] * (p[i0:i1] if y < 0 else 2.0 * p[y]), p[y + 1:]).ravel()
+        batch += [(np.minimum(low, high, dtype=np.intp).ravel(), terms),
+                  (np.maximum(low, high, dtype=np.intp).ravel() + v, terms)]
+        cells += terms.size
+        if cells >= v:
+            yield [np.concatenate(a) for a in zip(*batch)]
+            batch, cells = [], 0
+    if batch:
+        yield [np.concatenate(a) for a in zip(*batch)]
+
+
 def bad_set_profile(space: SimilaritySpace) -> tuple[np.ndarray, np.ndarray]:
     """The full piecewise-constant profile t -> triple mass of R_t.
 
-    Returns the distinct similarity values (sorted ascending) and the mass at
-    each one.  The profile is constant on every interval between consecutive
-    values, left-open and right-closed, and zero above the largest value, so
-    these breakpoints describe it completely.  The masses are a cumsum of
-    signed scatters, so an empty R_t may come out as a rounding residue such
-    as -5.5e-16 where ``bad_set_measure`` gives 0.0.
+    Returns the distinct similarity values (sorted ascending, a zero
+    unsigned) and the mass at each one.  The profile is constant on every
+    interval between consecutive values, left-open and right-closed, and
+    zero above the largest value, so these breakpoints describe it
+    completely.
+
+    The walk of ``hyp_exact`` runs on the value ranks of the distinct rows
+    of positive weight, about d^3 / 6 cells: a triple's weight enters the
+    mass past its minimum and leaves it past its median.  The triples that
+    hold each interval are counted as integers, so an empty R_t gives
+    exactly 0.0, as ``bad_set_measure`` does.
     """
-    s = space.sim
-    p = space.weights
-    vals = np.unique(s)
-    # The profile changes only at distinct values, so triples are compared on
-    # ranks found once (the rank of a minimum is the minimum of the ranks): a
-    # triple is in R_t for t in (vals[rank[x, y]], vals[ib]].  searchsorted
-    # ranks, as np.unique's inverse may keep -0.0 as the zero.  The smallest
-    # type holding len(vals), the largest index formed, and contiguous rows,
-    # equal to the columns by symmetry, keep each pass short.
-    rank = np.searchsorted(vals, s).astype(np.min_scalar_type(len(vals)))
-    pp = np.outer(p, p)
-    diff = np.zeros(len(vals) + 1)
-    for z in range(space.n):
-        if p[z] == 0.0:
-            continue
-        col = rank[z]
-        ib = np.minimum(col[:, None], col[None, :])
-        ok = rank < ib
-        if not ok.any():
-            continue
-        w = pp[ok] * p[z]
-        np.add.at(diff, rank[ok] + 1, w)
-        np.add.at(diff, ib[ok] + 1, -w)
-    return vals, np.cumsum(diff[:-1])
+    w, s, _ = space.distinct
+    vals = np.unique(s + 0.0)
+    v = len(vals)
+    keep = w > 0.0
+    # the rank of a minimum is the minimum of the ranks; the smallest type
+    # holding every rank, and contiguous rows, keep each pass short
+    rank = np.searchsorted(vals, s[np.ix_(keep, keep)]).astype(
+        np.min_scalar_type(v - 1))
+    # [:v] the weight and the number of triples whose interval starts past
+    # each rank, [v:] of those whose interval ends past it
+    flow, count = np.zeros(2 * v), np.zeros(2 * v, dtype=np.int64)
+    for ends, terms in _rank_batches(rank, w[keep], v):
+        flow += np.bincount(ends, terms, 2 * v)
+        count += np.bincount(ends, minlength=2 * v)
+    live = np.cumsum(count[:v] - count[v:])
+    mass = np.where(live > 0, np.cumsum(flow[:v] - flow[v:]), 0.0)
+    return vals, np.concatenate(([0.0], mass[:-1]))
 
 
 def profile_integral(ts: np.ndarray, masses: np.ndarray) -> float:
@@ -294,11 +299,11 @@ def threshold_ladder(space: SimilaritySpace, epsilon: float, m: int,
 
     The mass is evaluated at the scanned candidates only, as one BLAS
     product on the d distinct rows each: C candidates cost O(C d^3) beside
-    the O(d^3) average defect, and the full ``bad_set_profile`` is not
-    computed.  A window whose masses are all positive is scanned in full,
-    so values that fill a window make C large: a uniform random space at
-    n = 256 and delta0 = 0.05 evaluates 3,295 candidates (about 6 s on one
-    OpenBLAS thread) before it fails with NoGoodThreshold.
+    the walk of the average defect.  A window whose masses are all positive
+    is scanned in full, so values that fill a window make C large: a
+    uniform random space at n = 256 and delta0 = 0.05 evaluates 3,295
+    candidates (about 6 s on one OpenBLAS thread) before it fails with
+    NoGoodThreshold, where the full ``bad_set_profile`` takes 0.08 s.
     """
     if space.bound != 1.0:
         raise BadParams("threshold ladder requires a space rescaled to bound 1")

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import treelike
-from treelike import generate_fixture, profile_integral, treebuild, \
-    validate_space
+from treelike import bad_set_measure, generate_fixture, profile_integral, \
+    treebuild, validate_space
 from treelike.cli import main
 from treelike.io import (
     dump_json,
@@ -152,6 +152,31 @@ class TestCommands:
                      "--delta0", "0.15", "--profile-csv", str(csv_path)])
         assert code == 3
         assert not csv_path.exists()
+
+    def test_empty_bad_sets_are_written_as_zero(self, tmp_path, capsys):
+        # the rescaled noisy tree of the golden cases: R_t is empty on 19 of
+        # its 195 intervals, and each of those masses is written as 0, not
+        # as a rounding residue
+        raw, space = tmp_path / "raw.json", tmp_path / "space.json"
+        csv_path = tmp_path / "profile.csv"
+        kappa = 1e-12 ** (1 / 24)
+        assert main(["fixture", "--kind", "noisy-tree", "--size", "24",
+                     "--seed", "2", "--params", json.dumps({
+                         "weights": "random", "alpha": kappa,
+                         "noise": 1e-4}), "--out", str(raw)]) == 0
+        assert main(["convert", "--space", str(raw), "--rescale-out",
+                     str(space)]) == 0
+        assert main(["ladder", "--space", str(space), "--epsilon", "1e-12",
+                     "--m", "16", "--delta0", "0.05", "--profile-csv",
+                     str(csv_path)]) == 0
+        sp = space_from_dict(read_json(space))
+        rows = [line.split(",") for line in
+                csv_path.read_text().splitlines()[1:]]
+        assert len(rows) == 195
+        empty = [t == "0" or bad_set_measure(sp, float(t)) == 0.0
+                 for t, _ in rows]
+        assert sum(empty) == 19
+        assert [m == "0" for _, m in rows] == empty
 
     def test_split_command(self, tmp_path, three_point_file, capsys):
         out = tmp_path / "split.json"

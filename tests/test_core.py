@@ -47,7 +47,8 @@ from treelike.fixtures import (
     tree_scaled_fixture,
     ultrametric_fixture,
 )
-from treelike.hyperbolicity import exceptional_sets, threshold_ladder
+from treelike.hyperbolicity import bad_set_profile, exceptional_sets, \
+    threshold_ladder
 from treelike.io import dump_json, tree_to_dict
 from treelike.spinglass import gibbs_exact, overlap_map, overlap_space, \
     pure_state_tree, sk_couplings
@@ -1004,6 +1005,7 @@ def abs_overlap_space():
 # each kernel on a made space with repeated rows, and with its planted tree
 KERNELS = {
     "hyp_exact": lambda fx: hyp_exact(fx.space),
+    "bad_set_profile": lambda fx: bad_set_profile(fx.space),
     "threshold_ladder": lambda fx: threshold_ladder(fx.space, 1e-12, 16),
     "exceptional_sets": lambda fx: exceptional_sets(
         fx.space, threshold_ladder(fx.space, 1e-12, 16)),
@@ -1046,6 +1048,8 @@ class TestDistinctRows:
         assert len(signed.distinct[0]) == len(space.distinct[0]) == 14
         assert np.array_equal(signed.distinct[2], space.distinct[2])
         assert hyp_exact(signed).hex() == hyp_exact(space).hex()
+        for a, b in zip(bad_set_profile(signed), bad_set_profile(space)):
+            assert a.tobytes() == b.tobytes()
         assert pickle.dumps(build_tree(signed, 1e-12, 16)) == \
             pickle.dumps(build_tree(space, 1e-12, 16))
 

@@ -26,7 +26,10 @@ flag, so ``tree_out`` in the printed config went from ``"tree.json"`` to
 null; their space files are unchanged.  The ``spinglass-spectral`` digests
 were recorded before the spectral cells came to be numbered by the routine
 that numbers a space's distinct rows, and pin that the cells kept their
-members and order.
+members and order.  The ``ladder-profile-csv`` digests were recorded when
+``bad_set_profile`` came to run on the walk of ``hyp_exact``: its masses
+moved by at most 1.3e-16, and the 18 empty R_t above t = 0 that the
+scatter before it left as residues near 1.2e-16 are written as 0.
 """
 
 import hashlib
@@ -78,6 +81,10 @@ CASES = {
         "tree.nwk"]],
     "ladder-out": [ULTRAMETRIC, [
         "ladder", "--space", "space.json", *UNIT, "--out", "ladder.json"]],
+    # the full bad-set profile, with exact zeros where R_t is empty
+    "ladder-profile-csv": [*NOISY, [
+        "ladder", "--space", "space.json", *UNIT, "--delta0", "0.05",
+        "--profile-csv", "profile.csv"]],
     # at epsilon 1e-12 every part is a single point and densities are null
     "partition-out-single-points": [ULTRAMETRIC, GRAPH, [
         "partition", "--graph", "graph.json", *UNIT, "--out", "parts.json"]],
@@ -202,6 +209,16 @@ GOLDEN = {
             "ce8d1902bab9a7bedfd8b533d02c528111c73a434f54e2587b65397422ebd865",
         "stdout":
             "d3cf6b40037dd1abdc1bac26237420adfb51f9a2d704d18e35334ef5cfa4cc42",
+    },
+    "ladder-profile-csv": {
+        "profile.csv":
+            "4c6444cc1aa3909aceb62fd28681bec94d4a0de576614434c205da03acaf4465",
+        "raw.json":
+            "b0b713266337bd657988afd1c8f5b2bf1ec4083d013f656f30a93291ea430663",
+        "space.json":
+            "7474b7068a61e12b7212914002f7543d064b2c206170dc5b4987837886f23136",
+        "stdout":
+            "166d5d5849823e61b6188623ae19145b6d4b99c19a9c775b99301e2df5d9ca34",
     },
     "partition-out-single-points": {
         "graph.json":

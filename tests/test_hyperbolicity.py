@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -367,41 +368,55 @@ class TestDefectTiles:
         assert gromov_delta_worst_case(space) == 1.0
 
     def test_each_triple_once_as_median_minus_minimum(self):
-        # the walk's cell for x < y < z is, as the same float, the largest
-        # defect over the six orderings of the triple; the self tiles hold
-        # s(x,z) - s(x,x)
+        # the walk's ends for x < y < z are the minimum and the median of
+        # the triple's similarities, in some order, and their gap is, as the
+        # same float, the largest defect over the six orderings of the
+        # triple; the tiles of (x, x, z) hold min(s(x,x), s(x,z)) and
+        # s(x,z), a gap of max(s(x,z) - s(x,x), 0)
         n = 9
         space = tile_edge_space(n, seed=3)
         s = space.sim
-        lo, hi = np.empty(BLOCK * n), np.empty(BLOCK * n)
-        seen = 0
-        for y in range(1, n - 1):
-            for i0, i1, tile in hyperbolicity._median_gaps(s, y, lo, hi):
-                assert tile.shape == (i1 - i0, n - 1 - y)
-                for x, z in itertools.product(range(i0, i1),
-                                              range(y + 1, n)):
-                    want = max(min(s[a, c], s[b, c]) - s[a, b] for a, b, c
-                               in itertools.permutations((x, y, z)))
-                    got = tile[x - i0, z - y - 1]
-                    assert got == want and math.copysign(1.0, got) == 1.0
-                    seen += 1
+        seen, selfs = 0, []
+        for y, i0, i1, low, high in hyperbolicity._tiles(s):
+            assert low.shape == high.shape == (i1 - i0, n - 1 - y)
+            first, last = np.minimum(low, high), np.maximum(low, high)
+            if y < 0:
+                assert np.array_equal(low, np.minimum(
+                    s[i0:i1], s.diagonal()[i0:i1, None]))
+                assert np.array_equal(high, s[i0:i1])
+                selfs.append(hyperbolicity._gaps(low, high).copy())
+                continue
+            gap = hyperbolicity._gaps(low, high)
+            for x, z in itertools.product(range(i0, i1), range(y + 1, n)):
+                cell = x - i0, z - y - 1
+                trio = sorted((s[x, y], s[y, z], s[x, z]))
+                assert (first[cell], last[cell]) == (trio[0], trio[1])
+                want = max(min(s[a, c], s[b, c]) - s[a, b] for a, b, c
+                           in itertools.permutations((x, y, z)))
+                assert gap[cell] == want
+                assert math.copysign(1.0, gap[cell]) == 1.0
+                seen += 1
         assert seen == math.comb(n, 3)
-        gaps = np.vstack([t.copy() for _, _, t in
-                          hyperbolicity._self_gaps(s, np.empty(BLOCK * n))])
-        assert np.array_equal(gaps, s - s.diagonal()[:, None])
+        assert np.array_equal(np.vstack(selfs),
+                              np.maximum(s - s.diagonal()[:, None], 0.0))
 
     def test_working_memory_is_two_tiles(self):
-        # beyond the input, the sum allocates two BLOCK x n buffers and O(n)
-        # vectors; one n x n temporary would be 2.3 times that
+        # beyond the input, the walk allocates two BLOCK x n buffers, and
+        # the sum O(n) vectors besides; one n x n temporary would be 2.3
+        # times that
         n = 5 * BLOCK
         space = tile_edge_space(n, seed=6)
         p, s = space.weights, space.sim
         tracemalloc.start()
         try:
+            assert sum(1 for _ in hyperbolicity._tiles(s, p)) > n // BLOCK
+            walk = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             hyperbolicity._defect_sum(p, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert 2 * BLOCK * n * 8 <= walk <= peak
         assert 2 * BLOCK * n * 8 <= peak <= 2 * BLOCK * n * 8 + 64 * n * 8
 
     def test_hyp_permutation_invariance(self):
@@ -658,11 +673,13 @@ class TestExceptionalSets:
 
 
 # ---------------------------------------------------------------------------
-# loop references: the searchsorted profile and the per-threshold exceptional
-# sets, compared bit for bit with the rank-based kernels
+# references: the profile against exact masses, and the exceptional sets
+# against per-threshold loops
 
 
 def profile_loop(space):
+    """The profile as a per-point scatter: a signed difference array filled
+    with np.add.at over every third point z, then its cumsum."""
     s, p = space.sim, space.weights
     vals = np.unique(s)
     diff = np.zeros(len(vals) + 1)
@@ -680,6 +697,73 @@ def profile_loop(space):
         np.add.at(diff, ia[ok], w[ok])
         np.add.at(diff, ib[ok] + 1, -w[ok])
     return vals, np.cumsum(diff[:-1])
+
+
+def exact_profile(space):
+    """The breakpoints, the exact mass of R_t at each, and the exact weight
+    of the ordered triples whose least similarity lies below each, from a
+    loop over every ordered triple of points.  The weights are written as
+    integers over one power of two, so that every sum is exact."""
+    s = (space.sim + 0.0).tolist()
+    vals = sorted({v for row in s for v in row})
+    rank = [[vals.index(v) for v in row] for row in s]
+    ratios = [float(p).as_integer_ratio() for p in space.weights]
+    den = max(q for _, q in ratios)
+    ints = [a * (den // q) for a, q in ratios]
+    diff, below = [0] * len(vals), [0] * len(vals)
+    for x, y, z in itertools.product(range(space.n), repeat=3):
+        w = ints[x] * ints[y] * ints[z]
+        a, b = rank[x][y], min(rank[x][z], rank[y][z])
+        if a < b:  # in R_t for t in (vals[a], vals[b]]
+            diff[a + 1] += w
+            if b + 1 < len(vals):
+                diff[b + 1] -= w
+        if min(a, b) + 1 < len(vals):
+            below[min(a, b) + 1] += w
+    scale = Fraction(1, den ** 3)
+    return (np.array(vals), [m * scale for m in itertools.accumulate(diff)],
+            [m * scale for m in itertools.accumulate(below)])
+
+
+def profile_tolerance(space, below):
+    """Error bounds of bad_set_profile's masses, from exact_profile's
+    ``below``.
+
+    The kernel's terms are a weight per set of three distinct rows, which
+    enters the mass past its minimum's rank and leaves it past its median's,
+    and one per triple (x, x, z).  They stand for disjoint sets of ordered
+    triples of points whose least similarity is that minimum, so the terms
+    the mass at t sums, entering or leaving, weigh at most twice ``below``
+    at t.  Each term passes through at most k roundings: its three merged
+    weights (fsum, one each); its two products (doubling is exact); the
+    additions of its bin in its batch, which holds under v + BLOCK d cells
+    of d^2 + C(d, 3); one per batch, at most cells / v + 1; the
+    subtraction of the leaving weights; and v - 1 in the cumsum over v
+    values.  So each mass is within gamma_k of its exact sum of terms,
+    relative to the sum of their magnitudes.
+    """
+    w = space.distinct[0]
+    d, v = int((w > 0).sum()), len(np.unique(space.sim))
+    cells = d * d + math.comb(d, 3)
+    k = 5 + (v + hyperbolicity.BLOCK * d) + (cells // v + 1) + 1 + v
+    return [gamma(k) * 2 * b for b in below]
+
+
+def assert_matches_exact_profile(space, ts, masses):
+    """ts the breakpoints with zeros unsigned, each mass within its bound
+    of the exact one, and exactly 0.0 where R_t is empty.  Returns the
+    number of empty R_t."""
+    vals, exact, below = exact_profile(space)
+    assert_same_array(ts, vals)
+    assert not np.signbit(ts).any()
+    empty = 0
+    for m, e, tol in zip(masses.tolist(), exact, profile_tolerance(space,
+                                                                   below)):
+        assert abs(Fraction(m) - e) <= tol
+        if e == 0:
+            assert m == 0.0 and not math.copysign(1.0, m) < 0
+            empty += 1
+    return empty
 
 
 def crossings(space, ladder):
@@ -852,11 +936,50 @@ class TestLoopReferences:
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         assert (sp.weights == 0.0).any()
 
-    @pytest.mark.parametrize("k", range(5))
-    def test_profile_matches_searchsorted_loop(self, k):
+    @pytest.mark.parametrize("k, empty", [(0, 1), (1, 1), (2, 1), (3, 2),
+                                          (4, 19)])
+    def test_profile_matches_exact_oracle(self, k, empty):
+        # the scatter reference lies within the same bounds, but leaves a
+        # rounding residue in all but the first empty R_t of the last two
         sp = reference_spaces()[k]
-        for got, want in zip(bad_set_profile(sp), profile_loop(sp)):
-            assert_same_array(got, want)
+        assert assert_matches_exact_profile(sp, *bad_set_profile(sp)) == empty
+        _, exact, below = exact_profile(sp)
+        loop = profile_loop(sp)[1].tolist()
+        for m, e, tol in zip(loop, exact, profile_tolerance(sp, below)):
+            assert abs(Fraction(m) - e) <= tol
+        assert sum(m == 0.0 for m in loop) == (empty if k < 3 else 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_profile_of_repeated_rows(self, seed):
+        # rows repeat, about a quarter of the weights are zero, and the
+        # copies keep the -0.0 entries of the rows they copy
+        sp = duplicated_space(30, seed)
+        assert len(sp.distinct[0]) < sp.n and (sp.weights == 0.0).any()
+        assert np.signbit(sp.sim).any()
+        assert assert_matches_exact_profile(sp, *bad_set_profile(sp)) >= 1
+
+    def test_profile_with_a_weightless_row(self):
+        # a point of weight 0 copies the row of point 0 but has similarity
+        # 0 to it, so that its triples span the empty R_t below the values
+        # of that row; they hold no mass, and the empty R_t stay 0.0
+        base = reference_spaces()[4]
+        n = base.n
+        sim = np.zeros((n + 1, n + 1))
+        sim[:n, :n] = base.sim
+        sim[n, 1:n] = sim[1:n, n] = base.sim[0, 1:]
+        sim[n, n] = base.sim[0, 0]
+        sp = SimilaritySpace(base.points + ("q",), np.append(base.weights, 0.0),
+                             sim, base.bound)
+        assert assert_matches_exact_profile(sp, *bad_set_profile(sp)) == 19
+
+    @pytest.mark.parametrize("block, n", [(1, 12), (2, 16), (3, 23), (5, 40)])
+    def test_profile_in_split_tiles(self, block, n, monkeypatch):
+        # many values, so that a batch joins several tiles, or a quarter
+        # grid, so that each tile makes a batch of its own
+        monkeypatch.setattr(hyperbolicity, "BLOCK", block)
+        for sp in (tile_edge_space(n, seed=block), tied_space(n, block)):
+            assert split_middles(int((sp.distinct[0] > 0.0).sum()), block)
+            assert_matches_exact_profile(sp, *bad_set_profile(sp))
 
     @pytest.mark.parametrize("k", range(5))
     def test_exceptional_sets_match_per_threshold_loop(self, k):
@@ -869,10 +992,11 @@ class TestLoopReferences:
             exc = exceptional_sets(sp, ladder)
             assert assert_matches_fsum_loop(sp, ladder, exc)
 
-    @pytest.mark.parametrize("distinct", [255, 256])
+    @pytest.mark.parametrize("distinct", [255, 256, 257])
     def test_at_the_small_integer_type_limit(self, distinct):
-        # 255 and 256 distinct values (and thresholds) straddle the uint8 /
-        # uint16 boundary of the rank and count types
+        # 256 and 257 distinct values straddle the uint8 / uint16 boundary
+        # of the profile's ranks, and 255 and 256 thresholds that of the
+        # exceptional sets' counts
         n = 24
         upper = np.triu_indices(n)
         sim = np.zeros((n, n))
@@ -882,8 +1006,7 @@ class TestLoopReferences:
         sp = SimilaritySpace(tuple(f"q{i}" for i in range(n)),
                              np.full(n, 1.0 / n), sim)
         assert len(np.unique(sim)) == distinct
-        for got, want in zip(bad_set_profile(sp), profile_loop(sp)):
-            assert_same_array(got, want)
+        assert_matches_exact_profile(sp, *bad_set_profile(sp))
         vals = np.unique(sim)
         ladder = ladder_with((vals[1] / 2,) + tuple(vals[1:].tolist()), 0.01)
         assert len(ladder.thresholds) == distinct
