@@ -598,8 +598,37 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _signed_values(argv: list[str]) -> list[str]:
+    """``--flag VALUE`` as ``--flag=VALUE`` where VALUE starts with '-' and
+    reads as a float.
+
+    argparse takes "-0.1" after a flag for its value, but "-1e-1", "-inf"
+    and "-nan" for options, which leaves the flag without a value; its
+    ``--flag=VALUE`` form passes any value.  A flag that takes no value
+    still rejects one.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag \
+                and token.startswith("-") and _reads_as_float(token):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         writes, text = args.func(args)
         _write_all(writes)

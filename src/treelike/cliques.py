@@ -419,9 +419,10 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
 
 
 def _settles(graph: WeightedGraph, epsilon: float,
-             sizes: np.ndarray | None = None) -> bool:
+             sizes: np.ndarray | None = None) -> np.ndarray | None:
     """Whether the clique stages, run on the forced partition of ``graph``,
-    would return it unchanged, edit no pair and raise nothing.
+    would return it unchanged, edit no pair and raise nothing: if so, the
+    first member of each vertex's clique, and None if not.
 
     On a forced partition every part is one point, every pair is regular
     and each density is its adjacency entry, 0 or 1; as epsilon < 1/4, a 1
@@ -443,14 +444,14 @@ def _settles(graph: WeightedGraph, epsilon: float,
     closed = graph.adj | np.eye(graph.n, dtype=bool)
     first = closed.argmax(axis=1)
     if not (closed == closed[first]).all():
-        return False
+        return None
     size = closed.sum(axis=1)
     grouped = size >= _family_cutoff(epsilon, graph.n)
     if not (grouped | (size == 1)).all():
-        return False
+        return None
     _, light = _light_groups(graph, np.where(grouped, first, -1), graph.n,
                              epsilon, sizes)
-    return not light
+    return None if light else first
 
 
 @dataclass(frozen=True)

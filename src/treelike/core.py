@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -428,6 +429,17 @@ class CompatibleTree:
         return max(self.level.values()) if self.level else 0
 
 
+def _node_prefix(points: tuple[str, ...]) -> str:
+    """The shortest run of ``@`` that starts no point id."""
+    prefix = "@"
+    # each id follows a NUL in the text, so a run that the text lacks
+    # starts no id; a run that it holds is checked id by id
+    text = "\0" + "\0".join(points)
+    while "\0" + prefix in text and any(p.startswith(prefix) for p in points):
+        prefix += "@"
+    return prefix
+
+
 def tree_from_levels(points: tuple[str, ...], levels: list[list[list[int]]]
                      ) -> CompatibleTree:
     """Leveled tree read off nested clusters of point indices.
@@ -439,28 +451,65 @@ def tree_from_levels(points: tuple[str, ...], levels: list[list[list[int]]]
     and a node's parent is the node that held its first point one row up.
     The prefix is the shortest run of ``@`` that starts no point id.
     """
-    prefix = "@"
-    while any(p.startswith(prefix) for p in points):
-        prefix += "@"
+    return _tree_of_rows(points, [
+        (np.array([i for cluster in row for i in cluster], dtype=int),
+         np.array([len(cluster) for cluster in row], dtype=int))
+        for row in levels])[0]
+
+
+def _tree_of_rows(points: tuple[str, ...],
+                  rows: list[tuple[np.ndarray, np.ndarray]]):
+    """The tree of ``tree_from_levels``, the levels as point-id tuples with
+    the root's first, and what prices the tree: each point's cluster by
+    depth, the depth of its leaf and a number of its leaf's parent.
+
+    Row d lists its points cluster by cluster, with the cluster sizes.
+    Each node name is formed once and shared by every dict and level that
+    holds it; the dicts are filled row by row, cluster by cluster.  In the
+    labels, a point that is not in a row has a label of its own.
+    """
+    n = len(points)
+    names = np.array(points, dtype=object)
+    prefix = _node_prefix(points)
     root = f"{prefix}0.0"
     parent: dict[str, str] = {}
     level = {root: 0}
     leaf_points: dict[str, str] = {}
-    holder = dict.fromkeys(range(len(points)), root)
-    for d, row in enumerate(levels, start=1):
-        above, holder, k = holder, {}, 0
-        for cluster in row:
-            if len(cluster) == 1:
-                node = points[cluster[0]]
-                leaf_points[node] = node
-            else:
-                node = f"{prefix}{d}.{k}"
-                k += 1
-                holder.update(dict.fromkeys(cluster, node))
-            parent[node] = above[cluster[0]]
-            level[node] = d
-    return CompatibleTree(root=root, parent=parent, level=level,
+    levels = [(tuple(points),)]
+    above = np.array([root], dtype=object)  # the nodes of the row above
+    holder = np.zeros(n, dtype=int)  # each point's node in the row above
+    label = np.empty((len(rows), n), dtype=int)
+    label[:] = -1 - np.arange(n)
+    leaf = np.empty(n, dtype=int)
+    up = np.empty(n, dtype=int)  # the leaf's parent, numbered across rows
+    for d, (flat, sizes) in enumerate(rows, start=1):
+        ends = sizes.cumsum()
+        starts = ends - sizes
+        firsts = flat[starts]
+        inner = sizes >= 2
+        node = names[firsts]
+        node[inner] = np.array([f"{prefix}{d}.{k}" for k in
+                                range(np.count_nonzero(inner))], dtype=object)
+        nodes = node.tolist()
+        parent.update(zip(nodes, above[holder[firsts]].tolist()))
+        level.update(zip(nodes, repeat(d)))
+        lone = firsts[~inner]
+        leaf[lone] = d
+        up[lone] = (d - 1) * n + holder[lone]
+        lone = node[~inner].tolist()
+        leaf_points.update(zip(lone, lone))
+        row = list(zip(nodes))
+        if inner.any():
+            held = tuple(names[flat].tolist())
+            for i in inner.nonzero()[0].tolist():
+                row[i] = held[starts[i]:ends[i]]
+        levels.append(tuple(row))
+        holder[flat] = label[d - 1, flat] = np.repeat(np.arange(len(sizes)),
+                                                      sizes)
+        above = node
+    tree = CompatibleTree(root=root, parent=parent, level=level,
                           leaf_points=leaf_points)
+    return tree, tuple(levels), label, leaf, up
 
 
 def validate_tree(tree: CompatibleTree) -> None:

@@ -4,15 +4,19 @@ Level by level, the current clusters are thresholded at the next ladder
 value, partitioned, and repaired into cliques; the cliques become the next
 level's clusters and the edits are logged.  A cluster whose partition is
 forced and whose threshold graph is already a union of cliques that the
-clique stages would keep is its own repair, and skips those stages.  Leaves attach at the level where
-their cluster first becomes a singleton.  The report carries the tree, the
-edit measure, the evaluated cost, and exhaustive checks of the two-sided
-bound linking similarity values to tree levels.
+clique stages would keep is its own repair, and skips those stages; where
+the forced verdict is proven without the partition pipeline, it skips the
+pipeline too.  Leaves attach at the level where their cluster first
+becomes a singleton.  The report carries the tree, the edit measure, the
+evaluated cost, and exhaustive checks of the two-sided bound linking
+similarity values to tree levels.
 
 Points with identical similarity rows are one atom of the measure split in
 parts, so the clusters are built on classes of such twins and expanded to
 points as each level is written, and a tree is priced on pairs of groups of
-sibling twins rather than on pairs of points.
+sibling twins rather than on pairs of points.  The build names its tree and
+prices it from the cluster labels of its rows; ``tree_cost`` and
+``best_alpha`` price a given tree from its node names.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ import numpy as np
 from .cliques import _settles, clique_closure, clique_repair, \
     neighborhood_family, part_neighbor_graph
 from .core import CompatibleTree, SimilaritySpace, _merge_weights, \
-    gromov_product_matrix, threshold_graph, tree_from_levels
+    _tree_of_rows, gromov_product_matrix, threshold_graph
 from .errors import BadParams, LeafMismatch, MapMismatch
 from .hyperbolicity import ThresholdLadder, _exceptional_rows, hyp_exact, \
     threshold_ladder
-from .regularity import RegularityParams, regularity_pipeline
+from .regularity import RegularityParams, _forced_without_scan, \
+    regularity_pipeline
 
 
 @dataclass(frozen=True)
@@ -87,13 +92,14 @@ class _ClassPairs:
 
 def _groups(space: SimilaritySpace, within: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group the points by (distinct row, ``within``), numbered in order of
-    their first points: each point's group, the first points, the groups'
-    ``math.fsum``-merged weights and their similarity, all read from
-    ``space.distinct`` and, when the groups are the rows, not copied."""
+    """Group the points by (distinct row, ``within``), a nonnegative label,
+    numbered in order of their first points: each point's group, the first
+    points, the groups' ``math.fsum``-merged weights and their similarity,
+    all read from ``space.distinct`` and, when the groups are the rows, not
+    copied."""
     w, s, row_of = space.distinct
-    _, first, label = np.unique(row_of * space.n + within, return_index=True,
-                                return_inverse=True)
+    _, first, label = np.unique(row_of * (within.max() + 1) + within,
+                                return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=int)
     rank[first.argsort()] = np.arange(len(first))
     group, reps = rank[label], np.sort(first)
@@ -114,11 +120,23 @@ def _class_pairs(space: SimilaritySpace, tree: CompatibleTree) -> _ClassPairs:
     parents = list(map(tree.parent.get, map(tree.leaf_of, space.points)))
     # a parent is named by the last point below it
     last = dict(zip(parents, range(space.n)))
-    group, reps, weight, sim = _groups(space, np.fromiter(
-        map(last.__getitem__, parents), dtype=int, count=space.n))
+    return _priced(space, np.fromiter(map(last.__getitem__, parents),
+                                      dtype=int, count=space.n),
+                   lambda reps: gromov_product_matrix(
+                       tree, tuple(space.points[i] for i in reps)))
+
+
+def _priced(space: SimilaritySpace, parent: np.ndarray, products
+            ) -> _ClassPairs:
+    """The pricing groups of points with one row and one leaf parent.
+
+    ``parent`` labels each point's leaf parent by a nonnegative number, and
+    ``products(reps)`` gives the Gromov product matrix of the groups' first
+    points."""
+    group, reps, weight, sim = _groups(space, parent)
     p = space.weights
     shared = np.bincount(group) >= 2
-    prod = gromov_product_matrix(tree, tuple(space.points[i] for i in reps))
+    prod = products(reps)
     leaf = prod.diagonal().copy()
     prod[np.diag_indices(len(reps))] -= shared
     return _ClassPairs(
@@ -324,34 +342,51 @@ def _repair_cluster(space: SimilaritySpace, idxs: list[int], t: float,
 
     A forced partition of a threshold graph that the clique stages would
     leave as it is (``cliques._settles``) skips them: the graph is then its
-    own repair, and no pair is edited.
+    own repair, and no pair is edited.  The settle checks run first, and
+    ``regularity._forced_without_scan`` then decides ``forced`` without the
+    partition pipeline where its guards prove the pipeline's verdict, and
+    raises what the pipeline would raise.  Any other cluster runs the
+    pipeline, so its errors and parts are those of the pipeline.
     """
     graph = threshold_graph(space, t, subset=idxs)
-    partition = regularity_pipeline(graph, params, seed=seed)
     take = np.asarray(idxs)
     sizes = None if sizes is None else sizes[idxs]
-    if partition.params["forced"] and _settles(graph, params.epsilon, sizes):
-        adj, rows, cols = graph.adj, take[:0], take[:0]
-    else:
+    # each vertex's clique, labelled by its first member, if it settles
+    first = _settles(graph, params.epsilon, sizes)
+    if first is None or not _forced_without_scan(graph, params):
+        partition = regularity_pipeline(graph, params, seed=seed)
+        if not partition.params["forced"]:
+            first = None
+    rows = cols = take[:0]
+    if first is None:
         pg = part_neighbor_graph(partition, params.epsilon)
         family = neighborhood_family(pg, params.epsilon)
         structure = clique_closure(family, pg, params.epsilon)
         repaired, log = clique_repair(graph, partition, structure,
                                       params.epsilon, sizes)
-        adj = repaired.adj
         rows, cols = map(np.concatenate, zip(*log.edits.values()))
         rows, cols = take[rows], take[cols]
-    # the graph is exactly the cliques plus isolated points, so each point's
-    # clique is its closed neighbourhood and the first member of that
-    # neighbourhood labels the cluster; idxs ascend, so ordering by that
-    # label sorts the clusters
-    first = (adj | np.eye(len(idxs), dtype=bool)).argmax(axis=1)
+        # the repaired graph is exactly the cliques plus isolated points, so
+        # each point's clique is its closed neighbourhood
+        first = (repaired.adj | np.eye(len(idxs), dtype=bool)).argmax(axis=1)
+    # idxs ascend, so ordering by the first members sorts the clusters
     order = first.argsort(kind="stable")
     flat = take[order].tolist()
     heads = first == np.arange(len(first))  # a vertex that labels its clique
     ends = np.bincount(first, minlength=len(first))[heads].cumsum().tolist()
     children = [flat[a:b] for a, b in zip([0] + ends, ends)]
     return children, (rows, cols)
+
+
+def _meets(label: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+    """The Gromov product matrix of points from their clusters by depth,
+    one row per depth, and their leaf depths: two points meet at the
+    deepest cluster they share, and clusters nest."""
+    prod = np.zeros((len(leaf), len(leaf)), dtype=int)
+    for row in label:
+        prod += row[:, None] == row
+    prod[np.diag_indices(len(leaf))] = leaf
+    return prod
 
 
 def _violations(bad: np.ndarray, members: list[np.ndarray]
@@ -402,6 +437,13 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     sandwich check are all d x d for d classes; the cost and the best alpha
     are priced on groups of sibling twins (``_ClassPairs``), as
     ``tree_cost`` and ``best_alpha`` price them.
+
+    Each row is kept as arrays: its points, cluster by cluster, and the
+    cluster sizes, ordered at once by pending cluster and first point.
+    The tree, the levels and the pricing are read off these rows in one
+    pass (``_tree_of_rows``): each node name is formed once, and the
+    products come from each point's cluster at every depth, so the build
+    walks no node names.
     """
     if space.bound != 1.0:
         raise BadParams("build_tree requires a space rescaled to bound 1")
@@ -424,30 +466,37 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     quotient = space if d == n else SimilaritySpace(
         points=tuple(space.points[i] for i in reps), weights=weights, sim=sim)
     sizes = np.bincount(cls)
-    members = np.split(np.argsort(cls, kind="stable"), sizes.cumsum()[:-1])
+    by_class = np.argsort(cls, kind="stable")
+    ends = sizes.cumsum().tolist()
+    members = [by_class[a:b] for a, b in zip([0] + ends, ends)]
     top = quotient.sim.diagonal()
 
-    def points_of(classes: list[int]) -> list[int]:
-        if len(classes) == 1:
-            return members[classes[0]].tolist()
-        return np.sort(np.concatenate([members[c] for c in classes])).tolist()
-
-    excluded_classes = np.unique(cls[excluded])
+    out = np.zeros(n, dtype=bool)
+    out[excluded] = True
+    out_classes = np.zeros(d, dtype=bool)  # the exceptional set is classes
+    out_classes[cls[excluded]] = True
     edited = np.zeros((d, d), dtype=bool)
-    edited[excluded_classes, :] = True
-    edited[:, excluded_classes] = True
+    edited[out_classes, :] = True
+    edited[:, out_classes] = True
 
-    rows: list[list[list[int]]] = []
+    # each row as its points, cluster by cluster, and the cluster sizes
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
     n_repairs = 0
-    kept = np.setdiff1d(np.arange(d), excluded_classes).tolist()
-    # each pending cluster as (its points, its classes)
-    pending = [(points_of(kept) if kept else [], kept)]
+    # the points of the pending clusters, cluster by cluster, and the
+    # position of each one's cluster; at depth 1, the exceptional points
+    # follow as a cluster that nothing repairs
+    held = np.argsort(out, kind="stable")
+    part = out[held].astype(int)
+    pending = [np.flatnonzero(~out_classes).tolist()] \
+        if n - len(excluded) >= 2 else []
+    head = np.empty(d, dtype=int)  # each class's cluster's first point
     for depth in range(1, n_levels + 2):
-        # the row's clusters likewise; a lone point never pends: classes None
-        row: list[tuple[list[int] | tuple[int], list[int] | None]] = []
-        for k, (points, item) in enumerate(pending):
-            if depth <= n_levels and len(points) >= 2:
-                t = ladder.thresholds[depth - 1]
+        # a class that no repair keeps whole splits into single points
+        head[:] = -1
+        whole = {}  # the classes of each cluster, by first point
+        if depth <= n_levels:
+            t = ladder.thresholds[depth - 1]
+            for k, item in enumerate(pending):
                 n_repairs += 1
                 if len(item) == 1:
                     children = [item]
@@ -455,30 +504,37 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
                     children, pairs = _repair_cluster(
                         quotient, item, t, params, (seed, depth, k), sizes)
                     edited[pairs] = True
-                clusters = []
                 for child in children:
-                    if len(child) == 1 and top[child[0]] < t:
-                        split = points_of(child)
-                        clusters += zip(zip(split), [None] * len(split))
-                    else:
-                        clusters.append((points_of(child), child))
-                # a split class puts its points among the other children
-                clusters.sort(key=lambda c: c[0][0])
-            else:
-                clusters = zip(zip(points), [None] * len(points))
-            row += clusters
-        if depth == 1:
-            row += zip(zip(excluded), [None] * len(excluded))
-        if row:
-            rows.append([c for c, _ in row])
-        pending = [cluster for cluster in row if len(cluster[0]) >= 2]
+                    if len(child) > 1 or top[child[0]] >= t:
+                        head[child] = first = int(reps[child[0]])
+                        whole[first] = child
+        if not whole:  # every point left is a cluster of its own
+            if len(held):
+                rows.append((held, np.ones(len(held), dtype=int)))
+            break
+        key = head[cls[held]]
+        key = np.where(key < 0, held, key)
+        # clusters in the order of their pending clusters, then of their
+        # first points; a split class's points fall among the others
+        order = np.argsort(part * n + key, kind="stable")
+        flat, key = held[order], key[order]
+        edge = np.ones(len(key) + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+        bounds = edge.nonzero()[0]
+        starts, runs = bounds[:-1], np.diff(bounds)
+        rows.append((flat, runs))
+        multi = runs >= 2
+        held = flat[np.repeat(multi, runs)]
+        part = np.repeat(np.arange(np.count_nonzero(multi)), runs[multi])
+        pending = [whole[f] for f in key[starts[multi]].tolist()]
     edited |= edited.T  # the repairs marked each pair above the diagonal
-    tree = tree_from_levels(space.points, rows)
+    tree, levels, label, leaf, parent = _tree_of_rows(space.points, rows)
 
     # the points of a class are sibling leaves with one row, so each class
     # lies in one pricing group; two of its points meet at their parent
-    prices = _class_pairs(space, tree)
-    group = prices.group[[c[0] for c in members]]
+    prices = _priced(space, parent,
+                     lambda firsts: _meets(label[:, firsts], leaf[firsts]))
+    group = prices.group[reps]
     prod = prices.meet[np.ix_(group, group)]
     s = quotient.sim
     # bound expressions mirror the ladder window arithmetic so the float
@@ -507,9 +563,7 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         best_alpha=alpha_star,
         best_cost=cost_star,
         delta_e_total=delta_e_total,
-        levels=tuple(tuple((space.points[c[0]],) if len(c) == 1
-                           else tuple(map(space.points.__getitem__, c))
-                           for c in row) for row in [[range(n)]] + rows),
+        levels=levels,
         excluded_points=tuple(space.points[i] for i in excluded),
         sandwich_violations=violations,
         cost_bound=bound,

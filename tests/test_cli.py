@@ -259,6 +259,25 @@ class TestCommands:
         assert code == 3
         assert "window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", [["--beta", "-1e-1"], ["--beta=-1e-1"],
+                                      ["--beta", "-0.1"], ["--beta", "-1E-1"]])
+    def test_spinglass_negative_beta_in_any_form(self, beta, capsys):
+        # argparse takes "-0.1" for a value but "-1e-1" for an option
+        args = ["spinglass", "--n", "6", *beta, "--epsilon", "1e-5", "--m",
+                "4", "--delta0", "0.2"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert main(["spinglass", "--n", "6", "--beta=-0.1", "--epsilon",
+                     "1e-5", "--m", "4", "--delta0", "0.2"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_a_flag_without_a_value_rejects_a_negative_number(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--space", "s.json", "--tree", "t.json", "--alpha",
+                  "0.3", "--converse", "-1e-1"])
+        assert exc.value.code == 2
+        assert "--converse" in capsys.readouterr().err
+
     def test_convert_newick(self, tmp_path):
         fx = tree_scaled_fixture(8, depth=2, alpha=0.3, seed=6)
         tree_path = tmp_path / "tree.json"
@@ -522,6 +541,11 @@ PARAM_EDGES = {
                                          "{out}/tree.json"], 2)
        for name, beta in [("nan", "nan"), ("inf", "inf"),
                           ("minus-inf", "-inf")]},
+    # the same value given as a separate argument
+    "spinglass-exact-beta-minus-inf-spaced": (["spinglass", "--n", "6",
+                                               "--beta", "-inf", "--epsilon",
+                                               "1e-5", "--m", "4", "--out",
+                                               "{out}/tree.json"], 2),
     "hyp-ignores-seed": (["hyp", "--space", "{space}", "--seed", "7",
                           "--out", "{out}/hyp.json"], 2),
     "hyp-mc-zero-ignores-seed": (["hyp", "--space", "{space}", "--mc", "0",
@@ -934,6 +958,10 @@ def test_param_edge_exit_codes(case, param_files, tmp_path, capsys):
     ("spinglass-exact-beta-nan", "beta must be a number, got nan"),
     ("spinglass-exact-beta-inf", "exact enumeration needs a finite beta, "
      "got inf"),
+    ("spinglass-exact-beta-minus-inf", "exact enumeration needs a finite "
+     "beta, got -inf"),
+    ("spinglass-exact-beta-minus-inf-spaced", "exact enumeration needs a "
+     "finite beta, got -inf"),
 ])
 def test_rejection_names_its_cause(case, message, param_files, capsys):
     flags, code = PARAM_EDGES[case]

@@ -776,6 +776,19 @@ class TestTreeFromLevels:
                                     points[1], points[2]]
         assert tree.leaf_points == {p: p for p in points}
 
+    def test_prefix_matches_a_scan_of_every_id(self):
+        # ids over "@", NUL and "a": a NUL inside an id puts a run of "@"
+        # after a NUL in the joined ids without starting that id
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            sizes = rng.integers(0, 6, size=rng.integers(1, 6))
+            points = tuple("".join(rng.choice(["@", "\0", "a"], size=k))
+                           for k in sizes)
+            prefix = "@"
+            while any(p.startswith(prefix) for p in points):
+                prefix += "@"
+            assert core._node_prefix(points) == prefix
+
     def test_last_row_of_single_points(self):
         tree = tree_from_levels(("a", "b", "c"), [[[0, 1, 2]],
                                                  [[0], [1], [2]]])

@@ -17,7 +17,7 @@ from treelike import (
 )
 from treelike import regularity
 from treelike.errors import (BadParams, BlowupTooLarge, EmptyPart, HeavyAtom,
-                             ZeroMassGraph)
+                             TreelikeError, ZeroMassGraph)
 from treelike.regularity import Buckets, SpectralData, atom_bound_theory
 
 
@@ -896,6 +896,88 @@ def in_point_order(result, graph):
     order = [0] + [where[v] for v in graph.vertices]
     cells = np.ix_(order, order)
     return result.densities[cells], result.regular_flags[cells]
+
+
+# the doubling phase's first denominator, below which no relative mass may
+# fall for the forced verdict to skip the scan
+N0 = math.ceil(2.0 / RegularityParams.nu)
+GUARD_SMALL = {"at": 1.0 / N0, "just below": (1.0 / N0) * (1 - 2.0 ** -50),
+               "far below": 1e-13}
+
+
+def guard_masses(rng, n, kind):
+    """Masses with relative sizes drawn at random over many decades, or,
+    for n >= 2, with 1..n-1 of them at, just below or far below 1 / N0,
+    scaled by a random factor."""
+    if kind == "random":
+        rel = rng.random(n) ** rng.uniform(1.0, 40.0)
+    else:
+        k = int(rng.integers(1, n))
+        rest = rng.random(n - k) + 0.5
+        rel = np.r_[np.full(k, GUARD_SMALL[kind]),
+                    rest / rest.sum() * (1 - k * GUARD_SMALL[kind])]
+        rel = rng.permutation(rel)
+    return rel * rng.uniform(0.1, 10.0)
+
+
+def verdict(decide, graph, params):
+    try:
+        return decide(graph, params)
+    except TreelikeError as exc:
+        return type(exc), str(exc)
+
+
+class TestForcedWithoutScan:
+    """Where its guards hold, the scan-free verdict is the pipeline's."""
+
+    @pytest.mark.parametrize("kind", ["random", "at", "just below",
+                                      "far below"])
+    def test_guard_implies_the_scan_returns(self, kind):
+        rng = np.random.default_rng(7)
+        held = 0
+        for trial in range(60):
+            n = int(rng.integers(1 if kind == "random" else 2, 50))
+            g = er_graph(n, float(rng.random()), trial,
+                         guard_masses(rng, n, kind))
+            for eps in (1e-12, 2.0 ** -40, 1e-15, 2.0 ** -39, 1e-6):
+                params = RegularityParams(eps, int(rng.integers(2, 20)))
+                decided = verdict(regularity._forced_without_scan, g, params)
+                if eps * params.max_blowup > 1:
+                    assert decided is None
+                if decided is None:
+                    continue
+                held += 1
+                prob = g.mass / g.total_mass()
+                k, big_n = rationalize_weights(prob, params.nu)
+                assert big_n <= N0 and np.abs(k / big_n - prob).max() \
+                    <= params.nu
+                if isinstance(decided, bool):
+                    result = regularity_pipeline(g, params, seed=trial)
+                    assert result.params["forced"] == decided
+                else:  # one point holds all mass: the pipeline raises too
+                    assert decided[0] is HeavyAtom and n == 1
+                    assert verdict(regularity_pipeline, g, params) == decided
+        if kind in ("random", "at"):
+            assert held > 0
+        if kind == "far below":
+            assert held == 0
+
+    def test_zero_mass_is_left_to_the_pipeline(self):
+        g = graph_from_adj(np.zeros((3, 3), dtype=bool), np.zeros(3))
+        assert regularity._forced_without_scan(g, TINY) is None
+        with pytest.raises(ZeroMassGraph):
+            regularity_pipeline(g, TINY)
+
+    def test_scan_fails_on_masses_that_pass_the_mass_condition(self):
+        # the forced partition's condition (b) holds at epsilon 1e-12, but
+        # the scan raises, so the guard must leave these to the pipeline
+        mass = np.r_[1 - 299e-13, np.full(299, 1e-13)]
+        g = graph_from_adj(np.zeros((300, 300), dtype=bool), mass)
+        assert regularity._forced_refinement(mass, TINY.max_blowup,
+                                             TINY) is not None
+        assert regularity._forced_without_scan(g, TINY) is None
+        with pytest.raises(BlowupTooLarge):
+            regularity_pipeline(g, TINY)
 
 
 class TestForcedPartition:

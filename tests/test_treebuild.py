@@ -26,9 +26,9 @@ from treelike import cliques, core, hyperbolicity, regularity, treebuild
 from treelike.core import rescale_to_unit, validate_space
 from treelike.cliques import ModificationLog
 from treelike.core import WeightedGraph
-from treelike.errors import BadParams, Delta0TooLarge, LeafMismatch, \
-    LightClique, MapMismatch, TreelikeError, WeightSumMismatch
-from treelike.io import dump_json, tree_to_dict
+from treelike.errors import BadParams, BlowupTooLarge, Delta0TooLarge, \
+    LeafMismatch, LightClique, MapMismatch, TreelikeError, WeightSumMismatch
+from treelike.io import dump_json, tree_to_dict, tree_to_newick
 from treelike.regularity import RegularityParams
 from treelike.spinglass import gibbs_exact, overlap_map, overlap_space, \
     pure_state_tree, sk_couplings
@@ -102,18 +102,21 @@ class TestBuildTree:
         monkeypatch.setattr(treebuild, "gromov_product_matrix", counting)
         fx = ultrametric_fixture(27, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=7)
         report = build_tree(fx.space, EPS, M, seed=0)
-        # once, on the first point of each group of one row and one parent
+        # the build prices its tree from the labels it holds, and walks no
+        # node names; tree_cost and best_alpha each walk them once, on the
+        # first point of each group of one row and one parent
+        assert calls == []
+        assert report.cost == tree_cost(fx.space, report.tree, report.kappa)
+        assert (report.best_alpha, report.best_cost) \
+            == best_alpha(fx.space, report.tree)
         seen, reps = set(), []
         for row, x in zip(fx.space.sim, fx.space.points):
             key = (row.tobytes(), report.tree.parent[x])
             if key not in seen:
                 seen.add(key)
                 reps.append(x)
-        assert calls == [tuple(reps)]
+        assert calls == [tuple(reps)] * 2
         assert len(reps) < fx.space.n
-        assert report.cost == tree_cost(fx.space, report.tree, report.kappa)
-        assert (report.best_alpha, report.best_cost) \
-            == best_alpha(fx.space, report.tree)
 
     def test_build_never_computes_the_full_profile(self, monkeypatch):
         def refuse(space):
@@ -214,6 +217,9 @@ class TestBuildTree:
 
         space = planted_blocks_fixture(40, 3, seed, weights=weights).space
         expected = build_tree(space, EPS, M, seed=1, delta0=0.12)
+        # every repair runs the pipeline, as where the scan guard fails
+        monkeypatch.setattr(treebuild, "_forced_without_scan",
+                            lambda *a: None)
         monkeypatch.setattr(treebuild, "regularity_pipeline", spectral)
         got = build_tree(space, EPS, M, seed=1, delta0=0.12)
         assert any(reordered)
@@ -372,6 +378,13 @@ class TestQuotientBuild:
                                            weights="random").space
             assert twin_class_count(space) == space.n
             assert_matches_full_build(space, delta0=0.12)
+
+    def test_rows_end_where_every_point_is_a_leaf(self):
+        for seed in range(2):
+            space = rescale_to_unit(noisy_tree_fixture(
+                24, 3, KAPPA, 1e-4, seed, weights="random").space)
+            report = assert_matches_full_build(space, delta0=0.05)
+            assert len(report.levels) < report.ladder.n_levels + 2
 
     def test_violations_expand_in_row_major_order(self):
         rng = np.random.default_rng(0)
@@ -909,6 +922,8 @@ class TestClustersAgainstLoop:
             return made[-1], log
 
         spectral = types.SimpleNamespace(params={"forced": False})
+        monkeypatch.setattr(treebuild, "_forced_without_scan",
+                            lambda *a: False)
         monkeypatch.setattr(treebuild, "regularity_pipeline",
                             lambda *a, **k: spectral)
         for stage in CLIQUE_STAGES[:3]:
@@ -929,6 +944,8 @@ class TestClustersAgainstLoop:
 
         forced = types.SimpleNamespace(params={"forced": True})
         monkeypatch.setattr(treebuild, "threshold_graph", union)
+        monkeypatch.setattr(treebuild, "_forced_without_scan",
+                            lambda *a: True)
         monkeypatch.setattr(treebuild, "regularity_pipeline",
                             lambda *a, **k: forced)
         for stage in CLIQUE_STAGES:
@@ -1075,13 +1092,184 @@ class TestSettledClusters:
         space = ultrametric_fixture(64, [KAPPA, 2 * KAPPA, 3 * KAPPA],
                                     seed=1).space
         with monkeypatch.context() as patch:
-            patch.setattr(treebuild, "_settles", lambda *a, **k: False)
+            patch.setattr(treebuild, "_settles", lambda *a, **k: None)
             staged = build_tree(space, EPS, M, seed=0)
         for stage in CLIQUE_STAGES:
             monkeypatch.setattr(treebuild, stage, unreachable)
         settled = build_tree(space, EPS, M, seed=0)
         assert settled.n_repairs > 0
         assert pickle.dumps(settled) == pickle.dumps(staged)
+
+
+def with_zero_weights(n, seed):
+    """A planted ultrametric space in which every third point weighs 0."""
+    fx = ultrametric_fixture(n, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=seed,
+                             weights="random")
+    w = fx.space.weights.copy()
+    w[::3] = 0.0
+    return SimilaritySpace(fx.space.points, w / w.sum(), fx.space.sim, 1.0)
+
+
+def with_at_names(n, seed):
+    """A planted ultrametric space whose point ids start with runs of @,
+    so that node names need a longer prefix."""
+    fx = ultrametric_fixture(n, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=seed)
+    points = tuple("@" * (i % 3) + p for i, p in enumerate(fx.space.points))
+    return SimilaritySpace(points, fx.space.weights, fx.space.sim, 1.0)
+
+
+def ultrametric_space(weights, seed):
+    return ultrametric_fixture(48, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=seed,
+                               weights=weights).space
+
+
+# (space, build options) by name: twins, spaces without twins (d = n),
+# exceptional points, zero weights and node-name prefixes past "@"
+WEIGHTS_SEEDS = [(w, seed) for w in ("uniform", "random") for seed in range(2)]
+PRICING_CASES = {
+    **{f"ultrametric-{w}-{seed}": (lambda w=w, seed=seed: (
+        ultrametric_space(w, seed), {})) for w, seed in WEIGHTS_SEEDS},
+    **{f"planted-{w}-{seed}": (lambda w=w, seed=seed: (
+        planted_blocks_fixture(40, 3, seed, weights=w).space,
+        {"delta0": 0.12})) for w, seed in WEIGHTS_SEEDS},
+    **{f"noisy-{w}-{seed}": (lambda w=w, seed=seed: (
+        rescale_to_unit(noisy_tree_fixture(32, 3, KAPPA, 1e-4, seed,
+                                           weights=w).space),
+        {"delta0": 0.05})) for w, seed in WEIGHTS_SEEDS},
+    **{f"rogues-{r}": (lambda r=r: (with_rogues(20, r, r), {"delta0": 0.05}))
+       for r in (1, 3)},
+    **{f"zero-weights-{seed}": (lambda seed=seed: (
+        with_zero_weights(30, seed), {})) for seed in range(2)},
+    "false-twins": lambda: (with_false_twins(30, 2), {}),
+    "at-names": lambda: (with_at_names(30, 1), {}),
+}
+
+
+class TestLabelPricing:
+    """The build prices and names its tree from the cluster labels that its
+    level loop holds, with the result that the public path gives."""
+
+    def test_the_cases_cover_each_kind(self):
+        kinds = Counter()
+        for case in PRICING_CASES.values():
+            space, kwargs = case()
+            report = build_tree(space, EPS, M, seed=0, **kwargs)
+            kinds["twins"] += twin_class_count(space) < space.n
+            kinds["d = n"] += len(space.distinct[0]) == space.n
+            kinds["excluded"] += bool(report.excluded_points)
+            kinds["zero weights"] += bool((space.weights == 0).any())
+            kinds["prefix @@@"] += report.tree.root == "@@@0.0"
+        assert all(kinds[k] for k in ("twins", "d = n", "excluded",
+                                      "zero weights", "prefix @@@")), kinds
+
+    @pytest.mark.parametrize("name", PRICING_CASES)
+    def test_prices_equal_the_public_pricing(self, monkeypatch, name):
+        space, kwargs = PRICING_CASES[name]()
+        priced = []
+        make = treebuild._priced
+
+        def recording(*args):
+            priced.append(make(*args))
+            return priced[-1]
+
+        monkeypatch.setattr(treebuild, "_priced", recording)
+        report = build_tree(space, EPS, M, seed=0, **kwargs)
+        built = priced[0]
+        public = treebuild._class_pairs(space, report.tree)
+        for field in dataclasses.fields(public):
+            got, want = getattr(built, field.name), getattr(public, field.name)
+            assert got.dtype == want.dtype, field.name
+            assert np.array_equal(got, want), field.name
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_rows_price_as_their_tree(self, seed):
+        # points of a few repeated rows in random nested clusters, so that
+        # points of one row become leaves at several depths, under parents
+        # that hold the same position in their rows
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        kind = rng.integers(0, 3, size=n)
+        base = rng.random((3, 3))
+        base = (base + base.T) / 2
+        weights = rng.random(n) * (rng.random(n) < 0.8)
+        weights = weights + (weights.sum() == 0)
+        space = SimilaritySpace(tuple(f"x{i}" for i in range(n)),
+                                weights / weights.sum(),
+                                base[np.ix_(kind, kind)], 1.0)
+        rows, held = [], [np.arange(n)]
+        for depth in range(int(rng.integers(1, 5))):
+            if not held:
+                break
+            flat, sizes, below = [], [], []
+            for cluster in held:
+                label = rng.integers(0, 3, size=len(cluster))
+                for lab in dict.fromkeys(label.tolist()):
+                    child = cluster[label == lab]
+                    flat.append(child)
+                    sizes.append(len(child))
+                    below += [child] if len(child) >= 2 else []
+            rows.append((np.concatenate(flat), np.array(sizes)))
+            held = below
+        if held:
+            last = np.concatenate(held)
+            rows.append((last, np.ones(len(last), dtype=int)))
+        tree, levels, label, leaf, up = core._tree_of_rows(space.points, rows)
+        built = treebuild._priced(
+            space, up, lambda reps: treebuild._meets(label[:, reps],
+                                                     leaf[reps]))
+        public = treebuild._class_pairs(space, tree)
+        for field in dataclasses.fields(public):
+            got, want = getattr(built, field.name), getattr(public, field.name)
+            assert got.dtype == want.dtype, field.name
+            assert np.array_equal(got, want), field.name
+        want = core.tree_from_levels(space.points, [
+            [c.tolist() for c in np.split(flat, np.cumsum(sizes)[:-1])]
+            for flat, sizes in rows])
+        assert list(tree.parent.items()) == list(want.parent.items())
+        assert list(tree.level.items()) == list(want.level.items())
+
+    @pytest.mark.parametrize("name", PRICING_CASES)
+    def test_tree_equals_tree_from_levels(self, name):
+        space, kwargs = PRICING_CASES[name]()
+        report = build_tree(space, EPS, M, seed=0, **kwargs)
+        index = {p: i for i, p in enumerate(space.points)}
+        rows = [[[index[p] for p in cluster] for cluster in row]
+                for row in report.levels[1:]]
+        want = core.tree_from_levels(space.points, rows)
+        got = report.tree
+        assert got.root == want.root
+        assert list(got.parent.items()) == list(want.parent.items())
+        assert list(got.level.items()) == list(want.level.items())
+        assert list(got.leaf_points.items()) == list(want.leaf_points.items())
+        for node in want.level:
+            assert got.children(node) == want.children(node)
+        assert tree_to_newick(got) == tree_to_newick(want)
+        # each node name is one object, wherever the tree and levels hold it
+        ids = {id(node) for node in got.level}
+        assert {id(v) for v in got.parent.values()} <= ids
+        assert {id(p) for row in report.levels[1:] for c in row if len(c) == 1
+                for p in c} <= ids
+
+
+def test_a_forced_cluster_whose_scan_fails_still_raises():
+    # 299 points of relative mass 1e-13 pass the forced partition's mass
+    # condition at epsilon 1e-12, but no denominator up to max_blowup
+    # apportions them within nu, so the pipeline raises, and the repair
+    # must raise with it rather than settle on the forced verdict
+    n = 300
+    weights = np.r_[1 - 299e-13, np.full(n - 1, 1e-13)]
+    sim = np.full((n, n), 0.2)
+    np.fill_diagonal(sim, 1.0)
+    space = SimilaritySpace(tuple(f"p{i}" for i in range(n)), weights, sim)
+    params = RegularityParams(epsilon=EPS, m=M)
+    graph = core.threshold_graph(space, 0.5)
+    assert cliques._settles(graph, EPS) is not None  # edgeless, it settles
+    assert regularity._forced_refinement(graph.mass, params.max_blowup,
+                                         params) is not None
+    assert regularity._forced_without_scan(graph, params) is None
+    with pytest.raises(BlowupTooLarge):
+        treebuild._repair_cluster(space, list(range(n)), 0.5, params,
+                                  (0, 1, 0))
 
 
 def test_the_build_names_no_edited_pairs(monkeypatch):
