@@ -13,9 +13,8 @@ points, so that the part neighbor relation is the thresholded vertex graph
 itself and q is the vertex count, whenever the partition is forced: (a)
 epsilon N <= 1 for the rationalized denominator N, and (b) every point's
 mass is at least epsilon mu / (2 (1 + m*)) (see ``regularity``).  On such a
-partition ``_settles`` decides, without running the stages, whether they
-would leave the graph as it is: a union of cliques that the family keeps
-whole and whose groups clear the mass floor.  It shares the family cutoff
+partition a build decides, without running the stages, whether they would
+leave the graph as it is (see ``treebuild``); it shares the family cutoff
 and the mass screen with the stages that apply them.
 """
 
@@ -291,23 +290,36 @@ def _shortest_gap_triple(adj: np.ndarray, members: list[int], a: int, b: int
     return (a, path[-2], path[-3])
 
 
-def _light_groups(graph: WeightedGraph, group_v: np.ndarray, n_groups: int,
-                  epsilon: float, sizes: np.ndarray | None
-                  ) -> tuple[float, list[tuple[int, int]]]:
-    """The clique-mass floor (1/2) epsilon^(1/4) mu and the groups that may
-    fall below it, each with its point count: the groups of two or more
-    points (counted by ``sizes``, one per vertex by default) whose mass,
-    summed in index order, does not clear the floor by a margin.
+def _mass_floor(epsilon: float, total):
+    """The clique-mass floor (1/2) epsilon^(1/4) mu of a graph of mass mu,
+    elementwise on arrays."""
+    return 0.5 * epsilon ** 0.25 * total
 
-    ``group_v`` labels each vertex with its group 0..n_groups - 1, or -1.
+
+def _doubtful(screened, n, floor):
+    """Whether a group's mass, summed in index order as ``screened``, may
+    fall below the floor in a graph of n vertices, elementwise on arrays.
+
     Any two orders of a sum of k nonnegative terms agree within 2.1 k u of
     it (u = 2^-53), so a group whose screened mass clears the floor by
     8 n u passes, and only the others need their mass summed again.
     """
-    mass_floor = 0.5 * epsilon ** 0.25 * graph.total_mass()
+    return screened * (1.0 - 8.0 * n * 2.0 ** -53) < floor
+
+
+def _light_groups(graph: WeightedGraph, group_v: np.ndarray, n_groups: int,
+                  epsilon: float, sizes: np.ndarray | None
+                  ) -> tuple[float, list[tuple[int, int]]]:
+    """The clique-mass floor and the groups that may fall below it, each
+    with its point count: the groups of two or more points (counted by
+    ``sizes``, one per vertex by default) that ``_doubtful`` leaves.
+
+    ``group_v`` labels each vertex with its group 0..n_groups - 1, or -1.
+    """
+    mass_floor = _mass_floor(epsilon, graph.total_mass())
     screened = np.bincount(group_v + 1, graph.mass,
                            minlength=n_groups + 1)[1:]
-    doubtful = screened * (1.0 - 8.0 * graph.n * 2.0 ** -53) < mass_floor
+    doubtful = _doubtful(screened, graph.n, mass_floor)
     if not doubtful.any():
         return mass_floor, []
     count = np.bincount(group_v + 1, sizes, minlength=n_groups + 1)[1:]
@@ -416,42 +428,6 @@ def clique_repair(graph: WeightedGraph, partition: PartitionResult,
     repaired = WeightedGraph._symmetric_by_construction(
         graph.vertices, graph.mass, adj)
     return repaired, log
-
-
-def _settles(graph: WeightedGraph, epsilon: float,
-             sizes: np.ndarray | None = None) -> np.ndarray | None:
-    """Whether the clique stages, run on the forced partition of ``graph``,
-    would return it unchanged, edit no pair and raise nothing: if so, the
-    first member of each vertex's clique, and None if not.
-
-    On a forced partition every part is one point, every pair is regular
-    and each density is its adjacency entry, 0 or 1; as epsilon < 1/4, a 1
-    is dense and a 0 lies below the middle band, so the part neighbor graph
-    is ``graph`` itself.  The graph is a union of cliques exactly when each
-    vertex shares its closed neighborhood with the first member of that
-    neighborhood.  If, moreover, every clique of two or more vertices has
-    at least the family cutoff epsilon^(1/4) q members, then
-    ``neighborhood_family`` takes the cliques at or above the cutoff,
-    largest first, and leaves only isolated vertices, which attach to no
-    group; ``clique_closure`` links no two cliques and finds no bad pair;
-    and r groups of at least epsilon^(1/4) q members among q give
-    r epsilon^(1/4) q <= q, so the bound of epsilon^(-1/4) groups holds
-    without a check.  Every stage mask of ``clique_repair`` is then empty
-    and its postcondition holds.  What remains is its mass floor: a group
-    that the screen does not clear is left to the stages, which raise
-    ``LightClique`` or pass it.
-    """
-    closed = graph.adj | np.eye(graph.n, dtype=bool)
-    first = closed.argmax(axis=1)
-    if not (closed == closed[first]).all():
-        return None
-    size = closed.sum(axis=1)
-    grouped = size >= _family_cutoff(epsilon, graph.n)
-    if not (grouped | (size == 1)).all():
-        return None
-    _, light = _light_groups(graph, np.where(grouped, first, -1), graph.n,
-                             epsilon, sizes)
-    return None if light else first
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,11 @@ def upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Side of the square tiles of the symmetry check: a tile and its mirror stay
 # in cache, where a band against its transposed column band did not
 SYMMETRY_TILE = 64
+# the pairs i < j of a tile on the diagonal, made once: formed in each call,
+# the mask put the check of a 12 x 12 matrix at 29 µs instead of 7 µs
+# (2-core host)
+_ABOVE = np.triu(np.ones((SYMMETRY_TILE,) * 2, dtype=bool), 1)
+_ABOVE.setflags(write=False)
 
 
 def first_asymmetry(m: np.ndarray) -> tuple[int, int] | None:
@@ -158,14 +163,13 @@ def first_asymmetry(m: np.ndarray) -> tuple[int, int] | None:
     first pair can lie in any tile, so the whole band is compared first.
     """
     n = len(m)
-    above = np.triu(np.ones((SYMMETRY_TILE,) * 2, dtype=bool), 1)
     for i in range(0, n, SYMMETRY_TILE):
         h = min(SYMMETRY_TILE, n - i)
         full = i + (n - i) // h * h
         # tile b of the band holds m[i + r, i + b h + c] at [b, r, c]
         diff = m[i:i + h, i:full].reshape(h, -1, h).transpose(1, 0, 2) \
             != m[i:full, i:i + h].reshape(-1, h, h).transpose(0, 2, 1)
-        diff[0] &= above[:h, :h]  # pairs below the diagonal mirror others
+        diff[0] &= _ABOVE[:h, :h]  # pairs below the diagonal mirror others
         strip = m[i:i + h, full:] != m[full:, i:i + h].T
         if diff.any() or strip.any():
             rows, cols = np.concatenate(
@@ -377,12 +381,19 @@ def threshold_graph(space: SimilaritySpace, t: float,
     if not 0.0 < t <= space.bound:
         raise ThresholdOutOfRange(t, space.bound)
     idx = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
-    adj = space.sim[idx[:, None], idx] >= t
-    adj.flat[::len(idx) + 1] = False
     # a space has distinct ids, valid weights and a symmetric sim
-    return WeightedGraph._symmetric_by_construction(
-        tuple(map(space.points.__getitem__, idx.tolist())), space.weights[idx],
-        adj)
+    return _graph_at(tuple(map(space.points.__getitem__, idx.tolist())),
+                     space.weights[idx], space.sim, t, idx)
+
+
+def _graph_at(vertices: tuple[str, ...], mass: np.ndarray, sim: np.ndarray,
+              t: float, idx: np.ndarray) -> WeightedGraph:
+    """The graph on the rows ``idx`` of a symmetric ``sim`` with an edge
+    where sim >= t, its vertices named and weighed by the caller, who
+    guarantees distinct names and finite nonnegative masses."""
+    adj = sim[idx[:, None], idx] >= t
+    adj.flat[::len(idx) + 1] = False
+    return WeightedGraph._symmetric_by_construction(vertices, mass, adj)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,24 @@ of a metric is that maximum over the Gromov products at each base point.
 Triple masses depend on a point only through its similarity row, so the
 kernels run on the d distinct rows with merged weights, which a space
 groups once as it is made (``SimilaritySpace.distinct``).
-The ladder evaluates the mass of R_t only at its C window candidates, one
-d x d BLAS product each: O(C d^3).  ``exceptional_sets`` is N products for N
-ladder thresholds: O(N d^3).  ``bad_set_profile`` computes the mass at
-every distinct value with one walk on value ranks, O(d^3); it serves
-``treelike ladder --profile-csv`` and the tests, and no build calls it."""
+
+On a space of V distinct values, the mass of R_t is constant between
+consecutive values, so the average defect is also the integral of the
+mass: sum_k (v_k - v_{k-1}) M(v_k), V - 1 d x d BLAS products.  One rule,
+V - 1 <= min(d - 1, TABLE_PRODUCTS), picks this mass table over the walk
+for ``hyp_exact`` and the ladder alike, and the ladder then reads every
+candidate's mass from the table.  Elsewhere (a noisy space has V near
+d^2 / 2) the ladder evaluates the mass of R_t only at its C window
+candidates, one product each: O(C d^3).  ``exceptional_sets`` is N
+products for N ladder thresholds: O(N d^3).  ``bad_set_profile`` computes
+the mass at every distinct value with one walk on value ranks, O(d^3); it
+serves ``treelike ladder --profile-csv`` and the tests, and no build calls
+it."""
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +57,17 @@ MACHINE_EPS = float(np.finfo(float).eps)
 # BLOCK x d float64 cells stays in cache where a whole d x d temporary per
 # point would stream through memory.
 BLOCK = 64
+
+# The average defect is read from a table of V - 1 bad-set masses, one d x d
+# product each, instead of the walk of about d^3 / 6 cells, where
+# V - 1 <= min(d - 1, TABLE_PRODUCTS) for d distinct rows and V distinct
+# values.  Measured on one OpenBLAS thread (2-core host), the table took
+# 0.1-0.3 of the walk's time at V - 1 = 3 for d from 12 to 512, and
+# 0.59-0.70 at V - 1 = 8; the walk won from about V - 1 = 3 at d = 3, 6 at
+# d = 6, 14 at d = 12, 17 at d = 32 to 128 and 10 at d = 512.  On the
+# 12-spin ``abs`` space (d = 2048, V - 1 = 6) the ladder, its defect
+# included, took 1.1-1.2 s with the table against 5.5-6.5 s with the walk.
+TABLE_PRODUCTS = 8
 
 
 def _tiles(sim: np.ndarray, p: np.ndarray | None = None):
@@ -115,12 +136,58 @@ def _defect_sum(p: np.ndarray, sim: np.ndarray) -> float:
     return pairs + 2.0 * triples
 
 
+def _mass_table(w: np.ndarray, s: np.ndarray, vals: np.ndarray):
+    """The average defect on distinct rows with weights w, read from the
+    table of bad-set masses at ``vals``, the distinct values of s in
+    ascending order, and the mass of R_t as a function of t read from it.
+
+    The mass M(t) of R_t is constant on each interval (v_{k-1}, v_k]
+    between consecutive values, where ``_mass`` forms the same matrices as
+    at v_k, so M(t) is the table's entry at the first value >= t, bit for
+    bit; it is exactly 0.0 at or below the least value and above the
+    largest.  So the defect, the integral of M over t > 0, is exactly
+    sum_k (v_k - v_{k-1}) M(v_k), k >= 2: V - 1 products, summed by
+    ``math.fsum``.
+    """
+    v = vals.tolist()
+    table = [0.0] + [_mass(w, s, t) for t in v[1:]] + [0.0]
+    return math.fsum((b - a) * m for a, b, m in zip(v, v[1:], table[1:])), \
+        lambda t: table[bisect.bisect_left(v, t)]
+
+
+def _defect(w: np.ndarray, s: np.ndarray, vals: np.ndarray | None = None):
+    """The average defect on distinct rows with weights w and similarity
+    s, and the mass of R_t as a function of t, by one rule: on V distinct
+    values on d rows with V - 1 <= min(d - 1, TABLE_PRODUCTS), both are
+    read from the mass table (``_mass_table``); otherwise the defect is
+    walked and each mass is one product (``_mass``).  ``vals``, the
+    distinct values of s in ascending order, is sorted here where it is
+    not given, unless the first row alone shows a noisy space that its
+    values are too many, so the walk pays for no sort of all d^2 values.
+    """
+    limit = min(len(w) - 1, TABLE_PRODUCTS)
+    if vals is None and len(np.unique(s[0])) - 1 <= limit:
+        vals = np.unique(s)
+    if vals is not None and len(vals) - 1 <= limit:
+        return _mass_table(w, s, vals)
+    return _defect_sum(w, s), functools.partial(_mass, w, s)
+
+
 def hyp_exact(space: SimilaritySpace) -> float:
-    """Expected triple defect, computed exactly on the d distinct rows:
-    each set of three distinct rows once, as median - minimum, plus the d^2
-    triples (x, x, z), about d^3 / 6 cells.  Working memory beyond the rows
-    is two BLOCK x d tile buffers and O(d) vectors."""
-    return _defect_sum(*space.distinct[:2])
+    """Expected triple defect, computed exactly on the d distinct rows.
+
+    On a space of V distinct values with V - 1 <= min(d - 1,
+    TABLE_PRODUCTS) it is the integral of the bad-set mass, read from V - 1
+    mass products (``_mass_table``); otherwise the walk takes each set of
+    three distinct rows once, as median - minimum, plus the d^2 triples
+    (x, x, z), about d^3 / 6 cells, with two BLOCK x d tile buffers and
+    O(d) vectors beyond the rows.  ``_defect`` applies the rule.  The two
+    kernels differ by rounding: on the 10-spin ``abs`` overlap space of
+    ``sk_couplings(10, 3.0, 3)`` (d = 512, V = 6) the walk gives
+    0.027276334753638116 and the table 0.027276334753638092.
+    """
+    w, s, _ = space.distinct
+    return _defect(w, s)[0]
 
 
 def _defect_max(sim: np.ndarray) -> float:
@@ -297,12 +364,19 @@ def threshold_ladder(space: SimilaritySpace, epsilon: float, m: int,
     Each window is scanned upwards and stops at its first mass of exactly
     0.0, which no later candidate can beat.
 
-    The mass is evaluated at the scanned candidates only, as one BLAS
-    product on the d distinct rows each: C candidates cost O(C d^3) beside
-    the walk of the average defect.  A window whose masses are all positive
-    is scanned in full, so values that fill a window make C large: a
-    uniform random space at n = 256 and delta0 = 0.05 evaluates 3,295
-    candidates (about 6 s on one OpenBLAS thread) before it fails with
+    The rule of ``hyp_exact`` (``_defect``) picks how the masses are
+    read.  On a space of V distinct values on d distinct rows with
+    V - 1 <= min(d - 1, TABLE_PRODUCTS), the V - 1 products of the mass
+    table give the defect, and every candidate, the window ends included,
+    reads the entry of the first value at or above it: the same float as
+    ``_mass`` there, and 0.0 above the largest value.  On
+    ``build-ultrametric``'s input (d = 12, V - 1 = 3) that is 3 products
+    where the walk took 10 tiles.  Elsewhere the defect is walked and each
+    scanned candidate costs one BLAS product on the d distinct rows: C
+    candidates cost O(C d^3).  A window whose masses are all positive is
+    scanned in full, so values that fill a window make C large: a uniform
+    random space at n = 256 and delta0 = 0.05 evaluates 3,295 candidates
+    (about 6 s on one OpenBLAS thread) before it fails with
     NoGoodThreshold, where the full ``bad_set_profile`` takes 0.08 s.
     """
     if space.bound != 1.0:
@@ -313,7 +387,9 @@ def threshold_ladder(space: SimilaritySpace, epsilon: float, m: int,
         raise BadParams(f"m must be an integer >= 2, got {m}")
     if delta0 is not None and not delta0 > 0:
         raise BadParams(f"delta0 must be positive, got {delta0}")
-    hyp = hyp_exact(space)
+    w, s, _ = space.distinct
+    vals = np.unique(s)
+    hyp, mass_at = _defect(w, s, vals)
     if delta0 is None:
         # the floor applies when the measured hyperbolicity is exactly zero;
         # without it every window constraint degenerates
@@ -327,21 +403,21 @@ def threshold_ladder(space: SimilaritySpace, epsilon: float, m: int,
     while (n_levels + 1) * kappa < 1.0:
         n_levels += 1
 
-    w, s, _ = space.distinct
-    vals = np.unique(s)
     budget = delta0 ** 4
+    values = vals.tolist()
     thresholds: list[float] = []
     profile: dict[float, float] = {}
     for i in range(1, n_levels + 1):
         lo = i * kappa - delta0
         hi = min(i * kappa + delta0, 1.0)
         cands = {lo, hi}
-        inside = vals[(vals > lo) & (vals < hi)]
-        cands.update(float(v) for v in inside)
+        # the values strictly inside the window
+        cands.update(values[bisect.bisect_right(values, lo):
+                            bisect.bisect_left(values, hi)])
         best_t = None
         best_mass = math.inf
         for t in sorted(cands):
-            mass = _mass(w, s, t)
+            mass = mass_at(t)
             profile[float(t)] = mass
             if mass < best_mass:
                 best_mass = mass

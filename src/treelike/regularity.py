@@ -18,13 +18,11 @@ epsilon mu / (2 (1 + m*)), the chunk target at one bucket, so that every
 chunk closes at one point.  Since N <= max_blowup and m* >= 1, both hold
 whenever epsilon <= 1 / max_blowup and every relative weight is at least
 epsilon / 4; the pipeline then skips the eigensolve, the cut and the
-buckets.  A caller that needs only the ``forced`` verdict can skip the
-denominator scan as well (``_forced_without_scan``): at epsilon <= 1 /
-max_blowup condition (a) holds for any N the scan returns, and a guard
-proves that the scan returns at all, which it does not, for instance, on
-masses of 1e-13; elsewhere the scan runs.  The pipeline settles every pair
-of single-point parts directly (the tester can only call them regular) and
-runs the tester on the rest.
+buckets.  A build that needs only the ``forced`` verdict skips the
+denominator scan as well, where a guard proves that the scan returns (it
+does not, for instance, on masses of 1e-13); see ``treebuild``.  The
+pipeline settles every pair of single-point parts directly (the tester
+can only call them regular) and runs the tester on the rest.
 The denominator scan is thinned by the smallest weight, then its survivors
 meet every weight at once.  An isolated point's value in an eigenvector of
 a nonzero eigenvalue is exactly 0, so such points share a bucket.
@@ -51,7 +49,6 @@ from .errors import (
 
 EXHAUSTIVE_LIMIT = 12  # pair tester enumerates subsets up to this part size
 RATIONALIZE_SCAN_LIMIT = 4096
-SCAN_FREE_POINTS = 2 ** 20  # most points ``_forced_without_scan`` decides
 
 
 @dataclass(frozen=True)
@@ -415,14 +412,31 @@ def _refine_scale(mass: np.ndarray, params: RegularityParams
     mu_total = float(mass.sum())
     if mu_total <= 0:
         raise ZeroMassGraph("total mass must be positive")
-    p_star = float(mass.max()) / mu_total
+    return (mu_total, *_scale(mu_total, float(mass.max()), params))
+
+
+def _scale(mu_total: float, top: float, params: RegularityParams
+           ) -> tuple[int, float]:
+    """Effective m and m* of positive masses with sum mu_total and largest
+    mass top."""
+    p_star = top / mu_total
     m_eff = _effective_m(params.m, p_star)
-    return mu_total, m_eff, m_eff / (1.0 - p_star * m_eff)
+    return m_eff, m_eff / (1.0 - p_star * m_eff)
 
 
 def _chunk_target(epsilon: float, mu_total: float, r: int, m_star: float
                   ) -> float:
     return epsilon * mu_total / (2.0 * (r + m_star))
+
+
+def _closes_at_one_point(mu_total: float, m_star: float, least: float,
+                         params: RegularityParams) -> bool:
+    """Condition (b) of ``_forced_refinement``: the least mass reaches the
+    chunk target at r = 1 bucket, and that target is positive.  The rounded
+    target is nonincreasing in r, so every chunk then closes at one point
+    of positive mass for any r >= 1."""
+    target = _chunk_target(params.epsilon, mu_total, 1, m_star)
+    return target > 0.0 and least >= target
 
 
 def _forced_refinement(mass: np.ndarray, blowup_size: int,
@@ -436,8 +450,10 @@ def _forced_refinement(mass: np.ndarray, blowup_size: int,
     spectral path lists them cell by cell, which differs only where points
     share a cell, such as isolated vertices in the all-zero cell.
 
-    Only (a) reads N.  ``_forced_without_scan`` passes max_blowup for it,
-    where epsilon * max_blowup <= 1 and a guard proves the scan returns.
+    Only (a) reads N.  A build's pass over its clusters (``treebuild``)
+    checks (a) at N = max_blowup, where epsilon * max_blowup <= 1 and a
+    guard proves the scan returns, and (b) through ``_scale`` and
+    ``_closes_at_one_point``.
     """
     # (a) epsilon N <= 1: the outlier threshold sqrt(2J / (epsilon N)) is
     # then at least sqrt(2), while a blow-up coordinate |v(x)| / sqrt(K(x))
@@ -446,11 +462,7 @@ def _forced_refinement(mass: np.ndarray, blowup_size: int,
     if not params.epsilon * blowup_size <= 1.0:
         return None
     mu_total, m_eff, m_star = _refine_scale(mass, params)
-    target = _chunk_target(params.epsilon, mu_total, 1, m_star)
-    # (b) every mass reaches the chunk target at r = 1 bucket, and that
-    # target is positive: the rounded target is nonincreasing in r, so every
-    # chunk closes at one point of positive mass for any r >= 1
-    if not (target > 0.0 and float(mass.min()) >= target):
+    if not _closes_at_one_point(mu_total, m_star, float(mass.min()), params):
         return None
     # equitable_refine's checks pass: q = n >= m_eff, as m_eff p* < 1 and
     # p* >= 1/n; q = n <= N <= 1 / epsilon < part_cap; V_0 is empty; part
@@ -463,42 +475,6 @@ def _forced_refinement(mass: np.ndarray, blowup_size: int,
         chunk_target=None,
         part_cap=None,
     )
-
-
-def _forced_without_scan(graph: WeightedGraph, params: RegularityParams
-                         ) -> bool | None:
-    """Whether ``regularity_pipeline`` would force the partition of
-    ``graph``, decided without the denominator scan, or None where the scan
-    could decide otherwise or raise.
-
-    Where it answers, it raises what the pipeline would raise first.  Two
-    guards make the scan's N irrelevant.  First, epsilon * max_blowup <= 1
-    gives condition (a) of ``_forced_refinement`` at every N <= max_blowup,
-    which is every N the scan returns, since rounding is monotone.
-
-    Second, the scan returns.  Let N0 = ceil(2 / nu), 2 * 10^9 at
-    nu = 1e-9, the first denominator of the doubling phase, which the scan
-    reaches if no smaller one passes.  Let every relative mass p be at
-    least 1 / N0, checked as fl(N0 min p) >= 1, and n <= SCAN_FREE_POINTS.
-    Then every x = fl(N0 p) is at least 1, so ``_apportion`` starts from
-    floor(x).  With u = 2^-53, p = fl(m / fl(sum m)) gives
-    |sum x - N0| <= N0 (n + 1) u (1 + 2^-30) < 0.24, so the floors fall
-    short of N0 by at most n, and no multiplicity moves by more than 1.
-    Then |K / N0 - p| <= 1 / N0 + u p, and the computed check reads at most
-    nu / 2 + 4 u < nu: N0 is accepted.  The weights sum to one within
-    (2n + 1) u, far inside the scan's n * nu, so it raises no BadParams.
-    """
-    n = graph.n
-    mu_total = graph.total_mass()
-    if not (params.epsilon * params.max_blowup <= 1.0 and mu_total > 0
-            and n <= SCAN_FREE_POINTS):
-        return None
-    first = max(n, math.ceil(2.0 / params.nu))  # the doubling phase's N
-    # the least relative mass, as the scan rounds it: m / mu is monotone in m
-    if not first * (float(graph.mass.min()) / mu_total) >= 1.0:
-        return None
-    return _forced_refinement(graph.mass, params.max_blowup, params) \
-        is not None
 
 
 def equitable_refine(buckets: Buckets, mass: np.ndarray,

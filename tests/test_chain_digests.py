@@ -2,13 +2,15 @@
 
 The chain is ``threshold_graph`` -> ``regularity_pipeline`` ->
 ``part_neighbor_graph`` -> ``neighborhood_family`` -> ``clique_closure`` ->
-``clique_repair``, plus ``treebuild._repair_cluster`` on the spaces.  Each
-case runs the chain at epsilon 1e-12 (the forced single-point partition)
-and at epsilon 0.2 (the spectral path, with multi-point parts and the
-sampled tester on the heavy/light graphs), and digests each output: array
-dtypes, shapes and bytes, ``repr`` of tuples, dicts and floats, and the
-type and message of the first exception.  So a rewrite of any stage must
-keep every returned object bit for bit and raise the same error first.
+``clique_repair``, plus a build's repair of the cluster on the spaces
+(``treebuild._repair_row``, which settles it in one pass or runs the
+chain).  Each case runs the chain at epsilon 1e-12 (the forced
+single-point partition) and at epsilon 0.2 (the spectral path, with
+multi-point parts and the sampled tester on the heavy/light graphs), and
+digests each output: array dtypes, shapes and bytes, ``repr`` of tuples,
+dicts and floats, and the type and message of the first exception.  So a
+rewrite of any stage must keep every returned object bit for bit and raise
+the same error first.
 
 The digests in ``chain_digests.json`` were recorded with OpenBLAS on
 x86-64; ``PYTHONPATH=src python tests/test_chain_digests.py`` records them
@@ -229,16 +231,32 @@ def chain_digests(g, epsilon, m, seed, sizes=None) -> dict:
     return out
 
 
+def repair_one(space, idxs, t, params, seed, sizes):
+    """A build's repair of one pending cluster of space points
+    (``treebuild._repair_row``): its children as global index lists in
+    order of first member, and its edited pairs i < j as global arrays."""
+    n = space.n
+    classes = treebuild._Classes(
+        space.weights, space.sim,
+        np.ones(n, dtype=int) if sizes is None else sizes, np.arange(n),
+        space.points)
+    pend = np.asarray(idxs, dtype=int)
+    label, edited = treebuild._repair_row(
+        classes, pend, np.array([len(pend)]), t, params, [seed])
+    order = np.argsort(label, kind="stable")
+    bounds = np.flatnonzero(np.diff(label[order])) + 1
+    return [c.tolist() for c in np.split(pend[order], bounds)], edited
+
+
 def space_digests(space, idxs, t, epsilon, m, seed, sizes) -> dict:
     g = threshold_graph(space, t, subset=idxs)
     out = {"graph": _digest(g.vertices, g.mass, g.adj)}
     out.update(chain_digests(g, epsilon, m, seed,
                              None if sizes is None else sizes[idxs]))
     try:
-        children, edited = treebuild._repair_cluster(
+        children, (rows, cols) = repair_one(
             space, idxs, t, RegularityParams(epsilon, m), seed, sizes)
         # the recorded digests hold each pair as (i, j) then (j, i)
-        rows, cols = edited
         pairs = [pair for i, j in zip(rows.tolist(), cols.tolist())
                  for pair in ((i, j), (j, i))]
         out["cluster"] = _digest(children, pairs)

@@ -347,7 +347,9 @@ class TestEvalConverse:
                      str(tree_path), "--alpha", "0.3", "--converse"]) == 0
         assert '"passed": true' in capsys.readouterr().out
 
-    def test_missing_leaf_beats_bound_check(self, files, tmp_path):
+    def test_missing_leaf_and_bound_check(self, files, tmp_path, capsys):
+        # a tree that misses a point of a space of bound 2: pricing it
+        # fails on the leaf, but the converse check refuses the bound first
         fx, _, tree_path = files
         sp = fx.space
         keep = list(range(1, sp.n))
@@ -356,9 +358,11 @@ class TestEvalConverse:
                                 2.0 * sp.sim[np.ix_(keep, keep)], 2.0)
         other_path = tmp_path / "other.json"
         write_json(other_path, space_to_dict(other))
-        for flags in ([], ["--converse"]):
+        for flags, code in (([], 6), (["--converse"], 2)):
+            capsys.readouterr()
             assert main(["eval", "--space", str(other_path), "--tree",
-                         str(tree_path), "--alpha", "0.3", *flags]) == 6
+                         str(tree_path), "--alpha", "0.3", *flags]) == code
+        assert "bound 1" in capsys.readouterr().err
 
 
 K = 1e-12 ** (1 / 24)

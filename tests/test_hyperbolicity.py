@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -1271,3 +1273,168 @@ class TestDistinctRowKernels:
             assert (np.abs(exc.b_measure - b_exact[perm])
                     <= gamma(n + 1) * b_exact[perm]).all()
             assert {sp.points[z] for z in exc.a_indices} == want
+
+
+def valued_space(d, v, rng, zero=False):
+    """d points whose similarities take v random values in [0, 1], with
+    random weights, about a quarter of them zero if ``zero``."""
+    values = np.sort(rng.random(v))
+    pick = rng.integers(0, v, size=(d, d))
+    sim = values[np.triu(pick) + np.triu(pick, 1).T]
+    w = rng.random(d) + 0.05
+    if zero:
+        w[rng.random(d) < 0.25] = 0.0
+        w[0] = 1.0
+    return SimilaritySpace(tuple(f"v{i}" for i in range(d)), w / w.sum(),
+                           sim)
+
+
+def with_rogue_points(n, seed):
+    """A planted ultrametric space with random weights plus two points of
+    weight 1e-7 at similarity 3 kappa to every point: few values, a
+    positive average defect, and a ladder that succeeds at delta0 0.05."""
+    fx = ultrametric_fixture(n, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=seed,
+                             weights="random")
+    sim = np.full((n + 2, n + 2), 3 * KAPPA)
+    sim[:n, :n] = fx.space.sim
+    w = np.concatenate([fx.space.weights, [1e-7, 1e-7]])
+    return SimilaritySpace(fx.space.points + ("r0", "r1"), w / w.sum(), sim)
+
+
+def table_sum(w, s, vals):
+    """The defect as the table gives it, term by term: sum over k >= 2 of
+    (v_k - v_{k-1}) M(v_k), correctly rounded."""
+    return math.fsum((b - a) * hyperbolicity._mass(w, s, b)
+                     for a, b in zip(vals[:-1], vals[1:]))
+
+
+def table_walk_tolerance(d, walk):
+    """How far the table and the walk may lie apart on d distinct rows.
+
+    Every term of either sum is nonnegative.  The walk takes each term
+    through at most max(2d - 1, d + BLOCK + ceil(d / BLOCK) + 2) roundings
+    (see ``blocked_sum_tolerance``), plus one for the defect's subtraction.
+    The table rounds each mass within gamma(3d + 4) (see
+    ``test_bad_set_measure_matches_fsum_oracle``), then the difference of
+    two values, the product and the fsum once each: gamma(3d + 7).  So each
+    is within its gamma of the exact integral E, and E is at most
+    walk / (1 - gamma_walk).
+    """
+    gamma = hyperbolicity._gamma
+    k_walk = max(2 * d - 1, d + BLOCK + -(-d // BLOCK) + 2) + 1
+    g_walk, g_table = gamma(k_walk), gamma(3 * d + 7)
+    return (g_walk + g_table) / (1.0 - g_walk) * walk
+
+
+class TestMassTable:
+    """On a space of few values the average defect is the integral of the
+    bad-set mass, read from one table of V - 1 products, and the ladder
+    reads every candidate's mass from that table."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_table_and_walk_agree_on_each_side_of_the_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        sides = Counter()
+        for d in (3, 5, 9, 17, 40, 70):
+            for v in (2, 3, 5, 9, 10, 17):
+                space = valued_space(d, v, rng, zero=bool(seed % 2))
+                w, s, _ = space.distinct
+                vals = np.unique(s)
+                few = len(vals) - 1 <= min(len(w) - 1,
+                                           hyperbolicity.TABLE_PRODUCTS)
+                table = table_sum(w, s, vals)
+                walk = hyperbolicity._defect_sum(w, s)
+                # hyp_exact is the kernel that the rule picks, bit for bit
+                assert hyp_exact(space).hex() == \
+                    (table if few else walk).hex()
+                assert abs(table - walk) <= table_walk_tolerance(len(w),
+                                                                 walk)
+                sides[few] += 1
+        assert sides[True] > 0 and sides[False] > 0, sides
+
+    @pytest.mark.parametrize("d, v, few", [
+        (2, 2, True), (2, 3, False), (5, 5, True), (5, 6, False),
+        (9, 9, True), (9, 10, False), (40, 9, True), (40, 10, False)])
+    def test_the_rule(self, d, v, few):
+        # the table where V - 1 <= min(d - 1, TABLE_PRODUCTS), for the
+        # defect and the masses alike, whether the values are given or not
+        rng = np.random.default_rng(d * v)
+        # the first draw of d distinct rows that takes all v values
+        space = next(sp for sp in (valued_space(d, v, rng) for _ in range(200))
+                     if (len(sp.distinct[0]), len(np.unique(sp.sim))) == (d, v))
+        w, s, _ = space.distinct
+        vals = np.unique(s)
+        table, walk = table_sum(w, s, vals), hyperbolicity._defect_sum(w, s)
+        for given in (None, vals):
+            hyp, mass_at = hyperbolicity._defect(w, s, given)
+            assert hyp.hex() == (table if few else walk).hex()
+            assert isinstance(mass_at, functools.partial) is not few
+
+    def test_a_noisy_first_row_takes_the_walk_unsorted(self, monkeypatch):
+        # a noisy space shows from its first row that it takes the walk,
+        # and sorts no more than that row
+        sp = rescale_to_unit(noisy_tree_fixture(
+            64, depth=3, alpha=KAPPA, noise=1e-4, seed=1).space)
+        w, s, _ = sp.distinct
+        assert len(np.unique(s[0])) - 1 > hyperbolicity.TABLE_PRODUCTS
+        sorted_sizes = []
+        unique = np.unique
+
+        def recording(a, *args, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return unique(a, *args, **kwargs)
+
+        monkeypatch.setattr(hyperbolicity.np, "unique", recording)
+        assert hyp_exact(sp) == hyperbolicity._defect_sum(w, s)
+        assert sorted_sizes == [len(w)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_masses_read_from_the_table_are_the_products(self, seed):
+        # every candidate of a window reads the entry of the first value at
+        # or above it; between two values, at a value, at or below the least
+        # and above the largest, that is the float _mass gives there
+        rng = np.random.default_rng(seed)
+        moved = 0
+        for space in (with_rogue_points(20, seed), tied_space(17, seed),
+                      valued_space(12, 6, rng, zero=True)):
+            w, s, _ = space.distinct
+            vals = np.unique(s)
+            # the rule takes the table
+            assert len(vals) - 1 <= min(len(w) - 1,
+                                        hyperbolicity.TABLE_PRODUCTS)
+            _, mass_at = hyperbolicity._defect(w, s, vals)
+            ts = {-1.0, 0.0, 0.5, 1.0, 2.0}
+            for v in vals.tolist():
+                ts.update((v, np.nextafter(v, -1.0), np.nextafter(v, 2.0),
+                           v + 1e-3, v - 1e-3))
+            for t in sorted(ts):
+                want = hyperbolicity._mass(w, s, t)
+                assert mass_at(t).hex() == want.hex(), t
+            masses = [hyperbolicity._mass(w, s, v) for v in vals]
+            moved += sum(a != b for a, b in zip(masses, masses[1:]))
+        # an entry read one value too low would differ here
+        assert moved > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_ladder_reads_one_table(self, monkeypatch, seed):
+        space = with_rogue_points(20, seed)
+        w, s, _ = space.distinct
+        vals = np.unique(s)
+        assert 0 < len(vals) - 1 <= min(len(w) - 1,
+                                        hyperbolicity.TABLE_PRODUCTS)
+        calls = []
+        mass = hyperbolicity._mass
+
+        def counting(w, s, t):
+            calls.append(t)
+            return mass(w, s, t)
+
+        monkeypatch.setattr(hyperbolicity, "_mass", counting)
+        ladder = threshold_ladder(space, 1e-12, 16, delta0=0.05)
+        # the table, formed once, and no product per candidate
+        assert calls == vals[1:].tolist()
+        assert ladder.hyp.hex() == table_sum(w, s, vals).hex() \
+            == hyp_exact(space).hex() and ladder.hyp > 0.0
+        for t, got in ladder.profile.items():
+            assert got.hex() == mass(w, s, t).hex()
+        assert len(ladder.profile) > len(ladder.thresholds)

@@ -15,9 +15,9 @@ from treelike import (
     spectral_bucket_partition,
     weighted_adjacency_spectrum,
 )
-from treelike import regularity
+from treelike import regularity, treebuild
 from treelike.errors import (BadParams, BlowupTooLarge, EmptyPart, HeavyAtom,
-                             TreelikeError, ZeroMassGraph)
+                             ZeroMassGraph)
 from treelike.regularity import Buckets, SpectralData, atom_bound_theory
 
 
@@ -920,11 +920,19 @@ def guard_masses(rng, n, kind):
     return rel * rng.uniform(0.1, 10.0)
 
 
-def verdict(decide, graph, params):
-    try:
-        return decide(graph, params)
-    except TreelikeError as exc:
-        return type(exc), str(exc)
+def scan_free_verdict(graph, params):
+    """The forced verdict of a build's pass (``treebuild._settle``) on a
+    cluster of the graph's masses whose threshold graph is edgeless, so
+    that it settles: True or False where the scan-free guard decides it,
+    None where it leaves it to the pipeline.  The guard reads the masses
+    only."""
+    n = graph.n
+    classes = treebuild._Classes(graph.mass, np.eye(n), np.ones(n, dtype=int),
+                                 np.arange(n), graph.vertices)
+    _, settles, forced, _ = treebuild._settle(
+        classes, np.arange(n), np.array([n]), 0.5, params)
+    assert settles.tolist() == [True]
+    return forced[0]
 
 
 class TestForcedWithoutScan:
@@ -936,12 +944,13 @@ class TestForcedWithoutScan:
         rng = np.random.default_rng(7)
         held = 0
         for trial in range(60):
-            n = int(rng.integers(1 if kind == "random" else 2, 50))
+            # the pass decides clusters of two or more classes
+            n = int(rng.integers(2, 50))
             g = er_graph(n, float(rng.random()), trial,
                          guard_masses(rng, n, kind))
             for eps in (1e-12, 2.0 ** -40, 1e-15, 2.0 ** -39, 1e-6):
                 params = RegularityParams(eps, int(rng.integers(2, 20)))
-                decided = verdict(regularity._forced_without_scan, g, params)
+                decided = scan_free_verdict(g, params)
                 if eps * params.max_blowup > 1:
                     assert decided is None
                 if decided is None:
@@ -951,12 +960,8 @@ class TestForcedWithoutScan:
                 k, big_n = rationalize_weights(prob, params.nu)
                 assert big_n <= N0 and np.abs(k / big_n - prob).max() \
                     <= params.nu
-                if isinstance(decided, bool):
-                    result = regularity_pipeline(g, params, seed=trial)
-                    assert result.params["forced"] == decided
-                else:  # one point holds all mass: the pipeline raises too
-                    assert decided[0] is HeavyAtom and n == 1
-                    assert verdict(regularity_pipeline, g, params) == decided
+                result = regularity_pipeline(g, params, seed=trial)
+                assert result.params["forced"] is decided
         if kind in ("random", "at"):
             assert held > 0
         if kind == "far below":
@@ -964,7 +969,7 @@ class TestForcedWithoutScan:
 
     def test_zero_mass_is_left_to_the_pipeline(self):
         g = graph_from_adj(np.zeros((3, 3), dtype=bool), np.zeros(3))
-        assert regularity._forced_without_scan(g, TINY) is None
+        assert scan_free_verdict(g, TINY) is None
         with pytest.raises(ZeroMassGraph):
             regularity_pipeline(g, TINY)
 
@@ -975,7 +980,7 @@ class TestForcedWithoutScan:
         g = graph_from_adj(np.zeros((300, 300), dtype=bool), mass)
         assert regularity._forced_refinement(mass, TINY.max_blowup,
                                              TINY) is not None
-        assert regularity._forced_without_scan(g, TINY) is None
+        assert scan_free_verdict(g, TINY) is None
         with pytest.raises(BlowupTooLarge):
             regularity_pipeline(g, TINY)
 

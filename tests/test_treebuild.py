@@ -128,16 +128,24 @@ class TestBuildTree:
                             delta0=0.05)
         assert report.n_repairs > 0
 
-    def test_space_validated_once(self, monkeypatch):
+    @pytest.mark.parametrize("make, delta0", [
+        (lambda: ultrametric_fixture(27, [KAPPA, 2 * KAPPA, 3 * KAPPA],
+                                     seed=7).space, None),
+        (lambda: with_false_twins(30, 1), 0.05),
+        (lambda: planted_blocks_fixture(40, 3, 0).space, 0.12),
+    ], ids=["twins", "false-twins", "d = n"])
+    def test_space_validated_once(self, monkeypatch, make, delta0):
         # the space is checked as it is made, and the build checks only the
-        # quotient of twins that it makes
+        # quotient of twin classes that it makes, where there are fewer
+        # classes than points
         calls = checked_spaces(monkeypatch)
-        fx = ultrametric_fixture(27, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=7)
+        space = make()
         made = len(calls)
-        build_tree(fx.space, EPS, M, seed=0)
-        built = [space.n for space in calls[made:]]
-        assert sum(space is fx.space for space in calls) == 1
-        assert built == [twin_class_count(fx.space)] and built[0] < fx.space.n
+        report = build_tree(space, EPS, M, seed=0, delta0=delta0)
+        assert report.n_repairs > 0
+        d = twin_class_count(space)
+        assert [s.n for s in calls[made:]] == ([d] if d < space.n else [])
+        assert sum(s is space for s in calls) == 1
 
     def test_quotient_shares_the_distinct_similarity(self, monkeypatch):
         # every distinct row is a twin row, so the quotient's points are the
@@ -218,8 +226,7 @@ class TestBuildTree:
         space = planted_blocks_fixture(40, 3, seed, weights=weights).space
         expected = build_tree(space, EPS, M, seed=1, delta0=0.12)
         # every repair runs the pipeline, as where the scan guard fails
-        monkeypatch.setattr(treebuild, "_forced_without_scan",
-                            lambda *a: None)
+        monkeypatch.setattr(treebuild, "SCAN_FREE_POINTS", 0)
         monkeypatch.setattr(treebuild, "regularity_pipeline", spectral)
         got = build_tree(space, EPS, M, seed=1, delta0=0.12)
         assert any(reordered)
@@ -234,9 +241,29 @@ class TestBuildTree:
         assert a.levels == b.levels
 
 
+def oracle_repair(space, idxs, t, params, seed, sizes=None):
+    """The full chain on one cluster of space points: its threshold graph,
+    ``regularity_pipeline`` and the four clique stages, always run.  Returns
+    the children (global index lists, sorted) and the edited pairs i < j as
+    global (rows, cols)."""
+    graph = core.threshold_graph(space, t, subset=idxs)
+    partition = regularity.regularity_pipeline(graph, params, seed=seed)
+    pg = cliques.part_neighbor_graph(partition, params.epsilon)
+    family = cliques.neighborhood_family(pg, params.epsilon)
+    structure = cliques.clique_closure(family, pg, params.epsilon)
+    repaired, log = cliques.clique_repair(
+        graph, partition, structure, params.epsilon,
+        None if sizes is None else np.asarray(sizes)[idxs])
+    take = np.asarray(idxs, dtype=int)
+    rows, cols = map(np.concatenate, zip(*log.edits.values()))
+    return clusters_loop(repaired, idxs), (take[rows], take[cols])
+
+
 def full_build_reference(space, epsilon, m, seed=0, delta0=None):
     """The level loop on all n points, with n x n edits and products: every
-    pending cluster of two or more points is repaired, twins included."""
+    pending cluster of two or more points runs the full chain
+    (``oracle_repair``), twins included, and an error it raises is the
+    reference's."""
     params = RegularityParams(epsilon=epsilon, m=m)
     ladder = hyperbolicity.threshold_ladder(space, epsilon, m, delta0)
     excluded = list(hyperbolicity.exceptional_sets(space, ladder).a_indices)
@@ -250,7 +277,7 @@ def full_build_reference(space, epsilon, m, seed=0, delta0=None):
         row = []
         for k, idxs in enumerate(pending):
             if depth <= ladder.n_levels and len(idxs) >= 2:
-                clusters, pairs = treebuild._repair_cluster(
+                clusters, pairs = oracle_repair(
                     space, idxs, ladder.thresholds[depth - 1], params,
                     (seed, depth, k))
                 n_repairs += 1
@@ -283,9 +310,16 @@ def full_build_reference(space, epsilon, m, seed=0, delta0=None):
     }
 
 
-def assert_matches_full_build(space, **kwargs):
-    report = build_tree(space, EPS, M, seed=1, **kwargs)
-    want = full_build_reference(space, EPS, M, seed=1, **kwargs)
+def assert_matches_full_build(space, epsilon=EPS, m=M, **kwargs):
+    """The build equals the full reference, or raises its error."""
+    try:
+        want = full_build_reference(space, epsilon, m, seed=1, **kwargs)
+    except TreelikeError as exc:
+        with pytest.raises(type(exc)) as info:
+            build_tree(space, epsilon, m, seed=1, **kwargs)
+        assert str(info.value) == str(exc)
+        return None
+    report = build_tree(space, epsilon, m, seed=1, **kwargs)
     got = {
         "levels": report.levels,
         "tree": tree_items(report.tree),
@@ -299,6 +333,17 @@ def assert_matches_full_build(space, **kwargs):
         assert getattr(report, key) == pytest.approx(want[key], rel=1e-12,
                                                      abs=1e-15)
     return report
+
+
+def dust_space(n):
+    """n points of similarity 0.2, one of mass 1 - (n - 1) 1e-13 and the
+    rest of 1e-13: at epsilon 1e-12 the masses pass the forced partition's
+    condition (b), but no denominator up to max_blowup apportions them
+    within nu, so the pipeline raises BlowupTooLarge."""
+    weights = np.r_[1 - (n - 1) * 1e-13, np.full(n - 1, 1e-13)]
+    sim = np.full((n, n), 0.2)
+    np.fill_diagonal(sim, 1.0)
+    return SimilaritySpace(tuple(f"p{i}" for i in range(n)), weights, sim)
 
 
 def twin_class_count(space):
@@ -379,6 +424,25 @@ class TestQuotientBuild:
             assert twin_class_count(space) == space.n
             assert_matches_full_build(space, delta0=0.12)
 
+    @pytest.mark.parametrize("case", ["light-clique", "blowup"])
+    def test_errors_match_the_full_build(self, case):
+        # the chain raises LightClique on an 8-spin space and
+        # BlowupTooLarge on 299 masses of 1e-13; the build raises the same
+        # error, with the same message
+        if case == "light-clique":
+            space = overlap_space(*gibbs_exact(sk_couplings(6, 1.0, seed=0)),
+                                  overlap_map("abs"))
+            kwargs, error = {"epsilon": 5.96e-8, "m": 4, "delta0": 0.24}, \
+                LightClique
+        else:
+            space, kwargs, error = dust_space(300), {}, BlowupTooLarge
+        with pytest.raises(error):
+            full_build_reference(space, kwargs.pop("epsilon", EPS),
+                                 kwargs.pop("m", M), seed=1, **kwargs)
+        if case == "light-clique":
+            kwargs.update(epsilon=5.96e-8, m=4)
+        assert assert_matches_full_build(space, **kwargs) is None
+
     def test_rows_end_where_every_point_is_a_leaf(self):
         for seed in range(2):
             space = rescale_to_unit(noisy_tree_fixture(
@@ -418,6 +482,172 @@ class TestQuotientBuild:
         assert report.n_repairs > 0
         # the one symmetry check is of the quotient of twins, as it is made
         assert checked == [(d, d)] and d < 64
+
+
+class TestSettlePass:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_totals_are_the_graph_sums(self, seed):
+        # each cluster's total is its threshold graph's float(mass.sum()),
+        # bit for bit, for clusters of 2 to 60 classes; a segment sum
+        # (np.add.reduceat) adds in another order and differs
+        rng = np.random.default_rng(seed)
+        n = 400
+        weights = rng.random(n) ** 4 + rng.random(n) * 1e-3
+        space = SimilaritySpace(tuple(f"p{i}" for i in range(n)),
+                                weights / weights.sum(), np.eye(n))
+        params = RegularityParams(epsilon=EPS, m=M)
+        for trial in range(20):
+            lens = rng.integers(2, 61, size=int(rng.integers(1, 7)))
+            picked = rng.permutation(n)[:lens.sum()]
+            clusters = [np.sort(c) for c in
+                        np.split(picked, np.cumsum(lens)[:-1])]
+            _, _, _, total = treebuild._settle(
+                point_classes(space), np.concatenate(clusters), lens, 0.5,
+                params)
+            assert [tot.hex() for tot in total] == [
+                core.threshold_graph(space, 0.5, subset=c).total_mass().hex()
+                for c in clusters]
+
+    def test_one_pass_decides_a_row(self):
+        # five clusters at 0.5: edgeless, one clique, a clique and an
+        # isolated point, a path, and a clique of two light points beside a
+        # heavy one.  The first three settle with a forced verdict; the
+        # path is no union of cliques, and the light clique falls below
+        # the mass floor (1/2) epsilon^(1/4) of its cluster's mass
+        sim = np.full((13, 13), 0.2)
+        for block in ([2, 3], [4, 5], [7, 8], [8, 9], [11, 12]):
+            sim[np.ix_(block, block)] = 0.8
+        np.fill_diagonal(sim, 1.0)
+        weights = np.r_[np.ones(11), 1e-6, 1e-6]
+        space = SimilaritySpace(tuple(f"p{i}" for i in range(13)),
+                                weights / weights.sum(), sim)
+        first, settles, forced, total = treebuild._settle(
+            point_classes(space), np.arange(13), np.array([2, 2, 3, 3, 3]),
+            0.5, RegularityParams(epsilon=EPS, m=M))
+        assert settles.tolist() == [True, True, True, False, False]
+        assert forced == [True, True, True, None, None]
+        assert first[:7].tolist() == [0, 1, 2, 2, 4, 4, 6]
+        assert first[10:].tolist() == [10, 11, 11]
+        assert len(total) == 5
+
+
+def chain_row(classes, pend, lens, t, params, seeds):
+    """Oracle of ``_repair_row``: the full chain on each pending cluster of
+    two or more classes, in order (its threshold graph,
+    ``regularity_pipeline``, ``part_neighbor_graph``,
+    ``neighborhood_family``, ``clique_closure`` and ``clique_repair``).
+    Returns each class's child, labelled by its first class, and the edited
+    pairs; the first error raised propagates."""
+    label, rows, cols = pend.copy(), [pend[:0]], [pend[:0]]
+    ends = np.cumsum(lens).tolist()
+    for k, (a, b) in enumerate(zip([0] + ends, ends)):
+        if b - a < 2:
+            continue
+        take = pend[a:b]
+        adj = classes.sim[np.ix_(take, take)] >= t
+        np.fill_diagonal(adj, False)
+        graph = WeightedGraph(
+            tuple(classes.points[i] for i in classes.first[take]),
+            classes.weight[take], adj)
+        partition = regularity.regularity_pipeline(graph, params,
+                                                   seed=seeds[k])
+        pg = cliques.part_neighbor_graph(partition, params.epsilon)
+        family = cliques.neighborhood_family(pg, params.epsilon)
+        structure = cliques.clique_closure(family, pg, params.epsilon)
+        repaired, log = cliques.clique_repair(
+            graph, partition, structure, params.epsilon, classes.size[take])
+        first = (repaired.adj | np.eye(b - a, dtype=bool)).argmax(axis=1)
+        label[a:b] = take[first]
+        r, c = map(np.concatenate, zip(*log.edits.values()))
+        rows.append(take[r])
+        cols.append(take[c])
+    return label, (np.concatenate(rows), np.concatenate(cols))
+
+
+def outcome_of(repair, *args):
+    """A row repair's labels and edited pairs as lists, or its error."""
+    try:
+        label, (rows, cols) = repair(*args)
+    except TreelikeError as exc:
+        return type(exc), str(exc)
+    return label.tolist(), rows.tolist(), cols.tolist()
+
+
+# spaces whose builds run each path of a row repair: settled and forced
+# without the pipeline, settled with the pipeline's verdict (epsilon
+# 2^-24 > 1 / max_blowup), the clique stages, and errors of the chain
+CHAIN_CASES = {
+    **{f"{name}@{eps}": (name, eps) for name in (
+        "ultrametric-uniform-0", "ultrametric-random-1", "planted-random-0",
+        "planted-uniform-1", "noisy-random-0", "noisy-uniform-1",
+        "rogues-3", "zero-weights-0", "zero-weights-1", "false-twins")
+       for eps in (EPS, 2.0 ** -24)},
+    "light-clique": "light-clique",
+    "blowup": "blowup",
+}
+
+
+class TestRowAgainstTheChain:
+    """Every row a build repairs equals the full chain run cluster by
+    cluster: the same children, the same edits and the same first error."""
+
+    @staticmethod
+    def build(case):
+        if case == "light-clique":
+            space = overlap_space(*gibbs_exact(sk_couplings(6, 1.0, seed=0)),
+                                  overlap_map("abs"))
+            return lambda: build_tree(space, 5.96e-8, 4, seed=1, delta0=0.24)
+        if case == "blowup":
+            space = dust_space(300)
+            return lambda: build_tree(space, EPS, M, seed=1)
+        name, eps = case
+        space, kwargs = PRICING_CASES[name]()
+        return lambda: build_tree(space, eps, M, seed=1, **kwargs)
+
+    @pytest.mark.parametrize("case", list(CHAIN_CASES))
+    def test_rows_equal_the_chain(self, monkeypatch, case):
+        build = self.build(CHAIN_CASES[case])
+        repair_row, rows = treebuild._repair_row, []
+
+        def checked(*args):
+            got = outcome_of(repair_row, *args)
+            assert got == outcome_of(chain_row, *args)
+            rows.append(got)
+            return repair_row(*args)
+
+        monkeypatch.setattr(treebuild, "_repair_row", checked)
+        try:
+            build()
+        except TreelikeError:
+            assert isinstance(rows[-1][0], type)
+        assert rows
+
+    def test_the_cases_take_every_path(self, monkeypatch):
+        paths = Counter()
+        settle, repair = treebuild._settle, treebuild._repair_cluster
+
+        def counting_settle(*args):
+            first, settles, forced, total = settle(*args)
+            paths["settled, forced"] += sum(f is True for f in forced)
+            return first, settles, forced, total
+
+        def counting_repair(graph, params, seed, sizes, first=None):
+            paths["pipeline" if first is not None else "stages"] += 1
+            try:
+                return repair(graph, params, seed, sizes, first)
+            except TreelikeError:
+                paths["raised"] += 1
+                raise
+
+        monkeypatch.setattr(treebuild, "_settle", counting_settle)
+        monkeypatch.setattr(treebuild, "_repair_cluster", counting_repair)
+        for case in CHAIN_CASES.values():
+            try:
+                self.build(case)()
+            except TreelikeError:
+                pass
+        assert all(paths[k] for k in ("settled, forced", "pipeline",
+                                      "stages", "raised")), paths
 
 
 class TestTreeCost:
@@ -712,6 +942,22 @@ class TestConverse:
         assert calls == []
         assert report.cost == cost and report.hyp == hyp
 
+    def test_bound_is_checked_before_pricing(self, monkeypatch):
+        # a space of bound 2 and a tree that misses one of its points: the
+        # precondition is refused first, and nothing is priced
+        fx = tree_scaled_fixture(8, depth=2, alpha=0.3, seed=1)
+        other = random_fixture(9, seed=1).space
+        doubled = SimilaritySpace(other.points, other.weights,
+                                  2.0 * other.sim, 2.0)
+
+        def unpriced(*args):
+            raise AssertionError("the converse check priced the tree")
+
+        for name in ("tree_cost", "_class_pairs", "hyp_exact"):
+            monkeypatch.setattr(treebuild, name, unpriced)
+        with pytest.raises(BadParams, match="bound 1"):
+            converse_check(doubled, fx.tree, 0.1)
+
     def test_every_build_passes(self):
         for seed in range(3):
             fx = ultrametric_fixture(24, [KAPPA, 2 * KAPPA, 3 * KAPPA],
@@ -719,6 +965,25 @@ class TestConverse:
             report = build_tree(fx.space, EPS, M, seed=seed)
             out = converse_check(fx.space, report.tree, report.kappa)
             assert out.passed
+
+
+def record_repairs(monkeypatch):
+    """The list of (seed, class names) of each cluster of two or more
+    classes that the build repairs from now on, in order; a class is named
+    by its first point."""
+    calls = []
+    repair = treebuild._repair_row
+
+    def recording(classes, pend, lens, t, params, seeds):
+        ends = np.cumsum(lens).tolist()
+        for k, (a, b) in enumerate(zip([0] + ends, ends)):
+            if b - a > 1:
+                calls.append((seeds[k], tuple(
+                    classes.points[i] for i in classes.first[pend[a:b]])))
+        return repair(classes, pend, lens, t, params, seeds)
+
+    monkeypatch.setattr(treebuild, "_repair_row", recording)
+    return calls
 
 
 def with_rogues(n, r, seed):
@@ -781,14 +1046,7 @@ class TestLevelLoop:
     def check_row_order(monkeypatch, levels):
         """Check seeds, node ids and n_repairs against the report's rows;
         return the number of pending clusters of one twin class."""
-        calls = []
-        repair = treebuild._repair_cluster
-
-        def recording(space, idxs, t, params, seed, sizes=None):
-            calls.append((seed, tuple(space.points[i] for i in idxs)))
-            return repair(space, idxs, t, params, seed, sizes)
-
-        monkeypatch.setattr(treebuild, "_repair_cluster", recording)
+        calls = record_repairs(monkeypatch)
         fx = ultrametric_fixture(40, levels, seed=9)
         report = build_tree(fx.space, EPS, M, seed=5)
         # repairs run on the twin classes, each named by its first point;
@@ -833,16 +1091,10 @@ class TestLevelLoop:
                           [1, 1, 2, 2, 3, 3], [1, 1, 2, 2, 3, 3]])
         space = SimilaritySpace(("x0", "x1", "y0", "y1", "y2", "y3"),
                                 np.full(6, 1 / 6), KAPPA * level, 1.0)
-        seeds = []
-        repair = treebuild._repair_cluster
-
-        def recording(space, idxs, t, params, seed, sizes=None):
-            seeds.append(seed)
-            return repair(space, idxs, t, params, seed, sizes)
-
-        monkeypatch.setattr(treebuild, "_repair_cluster", recording)
+        calls = record_repairs(monkeypatch)
         report = build_tree(space, EPS, M, seed=5)
-        assert seeds == [(5, 1, 0), (5, 2, 0), (5, 3, 1)]
+        assert [seed for seed, _ in calls] == [(5, 1, 0), (5, 2, 0),
+                                               (5, 3, 1)]
         assert report.n_repairs == 4
         assert report.levels[2] == (("x0", "x1"), ("y0", "y1", "y2", "y3"))
 
@@ -880,6 +1132,29 @@ def clique_union(rng, graph):
     return WeightedGraph(graph.vertices, graph.mass, adj)
 
 
+def point_classes(space, sizes=None):
+    """The points of a space as the classes of a row repair, each standing
+    for ``sizes`` points (one each by default)."""
+    n = space.n
+    return treebuild._Classes(
+        space.weights, space.sim,
+        np.ones(n, dtype=int) if sizes is None else np.asarray(sizes),
+        np.arange(n), space.points)
+
+
+def one_cluster(space, idxs, t, params, seed=(0, 1, 0), sizes=None):
+    """The build's repair of one pending cluster of space points: its
+    children (global index lists, in order of first member) and edited
+    pairs i < j as global (rows, cols)."""
+    pend = np.asarray(idxs, dtype=int)
+    label, edited = treebuild._repair_row(
+        point_classes(space, sizes), pend, np.array([len(pend)]), t, params,
+        [seed])
+    order = np.argsort(label, kind="stable")
+    bounds = np.flatnonzero(np.diff(label[order])) + 1
+    return [c.tolist() for c in np.split(pend[order], bounds)], edited
+
+
 def repair_trials(rng, made):
     """Repair 200 random clusters of a 60-point space; each cluster's
     children are the components of the last graph in ``made``."""
@@ -887,10 +1162,10 @@ def repair_trials(rng, made):
     params = RegularityParams(epsilon=EPS, m=M)
     isolated = 0
     for trial in range(200):
-        size = int(rng.integers(1, 61))
+        size = int(rng.integers(2, 61))
         idxs = sorted(rng.choice(60, size=size, replace=False).tolist())
-        children, edited = treebuild._repair_cluster(
-            space, idxs, 0.5, params, (0, 1, trial))
+        children, edited = one_cluster(space, idxs, 0.5, params,
+                                       (0, 1, trial))
         assert children == clusters_loop(made[-1], idxs)
         assert [e.tolist() for e in edited] == [[], []]
         isolated += sum(len(c) == 1 for c in children)
@@ -922,8 +1197,9 @@ class TestClustersAgainstLoop:
             return made[-1], log
 
         spectral = types.SimpleNamespace(params={"forced": False})
-        monkeypatch.setattr(treebuild, "_forced_without_scan",
-                            lambda *a: False)
+        # the scan-free guard never answers, so every cluster runs the
+        # pipeline, whose partition is not forced
+        monkeypatch.setattr(treebuild, "SCAN_FREE_POINTS", 0)
         monkeypatch.setattr(treebuild, "regularity_pipeline",
                             lambda *a, **k: spectral)
         for stage in CLIQUE_STAGES[:3]:
@@ -933,24 +1209,27 @@ class TestClustersAgainstLoop:
 
     def test_settled_clique_unions(self, monkeypatch):
         # the settled path: the threshold graph is a random union of
-        # cliques on a forced partition, and no clique stage runs
+        # cliques, some of one point, on a forced partition, and neither
+        # the pipeline nor a clique stage runs
         rng = np.random.default_rng(0)
-        made = []
-        threshold = treebuild.threshold_graph
-
-        def union(space, t, subset):
-            made.append(clique_union(rng, threshold(space, t, subset=subset)))
-            return made[-1]
-
-        forced = types.SimpleNamespace(params={"forced": True})
-        monkeypatch.setattr(treebuild, "threshold_graph", union)
-        monkeypatch.setattr(treebuild, "_forced_without_scan",
-                            lambda *a: True)
-        monkeypatch.setattr(treebuild, "regularity_pipeline",
-                            lambda *a, **k: forced)
-        for stage in CLIQUE_STAGES:
+        params = RegularityParams(epsilon=EPS, m=M)
+        for stage in CLIQUE_STAGES + ("regularity_pipeline",):
             monkeypatch.setattr(treebuild, stage, unreachable)
-        repair_trials(rng, made)
+        isolated = 0
+        for trial in range(200):
+            n = int(rng.integers(2, 61))
+            labels = rng.integers(-1, max(1, n // 3), size=n)
+            space = blocks_space(np.where(labels < 0, n + np.arange(n),
+                                          labels), np.ones(n))
+            size = int(rng.integers(2, n + 1))
+            idxs = sorted(rng.choice(n, size=size, replace=False).tolist())
+            children, edited = one_cluster(space, idxs, 0.5, params,
+                                           (0, 1, trial))
+            assert children == clusters_loop(
+                core.threshold_graph(space, 0.5, subset=idxs), idxs)
+            assert [e.tolist() for e in edited] == [[], []]
+            isolated += sum(len(c) == 1 for c in children)
+        assert isolated > 0
 
 
 def blocks_space(labels, weights):
@@ -969,18 +1248,10 @@ def uniform_blocks(counts):
 
 
 def stages_directly(space, params, seed, sizes):
-    """``_repair_cluster`` on all points of the space at 0.5, with the four
+    """The full chain on all points of the space at 0.5, with the four
     clique stages always run."""
-    idxs = list(range(space.n))
-    graph = core.threshold_graph(space, 0.5, subset=idxs)
-    partition = regularity.regularity_pipeline(graph, params, seed=seed)
-    pg = cliques.part_neighbor_graph(partition, params.epsilon)
-    family = cliques.neighborhood_family(pg, params.epsilon)
-    structure = cliques.clique_closure(family, pg, params.epsilon)
-    repaired, log = cliques.clique_repair(graph, partition, structure,
-                                          params.epsilon, sizes)
-    return clusters_loop(repaired, idxs), tuple(
-        map(np.concatenate, zip(*log.edits.values())))
+    return oracle_repair(space, list(range(space.n)), 0.5, params, seed,
+                         sizes)
 
 
 def outcome(repair, space, params, seed=(0, 1, 0), sizes=None):
@@ -993,8 +1264,8 @@ def outcome(repair, space, params, seed=(0, 1, 0), sizes=None):
 
 
 def settle_rule(space, params, seed, sizes):
-    return treebuild._repair_cluster(space, list(range(space.n)), 0.5,
-                                     params, seed, sizes)
+    """The build's repair of all points of the space at 0.5."""
+    return one_cluster(space, range(space.n), 0.5, params, seed, sizes)
 
 
 class TestSettledClusters:
@@ -1091,8 +1362,14 @@ class TestSettledClusters:
     def test_a_build_settles_every_repair(self, monkeypatch):
         space = ultrametric_fixture(64, [KAPPA, 2 * KAPPA, 3 * KAPPA],
                                     seed=1).space
+        settle = treebuild._settle
+
+        def nothing_settles(*args):
+            first, settles, forced, total = settle(*args)
+            return first, settles & False, [None] * len(forced), total
+
         with monkeypatch.context() as patch:
-            patch.setattr(treebuild, "_settles", lambda *a, **k: None)
+            patch.setattr(treebuild, "_settle", nothing_settles)
             staged = build_tree(space, EPS, M, seed=0)
         for stage in CLIQUE_STAGES:
             monkeypatch.setattr(treebuild, stage, unreachable)
@@ -1215,8 +1492,8 @@ class TestLabelPricing:
             rows.append((last, np.ones(len(last), dtype=int)))
         tree, levels, label, leaf, up = core._tree_of_rows(space.points, rows)
         built = treebuild._priced(
-            space, up, lambda reps: treebuild._meets(label[:, reps],
-                                                     leaf[reps]))
+            space, treebuild._groups(space, up),
+            lambda reps: treebuild._meets(label[:, reps], leaf[reps]))
         public = treebuild._class_pairs(space, tree)
         for field in dataclasses.fields(public):
             got, want = getattr(built, field.name), getattr(public, field.name)
@@ -1257,19 +1534,19 @@ def test_a_forced_cluster_whose_scan_fails_still_raises():
     # apportions them within nu, so the pipeline raises, and the repair
     # must raise with it rather than settle on the forced verdict
     n = 300
-    weights = np.r_[1 - 299e-13, np.full(n - 1, 1e-13)]
-    sim = np.full((n, n), 0.2)
-    np.fill_diagonal(sim, 1.0)
-    space = SimilaritySpace(tuple(f"p{i}" for i in range(n)), weights, sim)
+    space = dust_space(n)
     params = RegularityParams(epsilon=EPS, m=M)
     graph = core.threshold_graph(space, 0.5)
-    assert cliques._settles(graph, EPS) is not None  # edgeless, it settles
     assert regularity._forced_refinement(graph.mass, params.max_blowup,
                                          params) is not None
-    assert regularity._forced_without_scan(graph, params) is None
+    # edgeless, it settles, and the guard leaves the verdict to the pipeline
+    _, settles, forced, _ = treebuild._settle(
+        point_classes(space), np.arange(n), np.array([n]), 0.5, params)
+    assert settles.tolist() == [True] and forced == [None]
     with pytest.raises(BlowupTooLarge):
-        treebuild._repair_cluster(space, list(range(n)), 0.5, params,
-                                  (0, 1, 0))
+        one_cluster(space, range(n), 0.5, params)
+    with pytest.raises(BlowupTooLarge):
+        build_tree(space, EPS, M)
 
 
 def test_the_build_names_no_edited_pairs(monkeypatch):
