@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -178,15 +177,20 @@ def first_asymmetry(m: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def _check_distinct(ids: tuple[str, ...]) -> None:
-    """Raise DuplicatePoint at the first repeated identifier."""
-    if len(set(ids)) == len(ids):
-        return
+def _first_repeat(ids: tuple[str, ...]) -> int:
+    """The index of the first id that an earlier one repeats; there is one."""
     seen: set[str] = set()
     for i, p in enumerate(ids):
         if p in seen:
-            raise DuplicatePoint(i, p)
+            return i
         seen.add(p)
+
+
+def _check_distinct(ids: tuple[str, ...]) -> None:
+    """Raise DuplicatePoint at the first repeated identifier."""
+    if len(set(ids)) < len(ids):
+        i = _first_repeat(ids)
+        raise DuplicatePoint(i, ids[i])
 
 
 def validate_space(space: SimilaritySpace) -> None:
@@ -400,44 +404,55 @@ def _graph_at(vertices: tuple[str, ...], mass: np.ndarray, sim: np.ndarray,
 # compatible trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatibleTree:
     """Rooted leveled tree whose leaves are the points of a similarity space.
 
-    ``parent`` maps every non-root node to its parent, ``level`` gives the
-    depth (root at 0, each child one below its parent), and ``leaf_points``
-    is the bijection from leaf node ids to point ids.
+    ``names`` holds the node ids, root first and each after its parent,
+    ``parent`` each node's parent index (-1 at the root) and ``leaf`` the
+    leaf index of each of ``points``.  A tree checks itself as it is made
+    (``validate_tree``), then reads each node's depth ``level`` (root at 0)
+    off the parent array; all read-only.
     """
 
-    root: str
-    parent: dict[str, str]
-    level: dict[str, int]
-    leaf_points: dict[str, str]
-    _children: dict[str, list[str]] = field(default=None, repr=False, compare=False)
-    _point_leaf: dict[str, str] = field(default=None, repr=False, compare=False)
+    points: tuple[str, ...]
+    names: tuple[str, ...]
+    parent: np.ndarray
+    leaf: np.ndarray
+    level: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        children: dict[str, list[str]] = {node: [] for node in self.level}
-        for child, par in self.parent.items():
-            if par not in children:
-                raise TreeStructureError(f"parent of {child!r} is not a node")
-            children[par].append(child)
-        object.__setattr__(self, "_children", children)
-        object.__setattr__(
-            self, "_point_leaf", {p: leaf for leaf, p in self.leaf_points.items()}
-        )
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "parent", np.array(self.parent, dtype=int))
+        object.__setattr__(self, "leaf", np.array(self.leaf, dtype=int))
+        validate_tree(self)
+        # pointer jumping: up[v] is an ancestor of v, level[v] the steps to it
+        up = np.maximum(self.parent, 0)
+        level = np.minimum(self.parent + 1, 1)
+        while up.any():
+            level, up = level + level[up], up[up]
+        for a in (self.parent, self.leaf, level):
+            a.setflags(write=False)
+        object.__setattr__(self, "level", level)
 
-    def children(self, node: str) -> list[str]:
-        return self._children[node]
+    def __eq__(self, other):
+        """Equal trees link the same ids alike, in any order held."""
+        if not isinstance(other, CompatibleTree):
+            return NotImplemented
+        return self._links() == other._links()
 
-    def leaf_of(self, point: str) -> str:
-        try:
-            return self._point_leaf[point]
-        except KeyError:
-            raise UnknownLeaf(point) from None
+    def _links(self) -> tuple[dict, dict]:
+        up = self.names + (None,)  # index -1 reads None
+        return ({v: up[u] for v, u in zip(self.names, self.parent.tolist())},
+                {p: up[v] for p, v in zip(self.points, self.leaf.tolist())})
+
+    @property
+    def root(self) -> str:
+        return self.names[0]
 
     def depth(self) -> int:
-        return max(self.level.values()) if self.level else 0
+        return int(self.level.max())
 
 
 def _node_prefix(points: tuple[str, ...]) -> str:
@@ -460,7 +475,8 @@ def tree_from_levels(points: tuple[str, ...], levels: list[list[list[int]]]
     at the depth where it first appears, and is not listed again below.  The
     k-th cluster of two or more points in row d is node ``{prefix}{d}.{k}``,
     and a node's parent is the node that held its first point one row up.
-    The prefix is the shortest run of ``@`` that starts no point id.
+    The prefix is the shortest run of ``@`` that starts no point id.  The
+    nodes are held row by row, cluster by cluster, after the root.
     """
     return _tree_of_rows(points, [
         (np.array([i for cluster in row for i in cluster], dtype=int),
@@ -470,88 +486,110 @@ def tree_from_levels(points: tuple[str, ...], levels: list[list[list[int]]]
 
 def _tree_of_rows(points: tuple[str, ...],
                   rows: list[tuple[np.ndarray, np.ndarray]]):
-    """The tree of ``tree_from_levels``, the levels as point-id tuples with
-    the root's first, and what prices the tree: each point's cluster by
-    depth, the depth of its leaf and a number of its leaf's parent.
+    """The tree of ``tree_from_levels`` and its levels as point-id tuples,
+    the root's first.
 
     Row d lists its points cluster by cluster, with the cluster sizes.
-    Each node name is formed once and shared by every dict and level that
-    holds it; the dicts are filled row by row, cluster by cluster.  In the
-    labels, a point that is not in a row has a label of its own.
+    Each node name is formed once and shared by the tree and the level
+    that hold it; the parents and leaves are read off the rows as indices.
     """
-    n = len(points)
-    names = np.array(points, dtype=object)
+    ids = np.array(points, dtype=object)
     prefix = _node_prefix(points)
-    root = f"{prefix}0.0"
-    parent: dict[str, str] = {}
-    level = {root: 0}
-    leaf_points: dict[str, str] = {}
+    names = [f"{prefix}0.0"]
+    parent = [np.array([-1])]
+    leaf = np.full(len(points), -1)
     levels = [(tuple(points),)]
-    above = np.array([root], dtype=object)  # the nodes of the row above
-    holder = np.zeros(n, dtype=int)  # each point's node in the row above
-    label = np.empty((len(rows), n), dtype=int)
-    label[:] = -1 - np.arange(n)
-    leaf = np.empty(n, dtype=int)
-    up = np.empty(n, dtype=int)  # the leaf's parent, numbered across rows
+    holder = np.zeros(len(points), dtype=int)  # each point's node a row up
     for d, (flat, sizes) in enumerate(rows, start=1):
         ends = sizes.cumsum()
         starts = ends - sizes
         firsts = flat[starts]
         inner = sizes >= 2
-        node = names[firsts]
+        node = ids[firsts]
         node[inner] = np.array([f"{prefix}{d}.{k}" for k in
                                 range(np.count_nonzero(inner))], dtype=object)
-        nodes = node.tolist()
-        parent.update(zip(nodes, above[holder[firsts]].tolist()))
-        level.update(zip(nodes, repeat(d)))
-        lone = firsts[~inner]
-        leaf[lone] = d
-        up[lone] = (d - 1) * n + holder[lone]
-        lone = node[~inner].tolist()
-        leaf_points.update(zip(lone, lone))
-        row = list(zip(nodes))
+        index = np.arange(len(names), len(names) + len(sizes))
+        names += node.tolist()
+        parent.append(holder[firsts])
+        leaf[firsts[~inner]] = index[~inner]
+        row = list(zip(node.tolist()))
         if inner.any():
-            held = tuple(names[flat].tolist())
+            held = tuple(ids[flat].tolist())
             for i in inner.nonzero()[0].tolist():
                 row[i] = held[starts[i]:ends[i]]
         levels.append(tuple(row))
-        holder[flat] = label[d - 1, flat] = np.repeat(np.arange(len(sizes)),
-                                                      sizes)
-        above = node
-    tree = CompatibleTree(root=root, parent=parent, level=level,
-                          leaf_points=leaf_points)
-    return tree, tuple(levels), label, leaf, up
+        holder[flat] = np.repeat(index, sizes)
+    return CompatibleTree(points, tuple(names), np.concatenate(parent),
+                          leaf), tuple(levels)
 
 
 def validate_tree(tree: CompatibleTree) -> None:
-    """Check the structural invariants of a compatible tree."""
-    if tree.root not in tree.level:
-        raise TreeStructureError("root is not a node")
-    if tree.root in tree.parent:
+    """Check every CompatibleTree invariant; raise on the first violation."""
+    names, parent, leaf = tree.names, tree.parent, tree.leaf
+    size = len(names)
+    if not size or parent.shape != (size,) \
+            or leaf.shape != (len(tree.points),):
+        raise TreeStructureError(
+            "a tree needs a root, a parent per node and a leaf per point")
+    if len(set(names)) < size:
+        raise TreeStructureError(
+            f"node id {names[_first_repeat(names)]!r} is repeated")
+    if parent[0] != -1:
         raise TreeStructureError("root must not have a parent")
-    if tree.level[tree.root] != 0:
-        raise TreeStructureError("root level must be 0")
-    for node in tree.level:
-        if node == tree.root:
-            continue
-        if node not in tree.parent:
-            raise TreeStructureError(f"non-root node {node!r} has no parent")
-        if tree.level[node] != tree.level[tree.parent[node]] + 1:
-            raise TreeStructureError(f"level of {node!r} is not parent level + 1")
-    # levels fall by one along parent links, so every path ends at the root
-    for node in tree.leaf_points:
-        if node not in tree.level:
-            raise TreeStructureError(f"leaf {node!r} is not a node")
-    # leaves are exactly the childless non-root nodes
-    for node in tree.level:
-        childless = not tree.children(node) and node != tree.root
-        if childless and node not in tree.leaf_points:
-            raise TreeStructureError(f"childless node {node!r} is not a leaf")
-        if node in tree.leaf_points and tree.children(node):
-            raise TreeStructureError(f"leaf {node!r} has children")
-    points = list(tree.leaf_points.values())
-    if len(set(points)) != len(points):
+    # a parent before each node makes every path end at the root
+    up = parent[1:]
+    bad = np.flatnonzero((up < 0) | (up >= np.arange(1, size)))
+    if bad.size:
+        v = names[bad[0] + 1]
+        raise TreeStructureError(f"non-root node {v!r} has no parent"
+                                 if up[bad[0]] == -1 else
+                                 f"parent of {v!r} does not come before it")
+    held = np.bincount(leaf[(leaf >= 0) & (leaf < size)], minlength=size)
+    if held.sum() < len(leaf) or held.max() > 1:
+        raise TreeStructureError("each point needs a leaf node of its own")
+    if len(set(tree.points)) < len(tree.points):
         raise TreeStructureError("leaf-to-point map is not injective")
+    # leaves are exactly the childless non-root nodes
+    kids = np.bincount(up, minlength=size)
+    bad = np.flatnonzero((held > 0) & (kids > 0))
+    if bad.size:
+        raise TreeStructureError(f"leaf {names[bad[0]]!r} has children")
+    held[0] = 1  # the root needs no child
+    bad = np.flatnonzero(held + kids == 0)
+    if bad.size:
+        raise TreeStructureError(
+            f"childless node {names[bad[0]]!r} is not a leaf")
+
+
+def _products(tree: CompatibleTree, nodes: np.ndarray) -> np.ndarray:
+    """The level of the lowest common ancestor of each pair of the given
+    nodes, and each node's own level on the diagonal.
+
+    The ancestors are read off the parent array a level at a time, deepest
+    first, and a pair's product counts the levels d >= 1 where theirs are
+    one node; a level below a node gets an id of the node's own, so it
+    never matches: O(k^2 * depth) comparisons for k nodes.
+    """
+    level = tree.level[nodes]
+    out = np.zeros((len(nodes),) * 2, dtype=int)
+    for d in range(int(level.max(initial=0)), 0, -1):
+        at = level >= d
+        row = np.where(at, nodes, -1 - np.arange(len(nodes)))
+        out += row[:, None] == row
+        nodes = np.where(at, tree.parent[nodes], nodes)
+    out[np.diag_indices(len(out))] = level
+    return out
+
+
+def _leaves(tree: CompatibleTree, points) -> np.ndarray:
+    """The leaf node of each point; UnknownLeaf at a point of no leaf."""
+    if points == tree.points:
+        return tree.leaf
+    at = dict(zip(tree.points, tree.leaf.tolist()))
+    try:
+        return np.array([at[p] for p in points], dtype=int)
+    except KeyError as exc:
+        raise UnknownLeaf(exc.args[0]) from None
 
 
 def tree_gromov_product(tree: CompatibleTree, x: str, y: str) -> int:
@@ -561,58 +599,22 @@ def tree_gromov_product(tree: CompatibleTree, x: str, y: str) -> int:
     tree.  For x == y this returns the depth of the leaf itself, which keeps
     expectations over independent identically distributed pairs well defined.
     """
-    a = tree.leaf_of(x)
-    b = tree.leaf_of(y)
-    la, lb = tree.level[a], tree.level[b]
-    while la > lb:
-        a = tree.parent[a]
-        la -= 1
-    while lb > la:
-        b = tree.parent[b]
-        lb -= 1
-    while a != b:
-        a = tree.parent[a]
-        b = tree.parent[b]
-        la -= 1
-    return la
+    return int(_products(tree, _leaves(tree, (x, y)))[0, 1])
 
 
 def gromov_product_matrix(tree: CompatibleTree, points: tuple[str, ...]) -> np.ndarray:
-    """All pairwise leaf Gromov products, as an integer matrix.
-
-    Row/column order follows ``points``.  Two leaves share exactly a prefix
-    of their root-first ancestor ids, so each product is the count of equal
-    depths minus one: O(n * depth) walking plus O(n^2 * depth) array work.
-    """
-    ids: dict[str, int] = {}
-    paths = []
-    for p in points:
-        node = tree.leaf_of(p)
-        chain = [ids.setdefault(node, len(ids))]
-        while node != tree.root:
-            node = tree.parent[node]
-            chain.append(ids.setdefault(node, len(ids)))
-        paths.append(chain[::-1])  # root first
-    n = len(points)
-    depth = max(map(len, paths), default=0)
-    # depths below a leaf get an id of its own row, so they never match
-    anc = np.array([c + [-1 - i] * (depth - len(c)) for i, c in enumerate(paths)],
-                   dtype=int).reshape(n, depth)
-    out = np.full((n, n), -1, dtype=int)
-    for col in anc.T:
-        out += col[:, None] == col[None, :]
-    np.fill_diagonal(out, [len(c) - 1 for c in paths])
-    return out
+    """All pairwise leaf Gromov products, as an integer matrix, in the
+    order of ``points`` (``_products``)."""
+    return _products(tree, _leaves(tree, tuple(points)))
 
 
 def space_from_tree(tree: CompatibleTree, weights: np.ndarray | None = None,
                     alpha: float = 1.0) -> SimilaritySpace:
     """Similarity space whose sim matrix is alpha times the tree products."""
-    points = tuple(sorted(tree.leaf_points.values()))
-    prod = gromov_product_matrix(tree, points)
+    points = tuple(sorted(tree.points))
     n = len(points)
     if weights is None:
         weights = np.full(n, 1.0 / n)
-    sim = alpha * prod.astype(float)
+    sim = alpha * _products(tree, _leaves(tree, points)).astype(float)
     bound = float(sim.max()) if n and sim.max() > 0 else 1.0
     return SimilaritySpace(points=points, weights=weights, sim=sim, bound=bound)

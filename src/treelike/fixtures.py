@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompatibleTree, SimilaritySpace, gromov_product_matrix, \
+from .core import CompatibleTree, SimilaritySpace, _products, \
     tree_from_levels
 from .errors import BadParams
 
@@ -142,7 +142,7 @@ def _tree_scaled(n: int, depth: int, alpha: float, seed: int, weights: str
     levels = _random_hierarchy(n, depth, rng)
     points = tuple(f"p{i}" for i in range(n))
     tree = _tree_from_hierarchy(points, levels)
-    sim = alpha * gromov_product_matrix(tree, points).astype(float)
+    sim = alpha * _products(tree, tree.leaf).astype(float)
     bound = max(float(sim.max()), 1.0)
     return points, tree, sim, bound, _weights(n, rng, weights)
 

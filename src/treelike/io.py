@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CompatibleTree, SimilaritySpace, WeightedGraph, validate_tree
-from .errors import IOFailure
+from .core import CompatibleTree, SimilaritySpace, WeightedGraph, _first_repeat
+from .errors import IOFailure, TreeStructureError
 from .regularity import PartitionResult
 
 
@@ -244,53 +244,84 @@ def graph_to_dot(graph: WeightedGraph, part_of: dict[str, int] | None = None
 
 
 def tree_to_dict(tree: CompatibleTree) -> dict:
-    nodes = []
-    for node in sorted(tree.level, key=lambda u: (tree.level[u], u)):
-        nodes.append({
-            "id": node,
-            "parent": tree.parent.get(node),
-            "level": tree.level[node],
-        })
+    names, up, level = tree.names, tree.parent.tolist(), tree.level.tolist()
+    order = sorted(range(len(names)), key=names.__getitem__)
+    order.sort(key=level.__getitem__)
+    named = names + (None,)  # the root's parent -1 reads None
     return {
         "root": tree.root,
-        "nodes": nodes,
-        "leaves": dict(sorted(tree.leaf_points.items())),
+        "nodes": [{"id": names[v], "parent": named[up[v]], "level": level[v]}
+                  for v in order],
+        "leaves": dict(sorted(zip(map(names.__getitem__, tree.leaf.tolist()),
+                                  tree.points))),
     }
 
 
+def _level(value) -> int:
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"level {value!r} is not an integer")
+    return int(value)
+
+
 def tree_from_dict(data: dict) -> CompatibleTree:
-    parent: dict[str, str] = {}
-    level: dict[str, int] = {}
+    """The tree of a file's node records, its ids kept, held root first
+    and then by level in record order.  The checks that only named records
+    need come before the tree's own."""
     try:
         root = str(data["root"])
-        for rec in data["nodes"]:
-            node = str(rec["id"])
-            level[node] = int(rec["level"])
-            if rec.get("parent") is not None:
-                parent[node] = str(rec["parent"])
-        leaf_points = {str(k): str(v) for k, v in data["leaves"].items()}
+        nodes = [(str(rec["id"]), rec.get("parent"), _level(rec["level"]))
+                 for rec in data["nodes"]]
+        leaves = {str(k): str(v) for k, v in data["leaves"].items()}
     except MALFORMED as exc:
         raise _malformed("tree", exc) from exc
-    tree = CompatibleTree(root=root, parent=parent, level=level,
-                          leaf_points=leaf_points)
-    validate_tree(tree)
-    return tree
+    ids = [v for v, _, _ in nodes]
+    index = {v: i for i, v in enumerate(ids)}
+    if len(index) < len(ids):
+        raise TreeStructureError(
+            f"node id {ids[_first_repeat(ids)]!r} is repeated")
+    if root not in index:
+        raise TreeStructureError("root is not a node")
+    r = index[root]
+    if nodes[r][1] is not None:
+        raise TreeStructureError("root must not have a parent")
+    if nodes[r][2] != 0:
+        raise TreeStructureError("root level must be 0")
+    parent = [-1 if up is None else index.get(str(up), -2)
+              for _, up, _ in nodes]
+    if -2 in parent:
+        raise TreeStructureError(
+            f"parent of {ids[parent.index(-2)]!r} is not a node")
+    for (v, _, level), up in zip(nodes, parent):
+        if up >= 0 and level != nodes[up][2] + 1:
+            raise TreeStructureError(f"level of {v!r} is not parent level + 1")
+    for node in leaves:
+        if node not in index:
+            raise TreeStructureError(f"leaf {node!r} is not a node")
+    # levels rise by one along parent links, so each parent comes first
+    order = sorted(range(len(ids)), key=lambda i: (i != r, nodes[i][2]))
+    rank = np.append(np.argsort(order), -1)  # index -1 reads -1
+    return CompatibleTree(
+        points=tuple(leaves.values()),
+        names=tuple(ids[i] for i in order),
+        parent=rank[np.array(parent)[order]],
+        leaf=rank[[index[node] for node in leaves]],
+    )
 
 
 def tree_to_newick(tree: CompatibleTree) -> str:
     """Newick string with branch length 1 on every edge."""
+    names, up = tree.names, tree.parent.tolist()
+    kids: list[list[int]] = [[] for _ in names]
+    for v in sorted(range(1, len(names)), key=names.__getitem__):
+        kids[up[v]].append(v)
+    label = dict(zip(tree.leaf.tolist(), tree.points))
 
-    def render(node: str) -> str:
-        kids = tree.children(node)
-        if not kids:
-            label = tree.leaf_points.get(node, node)
-            return f"{_escape_newick(label)}:1"
-        inner = ",".join(render(k) for k in sorted(kids))
-        if node == tree.root:
-            return f"({inner})root"
-        return f"({inner}):1"
+    def render(v: int) -> str:
+        if not kids[v]:
+            return f"{_escape_newick(label.get(v, names[v]))}:1"
+        return f"({','.join(map(render, kids[v]))}){':1' if v else 'root'}"
 
-    return render(tree.root) + ";"
+    return render(0) + ";"
 
 
 def _escape_newick(label: str) -> str:

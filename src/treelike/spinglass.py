@@ -301,7 +301,7 @@ def pure_state_tree(space: SimilaritySpace, mapping: OverlapMap,
     report = build_tree(space, epsilon, m, seed=seed, delta0=delta0)
     scale = report.best_alpha
     lo, hi = mapping.rho_range
-    depth = max(report.tree.level.values())
+    depth = report.tree.depth()
     values = []
     clamped = []
     for d in range(depth + 1):

@@ -17,9 +17,8 @@ Points with identical similarity rows are one atom of the measure split in
 parts, so the clusters are built on classes of such twins, read from the
 space's distinct rows, and expanded to points as each level is written,
 and a tree is priced on pairs of groups of sibling twins rather than on
-pairs of points.  The build names its tree and prices it from the cluster
-labels of its rows; ``tree_cost`` and ``best_alpha`` price a given tree
-from its node names.
+pairs of points.  The build, ``tree_cost`` and ``best_alpha`` price a tree
+alike, from its parent array (``_class_pairs``).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 from .cliques import _doubtful, _family_cutoff, _mass_floor, \
     clique_closure, clique_repair, neighborhood_family, part_neighbor_graph
 from .core import CompatibleTree, SimilaritySpace, WeightedGraph, \
-    _graph_at, _merge_weights, _tree_of_rows, gromov_product_matrix
+    _graph_at, _leaves, _merge_weights, _products, _tree_of_rows
 from .errors import BadParams, LeafMismatch, MapMismatch
 from .hyperbolicity import ThresholdLadder, _exceptional_rows, hyp_exact, \
     threshold_ladder
@@ -96,26 +95,20 @@ class _ClassPairs:
     leaf: np.ndarray
 
 
-def _groups(space: SimilaritySpace, within: np.ndarray,
-            cls: np.ndarray | None = None, reps: np.ndarray | None = None
+def _groups(space: SimilaritySpace, within: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group the points by (distinct row, ``within``), numbered in order of
-    their first points: each point's group, the first points, the groups'
-    ``math.fsum``-merged weights and their similarity, all read from
-    ``space.distinct`` and, when the groups are the rows, not copied.
-
-    ``within`` is a nonnegative label of each class ``cls`` of points whose
-    first points are ``reps`` (of each point by default); the points of a
-    class share their row, so a class lies in one group.
+    """Group the points by (distinct row, ``within``, a nonnegative label
+    of each point), numbered in order of their first points: each point's
+    group, the first points, the groups' ``math.fsum``-merged weights and
+    their similarity, all read from ``space.distinct`` and, when the groups
+    are the rows, not copied.
     """
     w, s, row_of = space.distinct
-    if cls is None:
-        cls = reps = np.arange(space.n)
-    _, first, label = np.unique(row_of[reps] * (within.max() + 1) + within,
+    _, first, label = np.unique(row_of * (within.max() + 1) + within,
                                 return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=int)
     rank[first.argsort()] = np.arange(len(first))
-    group, reps = rank[label][cls], reps[np.sort(first)]
+    group, reps = rank[label], np.sort(first)
     if len(reps) == len(w):  # one group per row, numbered alike
         return group, reps, w, s
     rows = row_of[reps]
@@ -128,26 +121,13 @@ def _class_pairs(space: SimilaritySpace, tree: CompatibleTree) -> _ClassPairs:
     space's ``distinct`` ones.  The groups' similarities are read from the
     distinct rows, so a function of them put in their place is priced
     alike.  The products are formed once, on the first point of each group."""
-    if set(tree.leaf_points.values()) != set(space.points):
+    if tree.points != space.points and set(tree.points) != set(space.points):
         raise LeafMismatch("tree leaves do not match the space points")
-    parents = list(map(tree.parent.get, map(tree.leaf_of, space.points)))
-    # a parent is named by the last point below it
-    last = dict(zip(parents, range(space.n)))
-    groups = _groups(space, np.fromiter(map(last.__getitem__, parents),
-                                        dtype=int, count=space.n))
-    return _priced(space, groups, lambda reps: gromov_product_matrix(
-        tree, tuple(space.points[i] for i in reps)))
-
-
-def _priced(space: SimilaritySpace, groups, products) -> _ClassPairs:
-    """The pricing groups of points with one row and one leaf parent.
-
-    ``groups`` is what ``_groups`` gives for them, and ``products(reps)``
-    gives the Gromov product matrix of the groups' first points."""
-    group, reps, weight, sim = groups
+    leaf = _leaves(tree, space.points)
+    group, reps, weight, sim = _groups(space, tree.parent[leaf] + 1)
     p = space.weights
     shared = np.bincount(group) >= 2
-    prod = products(reps)
+    prod = _products(tree, leaf[reps])
     leaf = prod.diagonal().copy()
     prod[np.diag_indices(len(reps))] -= shared
     return _ClassPairs(
@@ -283,27 +263,26 @@ def merge_tree_leaves(tree: CompatibleTree, copy_map: dict[str, str], seed: int
     leaves are removed.  Distances from retained leaves to the root are
     unchanged.
     """
-    leaves = set(tree.leaf_points.values())
-    if leaves != set(copy_map):
+    if set(tree.points) != set(copy_map):
         raise MapMismatch("copy map does not match the tree leaves")
     by_origin: dict[str, list[str]] = {}
     for cp, orig in copy_map.items():
         by_origin.setdefault(orig, []).append(cp)
     rng = np.random.default_rng(seed)
-    # kept leaf node -> the original point it is renamed to
-    kept = {tree.leaf_of(copies[int(rng.integers(len(copies)))]): orig
-            for orig, copies in by_origin.items()}
-    keep = {tree.root}
-    for node in kept:
-        while node not in keep:
-            keep.add(node)
-            node = tree.parent[node]
+    kept = _leaves(tree, [copies[int(rng.integers(len(copies)))]
+                          for copies in by_origin.values()])
+    keep = np.zeros(len(tree.names), dtype=bool)
+    keep[0] = keep[kept] = True
+    for d in range(tree.depth(), 0, -1):  # and their ancestors
+        keep[tree.parent[keep & (tree.level == d)]] = True
+    names = np.array(tree.names, dtype=object)
+    names[kept] = list(by_origin)
+    index = np.append(np.cumsum(keep) - 1, -1)  # index -1 reads -1
     return CompatibleTree(
-        root=tree.root,
-        parent={kept.get(v, v): tree.parent[v] for v in tree.level
-                if v in keep and v != tree.root},
-        level={kept.get(v, v): d for v, d in tree.level.items() if v in keep},
-        leaf_points={kept[v]: kept[v] for v in tree.level if v in kept},
+        points=tuple(by_origin),
+        names=tuple(names[keep].tolist()),
+        parent=index[tree.parent[keep]],
+        leaf=index[kept],
     )
 
 
@@ -523,17 +502,6 @@ def _repair_row(classes: _Classes, pend: np.ndarray, lens: np.ndarray,
     return label, (np.concatenate(rows), np.concatenate(cols))
 
 
-def _meets(label: np.ndarray, leaf: np.ndarray) -> np.ndarray:
-    """The Gromov product matrix of points from their clusters by depth,
-    one row per depth, and their leaf depths: two points meet at the
-    deepest cluster they share, and clusters nest."""
-    prod = np.zeros((len(leaf), len(leaf)), dtype=int)
-    for row in label:
-        prod += row[:, None] == row
-    prod[np.diag_indices(len(leaf))] = leaf
-    return prod
-
-
 def _violations(bad: np.ndarray, members: list[np.ndarray]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Point pairs x != y whose classes are a pair where bad holds, in
@@ -593,10 +561,9 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
     by cluster, and the cluster sizes, ordered at once by pending cluster
     and first point.  The next depth's clusters are the classes of the
     row's clusters of two or more points, each listed at its first point.
-    The tree, the levels and the pricing are read off the rows in one pass
-    (``_tree_of_rows``): each node name is formed once, and the products
-    come from each point's cluster at every depth, so the build walks no
-    node names.
+    The tree and the levels are read off the rows in one pass
+    (``_tree_of_rows``), each node name formed once, and the tree is priced
+    from its parent array as ``tree_cost`` prices it.
     """
     if space.bound != 1.0:
         raise BadParams("build_tree requires a space rescaled to bound 1")
@@ -693,12 +660,11 @@ def build_tree(space: SimilaritySpace, epsilon: float, m: int,
         lead = reps[of] == held
         pend, lens = of[lead], np.bincount(part[lead])
     edited |= edited.T  # the repairs marked each pair above the diagonal
-    tree, levels, label, leaf, parent = _tree_of_rows(space.points, rows)
+    tree, levels = _tree_of_rows(space.points, rows)
 
     # the points of a class are sibling leaves with one row, so each class
     # lies in one pricing group; two of its points meet at their parent
-    prices = _priced(space, _groups(space, parent[reps], cls, reps),
-                     lambda firsts: _meets(label[:, firsts], leaf[firsts]))
+    prices = _class_pairs(space, tree)
     group = prices.group[reps]
     prod = prices.meet[group[:, None], group]
     # bound expressions mirror the ladder window arithmetic so the float

@@ -25,8 +25,7 @@ from treelike.io import (
     tree_to_dict,
     write_json,
 )
-from treelike.core import SimilaritySpace, gromov_product_matrix, \
-    threshold_graph, tree_from_levels
+from treelike.core import SimilaritySpace, threshold_graph, tree_from_levels
 from treelike.fixtures import noisy_tree_fixture, tree_scaled_fixture
 
 
@@ -328,11 +327,11 @@ class TestEvalConverse:
         fx, space_path, tree_path = files
         calls = []
 
-        def counting(tree, points):
+        def counting(tree, nodes):
             calls.append(tree)
-            return gromov_product_matrix(tree, points)
+            return treelike.core._products(tree, nodes)
 
-        monkeypatch.setattr(treebuild, "gromov_product_matrix", counting)
+        monkeypatch.setattr(treebuild, "_products", counting)
         assert main(["eval", "--space", str(space_path), "--tree",
                      str(tree_path), "--alpha", "0.3", "--converse"]) == 0
         assert len(calls) == 1
@@ -747,8 +746,9 @@ def test_io_edge_exit_codes(case, param_files, capsys):
 
 
 # tree, graph and metric files that are JSON but lack the structure of
-# their format exit 8 and name the file; a parent that is not a node is a
-# tree error, exit 6
+# their format exit 8 and name the file, as does a level that is not an
+# integer; a parent that is not a node, or a repeated node id, is a tree
+# error, exit 6
 ROOT_NODE = {"id": "r", "parent": None, "level": 0}
 BAD_FILES = {
     "three_end_graph": {"vertices": ["a", "b", "c"],
@@ -769,6 +769,19 @@ BAD_FILES = {
                         "nodes": [ROOT_NODE,
                                   {"id": "a", "parent": "r", "level": 1},
                                   {"id": "b", "parent": "r", "level": 1}]},
+    # the later record of "a" once won, and loaded "a" as a child of "u"
+    "twice_named_tree": {"root": "r", "leaves": {"a": "a"},
+                         "nodes": [ROOT_NODE,
+                                   {"id": "a", "parent": "r", "level": 1},
+                                   {"id": "u", "parent": "r", "level": 1},
+                                   {"id": "a", "parent": "u", "level": 2}]},
+    # levels of 1.9 and true once loaded as level 1
+    "fractional_level_tree": {"root": "r", "leaves": {"a": "a"},
+                              "nodes": [ROOT_NODE, {"id": "a", "parent": "r",
+                                                    "level": 1.9}]},
+    "bool_level_tree": {"root": "r", "leaves": {"a": "a"},
+                        "nodes": [ROOT_NODE, {"id": "a", "parent": "r",
+                                              "level": True}]},
 }
 ALPHA = ["--alpha", "0.3"]
 FILE_EDGES = {
@@ -794,6 +807,16 @@ FILE_EDGES = {
     # a leaf key that is no node would otherwise end in a KeyError
     "product-leaf-not-a-node": (["product", "--tree", "{stray_leaf_tree}",
                                  "--x", "c", "--y", "a"], 6),
+    "product-repeated-node-id": (["product", "--tree", "{twice_named_tree}",
+                                  "--x", "a", "--y", "a"], 6),
+    "convert-newick-repeated-node-id": (["convert", "--tree",
+                                         "{twice_named_tree}", "--newick",
+                                         "{out}/tree.nwk"], 6),
+    "product-fractional-level": (["product", "--tree",
+                                  "{fractional_level_tree}", "--x", "a",
+                                  "--y", "a"], 8),
+    "eval-bool-level": (["eval", "--space", "{tree_space}", "--tree",
+                         "{bool_level_tree}", *ALPHA], 8),
     "delta-ragged-metric": (["delta", "--metric", "{ragged_metric}"], 8),
     "delta-four-point-ragged-metric": (["delta", "--metric",
                                         "{ragged_metric}", "--four-point"],
@@ -813,6 +836,17 @@ def test_malformed_file_exit_codes(case, param_files, capsys):
     assert out == "" and err.startswith("error: ")
     assert any(param_files[name] in err for name in BAD_FILES) == (code == 8)
     assert list(Path(param_files["out"]).iterdir()) == []
+
+
+@pytest.mark.parametrize("tree, message", [
+    ("twice_named_tree", "node id 'a' is repeated"),
+    ("fractional_level_tree", "level 1.9 is not an integer"),
+    ("bool_level_tree", "level True is not an integer"),
+])
+def test_tree_file_faults_are_named(tree, message, param_files, capsys):
+    assert main(["product", "--tree", param_files[tree], "--x", "a",
+                 "--y", "a"]) != 0
+    assert message in capsys.readouterr().err
 
 
 FIXTURE_ARGS = ["fixture", "--kind", "ultrametric", "--size", "4"]
@@ -1027,7 +1061,7 @@ def check_cliques_dots(stdout, out, files):
 
 def check_spinglass_tree(stdout, out, files):
     tree = tree_from_dict(read_json(out / "tree.json"))
-    assert len(tree.leaf_points) == json.loads(stdout)["n_states"]
+    assert len(tree.points) == json.loads(stdout)["n_states"]
 
 
 def check_space_out(stdout, out, files):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from treelike import (
-    CompatibleTree,
     SimilaritySpace,
     build_tree,
     gromov_product_matrix,
@@ -49,7 +48,7 @@ from treelike.fixtures import (
 )
 from treelike.hyperbolicity import bad_set_profile, exceptional_sets, \
     threshold_ladder
-from treelike.io import dump_json, tree_to_dict
+from treelike.io import dump_json, tree_from_dict, tree_to_dict
 from treelike.spinglass import gibbs_exact, overlap_map, overlap_space, \
     pure_state_tree, sk_couplings
 from treelike.treebuild import best_alpha, converse_check, tree_cost
@@ -175,9 +174,18 @@ class TestGromovProductSimilarity:
             gromov_product_similarity(d, base=0)
 
 
+def named_tree(root, parent, level, leaf_points):
+    """A tree of named nodes, through the conversion that reads tree files."""
+    return tree_from_dict({
+        "root": root,
+        "nodes": [{"id": v, "parent": parent.get(v), "level": d}
+                  for v, d in level.items()],
+        "leaves": leaf_points})
+
+
 def small_tree():
     # root -> u (level1) -> {x, y at level2}; root -> z (level1 leaf)
-    return CompatibleTree(
+    return named_tree(
         root="r",
         parent={"u": "r", "x": "u", "y": "u", "z": "r"},
         level={"r": 0, "u": 1, "x": 2, "y": 2, "z": 1},
@@ -230,40 +238,34 @@ class TestTreeValidation:
         validate_tree(small_tree())
 
     def test_level_gap_rejected(self):
-        t = CompatibleTree(
-            root="r",
-            parent={"x": "r"},
-            level={"r": 0, "x": 2},
-            leaf_points={"x": "x"},
-        )
-        from treelike.errors import TreeStructureError
         with pytest.raises(TreeStructureError):
-            validate_tree(t)
+            named_tree(
+                root="r",
+                parent={"x": "r"},
+                level={"r": 0, "x": 2},
+                leaf_points={"x": "x"},
+            )
 
     def test_childless_internal_rejected(self):
-        t = CompatibleTree(
-            root="r",
-            parent={"x": "r", "u": "r"},
-            level={"r": 0, "x": 1, "u": 1},
-            leaf_points={"x": "x"},
-        )
-        from treelike.errors import TreeStructureError
         with pytest.raises(TreeStructureError):
-            validate_tree(t)
+            named_tree(
+                root="r",
+                parent={"x": "r", "u": "r"},
+                level={"r": 0, "x": 1, "u": 1},
+                leaf_points={"x": "x"},
+            )
 
     def test_leaf_key_that_is_no_node(self):
-        t = CompatibleTree(root="r", parent={"a": "r", "b": "r"},
-                           level={"r": 0, "a": 1, "b": 1},
-                           leaf_points={"a": "a", "b": "b", "zz": "c"})
         with pytest.raises(TreeStructureError, match="'zz' is not a node"):
-            validate_tree(t)
+            named_tree(root="r", parent={"a": "r", "b": "r"},
+                       level={"r": 0, "a": 1, "b": 1},
+                       leaf_points={"a": "a", "b": "b", "zz": "c"})
 
     def test_cycle_fails_the_level_check(self):
-        t = CompatibleTree(root="r", parent={"x": "y", "y": "x", "u": "r"},
-                           level={"r": 0, "x": 1, "y": 2, "u": 1},
-                           leaf_points={"u": "u"})
         with pytest.raises(TreeStructureError, match="level of 'x'"):
-            validate_tree(t)
+            named_tree(root="r", parent={"x": "y", "y": "x", "u": "r"},
+                       level={"r": 0, "x": 1, "y": 2, "u": 1},
+                       leaf_points={"u": "u"})
 
     @pytest.mark.parametrize("root, parent, level, leaves, message", [
         ("zz", {"a": "r"}, {"r": 0, "a": 1}, {"a": "a"},
@@ -281,17 +283,35 @@ class TestTreeValidation:
     ])
     def test_structure_faults_are_named(self, root, parent, level, leaves,
                                         message):
-        t = CompatibleTree(root=root, parent=parent, level=level,
-                           leaf_points=leaves)
         with pytest.raises(TreeStructureError, match=message):
-            validate_tree(t)
+            named_tree(root=root, parent=parent, level=level,
+                       leaf_points=leaves)
 
     def test_unknown_parent_rejected_at_construction(self):
         with pytest.raises(TreeStructureError,
                            match="parent of 'x' is not a node"):
-            CompatibleTree(root="r", parent={"u": "r", "x": "zz"},
-                           level={"r": 0, "u": 1, "x": 1},
-                           leaf_points={"u": "u", "x": "x"})
+            named_tree(root="r", parent={"u": "r", "x": "zz"},
+                       level={"r": 0, "u": 1, "x": 1},
+                       leaf_points={"u": "u", "x": "x"})
+
+    @pytest.mark.parametrize("names, parent, points, leaf, message", [
+        ((), [], (), [], "a tree needs a root"),
+        (("r", "a"), [-1], ("a",), [1], "a parent per node"),
+        (("r", "a", "a"), [-1, 0, 0], ("a",), [1], "node id 'a' is repeated"),
+        (("r", "a"), [0, 0], ("a",), [1], "root must not have a parent"),
+        (("r", "a", "b"), [-1, 2, 0], ("a", "b"), [1, 2],
+         "parent of 'a' does not come before it"),
+        (("r", "a"), [-1, 0], ("a",), [2], "a leaf node of its own"),
+        (("r", "a", "b"), [-1, 0, 0], ("a", "b"), [1, 1],
+         "a leaf node of its own"),
+        (("r", "a", "b", "c"), [-1, 0, 1, 1], ("a", "b", "c"), [1, 2, 3],
+         "leaf 'a' has children"),
+    ])
+    def test_array_faults_are_named(self, names, parent, points, leaf,
+                                    message):
+        with pytest.raises(TreeStructureError, match=message):
+            core.CompatibleTree(points=points, names=names, parent=parent,
+                                leaf=leaf)
 
 
 @pytest.mark.parametrize("field, value, what", [
@@ -347,12 +367,15 @@ def validate_loop(space):
 
 
 def product_loop(tree, points):
+    data = tree_to_dict(tree)
+    parent = {rec["id"]: rec["parent"] for rec in data["nodes"]}
+    leaf_of = {p: leaf for leaf, p in data["leaves"].items()}
     paths = []
     for p in points:
-        node = tree.leaf_of(p)
+        node = leaf_of[p]
         chain = [node]
-        while node != tree.root:
-            node = tree.parent[node]
+        while parent[node] is not None:
+            node = parent[node]
             chain.append(node)
         paths.append(chain[::-1])
     n = len(points)
@@ -482,7 +505,7 @@ class TestValidateAgainstLoop:
 
 def uneven_tree():
     # leaves at depths 1, 2 and 3 under one root
-    return CompatibleTree(
+    return named_tree(
         root="r",
         parent={"a": "r", "u": "r", "b": "u", "v": "u", "c": "v", "d": "v",
                 "e": "u"},
@@ -510,8 +533,7 @@ class TestProductMatrixAgainstLoop:
         fx = tree_scaled_fixture(40, depth=3, alpha=0.31622776601683794,
                                  seed=5, weights="random")
         report = build_tree(rescale_to_unit(fx.space), 1e-12, 16, delta0=0.05)
-        assert len({report.tree.level[leaf]
-                    for leaf in report.tree.leaf_points}) > 1
+        assert len(set(report.tree.level[report.tree.leaf].tolist())) > 1
         trees.append((report.tree, fx.space.points))
         rng = np.random.default_rng(0)
         for tree, points in trees:
@@ -695,9 +717,12 @@ class TestMetricCheckAgainstLoop:
 
 
 def tree_items(tree):
-    """Every field of a tree with dict insertion order, plus its file bytes."""
-    return (tree.root, list(tree.parent.items()), list(tree.level.items()),
-            list(tree.leaf_points.items()), dump_json(tree_to_dict(tree)))
+    """The nodes and their parents in the order held, each point's leaf,
+    and the file bytes."""
+    return (tree.names, tree.parent.tolist(),
+            dict(zip(tree.points, map(tree.names.__getitem__,
+                                      tree.leaf.tolist()))),
+            dump_json(tree_to_dict(tree)))
 
 
 def hierarchy_tree_loop(points, levels):
@@ -734,8 +759,8 @@ def hierarchy_tree_loop(points, levels):
         parent[pid] = prev_nodes[int(prev_labels[i])]
         level_of[pid] = last
         leaf_points[pid] = pid
-    return CompatibleTree(root="@0.0", parent=parent, level=level_of,
-                          leaf_points=leaf_points)
+    return named_tree(root="@0.0", parent=parent, level=level_of,
+                      leaf_points=leaf_points)
 
 
 class TestTreeFromLevels:
@@ -744,14 +769,11 @@ class TestTreeFromLevels:
                                 [[[0], [1, 2, 3]], [[1], [2, 3]], [[2], [3]]])
         validate_tree(tree)
         assert tree.root == "@0.0"
-        assert list(tree.parent.items()) == [
-            ("a", "@0.0"), ("@1.0", "@0.0"), ("b", "@1.0"), ("@2.0", "@1.0"),
-            ("c", "@2.0"), ("d", "@2.0")]
-        assert list(tree.level.items()) == [
-            ("@0.0", 0), ("a", 1), ("@1.0", 1), ("b", 2), ("@2.0", 2),
-            ("c", 3), ("d", 3)]
-        assert list(tree.leaf_points.items()) == [
-            ("a", "a"), ("b", "b"), ("c", "c"), ("d", "d")]
+        assert tree.names == ("@0.0", "a", "@1.0", "b", "@2.0", "c", "d")
+        assert tree.parent.tolist() == [-1, 0, 0, 2, 2, 4, 4]
+        assert tree.level.tolist() == [0, 1, 1, 2, 2, 3, 3]
+        assert tree.points == ("a", "b", "c", "d")
+        assert tree.leaf.tolist() == [1, 3, 5, 6]
 
     def test_parent_holds_the_first_point_one_row_up(self):
         # the second depth-2 cluster starts with point 4, held by @1.1
@@ -759,9 +781,11 @@ class TestTreeFromLevels:
             [[0, 1], [2, 3, 4, 5]], [[0], [1], [2, 3], [4, 5]],
             [[2], [3], [4], [5]]])
         validate_tree(tree)
-        assert tree.parent["@2.0"] == "@1.1"
-        assert tree.parent["@2.1"] == "@1.1"
-        assert tree.parent["a"] == tree.parent["b"] == "@1.0"
+        parent = {v: tree.names[u] for v, u in
+                  zip(tree.names[1:], tree.parent[1:].tolist())}
+        assert parent["@2.0"] == "@1.1"
+        assert parent["@2.1"] == "@1.1"
+        assert parent["a"] == parent["b"] == "@1.0"
 
     @pytest.mark.parametrize("points, prefix", [
         (("@x0", "b", "c"), "@@"),
@@ -772,9 +796,10 @@ class TestTreeFromLevels:
         tree = tree_from_levels(points, [[[1, 2], [0]], [[1], [2]]])
         validate_tree(tree)
         assert tree.root == f"{prefix}0.0"
-        assert list(tree.level) == [f"{prefix}0.0", f"{prefix}1.0", points[0],
-                                    points[1], points[2]]
-        assert tree.leaf_points == {p: p for p in points}
+        assert tree.names == (f"{prefix}0.0", f"{prefix}1.0", points[0],
+                              points[1], points[2])
+        assert tree.points == points
+        assert [tree.names[v] for v in tree.leaf.tolist()] == list(points)
 
     def test_prefix_matches_a_scan_of_every_id(self):
         # ids over "@", NUL and "a": a NUL inside an id puts a run of "@"
@@ -793,8 +818,9 @@ class TestTreeFromLevels:
         tree = tree_from_levels(("a", "b", "c"), [[[0, 1, 2]],
                                                  [[0], [1], [2]]])
         validate_tree(tree)
-        assert tree.level == {"@0.0": 0, "@1.0": 1, "a": 2, "b": 2, "c": 2}
-        assert set(tree.parent.values()) == {"@0.0", "@1.0"}
+        assert tree.names == ("@0.0", "@1.0", "a", "b", "c")
+        assert tree.level.tolist() == [0, 1, 2, 2, 2]
+        assert tree.parent.tolist() == [-1, 0, 1, 1, 1]
 
     @pytest.mark.parametrize("depth", [0, 1, 3, 5])
     @pytest.mark.parametrize("n", [2, 3, 5, 16, 27, 64])

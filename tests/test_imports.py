@@ -1,5 +1,5 @@
-"""Every package module uses each name it imports, and a space is checked
-only where it is made."""
+"""Every package module uses each name it imports, and a space or a tree is
+checked only where it is made."""
 
 import ast
 from pathlib import Path
@@ -37,21 +37,34 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def validate_space_calls(source: str) -> int:
+def check_calls(source: str, name: str = "validate_space") -> int:
     return sum(isinstance(node, ast.Call) and (
-        getattr(node.func, "id", None) == "validate_space"
-        or getattr(node.func, "attr", None) == "validate_space")
+        getattr(node.func, "id", None) == name
+        or getattr(node.func, "attr", None) == name)
         for node in ast.walk(ast.parse(source)))
 
 
 def test_guard_counts_both_call_forms():
     source = "validate_space(s)\ncore.validate_space(s)\nvalidate_space\n"
-    assert validate_space_calls(source) == 2
+    assert check_calls(source) == 2
 
 
-@pytest.mark.parametrize("path", sorted(
-    Path(treelike.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+SOURCES = sorted(Path(treelike.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_the_space_constructor_checks_a_space(path):
     # SimilaritySpace.__post_init__ checks each space as it is made
     expected = 1 if path.name == "core.py" else 0
-    assert validate_space_calls(path.read_text()) == expected
+    assert check_calls(path.read_text()) == expected
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_tree_constructor_checks_a_tree(path):
+    # CompatibleTree.__post_init__ checks each tree as it is made
+    expected = 1 if path.name == "core.py" else 0
+    assert check_calls(path.read_text(), "validate_tree") == expected
+    if expected:
+        tree = next(node for node in ast.parse(path.read_text()).body
+                    if getattr(node, "name", None) == "CompatibleTree")
+        assert check_calls(ast.unparse(tree), "validate_tree") == 1

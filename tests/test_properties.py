@@ -3,7 +3,8 @@ tree cost.
 
 Hypothesis draws small spaces with tied values, zero weights and -0.0
 entries, random trees with leaves at unequal depths, and spaces on those
-trees whose points share similarity rows.  Examples are
+trees whose points share similarity rows.  The tree kernels are checked
+against a walk up the parent names of a tree's file records.  Examples are
 derandomized and bounded so that the module stays fast and repeatable.
 """
 
@@ -27,6 +28,7 @@ from treelike import (  # noqa: E402
     tree_cost,
     tree_gromov_product,
 )
+from treelike.io import tree_from_dict, tree_to_dict  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
                     database=None)
@@ -50,15 +52,51 @@ def spaces(draw):
 @st.composite
 def trees(draw):
     size = draw(st.integers(2, 14))
-    parents = [draw(st.integers(0, k - 1)) for k in range(1, size)]
-    parent = {f"n{k}": f"n{par}" for k, par in enumerate(parents, start=1)}
-    level = {"n0": 0}
-    for k, par in enumerate(parents, start=1):
-        level[f"n{k}"] = level[f"n{par}"] + 1
-    has_child = set(parent.values())
-    leaves = [node for node in parent if node not in has_child]
-    return CompatibleTree(root="n0", parent=parent, level=level,
-                          leaf_points={leaf: f"x{leaf}" for leaf in leaves})
+    parent = [-1] + [draw(st.integers(0, k - 1)) for k in range(1, size)]
+    leaves = sorted(set(range(1, size)) - set(parent))
+    return CompatibleTree(points=tuple(f"xn{v}" for v in leaves),
+                          names=tuple(f"n{v}" for v in range(size)),
+                          parent=parent, leaf=leaves)
+
+
+def renamed(tree, rnd):
+    """The same tree with its node ids and its file records shuffled, read
+    back through the file conversion, so that it holds its nodes in another
+    order."""
+    data = tree_to_dict(tree)
+    ids = [rec["id"] for rec in data["nodes"]]
+    new = [f"m{k}" for k in range(len(ids))]
+    rnd.shuffle(new)
+    name = dict(zip(ids, new))
+    nodes = [{"id": name[rec["id"]], "parent": name.get(rec["parent"]),
+              "level": rec["level"]} for rec in data["nodes"]]
+    rnd.shuffle(nodes)
+    return tree_from_dict({
+        "root": name[data["root"]], "nodes": nodes,
+        "leaves": {name[v]: p for v, p in data["leaves"].items()}})
+
+
+def walk_products(tree, points):
+    """The product of every pair of points, by walking up the parent names
+    of the tree's file records from both leaves until they meet."""
+    data = tree_to_dict(tree)
+    parent = {rec["id"]: rec["parent"] for rec in data["nodes"]}
+    level = {rec["id"]: rec["level"] for rec in data["nodes"]}
+    leaf_of = {p: leaf for leaf, p in data["leaves"].items()}
+
+    def product(x, y):
+        a, b = leaf_of[x], leaf_of[y]
+        la, lb = level[a], level[b]
+        while la > lb:
+            a, la = parent[a], la - 1
+        while lb > la:
+            b, lb = parent[b], lb - 1
+        while a != b:
+            a, b, la = parent[a], parent[b], la - 1
+        return la
+
+    return np.array([[product(x, y) for y in points] for x in points],
+                    dtype=int).reshape(len(points), len(points))
 
 
 @SETTINGS
@@ -79,17 +117,6 @@ def test_profile_integral_equals_hyp(space):
     assert abs(profile_integral(ts, masses) - hyp_exact(space)) <= 1e-10
 
 
-@SETTINGS
-@given(trees(), st.randoms(use_true_random=False))
-def test_product_matrix_equals_pairwise_products(tree, rnd):
-    points = sorted(tree.leaf_points.values())
-    rnd.shuffle(points)
-    prod = gromov_product_matrix(tree, tuple(points))
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            assert prod[i, j] == tree_gromov_product(tree, x, y)
-
-
 @st.composite
 def twin_spaces(draw):
     """A random tree and a space on its leaves in which points share
@@ -97,7 +124,7 @@ def twin_spaces(draw):
     zero weights and, when ``exact``, dyadic weights that make every kink
     sum exact."""
     tree = draw(trees())
-    points = sorted(tree.leaf_points.values())
+    points = sorted(tree.points)
     n = len(points)
     # few rows, so that sibling leaves often share one
     k = draw(st.integers(1, 3))
@@ -125,12 +152,11 @@ def twin_spaces(draw):
 
 def brute_pairs(space, tree):
     """(weight, similarity, product) of every ordered point pair, x = y
-    included, in exact arithmetic."""
+    included, in exact arithmetic, with the products of the name walk."""
     p = [Fraction(float(v)) for v in space.weights]
-    return [(p[i] * p[j], Fraction(float(space.sim[i, j])),
-             tree_gromov_product(tree, x, y))
-            for i, x in enumerate(space.points)
-            for j, y in enumerate(space.points)]
+    prod = walk_products(tree, space.points)
+    return [(p[i] * p[j], Fraction(float(space.sim[i, j])), int(prod[i, j]))
+            for i in range(space.n) for j in range(space.n)]
 
 
 def brute_cost(pairs, alpha):
@@ -155,3 +181,31 @@ def test_class_pair_pricing_equals_the_point_pair_sum(drawn):
     for a in (0.0, alpha, 0.3):
         assert tree_cost(space, tree, a) == pytest.approx(
             float(brute_cost(pairs, Fraction(a))), rel=1e-12, abs=1e-15)
+
+
+@SETTINGS
+@given(twin_spaces(), st.randoms(use_true_random=False))
+def test_the_tree_kernel_agrees_with_the_name_walk(drawn, rnd):
+    space, tree, exact = drawn
+    priced = best_alpha(space, tree)
+    for t in (tree, renamed(tree, rnd)):
+        points = list(space.points)
+        rnd.shuffle(points)
+        want = walk_products(t, points)
+        got = gromov_product_matrix(t, tuple(points))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for i, x in enumerate(points):
+            for j, y in enumerate(points):
+                assert tree_gromov_product(t, x, y) == want[i, j]
+        pairs = brute_pairs(space, t)
+        alpha, cost = best_alpha(space, t)
+        # the smallest minimizer over alpha >= 0 is 0 or a kink s / g
+        kinks = {s / g for w, s, g in pairs if g > 0 and w > 0}
+        best = min(sorted(kinks | {Fraction(0)}),
+                   key=lambda a: brute_cost(pairs, a))
+        if exact:
+            assert alpha == float(best)
+        assert (alpha, cost) == priced
+        for a in (0.0, alpha, 0.3):
+            assert tree_cost(space, t, a) == pytest.approx(
+                float(brute_cost(pairs, Fraction(a))), rel=1e-12, abs=1e-15)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from treelike import (
-    CompatibleTree,
     SimilaritySpace,
     best_alpha,
     build_tree,
@@ -28,7 +27,8 @@ from treelike.cliques import ModificationLog
 from treelike.core import WeightedGraph
 from treelike.errors import BadParams, BlowupTooLarge, Delta0TooLarge, \
     LeafMismatch, LightClique, MapMismatch, TreelikeError, WeightSumMismatch
-from treelike.io import dump_json, tree_to_dict, tree_to_newick
+from treelike.io import dump_json, tree_from_dict, tree_to_dict, \
+    tree_to_newick
 from treelike.regularity import RegularityParams
 from treelike.spinglass import gibbs_exact, overlap_map, overlap_space, \
     pure_state_tree, sk_couplings
@@ -95,27 +95,27 @@ class TestBuildTree:
     def test_products_built_once(self, monkeypatch):
         calls = []
 
-        def counting(tree, points):
-            calls.append(points)
-            return gromov_product_matrix(tree, points)
+        def counting(tree, nodes):
+            calls.append(nodes.tolist())
+            return core._products(tree, nodes)
 
-        monkeypatch.setattr(treebuild, "gromov_product_matrix", counting)
+        monkeypatch.setattr(treebuild, "_products", counting)
         fx = ultrametric_fixture(27, [KAPPA, 2 * KAPPA, 3 * KAPPA], seed=7)
         report = build_tree(fx.space, EPS, M, seed=0)
-        # the build prices its tree from the labels it holds, and walks no
-        # node names; tree_cost and best_alpha each walk them once, on the
-        # first point of each group of one row and one parent
-        assert calls == []
+        # the build, tree_cost and best_alpha each form the products once,
+        # on the leaf of the first point of each group of one row and one
+        # parent
         assert report.cost == tree_cost(fx.space, report.tree, report.kappa)
         assert (report.best_alpha, report.best_cost) \
             == best_alpha(fx.space, report.tree)
+        tree = report.tree
         seen, reps = set(), []
-        for row, x in zip(fx.space.sim, fx.space.points):
-            key = (row.tobytes(), report.tree.parent[x])
+        for row, leaf in zip(fx.space.sim, tree.leaf.tolist()):
+            key = (row.tobytes(), int(tree.parent[leaf]))
             if key not in seen:
                 seen.add(key)
-                reps.append(x)
-        assert calls == [tuple(reps)] * 2
+                reps.append(leaf)
+        assert calls == [reps] * 3
         assert len(reps) < fx.space.n
 
     def test_build_never_computes_the_full_profile(self, monkeypatch):
@@ -766,8 +766,21 @@ class TestSplitAtoms:
                 gromov_delta_worst_case(fx.space)
 
 
+def named_tree(root, parent, level, leaf_points):
+    """A tree of named nodes, through the conversion that reads tree files."""
+    return tree_from_dict({
+        "root": root,
+        "nodes": [{"id": v, "parent": parent.get(v), "level": d}
+                  for v, d in level.items()],
+        "leaves": leaf_points})
+
+
 def merge_loop(tree, copy_map, seed):
-    leaves = set(tree.leaf_points.values())
+    data = tree_to_dict(tree)
+    up = {rec["id"]: rec["parent"] for rec in data["nodes"]}
+    depth = {rec["id"]: rec["level"] for rec in data["nodes"]}
+    root, leaf_points = data["root"], data["leaves"]
+    leaves = set(leaf_points.values())
     if leaves != set(copy_map):
         raise MapMismatch("copy map does not match the tree leaves")
     by_origin = {}
@@ -779,52 +792,54 @@ def merge_loop(tree, copy_map, seed):
         kept[copies[int(rng.integers(len(copies)))]] = orig
 
     keep_nodes = set()
-    for leaf_node, point in tree.leaf_points.items():
+    for leaf_node, point in leaf_points.items():
         if point in kept:
             node = leaf_node
             while True:
                 keep_nodes.add(node)
-                if node == tree.root:
+                if node == root:
                     break
-                node = tree.parent[node]
+                node = up[node]
 
     parent = {}
     level = {}
-    leaf_points = {}
+    merged = {}
     rename = {}
-    for leaf_node, point in tree.leaf_points.items():
+    for leaf_node, point in leaf_points.items():
         if point in kept:
             rename[leaf_node] = kept[point]
-    for node in tree.level:
+    # the nodes in the order the tree holds them
+    for node in tree.names:
         if node not in keep_nodes:
             continue
         name = rename.get(node, node)
-        level[name] = tree.level[node]
-        if node != tree.root:
-            parent[name] = rename.get(tree.parent[node], tree.parent[node])
-    for leaf_node, point in tree.leaf_points.items():
+        level[name] = depth[node]
+        if node != root:
+            parent[name] = rename.get(up[node], up[node])
+    for leaf_node, point in leaf_points.items():
         if point in kept:
-            leaf_points[kept[point]] = kept[point]
-    return CompatibleTree(
-        root=tree.root, parent=parent, level=level, leaf_points=leaf_points
-    )
+            merged[kept[point]] = kept[point]
+    return named_tree(root, parent, level, merged)
 
 
 def tree_items(tree):
-    """Every field of a tree with dict insertion order, plus its file bytes."""
-    return (tree.root, list(tree.parent.items()), list(tree.level.items()),
-            list(tree.leaf_points.items()), dump_json(tree_to_dict(tree)))
+    """The nodes and their parents in the order held, each point's leaf,
+    and the file bytes."""
+    return (tree.names, tree.parent.tolist(),
+            dict(zip(tree.points, map(tree.names.__getitem__,
+                                      tree.leaf.tolist()))),
+            dump_json(tree_to_dict(tree)))
 
 
 def relabel_leaves(tree):
     """The same tree with every leaf node renamed away from its point."""
-    name = {leaf: f"leaf:{leaf}" for leaf in tree.leaf_points}
-    return CompatibleTree(
-        root=tree.root,
-        parent={name.get(v, v): u for v, u in tree.parent.items()},
-        level={name.get(v, v): d for v, d in tree.level.items()},
-        leaf_points={name[v]: p for v, p in tree.leaf_points.items()},
-    )
+    data = tree_to_dict(tree)
+    name = {leaf: f"leaf:{leaf}" for leaf in data["leaves"]}
+    return tree_from_dict({
+        "root": data["root"],
+        "nodes": [dict(rec, id=name.get(rec["id"], rec["id"]))
+                  for rec in data["nodes"]],
+        "leaves": {name[v]: p for v, p in data["leaves"].items()}})
 
 
 class TestMergeLeaves:
@@ -856,15 +871,14 @@ class TestMergeLeaves:
         b = merge_tree_leaves(report.tree, mapping, seed=11)
         assert a == b
         validate_tree(a)
-        assert set(a.leaf_points.values()) == set(fx.space.points)
+        assert set(a.points) == set(fx.space.points)
 
     def test_distances_to_root_unchanged(self):
         fx = tree_scaled_fixture(8, depth=2, alpha=0.3, seed=4)
         split, mapping = split_atoms(fx.space, 0.05)
         report = build_tree(split, EPS, M, seed=0)
         merged = merge_tree_leaves(report.tree, mapping, seed=5)
-        for leaf, point in merged.leaf_points.items():
-            assert merged.level[leaf] >= 1
+        assert (merged.level[merged.leaf] >= 1).all()
 
     def test_map_mismatch(self):
         fx = tree_scaled_fixture(8, depth=2, alpha=0.3, seed=4)
@@ -1014,12 +1028,12 @@ class TestLevelLoop:
             assert row[-r:] == tuple((p,) for p in rogues)
             assert all(not p.startswith("rogue")
                        for cluster in row[:-r] for p in cluster)
-            root = report.tree.root
+            tree = report.tree
             for p in rogues:
-                assert report.tree.parent[p] == root
-                assert report.tree.level[p] == 1
-            children = [node for node, par in report.tree.parent.items()
-                        if par == root]
+                assert tree.parent[tree.names.index(p)] == 0
+                assert tree.level[tree.names.index(p)] == 1
+            children = [node for node, par in
+                        zip(tree.names, tree.parent.tolist()) if par == 0]
             assert children[-r:] == list(rogues)
 
     def test_one_point_build(self):
@@ -1029,8 +1043,9 @@ class TestLevelLoop:
             report = build_tree(space, EPS, M)
             assert report.levels == (((name,),), ((name,),))
             assert report.tree.root == root
-            assert report.tree.parent == {name: root}
-            assert report.tree.level == {root: 0, name: 1}
+            assert report.tree.names == (root, name)
+            assert report.tree.parent.tolist() == [-1, 0]
+            assert report.tree.level.tolist() == [0, 1]
             assert report.n_repairs == 0
             assert report.excluded_points == ()
 
@@ -1061,10 +1076,11 @@ class TestLevelLoop:
         assert calls[0] == ((5, 1, 0), classes(points))
         one_class = 0
         tree = report.tree
+        leaves = {tree.names[v] for v in tree.leaf.tolist()}
         for depth in range(1, report.ladder.n_levels + 1):
-            internal = sorted((node for node in tree.level
-                               if tree.level[node] == depth
-                               and node not in tree.leaf_points),
+            internal = sorted((node for node, d in
+                               zip(tree.names, tree.level.tolist())
+                               if d == depth and node not in leaves),
                               key=lambda u: int(u.split(".")[1]))
             assert internal == [f"@{depth}.{k}" for k in range(len(internal))]
             rows = [c for c in report.levels[depth] if len(c) > 1]
@@ -1422,9 +1438,24 @@ PRICING_CASES = {
 }
 
 
+def label_products(n, rows):
+    """The Gromov product matrix of points from their clusters by depth, as
+    the build once priced its tree: two points meet at the deepest cluster
+    they share, as clusters nest, and a point with itself at its leaf."""
+    prod = np.zeros((n, n), dtype=int)
+    leaf = np.zeros(n, dtype=int)
+    for depth, (flat, sizes) in enumerate(rows, start=1):
+        label = -1 - np.arange(n)  # a point not in the row meets no other
+        label[flat] = np.repeat(np.arange(len(sizes)), sizes)
+        prod += label[:, None] == label
+        leaf[flat[(np.cumsum(sizes) - sizes)[sizes == 1]]] = depth
+    prod[np.diag_indices(n)] = leaf
+    return prod
+
+
 class TestLabelPricing:
-    """The build prices and names its tree from the cluster labels that its
-    level loop holds, with the result that the public path gives."""
+    """The build names its tree from the rows of its level loop and prices
+    it as the public path prices it."""
 
     def test_the_cases_cover_each_kind(self):
         kinds = Counter()
@@ -1443,20 +1474,19 @@ class TestLabelPricing:
     def test_prices_equal_the_public_pricing(self, monkeypatch, name):
         space, kwargs = PRICING_CASES[name]()
         priced = []
-        make = treebuild._priced
+        make = treebuild._class_pairs
 
-        def recording(*args):
-            priced.append(make(*args))
-            return priced[-1]
+        def recording(space, tree):
+            priced.append(tree)
+            return make(space, tree)
 
-        monkeypatch.setattr(treebuild, "_priced", recording)
+        monkeypatch.setattr(treebuild, "_class_pairs", recording)
         report = build_tree(space, EPS, M, seed=0, **kwargs)
-        built = priced[0]
-        public = treebuild._class_pairs(space, report.tree)
-        for field in dataclasses.fields(public):
-            got, want = getattr(built, field.name), getattr(public, field.name)
-            assert got.dtype == want.dtype, field.name
-            assert np.array_equal(got, want), field.name
+        assert priced == [report.tree]
+        assert priced[0] is report.tree
+        assert report.cost == tree_cost(space, report.tree, report.kappa)
+        assert (report.best_alpha, report.best_cost) \
+            == best_alpha(space, report.tree)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_rows_price_as_their_tree(self, seed):
@@ -1490,20 +1520,19 @@ class TestLabelPricing:
         if held:
             last = np.concatenate(held)
             rows.append((last, np.ones(len(last), dtype=int)))
-        tree, levels, label, leaf, up = core._tree_of_rows(space.points, rows)
-        built = treebuild._priced(
-            space, treebuild._groups(space, up),
-            lambda reps: treebuild._meets(label[:, reps], leaf[reps]))
-        public = treebuild._class_pairs(space, tree)
-        for field in dataclasses.fields(public):
-            got, want = getattr(built, field.name), getattr(public, field.name)
-            assert got.dtype == want.dtype, field.name
-            assert np.array_equal(got, want), field.name
+        tree, levels = core._tree_of_rows(space.points, rows)
+        want = label_products(n, rows)
+        got = gromov_product_matrix(tree, space.points)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        cost = sum(space.weights[i] * space.weights[j]
+                   * abs(space.sim[i, j] - KAPPA * want[i, j])
+                   for i in range(n) for j in range(n))
+        assert tree_cost(space, tree, KAPPA) == pytest.approx(
+            cost, rel=1e-12, abs=1e-15)
         want = core.tree_from_levels(space.points, [
             [c.tolist() for c in np.split(flat, np.cumsum(sizes)[:-1])]
             for flat, sizes in rows])
-        assert list(tree.parent.items()) == list(want.parent.items())
-        assert list(tree.level.items()) == list(want.level.items())
+        assert tree_items(tree) == tree_items(want)
 
     @pytest.mark.parametrize("name", PRICING_CASES)
     def test_tree_equals_tree_from_levels(self, name):
@@ -1514,16 +1543,13 @@ class TestLabelPricing:
                 for row in report.levels[1:]]
         want = core.tree_from_levels(space.points, rows)
         got = report.tree
-        assert got.root == want.root
-        assert list(got.parent.items()) == list(want.parent.items())
-        assert list(got.level.items()) == list(want.level.items())
-        assert list(got.leaf_points.items()) == list(want.leaf_points.items())
-        for node in want.level:
-            assert got.children(node) == want.children(node)
+        assert got == want
+        assert tree_items(got) == tree_items(want)
+        assert got.points == want.points
+        assert got.leaf.tolist() == want.leaf.tolist()
         assert tree_to_newick(got) == tree_to_newick(want)
         # each node name is one object, wherever the tree and levels hold it
-        ids = {id(node) for node in got.level}
-        assert {id(v) for v in got.parent.values()} <= ids
+        ids = {id(node) for node in got.names}
         assert {id(p) for row in report.levels[1:] for c in row if len(c) == 1
                 for p in c} <= ids
 
